@@ -66,9 +66,11 @@ def _validate(cfg: dict):
         raise ModelValidationError("delta must lie in [0, 0.5)")
     if not 0.0 < float(cfg["c_star"]) < 1.0:
         raise ModelValidationError("c_star must lie in (0, 1)")
-    for key in ("levels", "order"):
-        if int(cfg["quadrature"][key]) <= 0:
-            raise ModelValidationError(f"quadrature.{key} must be positive")
+    if int(cfg["quadrature"]["levels"]) < 3:
+        # the quadrature error estimate reruns the panels at levels - 2
+        raise ModelValidationError("quadrature.levels must be at least 3")
+    if int(cfg["quadrature"]["order"]) <= 0:
+        raise ModelValidationError("quadrature.order must be positive")
     if float(cfg["perturbation"]["amplitude"]) < 0:
         raise ModelValidationError("perturbation amplitude must be nonnegative")
     if not 0.0 < float(cfg["robustness"]["c_w"]) < 0.5:
@@ -250,6 +252,7 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
     result = matching.count_interface_modes(
         pipeline, ws.dirac.lambda_star, ws.beta_star, float(cfg["c_star"]),
         n_points=int(cfg["search_points"]),
+        window=int(cfg["truncation"]["mode_window"]),
     )
     emit.write_json(
         out / "search_trace.json",
@@ -321,10 +324,12 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
     ws = Workspace.build(cfg)
     iface = ws.interface()
     gap = ws.gap()
-    pipeline = matching.MatchingPipeline(iface)
+    q = cfg["quadrature"]
+    pipeline = matching.MatchingPipeline(iface, int(q["levels"]), int(q["order"]))
     modes = matching.count_interface_modes(
         pipeline, ws.dirac.lambda_star, ws.beta_star, float(cfg["c_star"]),
         n_points=int(cfg["search_points"]),
+        window=int(cfg["truncation"]["mode_window"]),
     )
     if modes.count != 2:
         print("numeric failure: unperturbed interface does not show 2 modes", file=sys.stderr)

@@ -8,9 +8,23 @@ Two quadrature routes are used for the momentum integral of the resolvent:
 * a uniform grid summed by FFT for long profiles, where panel quadrature
   would have to track the phase exp(i*kappa*d).
 
+Everything on the panel route that does not depend on the energy is computed
+once per bulk strip and kept in ``strip.spectral_cache``: the band edges and,
+for each (levels, order), the nodes, the weights and the eigenpairs
+(eps_kj, v_kj) of the Bloch matrices at the nodes.  An in-gap resolvent is
+then the spectral sum
+
+    G(d) = sum_{k,j} w_k exp(i kappa_k d) / (2 pi (eps_kj - lam)) v_kj v_kj^H,
+
+one matrix product over all offsets, with no inverse per energy.
+
 At the degenerate energy the principal value is computed by subtracting the
 exact singular model (cone modes over their exact slopes), whose symmetric
-principal value vanishes.
+principal value vanishes.  That route keeps the per-node inverse: at lambda*
+the cone denominators eps_kj - lam vanish as kappa -> 0, and a spectral sum
+there drifted by about 1e-9 relative from the inverse, while the outputs of
+``green-check`` must not move.  It is a one-shot computation, so nothing is
+cached for it.
 """
 from __future__ import annotations
 
@@ -22,14 +36,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import EnergyInSpectrum, GaugeMissing
 from .kernels import BlockedStripOperator
 from .spectra import DiracData, VGauge
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
 
 
 def dyadic_panels(levels: int = 14) -> list[tuple[float, float]]:
@@ -59,17 +65,55 @@ class GreenKernel:
         return self.blocks[n - m]
 
 
-def _band_distance(strip: BlockedStripOperator, lam: float, samples: int = 512) -> float:
+def _golden(f, a, b, tol=1e-12):
+    """Golden-section minimiser of f on [a, b]."""
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def band_edges(strip: BlockedStripOperator):
+    """Per-band minima and maxima (lo, hi) of the strip spectrum over kappa.
+
+    Computed once per strip: the extremes over 512 equispaced momenta are
+    polished by a golden-section search over the two sample intervals around
+    each, so an extremum between samples is not missed.
+    """
+    if "edges" not in strip.spectral_cache:
+        kaps = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+        step = kaps[1] - kaps[0]
+        w = np.linalg.eigvalsh(strip.bloch_batch(kaps))
+        edges = []
+        for sign in (1.0, -1.0):  # minima, then maxima as minima of -w
+            f = sign * w
+            best = f.min(axis=0)
+            for b, i in enumerate(f.argmin(axis=0)):
+                band = lambda k: sign * np.linalg.eigvalsh(strip.bloch(k))[b]
+                best[b] = min(best[b], band(_golden(band, kaps[i] - step, kaps[i] + step)))
+            edges.append(sign * best)
+        strip.spectral_cache["edges"] = tuple(edges)
+    return strip.spectral_cache["edges"]
+
+
+def _band_distance(strip: BlockedStripOperator, lam: float) -> float:
     """Distance from lam to the strip spectrum (union of band intervals)."""
-    kaps = np.linspace(-np.pi, np.pi, samples, endpoint=False)
-    w = np.linalg.eigvalsh(strip.bloch_batch(kaps))
-    lo, hi = w.min(axis=0), w.max(axis=0)
+    lo, hi = band_edges(strip)
     dist = np.maximum(np.maximum(lo - lam, lam - hi), 0.0)
     return float(dist.min())
 
 
 def _gl_nodes(levels, order):
-    x, wq = _gl(order)
+    x, wq = leggauss(order)
     ks, ws = [], []
     for a, b in dyadic_panels(levels):
         km, kr = 0.5 * (a + b), 0.5 * (b - a)
@@ -78,7 +122,37 @@ def _gl_nodes(levels, order):
     return np.concatenate(ks), np.concatenate(ws)
 
 
-def _gl_quadrature(strip, lam, offsets, levels, order, subtract=None):
+def _spectral_nodes(strip, levels, order):
+    """Cached nodes, weights / 2 pi, Bloch eigenvalues and packed projectors.
+
+    Each projector P = v v^H is stored as the real matrix Q = Re P + Im P;
+    as Re P is symmetric and Im P antisymmetric, P = ((1+i) Q + (1-i) Q^T) / 2,
+    which is linear in Q, so sums over projectors run in real arithmetic.
+    """
+    key = ("gl", levels, order)
+    if key not in strip.spectral_cache:
+        ks, ws = _gl_nodes(levels, order)
+        eps, v = np.linalg.eigh(strip.bloch_batch(ks))
+        proj = np.einsum("kaj,kbj->kjab", v, v.conj())
+        packed = (proj.real + proj.imag).reshape(eps.size, -1)
+        strip.spectral_cache[key] = (ks, ws[:, None] / (2.0 * np.pi), eps, packed)
+    return strip.spectral_cache[key]
+
+
+def _gl_quadrature(strip, lam, offsets, levels, order):
+    """Panel-quadrature blocks G(d) for all offsets as one spectral sum."""
+    ks, ws, eps, packed = _spectral_nodes(strip, levels, order)
+    phase = np.outer(offsets, ks)
+    trig = np.concatenate([np.cos(phase), np.sin(phase)])
+    coef = (trig[:, :, None] * (ws / (eps - lam))).reshape(len(trig), -1)
+    re, im = np.split(coef @ packed, 2)
+    c = (re + 1j * im).reshape(len(offsets), strip.blockdim, strip.blockdim)
+    g = 0.5 * ((1 + 1j) * c + (1 - 1j) * c.swapaxes(-1, -2))
+    return dict(zip(offsets, g))
+
+
+def _pv_quadrature(strip, lam, offsets, levels, order, subtract):
+    """Per-node inverse quadrature with the phase-free singular model removed."""
     ks, ws = _gl_nodes(levels, order)
     dim = strip.blockdim
     rs = np.linalg.inv(strip.bloch_batch(ks) - lam * np.eye(dim))
@@ -86,9 +160,8 @@ def _gl_quadrature(strip, lam, offsets, levels, order, subtract=None):
     out = {}
     for d in offsets:
         integrand = np.exp(1j * ks * d)[:, None, None] * rs
-        if subtract is not None:
-            # phase-free singular model; its symmetric p.v. is exactly zero
-            integrand = integrand - subtract[None, :, :] / ks[:, None, None]
+        # phase-free singular model; its symmetric p.v. is exactly zero
+        integrand = integrand - subtract[None, :, :] / ks[:, None, None]
         out[d] = np.tensordot(ws, integrand, axes=(0, 0)) / (2.0 * np.pi)
     return out
 
@@ -168,8 +241,8 @@ def physical_green_pv(
     sub = np.zeros((strip.blockdim, strip.blockdim), dtype=complex)
     for k in range(4):
         sub += np.outer(w[:, k], w[:, k].conj()) / vgauge.slopes[k]
-    blocks = _gl_quadrature(strip, dirac.lambda_star, offsets, levels, order, subtract=sub)
-    coarse = _gl_quadrature(strip, dirac.lambda_star, offsets, levels - 2, order, subtract=sub)
+    blocks = _pv_quadrature(strip, dirac.lambda_star, offsets, levels, order, sub)
+    coarse = _pv_quadrature(strip, dirac.lambda_star, offsets, levels - 2, order, sub)
     err = max(np.abs(blocks[d] - coarse[d]).max() for d in offsets)
     return GreenKernel(dirac.lambda_star, blocks, strip.blockdim, err, levels, order)
 

@@ -282,6 +282,9 @@ class BlockedStripOperator:
             self.range_ = source.range_
             self._uniform = source.strip_blocks(kpar)
         self.blockdim = 6 * self.range_
+        # energy-independent spectral data of a bulk strip (band edges, Bloch
+        # eigenpairs at quadrature nodes), filled lazily by hexamer.green
+        self.spectral_cache: dict = {}
 
     # -- cell-level strip blocks ------------------------------------------------
     def _cell_block(self, c1: int, c2: int) -> np.ndarray:

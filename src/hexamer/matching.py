@@ -108,15 +108,11 @@ class MatchingPipeline:
         self.hm_10 = self.left.block(-1, 0)
         self.hz_01 = self.op.block(0, -1)
         self.hz_10 = self.op.block(-1, 0)
-        self._cache: dict = {}
 
     def _resolvents(self, lam: float):
-        key = round(lam, 14)
-        if key not in self._cache:
-            gp = green.gap_resolvent(self.right, lam, (-1, 0, 1), self.levels, self.order)
-            gm = green.gap_resolvent(self.left, lam, (-1, 0, 1), self.levels, self.order)
-            self._cache[key] = (gp.blocks, gm.blocks)
-        return self._cache[key]
+        gp = green.gap_resolvent(self.right, lam, (-1, 0, 1), self.levels, self.order)
+        gm = green.gap_resolvent(self.left, lam, (-1, 0, 1), self.levels, self.order)
+        return gp.blocks, gm.blocks
 
     def guard_in_gap(self, lam: float, margin: float = 1e-9):
         for strip in (self.right, self.left):
@@ -144,14 +140,6 @@ class MatchingPipeline:
 
     def sigma_min(self, lam: float) -> float:
         return float(np.linalg.svd(self.matrices(lam).matrix, compute_uv=False)[-1])
-
-
-def assemble_matching(iface: kernels.InterfaceKernel, lam: float, delta: float | None = None,
-                      **kw) -> MatchingMatrix:
-    """Matching matrices M(lam, delta), Maux(lam, delta) for one energy."""
-    if delta is not None and abs(delta - iface.delta) > 1e-14:
-        raise EnergyOutsideGap("delta argument disagrees with the interface kernel")
-    return MatchingPipeline(iface, **kw).matrices(lam)
 
 
 def limit_pieces(
@@ -225,22 +213,6 @@ def _local_minima(values: np.ndarray):
     ]
 
 
-def _golden(f, a, b, tol=1e-12):
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _bisect(f, a, b, fa, fb, tol=1e-13):
     while b - a > tol:
         c = 0.5 * (a + b)
@@ -297,7 +269,7 @@ def characteristic_search(
             if (signed[i] < 0) == (signed[i + 1] < 0):
                 continue
             h0 = _bisect(signed_min, hs[i], hs[i + 1], signed[i], signed[i + 1])
-            h0 = _golden(fsig, h0 - 1e-10, h0 + 1e-10, tol=1e-14)
+            h0 = green._golden(fsig, h0 - 1e-10, h0 + 1e-10, tol=1e-14)
             if any(abs(h0 - v.h) < 1e-9 for v in values):
                 continue
             lam0 = lambda_star + delta * h0
@@ -414,11 +386,13 @@ def count_interface_modes(
     c_star: float = 0.9,
     n_points: int = 201,
     fp_tol: float = 1e-4,
+    window: int = 120,
 ) -> ModesResult:
     """Characteristic values filtered by the auxiliary fixed-point condition.
 
     Within each characteristic null space the surviving directions are those
     fixed by Maux; the remaining ("ghost") directions do not generate modes.
+    ``window`` is the initial profile half-width of each reconstructed mode.
     """
     search = characteristic_search(pipeline, lambda_star, beta_star, c_star, n_points)
     modes, defects = [], []
@@ -433,7 +407,7 @@ def count_interface_modes(
                 x = basis @ vt[j].conj()
                 x = x / np.linalg.norm(x)
                 n6 = x.shape[0] // 2
-                mode = mode_from_boundary(pipeline, cv.lam, x[:n6], x[n6:])
+                mode = mode_from_boundary(pipeline, cv.lam, x[:n6], x[n6:], window)
                 modes.append(mode)
                 defects.append(float(defect))
     modes.sort(key=lambda m: -m.parity)

@@ -16,12 +16,9 @@ import scipy.sparse.linalg as spla
 
 from . import kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
+from .matching import EDGE_WEIGHT_TOL
 
 _OFF = kernels.RANGE1_OFFSETS
-
-# see matching.EDGE_WEIGHT_TOL: separates truncation edge states (O(1)
-# weight at the window ends) from genuine slowly decaying modes
-EDGE_WEIGHT_TOL = 0.05
 
 
 def _ell2_coord(n1: int, n2: int) -> float:

@@ -46,6 +46,12 @@ def test_malformed_config(tmp_path):
     assert res.returncode == 2
 
 
+def test_quadrature_levels_below_three(tmp_path):
+    # the error estimate reruns the panels at levels - 2
+    res = run_cli(tmp_path, "green-check", cfg={"quadrature": {"levels": 2}})
+    assert res.returncode == 2, res.stderr
+
+
 def test_symmetry_report(tmp_path):
     out = tmp_path / "o"
     res = run_cli(tmp_path, "--out", str(out), "symmetry-report", cfg=FAST)
@@ -75,6 +81,17 @@ def test_interface_command(tmp_path):
     assert payload["oracle_max_deviation"] < 1e-6
     assert (out / "mode_1.csv").exists()
     assert (out / "search_trace.json").exists()
+
+
+def test_interface_mode_window(tmp_path):
+    cfg = dict(FAST)
+    cfg["truncation"] = dict(FAST["truncation"], mode_window=10)
+    out = tmp_path / "o"
+    res = run_cli(tmp_path, "--out", str(out), "interface", cfg=cfg)
+    assert res.returncode == 0, res.stderr
+    for i in (1, 2):
+        rows = (out / f"mode_{i}.csv").read_text().splitlines()[1:]
+        assert len(rows) <= 161  # half-width capped at 8 * mode_window
 
 
 def test_interface_control_exits_four(tmp_path):

@@ -181,3 +181,64 @@ def test_limiting_absorption_decomposition(bulk_strip, dirac, vgauge, green_pv):
     for d in (0, 1, 2):
         extrap = 2.0 * g2[d] - g1[d]  # first-order Richardson in eps
         assert np.abs(extrap - target[d]).max() < 2e-3
+
+
+def _inverse_quadrature(strip, lam, offsets, levels=14, order=16):
+    """Reference panel quadrature: one inverse of H(kappa) - lam per node."""
+    x, wq = np.polynomial.legendre.leggauss(order)
+    out = {d: 0.0 for d in offsets}
+    for a, b in green.dyadic_panels(levels):
+        ks = 0.5 * (a + b) + 0.5 * (b - a) * x
+        rs = np.linalg.inv(strip.bloch_batch(ks) - lam * np.eye(strip.blockdim))
+        for d in offsets:
+            out[d] = out[d] + np.einsum("k,kij->ij", 0.5 * (b - a) * wq * np.exp(1j * ks * d), rs)
+    return {d: g / (2.0 * np.pi) for d, g in out.items()}
+
+
+def test_spectral_resolvent_matches_inverse_quadrature(iface, dirac, beta_star):
+    offsets = range(-8, 9)
+    for bulk in (iface.right, iface.left):
+        strip = kernels.BlockedStripOperator(bulk)
+        for h in np.linspace(-0.8, 0.8, 5) * beta_star:
+            lam = dirac.lambda_star + iface.delta * h
+            g = green.gap_resolvent(strip, lam, offsets)
+            ref = _inverse_quadrature(strip, lam, offsets)
+            scale = max(np.abs(ref[d]).max() for d in offsets)
+            assert max(np.abs(g.blocks[d] - ref[d]).max() for d in offsets) <= 1e-12 * scale
+            assert g.quad_error <= 1e-13
+
+
+def test_spectral_data_built_once_per_strip(iface, dirac, beta_star):
+    strip = kernels.BlockedStripOperator(iface.right)
+    sizes = []
+    bloch_batch = strip.bloch_batch
+
+    def counting(kaps):
+        sizes.append(len(kaps))
+        return bloch_batch(kaps)
+
+    strip.bloch_batch = counting
+    r = 0.9 * iface.delta * beta_star
+    for lam in np.linspace(dirac.lambda_star - r, dirac.lambda_star + r, 50):
+        green.gap_resolvent(strip, lam, (-1, 0, 1))
+    # band edges, then the (14, 16) and (12, 16) node sets
+    assert len(sizes) <= 3
+
+
+def test_cached_edges_reject_spectrum_energy(blended, dirac):
+    strip = kernels.BlockedStripOperator(blended)
+    for _ in range(2):  # the second call reads the cached band edges
+        with pytest.raises(EnergyInSpectrum):
+            green.gap_resolvent(strip, dirac.lambda_star + 0.05, (0,))
+
+
+def test_band_edges_contain_dense_scan(iface):
+    # off kpar = 0 the band extrema fall between the 512 samples
+    for bulk in (iface.right, iface.left):
+        strip = kernels.BlockedStripOperator(bulk, kpar=0.3)
+        lo, hi = green.band_edges(strip)
+        kaps = np.linspace(-np.pi, np.pi, 8192, endpoint=False)
+        w = np.linalg.eigvalsh(strip.bloch_batch(kaps))
+        assert np.all(lo <= w.min(axis=0) + 1e-12)
+        assert np.all(hi >= w.max(axis=0) - 1e-12)
+        assert np.all(lo > w.min(axis=0) - 1e-4) and np.all(hi < w.max(axis=0) + 1e-4)
