@@ -216,10 +216,9 @@ def cmd_green_check(cfg: dict) -> int:
         for d in (-1, 0, 1):
             acc = acc + strip.block(0, d) @ gpv.blocks[n + d]
         worst = max(worst, float(np.abs(acc - (eye if n == 0 else 0)).max()))
-    limit = green.far_field_matrix(ws.vgauge, ws.dirac.alpha_star, strip.range_)
+    limit = green.far_field_matrix(ws.vgauge, ws.dirac.alpha_star)
     ff = green.far_field_report(gpv, limit)
-    w = green.blocked_cone_modes(ws.vgauge, strip.range_)
-    fluxes = green.flux_matrix(strip, w)
+    fluxes = green.flux_matrix(strip, ws.vgauge.vectors)
     payload = {
         "right_inverse_residual": worst,
         "quadrature_error_estimate": gpv.quad_error,
@@ -278,6 +277,7 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
                 "eigen_residual": mode.residual,
                 "decay_rate_right": mode.decay_rate_right,
                 "decay_rate_left": mode.decay_rate_left,
+                "profile_converged": mode.profile_converged,
             },
         )
     summary = {
@@ -388,6 +388,7 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
                     "unperturbed": base.eigenvalues.tolist(),
                     "perturbed": pert.eigenvalues.tolist(),
                     "t_used": pert.t_used,
+                    "t_converged": pert.t_converged,
                     "farfield_overlap": ff["overlap_outside"],
                     "difference_profile": ff["difference_profile"],
                 }
@@ -449,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output directory (default 'out')")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; computations are deterministic regardless")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("bands", help="band structure, gap report, inversion scores")
     sub.add_parser("symmetry-report", help="group closure and commutator report")
@@ -469,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config, {"out": args.out})
         if args.command == "bands":

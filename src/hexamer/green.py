@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import EnergyInSpectrum, GaugeMissing
+from .errors import EnergyInSpectrum, GaugeMissing, NotConverged
 from .kernels import BlockedStripOperator
 from .spectra import DiracData, VGauge
 
@@ -188,36 +188,50 @@ def gap_resolvent(
     return GreenKernel(lam, blocks, strip.blockdim, err, levels, order)
 
 
+def _double_until(start: int, cap: int, attempt):
+    """Run ``attempt(n)`` for n = start, 2 start, 4 start, ... until it is done.
+
+    ``attempt`` returns ``(done, result)``.  The loop stops when an attempt is
+    done or n has reached ``cap``, and returns ``(result, n, converged)`` of
+    the last attempt, where ``converged`` is its ``done``.
+    """
+    n = start
+    while True:
+        done, result = attempt(n)
+        if done or n >= cap:
+            return result, n, bool(done)
+        n *= 2
+
+
 def _fft_resolvent(strip, lam, nmax, m0: int = 8192, tol: float = 1e-11):
     """All offsets |d| <= nmax via uniform-grid trapezoid summed by FFT.
 
     With nodes kappa_j = -pi + 2 pi j / m the trapezoid sum is an inverse
     DFT up to a (-1)^d phase; it converges spectrally since the integrand is
     periodic and analytic for in-gap energies.  The grid is doubled until
-    probe blocks stabilize.
+    probe blocks stabilize; ``NotConverged`` is raised if they do not by
+    m = 2**17.
     """
-    dim = strip.blockdim
-    prev = None
-    m = m0
-    while True:
+    prev, diff = None, np.inf
+
+    def attempt(m):
+        nonlocal prev, diff
         kaps = -np.pi + 2.0 * np.pi * np.arange(m) / m
-        hs = strip.bloch_batch(kaps)
-        rs = np.linalg.inv(hs - lam * np.eye(dim))
+        rs = np.linalg.inv(strip.bloch_batch(kaps) - lam * np.eye(strip.blockdim))
         g = np.fft.ifft(rs, axis=0)
         blocks = {d: ((-1) ** (d % 2)) * g[d % m] for d in range(-nmax, nmax + 1)}
         if prev is not None:
             diff = max(np.abs(blocks[d] - prev[d]).max() for d in (0, 1, nmax))
-            if diff < tol or m >= 2**17:
-                return blocks
         prev = blocks
-        m *= 2
+        return diff < tol, blocks
 
-
-def blocked_cone_modes(vgauge: VGauge, range_: int) -> np.ndarray:
-    """Blocked cone eigenvectors at k1 = 0 (unit norm per block)."""
-    if range_ == 1:
-        return vgauge.vectors.copy()
-    return np.kron(np.ones((range_, 1)), vgauge.vectors) / np.sqrt(range_)
+    blocks, m, converged = _double_until(m0, 2**17, attempt)
+    if not converged:
+        raise NotConverged(
+            f"FFT resolvent grid doubled from {m0} to {m} points without converging "
+            f"(probe change {diff:.2e}, tolerance {tol:.1e})"
+        )
+    return blocks
 
 
 def physical_green_pv(
@@ -237,7 +251,7 @@ def physical_green_pv(
     if vgauge is None:
         raise GaugeMissing("physical Green operator requires the fixed v-gauge")
     offsets = sorted(set(int(d) for d in offsets))
-    w = blocked_cone_modes(vgauge, strip.range_)
+    w = vgauge.vectors
     sub = np.zeros((strip.blockdim, strip.blockdim), dtype=complex)
     for k in range(4):
         sub += np.outer(w[:, k], w[:, k].conj()) / vgauge.slopes[k]
@@ -247,10 +261,10 @@ def physical_green_pv(
     return GreenKernel(dirac.lambda_star, blocks, strip.blockdim, err, levels, order)
 
 
-def far_field_matrix(vgauge: VGauge, alpha_star: float, range_: int) -> np.ndarray:
+def far_field_matrix(vgauge: VGauge, alpha_star: float) -> np.ndarray:
     """Limit matrix (i/2|a*|)(v1 v1^H + v2 v2^H - v3 v3^H - v4 v4^H)."""
-    w = blocked_cone_modes(vgauge, range_)
-    s = np.zeros((6 * range_, 6 * range_), dtype=complex)
+    w = vgauge.vectors
+    s = np.zeros((6, 6), dtype=complex)
     for k, sign in enumerate((1.0, 1.0, -1.0, -1.0)):
         s += sign * np.outer(w[:, k], w[:, k].conj())
     return 1j / (2.0 * abs(alpha_star)) * s
@@ -292,7 +306,7 @@ def _as_profile(phi):
 def energy_flux(strip: BlockedStripOperator, phi, psi, n: int) -> complex:
     """Sesquilinear energy-flux form a(phi, psi; n) at block site n.
 
-    ``phi`` and ``psi`` are block profiles: callables n -> C^{6N} or constant
+    ``phi`` and ``psi`` are block profiles: callables n -> C^6 or constant
     vectors.  The form is (H(n,n-1) phi(n-1), psi(n)) - (H(n-1,n) phi(n),
     psi(n-1)) with the inner product conjugate-linear in the second slot.
     """

@@ -48,10 +48,7 @@ class HoppingKernel:
         return self.blocks.get(e, _Z6)
 
     def bloch_rad(self, kap1: float, kap2: float) -> np.ndarray:
-        h = np.zeros((6, 6), dtype=complex)
-        for (e1, e2), b in self.blocks.items():
-            h = h + np.exp(1j * (kap1 * e1 + kap2 * e2)) * b
-        return h
+        return lattice._bloch_from_blocks(self.blocks, kap1, kap2)
 
     def bloch_rad_batch(self, kap1: np.ndarray, kap2: np.ndarray) -> np.ndarray:
         """Stacked Bloch matrices over momentum arrays (radians)."""
@@ -259,59 +256,34 @@ class InterfaceKernel:
 
 
 class BlockedStripOperator:
-    """Block-tridiagonal operator on the blocked strip space.
+    """Block-tridiagonal operator on the cylinder strip.
 
-    Cells of the cylinder strip are grouped N at a time (N = kernel range),
-    which makes any range-N operator nearest-neighbor in the block index.
-    Blocks deviate from translation invariance only across the seam window
-    for interface kernels.
+    Every kernel has range 1, so each block is one cell column and couples
+    only to its two neighbours.  Blocks deviate from translation invariance
+    only across the seam window for interface kernels.
     """
+
+    blockdim = 6
 
     def __init__(self, source, kpar: float = 0.0):
         self.kpar = float(kpar)
-        if isinstance(source, InterfaceKernel):
-            self.interface = source
-            self.range_ = max(source.right.range_, source.left.range_, source.seam.range_)
-            self._strips = {
-                id(k): k.strip_blocks(kpar)
-                for k in (source.right, source.left, source.seam)
-            }
-            self._uniform = None
-        else:
-            self.interface = None
-            self.range_ = source.range_
-            self._uniform = source.strip_blocks(kpar)
-        self.blockdim = 6 * self.range_
+        self.interface = source if isinstance(source, InterfaceKernel) else None
+        kerns = (source.right, source.left, source.seam) if self.interface else (source,)
+        self._strips = {id(k): k.strip_blocks(kpar) for k in kerns}
+        if any(abs(d) > 1 for s in self._strips.values() for d in s):
+            raise ModelValidationError("strip operators take range-1 kernels only")
+        self._uniform = None if self.interface else self._strips[id(source)]
         # energy-independent spectral data of a bulk strip (band edges, Bloch
         # eigenpairs at quadrature nodes), filled lazily by hexamer.green
         self.spectral_cache: dict = {}
 
-    # -- cell-level strip blocks ------------------------------------------------
-    def _cell_block(self, c1: int, c2: int) -> np.ndarray:
-        d = c2 - c1
-        if abs(d) > self.range_:
-            return None
+    def block(self, n: int, m: int) -> np.ndarray:
+        """6x6 block H~(n, m) = S(m - n); zero when |n - m| > 1."""
         if self._uniform is not None:
             s = self._uniform
         else:
-            k = self.interface.kernel_for(c1, c2)
-            s = self._strips[id(k)]
-        b = s.get(d)
-        return None if b is None else b
-
-    # -- blocked access -----------------------------------------------------------
-    def block(self, n: int, m: int) -> np.ndarray:
-        """6N x 6N block H~(n, m); zero when |n - m| > 1."""
-        nn = self.range_
-        out = np.zeros((self.blockdim, self.blockdim), dtype=complex)
-        if abs(n - m) > 1:
-            return out
-        for s1 in range(nn):
-            for s2 in range(nn):
-                b = self._cell_block(n * nn + s1, m * nn + s2)
-                if b is not None:
-                    out[6 * s1 : 6 * s1 + 6, 6 * s2 : 6 * s2 + 6] = b
-        return out
+            s = self._strips[id(self.interface.kernel_for(n, m))]
+        return s.get(m - n, _Z6)
 
     def diag(self, n: int) -> np.ndarray:
         return self.block(n, n)
@@ -371,8 +343,3 @@ class BlockedStripOperator:
                 acc = acc + self.lower(n) @ profile[i - 1]
             out[i] = acc
         return out
-
-
-def blocked_gamma_reflection(range_: int) -> np.ndarray:
-    """Blocked x-axis reflection on the kpar = 0 strip (acts within blocks)."""
-    return np.kron(np.eye(range_), lattice.FX_INT)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import green, kernels, spectra
+from . import green, kernels, lattice, spectra
 from .errors import (
     DegenerateBoundaryData,
     EnergyOutsideGap,
@@ -25,6 +25,11 @@ from .errors import (
 # weight at the window ends; genuine interface modes keep at most a
 # few-percent tail there.
 EDGE_WEIGHT_TOL = 0.05
+
+# Generic real weights (sublattice index 1..6 on each boundary block) that fix
+# the global phase of a boundary pair x through <r, x> > 0.  Entries that Fx
+# pairs have equal modulus, so a rule keyed to the largest entry could flip.
+_PHASE_REF = np.tile(np.arange(1.0, 7.0), 2)
 
 
 @dataclass
@@ -65,7 +70,7 @@ class CharacteristicValue:
     lam: float
     sigma_min: float
     multiplicity: int
-    null_vectors: np.ndarray  # 12N x multiplicity
+    null_vectors: np.ndarray  # 12 x multiplicity
 
 
 @dataclass
@@ -73,12 +78,13 @@ class InterfaceMode:
     lambda_zig: float
     boundary_a: np.ndarray
     boundary_b: np.ndarray
-    profile: np.ndarray    # (n_blocks, 6N) complex
+    profile: np.ndarray    # (n_blocks, 6) complex
     n_lo: int
     parity: int
     residual: float
     decay_rate_right: float
     decay_rate_left: float
+    profile_converged: bool  # False when the window hit its cap 8 * window
 
 
 @dataclass
@@ -168,7 +174,7 @@ def limit_pieces(
             [-g[0] @ h10, g[-1] @ h01],
         ]
     )
-    w = green.blocked_cone_modes(vgauge, strip.range_)
+    w = vgauge.vectors
     dim = w.shape[0]
     a_proj = np.zeros((2 * dim, 2 * dim), dtype=complex)
     aaux1 = np.zeros_like(a_proj)
@@ -302,42 +308,45 @@ def mode_from_boundary(
     """Reconstruct a mode by the layer potential and validate it.
 
     Requires a genuine boundary pair: Maux (a, b) must be nonzero and is, for
-    eigen-data, the pair itself.  The profile window is grown until the tail
-    norm drops below ``tail_tol``.
+    eigen-data, the pair itself.  The pair is first rotated to the phase
+    that makes <r, (a, b)> real and positive for fixed generic real weights
+    r, so the profile does not depend on the phase of the input.  The profile
+    window is grown from ``window`` until the tail norm drops below
+    ``tail_tol``, or up to 8 * ``window`` (then ``profile_converged`` is
+    False).
     """
     mm = pipeline.matrices(lam)
     x = np.concatenate([a, b])
     if np.linalg.norm(x) < fp_tol or np.linalg.norm(mm.aux @ x) < fp_tol * np.linalg.norm(x):
         raise DegenerateBoundaryData("auxiliary matrix annihilates the boundary pair")
+    x = x * np.exp(-1j * np.angle(np.vdot(_PHASE_REF, x)))
+    a, b = np.split(x, 2)
 
     rp = pipeline.hp_10 @ a
     rz = pipeline.hz_01 @ b
     lz = pipeline.hz_10 @ a
     lm = pipeline.hm_01 @ b
 
-    t = window
-    while True:
+    def attempt(t):
         gp = green.gap_resolvent(pipeline.right, lam, range(-t - 1, t + 2)).blocks
         gm = green.gap_resolvent(pipeline.left, lam, range(-t - 1, t + 2)).blocks
-        ns = np.arange(-t, t + 1)
-        prof = np.zeros((len(ns), pipeline.op.blockdim), dtype=complex)
-        for i, n in enumerate(ns):
+        prof = np.zeros((2 * t + 1, pipeline.op.blockdim), dtype=complex)
+        for i, n in enumerate(range(-t, t + 1)):
             if n >= 0:
                 prof[i] = gp[n + 1] @ rp - gp[n] @ rz
             else:
                 prof[i] = -gm[n + 1] @ lz + gm[n] @ lm
         tail = np.linalg.norm(prof[:3]) + np.linalg.norm(prof[-3:])
-        if tail < tail_tol * np.linalg.norm(prof) or t >= 8 * window:
-            break
-        t *= 2
+        return tail < tail_tol * np.linalg.norm(prof), prof
 
+    prof, t, converged = green._double_until(window, 8 * window, attempt)
+    ns = np.arange(-t, t + 1)
     applied = pipeline.op.apply_blocks(prof, int(ns[0]))
     interior = slice(2, len(ns) - 2)
     resid = float(np.abs(applied[interior] - lam * prof[interior]).max())
     nrm = np.linalg.norm(prof)
 
-    fx = kernels.blocked_gamma_reflection(pipeline.op.range_)
-    flipped = prof @ fx.T
+    flipped = prof @ lattice.FX_INT.T
     par_val = float(np.real(np.vdot(prof.ravel(), flipped.ravel())) / nrm**2)
     parity = 1 if par_val > 0 else -1
 
@@ -361,6 +370,7 @@ def mode_from_boundary(
         residual=resid / max(nrm, 1e-300),
         decay_rate_right=decay(+1),
         decay_rate_left=decay(-1),
+        profile_converged=converged,
     )
 
 
@@ -418,6 +428,31 @@ def count_interface_modes(
 # Direct truncated-strip oracle
 
 
+def _edge_filtered(w, vectors, cols, gap, edge: int) -> list:
+    """In-gap eigenpairs of a truncated strip that are not edge states.
+
+    ``cols`` holds the transverse column n1 of each 6-row block of a vector
+    column; the window is |n1| <= t with t = max |cols|.  A pair is dropped
+    when its eigenvalue lies outside the open gap, its weight centre lies
+    beyond t / 2, or more than ``EDGE_WEIGHT_TOL`` of its block weight sits
+    in the columns |n1| >= t - edge.  Returns the kept (eigenvalue, vector,
+    centre) triples in ascending eigenvalue order.
+    """
+    t = int(np.abs(cols).max())
+    kept = []
+    for i in np.argsort(w):
+        if not gap[0] < w[i] < gap[1]:
+            continue
+        prof = np.linalg.norm(vectors[:, i].reshape(len(cols), 6), axis=1)
+        total = prof.sum()
+        center = float((prof * cols).sum() / total)
+        edge_weight = (prof[cols <= -t + edge].sum() + prof[cols >= t - edge].sum()) / total
+        if abs(center) > t / 2 or edge_weight > EDGE_WEIGHT_TOL:
+            continue
+        kept.append((float(w[i]), vectors[:, i], center))
+    return kept
+
+
 def direct_oracle(
     iface: kernels.InterfaceKernel,
     lambda_star: float,
@@ -454,26 +489,17 @@ def direct_oracle(
     mat = mat.tocsr()
     v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
     w, v = spla.eigsh(mat, k=k_eigs, sigma=lambda_star, which="LM", v0=v0)
-    fx = kernels.blocked_gamma_reflection(op.range_) if kpar == 0.0 else None
+    # the edge band is the outermost max(4, nb // 10) columns on each side
+    edge = max(4, nb // 10) - 1
     kept = []
-    lo, hi = gap
-    edge = max(4, nb // 10)
-    for i in np.argsort(w):
-        if not lo < w[i] < hi:
-            continue
-        prof = np.linalg.norm(v[:, i].reshape(nb, dim), axis=1)
-        total = prof.sum()
-        center = float((prof * np.arange(-half, half + 1)).sum() / total)
-        edge_weight = (prof[:edge].sum() + prof[-edge:].sum()) / total
-        if abs(center) > half / 2 or edge_weight > EDGE_WEIGHT_TOL:
-            continue
+    for val, vec, center in _edge_filtered(w, v, np.arange(-half, half + 1), gap, edge):
         parity = 0
-        if fx is not None:
-            blocks = v[:, i].reshape(nb, dim)
+        if kpar == 0.0:
+            blocks = vec.reshape(nb, dim)
             pv = float(
-                np.real(np.vdot(blocks.ravel(), (blocks @ fx.T).ravel()))
+                np.real(np.vdot(blocks.ravel(), (blocks @ lattice.FX_INT.T).ravel()))
                 / np.vdot(blocks.ravel(), blocks.ravel()).real
             )
             parity = 1 if pv > 0 else -1
-        kept.append((float(w[i]), parity, center))
+        kept.append((val, parity, center))
     return kept

@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import kernels, lattice
+from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import EDGE_WEIGHT_TOL
+from .matching import _edge_filtered
 
 _OFF = kernels.RANGE1_OFFSETS
 
@@ -157,6 +157,7 @@ class StripSector:
     L: int
     parity: int
     t_used: int
+    t_converged: bool      # False when the width hit its cap 8 * t0
     sites: dict            # (n1, n2) -> site index
     isometry: sp.csr_matrix
     eigenvalues: np.ndarray
@@ -326,27 +327,6 @@ def parity_isometry(L: int, sites: dict, parity: int) -> sp.csr_matrix:
     return sp.coo_matrix((vv, (ri, ci)), shape=(n, col)).tocsr()
 
 
-def _ingap_filtered(mat, sites, lam_center, gap, k_eigs=8):
-    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-    w, v = spla.eigsh(mat, k=min(k_eigs, mat.shape[0] - 2), sigma=lam_center, which="LM", v0=v0)
-    n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
-    t = int(np.abs(n1s).max())
-    kept = []
-    lo, hi = gap
-    for i in np.argsort(w):
-        if not lo < w[i] < hi:
-            continue
-        prof = np.linalg.norm(v[:, i].reshape(len(n1s), 6), axis=1)
-        tot = prof.sum()
-        center = float((prof * n1s).sum() / tot)
-        edge = max(4, t // 8)
-        edge_weight = (prof[n1s <= -t + edge].sum() + prof[n1s >= t - edge].sum()) / tot
-        if abs(center) > t / 2 or edge_weight > EDGE_WEIGHT_TOL:
-            continue
-        kept.append((float(w[i]), v[:, i], center))
-    return kept
-
-
 def strip_sector_eigen(
     iface: kernels.InterfaceKernel,
     w: PerturbationW | None,
@@ -361,47 +341,32 @@ def strip_sector_eigen(
     """In-gap eigenpairs of one parity sector of the (perturbed) L-strip.
 
     The transverse truncation starts at ``t0`` cells per side and doubles
-    until the in-gap eigenvalues move by less than ``move_tol``.  Raises
+    until the in-gap eigenvalues move by less than ``move_tol``, or up to
+    8 * ``t0`` (then ``t_converged`` is False).  Raises
     ``GapCollapse`` when the perturbed sector shows no isolated in-gap
     eigenvalue, and checks the localization bound |lam - lam_ref| < d_zig/2
     when the reference data is supplied.
     """
     lam_center = 0.5 * (gap[0] + gap[1]) if lam_ref is None else lam_ref
-    t = t0
-    prev_vals = None
-    while True:
+    prev = None
+
+    def attempt(t):
+        nonlocal prev
         mat, sites = assemble_strip(iface, L, t, w)
         q = parity_isometry(L, sites, parity)
         mat_p = (q.getH() @ mat @ q).tocsr()
         v0 = np.ones(mat_p.shape[0]) / np.sqrt(mat_p.shape[0])
         wr, vr = spla.eigsh(mat_p, k=6, sigma=lam_center, which="LM", v0=v0)
         n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
-        kept = []
-        for i in np.argsort(wr):
-            if not gap[0] < wr[i] < gap[1]:
-                continue
-            full = q @ vr[:, i]
-            prof = np.linalg.norm(full.reshape(len(n1s), 6), axis=1)
-            tot = prof.sum()
-            center = float((prof * n1s).sum() / tot)
-            edge = max(4, t // 8)
-            edge_weight = (prof[n1s <= -t + edge].sum() + prof[n1s >= t - edge].sum()) / tot
-            if abs(center) > t / 2 or edge_weight > EDGE_WEIGHT_TOL:
-                continue
-            kept.append((float(wr[i]), full, center))
-        probe = lam_center
-        vals = sorted((abs(v - probe), v) for v, _, _ in kept)
-        tracked_val = vals[0][1] if vals else None
-        if prev_vals is not None and tracked_val is not None and prev_vals is not False:
-            if abs(tracked_val - prev_vals) < move_tol:
-                break
-        if t >= 8 * t0:
-            break
-        prev_vals = tracked_val if tracked_val is not None else False
-        t *= 2
+        kept = _edge_filtered(wr, q @ vr, n1s, gap, max(4, t // 8))
+        tracked = min((v for v, _, _ in kept), key=lambda v: abs(v - lam_center), default=None)
+        done = prev is not None and tracked is not None and abs(tracked - prev) < move_tol
+        prev = tracked
+        return done, (kept, sites, q)
+
+    (kept, sites, q), t, converged = green._double_until(t0, 8 * t0, attempt)
     if len(kept) == 0:
         raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
-    kept.sort(key=lambda x: x[0])
     tracked = 0
     if lam_ref is not None:
         tracked = int(np.argmin([abs(val - lam_ref) for val, _, _ in kept]))
@@ -414,6 +379,7 @@ def strip_sector_eigen(
         L=L,
         parity=parity,
         t_used=t,
+        t_converged=converged,
         sites=sites,
         isometry=q,
         eigenvalues=np.array([v for v, _, _ in kept]),
@@ -426,7 +392,10 @@ def strip_sector_eigen(
 def full_strip_ingap(iface, L, t, gap, lam_center, k_eigs=16):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
     mat, sites = assemble_strip(iface, L, t)
-    return [v for v, _, _ in _ingap_filtered(mat, sites, lam_center, gap, k_eigs)], sites
+    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
+    w, v = spla.eigsh(mat, k=min(k_eigs, mat.shape[0] - 2), sigma=lam_center, which="LM", v0=v0)
+    n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
+    return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))], sites
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_criterion_5_physical_green(bulk_strip, dirac, vgauge, green_pv):
         for d in (-1, 0, 1):
             acc = acc + bulk_strip.block(0, d) @ green_pv.blocks[n + d]
         worst = max(worst, np.abs(acc - (eye if n == 0 else 0)).max())
-    limit = green.far_field_matrix(vgauge, dirac.alpha_star, bulk_strip.range_)
+    limit = green.far_field_matrix(vgauge, dirac.alpha_star)
     ff = green.far_field_report(green_pv, limit)
     rates = (ff["plus"]["rate"], ff["minus"]["rate"])
     elapsed = time.perf_counter() - t0
@@ -137,7 +137,7 @@ def test_criterion_5_physical_green(bulk_strip, dirac, vgauge, green_pv):
 
 
 def test_criterion_6_energy_flux(bulk_strip, dirac, vgauge):
-    w = green.blocked_cone_modes(vgauge, bulk_strip.range_)
+    w = vgauge.vectors
     fl = green.flux_matrix(bulk_strip, w)
     a = abs(dirac.alpha_star)
     sign = (1, 1, -1, -1)

@@ -92,6 +92,8 @@ def test_interface_mode_window(tmp_path):
     for i in (1, 2):
         rows = (out / f"mode_{i}.csv").read_text().splitlines()[1:]
         assert len(rows) <= 161  # half-width capped at 8 * mode_window
+        meta = json.loads((out / f"mode_{i}.csv.meta.json").read_text())
+        assert meta["profile_converged"] is False
 
 
 def test_interface_control_exits_four(tmp_path):
@@ -141,8 +143,15 @@ def test_determinism(tmp_path):
         out = tmp_path / tag
         res = run_cli(tmp_path, "--out", str(out), "bands", cfg=FAST)
         assert res.returncode == 0
+        res = run_cli(tmp_path, "--out", str(out), "interface", "--oracle", cfg=FAST)
+        assert res.returncode == 0, res.stderr
         outs.append(out)
-    for name in ("bands.csv", "gap_report.json", "inversion_scores.json"):
+    modes = sorted(p.name for p in outs[0].glob("mode_*.csv*"))
+    assert len(modes) == 4  # two profiles and their .meta.json
+    for name in (
+        "bands.csv", "gap_report.json", "inversion_scores.json",
+        "search_trace.json", "interface_summary.json", *modes,
+    ):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 

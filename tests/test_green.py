@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hexamer import green, kernels
-from hexamer.errors import EnergyInSpectrum, GaugeMissing
+from hexamer.errors import EnergyInSpectrum, GaugeMissing, NotConverged
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,13 @@ def test_fft_route_matches_panels(iface, dirac):
         assert np.abs(small.blocks[d] - large.blocks[d]).max() < 1e-9
 
 
+def test_fft_grid_cap_raises(iface, dirac):
+    # tol = 0 is never met, so the grid doubles up to its cap of 2**17 points
+    plus = kernels.BlockedStripOperator(iface.right)
+    with pytest.raises(NotConverged, match="from 65536 to 131072"):
+        green._fft_resolvent(plus, dirac.lambda_star, 10, m0=2**16, tol=0.0)
+
+
 def test_pv_requires_gauge(bulk_strip, dirac):
     with pytest.raises(GaugeMissing):
         green.physical_green_pv(bulk_strip, dirac, None, (0,))
@@ -96,7 +103,7 @@ def test_pv_hermiticity(green_pv):
 
 
 def test_pv_far_field(bulk_strip, dirac, vgauge, green_pv):
-    limit = green.far_field_matrix(vgauge, dirac.alpha_star, bulk_strip.range_)
+    limit = green.far_field_matrix(vgauge, dirac.alpha_star)
     report = green.far_field_report(green_pv, limit)
     for side in ("plus", "minus"):
         rate = report[side]["rate"]
@@ -106,7 +113,7 @@ def test_pv_far_field(bulk_strip, dirac, vgauge, green_pv):
 
 
 def test_flux_values(bulk_strip, dirac, vgauge):
-    w = green.blocked_cone_modes(vgauge, bulk_strip.range_)
+    w = vgauge.vectors
     fl = green.flux_matrix(bulk_strip, w)
     a = abs(dirac.alpha_star)
     for j, sign in enumerate((1.0, 1.0, -1.0, -1.0)):
@@ -119,7 +126,7 @@ def test_flux_values(bulk_strip, dirac, vgauge):
 
 
 def test_flux_site_independence(bulk_strip, vgauge):
-    w = green.blocked_cone_modes(vgauge, bulk_strip.range_)
+    w = vgauge.vectors
     dev = green.flux_site_independence(
         bulk_strip, w[:, 0], w[:, 0], list(range(0, 10))
     )
@@ -138,7 +145,7 @@ def test_green_identity(bulk_strip, dirac, vgauge):
     """Discrete Gauss-Green summation identity on a window."""
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    w = green.blocked_cone_modes(vgauge, bulk_strip.range_)
+    w = vgauge.vectors
 
     def mode(c):
         vec = w @ c
@@ -162,7 +169,7 @@ def test_limiting_absorption_decomposition(bulk_strip, dirac, vgauge, green_pv):
     (H - lam* - i eps)^-1 -> G^pv + (i / 2|a*|) sum_k v_k v_k^H as eps -> 0+,
     checked by Richardson extrapolation over eps on a few offsets.
     """
-    w = green.blocked_cone_modes(vgauge, bulk_strip.range_)
+    w = vgauge.vectors
     proj = sum(np.outer(w[:, k], w[:, k].conj()) for k in range(4))
     target = {
         d: green_pv.blocks[d] + 1j / (2.0 * abs(dirac.alpha_star)) * proj

@@ -113,6 +113,10 @@ def test_blocked_operator_structure(blended):
     # bulk Bloch matrix equals the kernel Bloch slice
     for k in (0.0, 1.234):
         assert np.abs(op.bloch(k) - blended.bloch_rad(k, 0.0)).max() < 1e-12
+    # a wider kernel would couple blocks two apart, outside the tridiagonal form
+    wide = kernels.HoppingKernel("wide", 2, {(2, 0): np.eye(6), (-2, 0): np.eye(6)})
+    with pytest.raises(ModelValidationError):
+        kernels.BlockedStripOperator(wide)
 
 
 def test_truncation_spectra_fill_band_slices(blended):
@@ -152,7 +156,7 @@ def test_interface_blocks(iface, blended):
 
 def test_interface_reflection_symmetry(iface):
     op = kernels.BlockedStripOperator(iface)
-    fx = kernels.blocked_gamma_reflection(op.range_)
+    fx = lattice.FX_INT
     for n in range(-3, 4):
         for m in (n - 1, n, n + 1):
             b = op.block(n, m)

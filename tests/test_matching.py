@@ -168,6 +168,43 @@ def test_mode_boundary_leading_order(modes, vgauge, beta_star):
         assert overlap > 0.95  # leading order up to o(1) corrections
 
 
+def test_mode_profile_phase_fixed(pipeline, modes):
+    # the boundary pair's phase is arbitrary; the profile must not follow it
+    for mode, theta in zip(modes.modes, (0.7, 2.5)):
+        z = np.exp(1j * theta)
+        rot = matching.mode_from_boundary(
+            pipeline, mode.lambda_zig, z * mode.boundary_a, z * mode.boundary_b
+        )
+        assert np.abs(rot.profile - mode.profile).max() < 1e-12
+        # the kpar = 0 operator is real, so the fixed phase makes the mode real
+        assert np.abs(rot.profile.imag).max() < 1e-12
+
+
+def test_edge_filter_keeps_centred_ingap_pairs():
+    cols = np.arange(-20, 21)  # window t = 20; edge band |n1| >= 20 - 3
+
+    def vec(weights):
+        v = np.zeros((len(cols), 6))
+        for col, wt in weights.items():
+            v[cols == col] = wt
+        return v.ravel()
+
+    cases = [  # (eigenvalue, column weights, kept)
+        (0.1, {0: 1.0}, True),                       # centred in-gap mode
+        (0.2, {0: 1.0, -16: 0.1, 16: 0.1}, True),    # tail just inside the band
+        (0.3, {0: 1.0, -17: 0.1, 17: 0.1}, False),   # 17% of the weight in the band
+        (0.4, {-20: 1.0, 20: 1.0}, False),           # weight at both window ends
+        (0.5, {12: 1.0}, False),                     # centred beyond t / 2
+        (2.0, {0: 1.0}, False),                      # outside the gap
+    ]
+    w = np.array([c[0] for c in cases])
+    vectors = np.column_stack([vec(c[1]) for c in cases])
+    kept = matching._edge_filtered(w, vectors, cols, (-1.0, 1.0), 3)
+    assert [val for val, _, _ in kept] == [c[0] for c in cases if c[2]]
+    assert np.array_equal(kept[0][1], vectors[:, 0])
+    assert [center for _, _, center in kept] == [0.0, 0.0]
+
+
 def test_mode_profile_boundary_consistency(modes):
     for m in modes.modes:
         i0 = -m.n_lo
