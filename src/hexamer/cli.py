@@ -389,6 +389,10 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
                     "perturbed": pert.eigenvalues.tolist(),
                     "t_used": pert.t_used,
                     "t_converged": pert.t_converged,
+                    "ingap_count": {
+                        "unperturbed": base.ingap_count,
+                        "perturbed": pert.ingap_count,
+                    },
                     "farfield_overlap": ff["overlap_outside"],
                     "difference_profile": ff["difference_profile"],
                 }

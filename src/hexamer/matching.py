@@ -19,6 +19,7 @@ from .errors import (
     DegenerateBoundaryData,
     EnergyOutsideGap,
     NoCharacteristicValue,
+    NumericError,
 )
 
 # Dirichlet truncation sheds edge-localized in-gap states carrying O(1)
@@ -453,12 +454,92 @@ def _edge_filtered(w, vectors, cols, gap, edge: int) -> list:
     return kept
 
 
+def _factor(mat, shift: float, **options):
+    """SuperLU factor of ``mat - shift``; a singular factor raises NumericError."""
+    shifted = (mat - shift * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")).tocsc()
+    try:
+        return spla.splu(shifted, **options)
+    except RuntimeError as exc:
+        raise NumericError(f"strip factor at shift {shift!r} failed: {exc}") from exc
+
+
+def _inertia(mat, shift: float) -> int:
+    """Number of eigenvalues of the Hermitian ``mat`` below ``shift``.
+
+    With diagonal pivots SuperLU factors P (mat - shift) P^T = L U, and for a
+    Hermitian matrix U = D L^H; by Sylvester's law of inertia the negative
+    pivots in D count the eigenvalues below the shift.  The symmetric
+    ordering suits this mode and halves the factor time of COLAMD.
+    """
+    lu = _factor(
+        mat, shift, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericError(f"off-diagonal pivot in the inertia factor at shift {shift!r}")
+    return int((lu.U.diagonal().real < 0).sum())
+
+
+def _ingap_eigsh(mat, sigma: float, gap: tuple):
+    """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``.
+
+    The in-gap count comes from the inertia at both gap edges, so nothing in
+    the gap is missed: shift-invert Lanczos about ``sigma`` asks for that
+    many pairs and doubles ``k`` until all of them are found.  An exactly
+    real matrix is solved in real arithmetic.  Returns (eigenvalues
+    ascending, vector columns); raises NumericError when the certificate
+    fails (more pairs than counted, ``k`` reaching n - 2, a bad factor).
+    """
+    if not mat.data.imag.any():
+        mat = mat.real
+    n = mat.shape[0]
+    count = _inertia(mat, gap[1]) - _inertia(mat, gap[0])
+    if count == 0:
+        return np.empty(0), np.empty((n, 0), dtype=mat.dtype)
+    lu = _factor(mat, sigma)
+    opinv = spla.LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype)
+    v0 = np.ones(n) / np.sqrt(n)
+    k = count
+    while True:
+        w, v = spla.eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+        inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))
+        if len(inside) == count:
+            inside = inside[np.argsort(w[inside])]
+            return w[inside], v[:, inside]
+        if len(inside) > count or k >= n - 2:
+            raise NumericError(
+                f"shift-invert found {len(inside)} in-gap eigenvalues with k = {k}, "
+                f"inertia counts {count}"
+            )
+        k = min(2 * k, n - 2)
+
+
+def _truncated_strip(iface: kernels.InterfaceKernel, half: int, kpar: float):
+    """Sparse interface strip at ``kpar`` on the columns |n| <= ``half``."""
+    op = kernels.BlockedStripOperator(iface, kpar)
+    dim = op.blockdim
+    nb = 2 * half + 1
+    rows, cols, vals = [], [], []
+    for i, n in enumerate(range(-half, half + 1)):
+        for j_off in (-1, 0, 1):
+            if not -half <= n + j_off <= half:
+                continue
+            b = op.block(n, n + j_off)
+            bi, bj = np.nonzero(b)
+            rows.append(i * dim + bi)
+            cols.append((i + j_off) * dim + bj)
+            vals.append(b[bi, bj])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nb * dim, nb * dim),
+    ).tocsr()
+
+
 def direct_oracle(
     iface: kernels.InterfaceKernel,
     lambda_star: float,
     gap: tuple,
     n_blocks: int = 400,
-    k_eigs: int = 10,
     kpar: float = 0.0,
 ):
     """In-gap eigenvalues of the Dirichlet-truncated interface strip.
@@ -467,28 +548,10 @@ def direct_oracle(
     whose weight concentrates near the window ends are discarded.  Returns
     the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
     """
-    op = kernels.BlockedStripOperator(iface, kpar)
     half = n_blocks // 2
-    dim = op.blockdim
-    rows, cols, vals = [], [], []
-    for i, n in enumerate(range(-half, half + 1)):
-        for j_off in (-1, 0, 1):
-            m = n + j_off
-            if not -half <= m <= half:
-                continue
-            b = op.block(n, m)
-            if np.abs(b).max() == 0:
-                continue
-            rows.append(i)
-            cols.append(i + j_off)
-            vals.append(b)
     nb = 2 * half + 1
-    mat = sp.lil_matrix((nb * dim, nb * dim), dtype=complex)
-    for i, j, b in zip(rows, cols, vals):
-        mat[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = b
-    mat = mat.tocsr()
-    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-    w, v = spla.eigsh(mat, k=k_eigs, sigma=lambda_star, which="LM", v0=v0)
+    dim = kernels.BlockedStripOperator.blockdim
+    w, v = _ingap_eigsh(_truncated_strip(iface, half, kpar), lambda_star, gap)
     # the edge band is the outermost max(4, nb // 10) columns on each side
     edge = max(4, nb // 10) - 1
     kept = []

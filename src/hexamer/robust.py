@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import _edge_filtered
+from .matching import _edge_filtered, _ingap_eigsh
 
 _OFF = kernels.RANGE1_OFFSETS
 
@@ -158,6 +157,7 @@ class StripSector:
     parity: int
     t_used: int
     t_converged: bool      # False when the width hit its cap 8 * t0
+    ingap_count: int       # in-gap eigenvalues by inertia, before edge filtering
     sites: dict            # (n1, n2) -> site index
     isometry: sp.csr_matrix
     eigenvalues: np.ndarray
@@ -355,16 +355,15 @@ def strip_sector_eigen(
         mat, sites = assemble_strip(iface, L, t, w)
         q = parity_isometry(L, sites, parity)
         mat_p = (q.getH() @ mat @ q).tocsr()
-        v0 = np.ones(mat_p.shape[0]) / np.sqrt(mat_p.shape[0])
-        wr, vr = spla.eigsh(mat_p, k=6, sigma=lam_center, which="LM", v0=v0)
+        wr, vr = _ingap_eigsh(mat_p, lam_center, gap)
         n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
         kept = _edge_filtered(wr, q @ vr, n1s, gap, max(4, t // 8))
         tracked = min((v for v, _, _ in kept), key=lambda v: abs(v - lam_center), default=None)
         done = prev is not None and tracked is not None and abs(tracked - prev) < move_tol
         prev = tracked
-        return done, (kept, sites, q)
+        return done, (kept, sites, q, len(wr))
 
-    (kept, sites, q), t, converged = green._double_until(t0, 8 * t0, attempt)
+    (kept, sites, q, count), t, converged = green._double_until(t0, 8 * t0, attempt)
     if len(kept) == 0:
         raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
     tracked = 0
@@ -380,6 +379,7 @@ def strip_sector_eigen(
         parity=parity,
         t_used=t,
         t_converged=converged,
+        ingap_count=count,
         sites=sites,
         isometry=q,
         eigenvalues=np.array([v for v, _, _ in kept]),
@@ -389,11 +389,10 @@ def strip_sector_eigen(
     )
 
 
-def full_strip_ingap(iface, L, t, gap, lam_center, k_eigs=16):
+def full_strip_ingap(iface, L, t, gap, lam_center):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
     mat, sites = assemble_strip(iface, L, t)
-    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-    w, v = spla.eigsh(mat, k=min(k_eigs, mat.shape[0] - 2), sigma=lam_center, which="LM", v0=v0)
+    w, v = _ingap_eigsh(mat, lam_center, gap)
     n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
     return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))], sites
 

@@ -125,6 +125,8 @@ def test_robustness_command(tmp_path):
     for parity in ("1", "-1"):
         entry = payload["sectors"][parity][0]
         assert entry["farfield_overlap"] >= 0.99
+        for side in ("unperturbed", "perturbed"):
+            assert entry["ingap_count"][side] >= len(entry[side])
 
 
 def test_band_curve_command(tmp_path):
@@ -145,12 +147,14 @@ def test_determinism(tmp_path):
         assert res.returncode == 0
         res = run_cli(tmp_path, "--out", str(out), "interface", "--oracle", cfg=FAST)
         assert res.returncode == 0, res.stderr
+        res = run_cli(tmp_path, "--out", str(out / "robust"), "robustness", cfg=FAST)
+        assert res.returncode == 0, res.stderr
         outs.append(out)
     modes = sorted(p.name for p in outs[0].glob("mode_*.csv*"))
     assert len(modes) == 4  # two profiles and their .meta.json
     for name in (
         "bands.csv", "gap_report.json", "inversion_scores.json",
-        "search_trace.json", "interface_summary.json", *modes,
+        "search_trace.json", "interface_summary.json", *modes, "robust/robustness_report.json",
     ):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 

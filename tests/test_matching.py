@@ -1,9 +1,16 @@
 """Boundary matching: limits, characteristic values, and interface modes."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from hexamer import green, kernels, matching
-from hexamer.errors import DegenerateBoundaryData, EnergyOutsideGap, NoCharacteristicValue
+from hexamer import green, kernels, matching, robust
+from hexamer.errors import (
+    DegenerateBoundaryData,
+    EnergyOutsideGap,
+    NoCharacteristicValue,
+    NumericError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +278,61 @@ def test_mode_decay_consistent_with_resolvent(modes, pipeline):
         norms = [np.linalg.norm(g.blocks[d], 2) for d in range(3, 9)]
         res_rate = np.exp(np.polyfit(range(len(norms)), np.log(norms), 1)[0])
         assert abs(m.decay_rate_right - res_rate) < 0.1
+
+
+def test_inertia_count_matches_dense(iface, gap, dirac):
+    """Negative diagonal pivots count the eigenvalues below each shift."""
+    mat, sites = robust.assemble_strip(iface, 4, 6)
+    q = robust.parity_isometry(4, sites, 1)
+    sector = (q.getH() @ mat @ q).tocsr().real
+    strip = matching._truncated_strip(iface, 20, 0.3)
+    assert np.abs(strip.data.imag).max() > 0.1
+    shifts = (gap[0], gap[1], dirac.lambda_star, gap[1] + 0.2, -0.7)
+    for m in (sector, strip):
+        dense = np.linalg.eigvalsh(m.toarray())
+        for s in shifts:
+            assert matching._inertia(m, s) == int((dense < s).sum())
+
+
+def test_ingap_eigsh_grows_k_near_gap_edge(iface, gap, monkeypatch):
+    """With the shift by a gap edge the nearest pairs lie in the band."""
+    mat = matching._truncated_strip(iface, 20, 0.0)
+    dense = np.linalg.eigvalsh(mat.toarray())
+    expect = dense[(gap[0] < dense) & (dense < gap[1])]
+    sigma = gap[1] - 1e-4
+    assert len(expect) > 0
+    assert not gap[0] < dense[np.argmin(np.abs(dense - sigma))] < gap[1]
+    ks = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    w, v = matching._ingap_eigsh(mat, sigma, gap)
+    assert ks[0] == len(expect) and ks[-1] > len(expect)
+    assert len(w) == len(expect)
+    assert np.abs(w - expect).max() < 1e-10
+    assert np.abs(mat @ v - v * w).max() < 1e-10
+
+
+def test_ingap_eigsh_zero_count_skips_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called for an empty gap")
+
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    mat = sp.diags([-2.0, -1.0, 1.0, 2.0, 3.0]).tocsr()
+    w, v = matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5))
+    assert w.shape == (0,) and v.shape == (5, 0)
+
+
+def test_inertia_certificate_failures_raise():
+    mat = sp.diags([-1.0, 0.3, 1.0, 2.0, 3.0]).tocsr()
+    # a gap edge on an eigenvalue makes that factor exactly singular
+    with pytest.raises(NumericError):
+        matching._ingap_eigsh(mat, 0.8, (0.3, 1.5))
+    # a zero diagonal forces an off-diagonal pivot, which voids the count
+    swap = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    with pytest.raises(NumericError):
+        matching._inertia(swap, 0.0)

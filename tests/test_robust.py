@@ -91,6 +91,7 @@ def test_sector_unique_unperturbed(setup_r):
             iface, None, 8, parity, gap, lam[parity], d_zig[parity], t0=40
         )
         assert len(sector.eigenvalues) == 1
+        assert sector.ingap_count >= len(sector.eigenvalues)
         assert abs(sector.tracked_eigenvalue - lam[parity]) < 1e-8
 
 
