@@ -65,9 +65,5 @@ class BranchLost(NumericError):
     """Continuity tracking of an in-gap branch failed."""
 
 
-class NotConverged(NumericError):
-    """A doubling refinement loop reached its cap without converging."""
-
-
 class BoundViolation(HexamerError):
     """Perturbation size exceeds the configured localization bound."""

@@ -1,12 +1,12 @@
 """Resolvent kernels of bulk strip operators and the discrete energy flux.
 
-Two quadrature routes are used for the momentum integral of the resolvent:
-
-* composite Gauss-Legendre panels on a dyadic subdivision of [-pi, pi]
-  refined toward 0, for small block offsets (the integrand near-singularity
-  sits at momentum ~ delta);
-* a uniform grid summed by FFT for long profiles, where panel quadrature
-  would have to track the phase exp(i*kappa*d).
+The momentum integral of the resolvent is computed by composite Gauss-
+Legendre panels on a dyadic subdivision of [-pi, pi] refined toward 0 (the
+integrand near-singularity sits at momentum ~ delta), for block offsets
+|d| <= 8; beyond that the panels would have to track the phase
+exp(i*kappa*d).  Longer in-gap profiles need no quadrature: the resolvent of
+a block-tridiagonal strip obeys G(d) = X^d G(0) and G(-d) = Y^d G(0) for
+d >= 0, with X = G(1) G(0)^-1 and Y = G(-1) G(0)^-1.
 
 Everything on the panel route that does not depend on the energy is computed
 once per bulk strip and kept in ``strip.spectral_cache``: the band edges and,
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import EnergyInSpectrum, GaugeMissing, NotConverged
+from .errors import EnergyInSpectrum, GaugeMissing
 from .kernels import BlockedStripOperator
 from .spectra import DiracData, VGauge
 
@@ -56,10 +56,10 @@ class GreenKernel:
 
     energy: float
     blocks: dict = field(repr=False)
-    blockdim: int = 6
-    quad_error: float = np.nan
-    levels: int = 0
-    order: int = 0
+    blockdim: int
+    quad_error: float
+    levels: int
+    order: int
 
     def block(self, n: int, m: int) -> np.ndarray:
         return self.blocks[n - m]
@@ -173,18 +173,15 @@ def gap_resolvent(
     levels: int = 14,
     order: int = 16,
 ) -> GreenKernel:
-    """Resolvent blocks G(d) = ((H - lam)^-1)(n+d, n) at an in-gap energy."""
+    """Resolvent blocks G(d) = ((H - lam)^-1)(n+d, n) at an in-gap energy, |d| <= 8."""
     offsets = sorted(set(int(d) for d in offsets))
+    if max(abs(d) for d in offsets) > 8:
+        raise ValueError(f"offsets up to |d| = 8 only; got {max(offsets, key=abs)}")
     if _band_distance(strip, lam) < 1e-10:
         raise EnergyInSpectrum(f"energy {lam} within 1e-10 of the strip spectrum")
-    if max(abs(d) for d in offsets) > 8:
-        blocks = _fft_resolvent(strip, lam, max(abs(d) for d in offsets))
-        blocks = {d: blocks[d] for d in offsets}
-        err = np.nan
-    else:
-        blocks = _gl_quadrature(strip, lam, offsets, levels, order)
-        coarse = _gl_quadrature(strip, lam, offsets, levels - 2, order)
-        err = max(np.abs(blocks[d] - coarse[d]).max() for d in offsets)
+    blocks = _gl_quadrature(strip, lam, offsets, levels, order)
+    coarse = _gl_quadrature(strip, lam, offsets, levels - 2, order)
+    err = max(np.abs(blocks[d] - coarse[d]).max() for d in offsets)
     return GreenKernel(lam, blocks, strip.blockdim, err, levels, order)
 
 
@@ -201,37 +198,6 @@ def _double_until(start: int, cap: int, attempt):
         if done or n >= cap:
             return result, n, bool(done)
         n *= 2
-
-
-def _fft_resolvent(strip, lam, nmax, m0: int = 8192, tol: float = 1e-11):
-    """All offsets |d| <= nmax via uniform-grid trapezoid summed by FFT.
-
-    With nodes kappa_j = -pi + 2 pi j / m the trapezoid sum is an inverse
-    DFT up to a (-1)^d phase; it converges spectrally since the integrand is
-    periodic and analytic for in-gap energies.  The grid is doubled until
-    probe blocks stabilize; ``NotConverged`` is raised if they do not by
-    m = 2**17.
-    """
-    prev, diff = None, np.inf
-
-    def attempt(m):
-        nonlocal prev, diff
-        kaps = -np.pi + 2.0 * np.pi * np.arange(m) / m
-        rs = np.linalg.inv(strip.bloch_batch(kaps) - lam * np.eye(strip.blockdim))
-        g = np.fft.ifft(rs, axis=0)
-        blocks = {d: ((-1) ** (d % 2)) * g[d % m] for d in range(-nmax, nmax + 1)}
-        if prev is not None:
-            diff = max(np.abs(blocks[d] - prev[d]).max() for d in (0, 1, nmax))
-        prev = blocks
-        return diff < tol, blocks
-
-    blocks, m, converged = _double_until(m0, 2**17, attempt)
-    if not converged:
-        raise NotConverged(
-            f"FFT resolvent grid doubled from {m0} to {m} points without converging "
-            f"(probe change {diff:.2e}, tolerance {tol:.1e})"
-        )
-    return blocks
 
 
 def physical_green_pv(
@@ -282,7 +248,7 @@ def far_field_report(green: GreenKernel, limit: np.ndarray, n_from: int = 2) -> 
             resid.append(r)
             d += sgn
         resid = np.array(resid)
-        floor = max(10.0 * green.quad_error, 1e-12) if np.isfinite(green.quad_error) else 1e-9
+        floor = max(10.0 * green.quad_error, 1e-12)
         keep = resid > floor
         if keep.sum() >= 3:
             coeff = np.polyfit(np.array(ns)[keep], np.log(resid[keep]), 1)

@@ -212,14 +212,6 @@ def limit_pieces(
     )
 
 
-def _local_minima(values: np.ndarray):
-    return [
-        i
-        for i in range(1, len(values) - 1)
-        if values[i] < values[i - 1] and values[i] < values[i + 1]
-    ]
-
-
 def _bisect(f, a, b, fa, fb, tol=1e-13):
     while b - a > tol:
         c = 0.5 * (a + b)
@@ -311,7 +303,13 @@ def mode_from_boundary(
     Requires a genuine boundary pair: Maux (a, b) must be nonzero and is, for
     eigen-data, the pair itself.  The pair is first rotated to the phase
     that makes <r, (a, b)> real and positive for fixed generic real weights
-    r, so the profile does not depend on the phase of the input.  The profile
+    r, so the profile does not depend on the phase of the input.
+
+    On each side the layer potential is a bulk resolvent applied to the
+    boundary pair, and G+(d) = X^d G+(0), G-(-d) = Y^d G-(0) for d >= 0 with
+    the decay operators X = G+(1) G+(0)^-1 and Y = G-(-1) G-(0)^-1.  So
+    psi(0) = G+(1) rp - G+(0) rz with psi(n+1) = X psi(n), and
+    psi(-1) = -G-(0) lz + G-(-1) lm with psi(n-1) = Y psi(n).  The profile
     window is grown from ``window`` until the tail norm drops below
     ``tail_tol``, or up to 8 * ``window`` (then ``profile_converged`` is
     False).
@@ -327,16 +325,18 @@ def mode_from_boundary(
     rz = pipeline.hz_01 @ b
     lz = pipeline.hz_10 @ a
     lm = pipeline.hm_01 @ b
+    gp, gm = pipeline._resolvents(lam)
+    x_op = np.linalg.solve(gp[0].T, gp[1].T).T
+    y_op = np.linalg.solve(gm[0].T, gm[-1].T).T
 
     def attempt(t):
-        gp = green.gap_resolvent(pipeline.right, lam, range(-t - 1, t + 2)).blocks
-        gm = green.gap_resolvent(pipeline.left, lam, range(-t - 1, t + 2)).blocks
-        prof = np.zeros((2 * t + 1, pipeline.op.blockdim), dtype=complex)
-        for i, n in enumerate(range(-t, t + 1)):
-            if n >= 0:
-                prof[i] = gp[n + 1] @ rp - gp[n] @ rz
-            else:
-                prof[i] = -gm[n + 1] @ lz + gm[n] @ lm
+        prof = np.empty((2 * t + 1, pipeline.op.blockdim), dtype=complex)  # row i: psi(i - t)
+        prof[t] = gp[1] @ rp - gp[0] @ rz
+        prof[t - 1] = -gm[0] @ lz + gm[-1] @ lm
+        for i in range(t + 1, 2 * t + 1):
+            prof[i] = x_op @ prof[i - 1]
+        for i in range(t - 2, -1, -1):
+            prof[i] = y_op @ prof[i + 1]
         tail = np.linalg.norm(prof[:3]) + np.linalg.norm(prof[-3:])
         return tail < tail_tol * np.linalg.norm(prof), prof
 

@@ -186,12 +186,14 @@ def window_rows(L: int, n1: int) -> list:
     return rows
 
 
-def _wrap_row(L: int, n1: int, n2: int) -> int:
-    while _ell2_coord(n1, n2) >= L / 2.0 - 1e-9:
-        n2 -= L
-    while _ell2_coord(n1, n2) < -L / 2.0 - 1e-9:
-        n2 += L
-    return n2
+def _wrap_row(L: int, n1, n2):
+    """n2 shifted by a multiple of L into the window -L/2 <= n.l2 < L/2 (arrays too)."""
+    return n2 - L * np.floor((_ell2_coord(n1, n2) + L / 2.0 + 1e-9) / L).astype(int)
+
+
+def _site_indices(sites: dict, L: int, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Site indices of the cells (n1, n2), each n2 first wrapped into the window."""
+    return np.array([sites[key] for key in zip(n1, _wrap_row(L, n1, n2))], dtype=int)
 
 
 def strip_sites(L: int, t: int) -> dict:
@@ -220,15 +222,6 @@ def assemble_strip(
     for (n1, n2), i in sites.items():
         n1s[i], n2s[i] = n1, n2
 
-    ell2 = 0.5 * n1s + n2s
-
-    def lookup(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-        # wrap n2 into the half-open window, then map through the site dict
-        c = 0.5 * m1 + m2
-        shift = np.floor((c + L / 2.0 + 1e-9) / L).astype(int)
-        m2w = m2 - shift * L
-        return np.array([sites[(a, b)] for a, b in zip(m1, m2w)], dtype=int)
-
     ri_parts, ci_parts, vv_parts = [], [], []
     for d in _OFF:
         m1 = n1s + d[0]
@@ -236,7 +229,7 @@ def assemble_strip(
         if not valid.any():
             continue
         i_idx = np.nonzero(valid)[0]
-        j_idx = lookup(m1[i_idx], n2s[i_idx] + d[1])
+        j_idx = _site_indices(sites, L, m1[i_idx], n2s[i_idx] + d[1])
         cat_right = (n1s[i_idx] >= 0) & (m1[i_idx] >= 0)
         cat_left = (n1s[i_idx] < 0) & (m1[i_idx] < 0)
         for mask, kern in (
@@ -289,13 +282,11 @@ _FX_PERM = [5, 3, 4, 1, 2, 0]  # new sublattice value index i comes from perm[i]
 
 def reflection_permutation(L: int, sites: dict) -> sp.csr_matrix:
     nc = len(sites)
-    ri, ci = [], []
-    for (n1, n2), i in sites.items():
-        f2 = _wrap_row(L, n1, -n1 - n2)
-        j = sites[(n1, f2)]
-        for a in range(6):
-            ri.append(6 * i + a)
-            ci.append(6 * j + _FX_PERM[a])
+    n1, n2 = np.array(list(sites)).T
+    i = np.fromiter(sites.values(), dtype=int, count=nc)
+    j = _site_indices(sites, L, n1, -n1 - n2)
+    ri = (6 * i[:, None] + np.arange(6)).ravel()
+    ci = (6 * j[:, None] + np.array(_FX_PERM)).ravel()
     return sp.coo_matrix((np.ones(len(ri)), (ri, ci)), shape=(6 * nc, 6 * nc)).tocsr()
 
 

@@ -191,11 +191,6 @@ class GapReport:
     def width_ratio(self) -> float:
         return self.width / self.predicted_width if self.predicted_width > 0 else np.nan
 
-    @property
-    def theoretical_interval(self) -> tuple:
-        r = self.c_star * self.delta * self.beta_star
-        return (self.lambda_star - r, self.lambda_star + r)
-
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,

@@ -159,7 +159,7 @@ def test_determinism(tmp_path):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 
-def test_threads_flag_validation(tmp_path):
+def test_unknown_global_flag_exits_two(tmp_path):
     res = run_cli(tmp_path, "--threads", "0", "bands", cfg=FAST)
     assert res.returncode == 2
 

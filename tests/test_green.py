@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hexamer import green, kernels
-from hexamer.errors import EnergyInSpectrum, GaugeMissing, NotConverged
+from hexamer.errors import EnergyInSpectrum, GaugeMissing
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +24,45 @@ def test_resolvent_identity(resolvent):
         assert np.abs(acc - target).max() < 1e-8
 
 
-def test_resolvent_matches_truncated_inverse(resolvent):
-    """Brute-force oracle: invert a 200-block Dirichlet truncation directly."""
-    strip, lam, g = resolvent
+@pytest.fixture(scope="module")
+def truncated_inverse(resolvent):
+    """Blocks inv(n, 0), |n| <= 100, of a 201-block Dirichlet truncation."""
+    strip, lam, _ = resolvent
     t = 100
     mat = strip.materialize(-t, t)
     inv = np.linalg.inv(mat - lam * np.eye(mat.shape[0]))
     mid = t  # block index of cell 0
+    return lambda d: inv[6 * (mid + d) : 6 * (mid + d + 1), 6 * mid : 6 * (mid + 1)]
+
+
+def test_resolvent_matches_truncated_inverse(resolvent, truncated_inverse):
+    """Brute-force oracle: invert a 200-block Dirichlet truncation directly."""
+    _, _, g = resolvent
     for d in range(-6, 7):
-        blk = inv[6 * (mid + d) : 6 * (mid + d + 1), 6 * mid : 6 * (mid + 1)]
-        assert np.abs(blk - g.blocks[d]).max() < 1e-6
+        assert np.abs(truncated_inverse(d) - g.blocks[d]).max() < 1e-6
+
+
+def test_decay_operators_generate_resolvent(resolvent, truncated_inverse):
+    """G(d) = X^d G(0) and G(-d) = Y^d G(0) with X = G(1) G(0)^-1, Y = G(-1) G(0)^-1."""
+    _, _, g = resolvent
+    x = g.blocks[1] @ np.linalg.inv(g.blocks[0])
+    y = g.blocks[-1] @ np.linalg.inv(g.blocks[0])
+
+    def power(d):
+        return np.linalg.matrix_power(x if d >= 0 else y, abs(d)) @ g.blocks[0]
+
+    for d in [*range(-8, -1), *range(2, 9)]:
+        assert np.abs(power(d) - g.blocks[d]).max() <= 1e-12 * np.abs(g.blocks[d]).max()
+    for d in range(-40, 41):
+        ref = truncated_inverse(d)
+        assert np.abs(power(d) - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_resolvent_offsets_capped_at_eight(resolvent):
+    strip, lam, _ = resolvent
+    for offsets in (range(-9, 1), (0, 20)):
+        with pytest.raises(ValueError):
+            green.gap_resolvent(strip, lam, offsets)
 
 
 def test_resolvent_hermitian_covariance(resolvent):
@@ -64,22 +93,6 @@ def test_resolvent_rejects_spectrum_energy(bulk_strip, dirac):
     with pytest.raises(EnergyInSpectrum):
         # the unperturbed cone bands sweep through lambda* + 0.05
         green.gap_resolvent(bulk_strip, dirac.lambda_star + 0.05, (0,))
-
-
-def test_fft_route_matches_panels(iface, dirac):
-    plus = kernels.BlockedStripOperator(iface.right)
-    lam = dirac.lambda_star
-    small = green.gap_resolvent(plus, lam, range(-3, 4))
-    large = green.gap_resolvent(plus, lam, range(-20, 21))  # triggers FFT route
-    for d in range(-3, 4):
-        assert np.abs(small.blocks[d] - large.blocks[d]).max() < 1e-9
-
-
-def test_fft_grid_cap_raises(iface, dirac):
-    # tol = 0 is never met, so the grid doubles up to its cap of 2**17 points
-    plus = kernels.BlockedStripOperator(iface.right)
-    with pytest.raises(NotConverged, match="from 65536 to 131072"):
-        green._fft_resolvent(plus, dirac.lambda_star, 10, m0=2**16, tol=0.0)
 
 
 def test_pv_requires_gauge(bulk_strip, dirac):

@@ -187,6 +187,25 @@ def test_mode_profile_phase_fixed(pipeline, modes):
         assert np.abs(rot.profile.imag).max() < 1e-12
 
 
+def test_mode_profile_matches_layer_potential(pipeline, modes):
+    """Near the seam the decay recurrence reproduces the quadrature layer potential."""
+    offsets = range(-8, 9)  # the panel route's range; rows -8..7 need no more
+    levels, order = pipeline.levels, pipeline.order
+    for m in modes.modes:
+        gp = green.gap_resolvent(pipeline.right, m.lambda_zig, offsets, levels, order).blocks
+        gm = green.gap_resolvent(pipeline.left, m.lambda_zig, offsets, levels, order).blocks
+        a, b = m.boundary_a, m.boundary_b
+        rp, rz = pipeline.hp_10 @ a, pipeline.hz_01 @ b
+        lz, lm = pipeline.hz_10 @ a, pipeline.hm_01 @ b
+        scale = np.abs(m.profile).max()
+        for n in range(-8, 8):
+            if n >= 0:
+                direct = gp[n + 1] @ rp - gp[n] @ rz
+            else:
+                direct = -gm[n + 1] @ lz + gm[n] @ lm
+            assert np.abs(m.profile[n - m.n_lo] - direct).max() <= 1e-12 * scale
+
+
 def test_edge_filter_keeps_centred_ingap_pairs():
     cols = np.arange(-20, 21)  # window t = 20; edge band |n1| >= 20 - 3
 
