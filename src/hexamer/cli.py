@@ -368,17 +368,15 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
         "sectors": {},
     }
     t0 = int(cfg["truncation"]["strip_t0"])
+    strips = robust.MomentumStrips(iface, gap)
     for parity in (1, -1):
         per_l = []
-        base_sector = None
-        pert_sector = None
         for L in cfg["robustness"]["L_values"]:
-            base = robust.strip_sector_eigen(
-                iface, None, int(L), parity, gap, lam_by_parity[parity],
-                d_zig[parity], t0=t0,
+            base = robust.bloch_sector_eigen(
+                strips, None, int(L), parity, lam_by_parity[parity], d_zig[parity], t0=t0,
             )
-            pert = robust.strip_sector_eigen(
-                iface, w, int(L), parity, gap, lam_by_parity[parity],
+            pert = robust.bloch_sector_eigen(
+                strips, w, int(L), parity, lam_by_parity[parity],
                 d_zig[parity] if in_theory else None, t0=t0,
             )
             ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)

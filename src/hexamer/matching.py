@@ -27,6 +27,10 @@ from .errors import (
 # few-percent tail there.
 EDGE_WEIGHT_TOL = 0.05
 
+# Largest residual ||(A - w) v|| / ||A|| accepted for a computed eigenpair;
+# converged shift-invert pairs reach about 1e-15.
+RESIDUAL_RTOL = 1e-10
+
 # Generic real weights (sublattice index 1..6 on each boundary block) that fix
 # the global phase of a boundary pair x through <r, x> > 0.  Entries that Fx
 # pairs have equal modulus, so a rule keyed to the largest entry could flip.
@@ -39,6 +43,8 @@ class MatchingMatrix:
     aux: np.ndarray
     lam: float
     delta: float
+    gp: dict   # bulk resolvent blocks G+(d), d = -1, 0, 1, at lam
+    gm: dict   # the same for G-
 
     @property
     def hermiticity_defect(self) -> float:
@@ -143,7 +149,7 @@ class MatchingPipeline:
                 [-gm[0] @ hz10, gm[-1] @ hm01],
             ]
         )
-        return MatchingMatrix(m, aux, lam, self.iface.delta)
+        return MatchingMatrix(m, aux, lam, self.iface.delta, gp, gm)
 
     def sigma_min(self, lam: float) -> float:
         return float(np.linalg.svd(self.matrices(lam).matrix, compute_uv=False)[-1])
@@ -297,6 +303,7 @@ def mode_from_boundary(
     window: int = 120,
     tail_tol: float = 1e-10,
     fp_tol: float = 1e-6,
+    mm: MatchingMatrix | None = None,
 ) -> InterfaceMode:
     """Reconstruct a mode by the layer potential and validate it.
 
@@ -312,9 +319,11 @@ def mode_from_boundary(
     psi(-1) = -G-(0) lz + G-(-1) lm with psi(n-1) = Y psi(n).  The profile
     window is grown from ``window`` until the tail norm drops below
     ``tail_tol``, or up to 8 * ``window`` (then ``profile_converged`` is
-    False).
+    False).  ``mm`` is ``pipeline.matrices(lam)`` when the caller already has
+    it; its resolvent blocks serve the recurrence.
     """
-    mm = pipeline.matrices(lam)
+    if mm is None:
+        mm = pipeline.matrices(lam)
     x = np.concatenate([a, b])
     if np.linalg.norm(x) < fp_tol or np.linalg.norm(mm.aux @ x) < fp_tol * np.linalg.norm(x):
         raise DegenerateBoundaryData("auxiliary matrix annihilates the boundary pair")
@@ -325,7 +334,7 @@ def mode_from_boundary(
     rz = pipeline.hz_01 @ b
     lz = pipeline.hz_10 @ a
     lm = pipeline.hm_01 @ b
-    gp, gm = pipeline._resolvents(lam)
+    gp, gm = mm.gp, mm.gm
     x_op = np.linalg.solve(gp[0].T, gp[1].T).T
     y_op = np.linalg.solve(gm[0].T, gm[-1].T).T
 
@@ -418,7 +427,7 @@ def count_interface_modes(
                 x = basis @ vt[j].conj()
                 x = x / np.linalg.norm(x)
                 n6 = x.shape[0] // 2
-                mode = mode_from_boundary(pipeline, cv.lam, x[:n6], x[n6:], window)
+                mode = mode_from_boundary(pipeline, cv.lam, x[:n6], x[n6:], window, mm=mm)
                 modes.append(mode)
                 defects.append(float(defect))
     modes.sort(key=lambda m: -m.parity)
@@ -480,15 +489,20 @@ def _inertia(mat, shift: float) -> int:
     return int((lu.U.diagonal().real < 0).sum())
 
 
+def _norm_bound(mat) -> float:
+    """Largest absolute row sum of a sparse matrix, a bound on its 2-norm when Hermitian."""
+    return float(abs(mat).sum(axis=1).max())
+
+
 def _ingap_eigsh(mat, sigma: float, gap: tuple):
     """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``.
 
     The in-gap count comes from the inertia at both gap edges, so nothing in
-    the gap is missed: shift-invert Lanczos about ``sigma`` asks for that
-    many pairs and doubles ``k`` until all of them are found.  An exactly
-    real matrix is solved in real arithmetic.  Returns (eigenvalues
+    the gap is missed; `_certified_pairs` then finds exactly that many.  An
+    exactly real matrix is solved in real arithmetic.  Returns (eigenvalues
     ascending, vector columns); raises NumericError when the certificate
-    fails (more pairs than counted, ``k`` reaching n - 2, a bad factor).
+    fails (more pairs than counted, ``k`` reaching n - 2, a bad factor, a
+    pair with a large residual).
     """
     if not mat.data.imag.any():
         mat = mat.real
@@ -497,15 +511,37 @@ def _ingap_eigsh(mat, sigma: float, gap: tuple):
     if count == 0:
         return np.empty(0), np.empty((n, 0), dtype=mat.dtype)
     lu = _factor(mat, sigma)
-    opinv = spla.LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype)
     v0 = np.ones(n) / np.sqrt(n)
+    return _certified_pairs(mat, lu.solve, sigma, gap, count, v0, _norm_bound(mat))
+
+
+def _certified_pairs(op, solve, sigma: float, gap: tuple, count: int, v0, scale: float):
+    """The ``count`` eigenpairs of the Hermitian ``op`` inside the open ``gap``.
+
+    Shift-invert Lanczos about ``sigma``, with ``solve`` applying
+    (op - sigma)^-1, asks for ``count`` pairs and doubles ``k`` until all of
+    them are found.  Each returned pair (w, v) must have a residual
+    ||(op - w) v|| of at most ``RESIDUAL_RTOL * scale``, with ``scale`` a
+    bound on ||op||: a shift on an eigenvalue of ``op`` passes the count and
+    yet returns wrong pairs.  Returns (eigenvalues ascending, vector
+    columns); raises NumericError when any of this fails.
+    """
+    n = op.shape[0]
+    opinv = spla.LinearOperator(op.shape, matvec=solve, dtype=op.dtype)
     k = count
     while True:
-        w, v = spla.eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+        w, v = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
         inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))
         if len(inside) == count:
             inside = inside[np.argsort(w[inside])]
-            return w[inside], v[:, inside]
+            w, v = w[inside], v[:, inside]
+            resid = np.linalg.norm(op @ v - v * w, axis=0) / scale
+            if resid.max() > RESIDUAL_RTOL:
+                raise NumericError(
+                    f"in-gap pair {float(w[np.argmax(resid)]):.12g} has relative residual "
+                    f"{resid.max():.2e} > {RESIDUAL_RTOL:.0e} (shift {sigma!r})"
+                )
+            return w, v
         if len(inside) > count or k >= n - 2:
             raise NumericError(
                 f"shift-invert found {len(inside)} in-gap eigenvalues with k = {k}, "

@@ -9,13 +9,23 @@ reproduce the unperturbed interface modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import _edge_filtered, _ingap_eigsh
+from .matching import (
+    _certified_pairs,
+    _edge_filtered,
+    _factor,
+    _inertia,
+    _ingap_eigsh,
+    _norm_bound,
+    _truncated_strip,
+)
 
 _OFF = kernels.RANGE1_OFFSETS
 
@@ -55,10 +65,17 @@ class PerturbationW:
         """n1 values with potentially nonzero rows inside a width-t window."""
         return range(-self._support_radius, self._support_radius + 1)
 
+    @property
+    def compact(self) -> bool:
+        """Whether the support has a fixed transverse extent, whatever the window width."""
+        return self.transverse_range(0) == self.transverse_range(1)
 
-def _cell_norm(n1: int, n2: int) -> float:
-    v = n1 * lattice.ELL1 + n2 * lattice.ELL2
-    return float(np.hypot(v[0], v[1]))
+
+def _cell_norm(n1, n2):
+    """Length of the cell vector n1 l1 + n2 l2 (scalars or arrays)."""
+    x = n1 * lattice.ELL1[0] + n2 * lattice.ELL2[0]
+    y = n1 * lattice.ELL1[1] + n2 * lattice.ELL2[1]
+    return np.hypot(x, y)
 
 
 class _CompactW(PerturbationW):
@@ -158,11 +175,8 @@ class StripSector:
     t_used: int
     t_converged: bool      # False when the width hit its cap 8 * t0
     ingap_count: int       # in-gap eigenvalues by inertia, before edge filtering
-    sites: dict            # (n1, n2) -> site index
-    isometry: sp.csr_matrix
     eigenvalues: np.ndarray
     vectors: np.ndarray    # full-space columns
-    centers: np.ndarray
     tracked: int = 0       # index of the interface branch among the kept pairs
 
     @property
@@ -174,16 +188,15 @@ class StripSector:
         return self.vectors[:, self.tracked]
 
 
+def _window_start(L: int, n1):
+    """First row n2 of the window -L/2 <= n.l2 < L/2 at column n1 (arrays too)."""
+    return np.ceil(-L / 2.0 - 0.5 * np.asarray(n1) - 1e-9).astype(int)
+
+
 def window_rows(L: int, n1: int) -> list:
     """Fundamental n2 rows: -L/2 <= n.l2 < L/2 (symmetric, half-open)."""
-    lo = int(np.ceil(-L / 2.0 - 0.5 * n1 - 1e-9))
-    rows = []
-    n2 = lo
-    while _ell2_coord(n1, n2) < L / 2.0 - 1e-9:
-        if _ell2_coord(n1, n2) >= -L / 2.0 - 1e-9:
-            rows.append(n2)
-        n2 += 1
-    return rows
+    lo = int(_window_start(L, n1))
+    return list(range(lo, lo + L))
 
 
 def _wrap_row(L: int, n1, n2):
@@ -191,19 +204,24 @@ def _wrap_row(L: int, n1, n2):
     return n2 - L * np.floor((_ell2_coord(n1, n2) + L / 2.0 + 1e-9) / L).astype(int)
 
 
-def _site_indices(sites: dict, L: int, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Site indices of the cells (n1, n2), each n2 first wrapped into the window."""
-    return np.array([sites[key] for key in zip(n1, _wrap_row(L, n1, n2))], dtype=int)
+def _site_indices(L: int, t: int, n1, n2):
+    """Site indices of the cells (n1, n2), |n1| <= t, each n2 first wrapped into the window.
+
+    Sites are numbered column by column, n1 = -t..t, and within a column by
+    the window rows in ascending order.
+    """
+    return (n1 + t) * L + _wrap_row(L, n1, n2) - _window_start(L, n1)
+
+
+def _site_cells(L: int, t: int, idx):
+    """Cells (n1, n2) of the site indices ``idx``; the inverse of `_site_indices`."""
+    n1 = idx // L - t
+    return n1, _window_start(L, n1) + idx % L
 
 
 def strip_sites(L: int, t: int) -> dict:
-    sites = {}
-    idx = 0
-    for n1 in range(-t, t + 1):
-        for n2 in window_rows(L, n1):
-            sites[(n1, n2)] = idx
-            idx += 1
-    return sites
+    n1, n2 = _site_cells(L, t, np.arange((2 * t + 1) * L))
+    return dict(zip(zip(n1.tolist(), n2.tolist()), range(len(n1))))
 
 
 def assemble_strip(
@@ -217,10 +235,7 @@ def assemble_strip(
     """
     sites = strip_sites(L, t)
     nc = len(sites)
-    n1s = np.empty(nc, dtype=int)
-    n2s = np.empty(nc, dtype=int)
-    for (n1, n2), i in sites.items():
-        n1s[i], n2s[i] = n1, n2
+    n1s, n2s = _site_cells(L, t, np.arange(nc))
 
     ri_parts, ci_parts, vv_parts = [], [], []
     for d in _OFF:
@@ -229,7 +244,7 @@ def assemble_strip(
         if not valid.any():
             continue
         i_idx = np.nonzero(valid)[0]
-        j_idx = _site_indices(sites, L, m1[i_idx], n2s[i_idx] + d[1])
+        j_idx = _site_indices(L, t, m1[i_idx], n2s[i_idx] + d[1])
         cat_right = (n1s[i_idx] >= 0) & (m1[i_idx] >= 0)
         cat_left = (n1s[i_idx] < 0) & (m1[i_idx] < 0)
         for mask, kern in (
@@ -249,26 +264,8 @@ def assemble_strip(
             vv_parts.append(np.tile(vals, len(ii)))
 
     if w is not None:
-        for n1 in w.transverse_range(t):
-            if not -t <= n1 <= t:
-                continue
-            for n2 in w.support_rows(n1):
-                key = (n1, _wrap_row(L, n1, n2))
-                if key not in sites:
-                    continue
-                i = sites[key]
-                for d in _OFF:
-                    m1, m2 = n1 + d[0], n2 + d[1]
-                    if not -t <= m1 <= t:
-                        continue
-                    wb = periodized_block(w, (n1, n2), (m1, m2), L)
-                    if wb is None:
-                        continue
-                    j = sites[(m1, _wrap_row(L, m1, m2))]
-                    bi, bj = np.nonzero(wb)
-                    ri_parts.append(6 * i + bi)
-                    ci_parts.append(6 * j + bj)
-                    vv_parts.append(wb[bi, bj])
+        for parts, entries in zip((ri_parts, ci_parts, vv_parts), _defect_entries(w, L, t)):
+            parts.extend(entries)
 
     mat = sp.coo_matrix(
         (np.concatenate(vv_parts), (np.concatenate(ri_parts), np.concatenate(ci_parts))),
@@ -277,14 +274,38 @@ def assemble_strip(
     return mat, sites
 
 
+def _defect_entries(w: PerturbationW, L: int, t: int):
+    """Row, column and value arrays of the periodized defect on the width-t strip."""
+    ri, ci, vv = [], [], []
+    for n1 in w.transverse_range(t):
+        if not -t <= n1 <= t:
+            continue
+        for n2 in w.support_rows(n1):
+            i = _site_indices(L, t, n1, n2)
+            for d in _OFF:
+                m1, m2 = n1 + d[0], n2 + d[1]
+                if not -t <= m1 <= t:
+                    continue
+                wb = periodized_block(w, (n1, n2), (m1, m2), L)
+                if wb is None:
+                    continue
+                j = _site_indices(L, t, m1, m2)
+                bi, bj = np.nonzero(wb)
+                ri.append(6 * i + bi)
+                ci.append(6 * j + bj)
+                vv.append(wb[bi, bj])
+    return ri, ci, vv
+
+
 _FX_PERM = [5, 3, 4, 1, 2, 0]  # new sublattice value index i comes from perm[i]
 
 
 def reflection_permutation(L: int, sites: dict) -> sp.csr_matrix:
     nc = len(sites)
+    t = (nc // L - 1) // 2
     n1, n2 = np.array(list(sites)).T
     i = np.fromiter(sites.values(), dtype=int, count=nc)
-    j = _site_indices(sites, L, n1, -n1 - n2)
+    j = _site_indices(L, t, n1, -n1 - n2)
     ri = (6 * i[:, None] + np.arange(6)).ravel()
     ci = (6 * j[:, None] + np.array(_FX_PERM)).ravel()
     return sp.coo_matrix((np.ones(len(ri)), (ri, ci)), shape=(6 * nc, 6 * nc)).tocsr()
@@ -331,10 +352,30 @@ def strip_sector_eigen(
 ) -> StripSector:
     """In-gap eigenpairs of one parity sector of the (perturbed) L-strip.
 
-    The transverse truncation starts at ``t0`` cells per side and doubles
-    until the in-gap eigenvalues move by less than ``move_tol``, or up to
-    8 * ``t0`` (then ``t_converged`` is False).  Raises
-    ``GapCollapse`` when the perturbed sector shows no isolated in-gap
+    Each width is assembled, reduced to the sector by `parity_isometry` and
+    solved by `_ingap_eigsh` about ``lam_ref`` (else the gap centre); the
+    loop and the result are `_sector_loop`'s.
+    """
+    sigma = 0.5 * (gap[0] + gap[1]) if lam_ref is None else lam_ref
+
+    def solve(t):
+        mat, sites = assemble_strip(iface, L, t, w)
+        q = parity_isometry(L, sites, parity)
+        wr, vr = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), sigma, gap)
+        return wr, q @ vr, len(wr)
+
+    return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol)
+
+
+def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol) -> StripSector:
+    """Grow the strip width until the tracked in-gap eigenvalue settles.
+
+    ``solve(t)`` returns the in-gap eigenvalues of the width-t sector, their
+    full-space vectors and the in-gap count.  The transverse truncation
+    starts at ``t0`` cells per side and doubles until the tracked eigenvalue
+    (the kept one nearest ``lam_ref``, or the gap centre) moves by less than
+    ``move_tol``, or up to 8 * ``t0`` (then ``t_converged`` is False).
+    Raises ``GapCollapse`` when the sector shows no isolated in-gap
     eigenvalue, and checks the localization bound |lam - lam_ref| < d_zig/2
     when the reference data is supplied.
     """
@@ -343,18 +384,14 @@ def strip_sector_eigen(
 
     def attempt(t):
         nonlocal prev
-        mat, sites = assemble_strip(iface, L, t, w)
-        q = parity_isometry(L, sites, parity)
-        mat_p = (q.getH() @ mat @ q).tocsr()
-        wr, vr = _ingap_eigsh(mat_p, lam_center, gap)
-        n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
-        kept = _edge_filtered(wr, q @ vr, n1s, gap, max(4, t // 8))
+        wr, vectors, count = solve(t)
+        kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), gap, max(4, t // 8))
         tracked = min((v for v, _, _ in kept), key=lambda v: abs(v - lam_center), default=None)
         done = prev is not None and tracked is not None and abs(tracked - prev) < move_tol
         prev = tracked
-        return done, (kept, sites, q, len(wr))
+        return done, (kept, count)
 
-    (kept, sites, q, count), t, converged = green._double_until(t0, 8 * t0, attempt)
+    (kept, count), t, converged = green._double_until(t0, 8 * t0, attempt)
     if len(kept) == 0:
         raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
     tracked = 0
@@ -371,11 +408,8 @@ def strip_sector_eigen(
         t_used=t,
         t_converged=converged,
         ingap_count=count,
-        sites=sites,
-        isometry=q,
         eigenvalues=np.array([v for v, _, _ in kept]),
         vectors=np.column_stack([vec for _, vec, _ in kept]),
-        centers=np.array([c for _, _, c in kept]),
         tracked=tracked,
     )
 
@@ -384,8 +418,327 @@ def full_strip_ingap(iface, L, t, gap, lam_center):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
     mat, sites = assemble_strip(iface, L, t)
     w, v = _ingap_eigsh(mat, lam_center, gap)
-    n1s = np.array([key[0] for key in sorted(sites, key=sites.get)])
+    n1s = np.repeat(np.arange(-t, t + 1), L)
     return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))], sites
+
+
+# ---------------------------------------------------------------------------
+# Bloch-reduced sector solves
+#
+# Without the defect the L-periodic strip on |n1| <= t is unitarily the direct
+# sum of the 1-D strips H_k = `_truncated_strip(iface, t, k)` at k = 2 pi j / L:
+# a full-space vector x(n1, n2) has the momentum components
+#     x_j(n1) = L^-1/2 sum_n2 exp(-i k n2) x(n1, n2),
+# an FFT along each column.  The reflection P (n1, n2) -> (n1, -n1 - n2) maps
+# the component at k to the one at -k through R_k phi(n1) = exp(-i k n1) FX
+# phi(n1).  So a vector of parity p has x_{-k} = p R_k x_k: it is fixed by its
+# components j = 0..L//2, and its sector holds one copy of each H_k with
+# 0 < k < pi plus, at the self-conjugate k = 0 and pi, the part of H_k where
+# R_k = p.
+
+
+def _momenta(L: int) -> list:
+    """j / L as reduced (numerator, denominator) for j = 0..L//2: one k = 2 pi j / L per pair (k, -k)."""
+    return [(j // gcd(j, L), L // gcd(j, L)) for j in range(L // 2 + 1)]
+
+
+def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
+    """Columns span the part of the 1-D strip at k = 0 or pi where R_k = parity."""
+    n1 = np.arange(-t, t + 1)
+    sign = parity * (-1.0) ** (np.abs(n1) * frac[0])   # parity * exp(-i k n1)
+    cols = np.arange(3 * len(n1))
+    rows_a = (6 * (n1 + t)[:, None] + np.array([0, 1, 2])).ravel()
+    rows_b = (6 * (n1 + t)[:, None] + np.array(_FX_PERM[:3])).ravel()
+    vals_b = np.repeat(sign, 3) / np.sqrt(2.0)
+    return sp.coo_matrix(
+        (np.concatenate([np.full(len(cols), 1.0 / np.sqrt(2.0)), vals_b]),
+         (np.concatenate([rows_a, rows_b]), np.concatenate([cols, cols]))),
+        shape=(6 * len(n1), len(cols)),
+    ).tocsr()
+
+
+def _lu_solve(lu, b, real: bool):
+    """``lu.solve(b)`` that also takes a complex ``b`` when the factored matrix is ``real``."""
+    if real and np.iscomplexobj(b):
+        parts = lu.solve(np.concatenate([b.real, b.imag], axis=1))
+        return parts[:, : b.shape[1]] + 1j * parts[:, b.shape[1] :]
+    return lu.solve(b)
+
+
+class _MomentumBlock:
+    """One momentum strip, or its parity part at k = 0 and pi.
+
+    It keeps its inertias, one pivoting factor at the gap centre ``sigma``
+    (made on first use), its in-gap pairs and blocks of its resolvent at
+    other shifts.  The inertia factors are not kept.
+    """
+
+    def __init__(self, mat, q, t, gap, sigma):
+        self.mat = mat.real if not mat.data.imag.any() else mat
+        self.real = not np.iscomplexobj(self.mat)
+        self.q = q                 # isometry from block into strip coordinates, or None
+        self.t, self.gap, self.sigma = t, gap, sigma
+        self.norm = _norm_bound(self.mat)
+        self._inertia = {}
+        self.count = self.inertia(gap[1]) - self.inertia(gap[0])
+        self._lu = None
+        self._pairs = None
+        self._green = {}
+
+    def inertia(self, shift) -> int:
+        if shift not in self._inertia:
+            self._inertia[shift] = _inertia(self.mat, shift)
+        return self._inertia[shift]
+
+    def _factor(self):
+        if self._lu is None:
+            self._lu = _factor(self.mat, self.sigma)
+        return self._lu
+
+    def apply(self, x):
+        return self.mat @ x if self.q is None else self.q @ (self.mat @ (self.q.T @ x))
+
+    def solve(self, x):
+        """(H_k - sigma)^-1 x for strip-coordinate columns x (in the parity part at k = 0, pi)."""
+        if self.q is None:
+            return _lu_solve(self._factor(), x, self.real)
+        return self.q @ _lu_solve(self._factor(), self.q.T @ x, self.real)
+
+    def green(self, shift, lo: int, hi: int):
+        """Rows and columns n1 = lo..hi of (H_k - shift)^-1 in strip coordinates."""
+        key = (shift, lo, hi)
+        if key not in self._green:
+            cols = np.arange(6 * (lo + self.t), 6 * (hi + self.t + 1))
+            unit = np.zeros((6 * (2 * self.t + 1), len(cols)))
+            unit[cols, np.arange(len(cols))] = 1.0
+            lu = _factor(self.mat, shift)
+            if self.q is None:
+                self._green[key] = lu.solve(unit.astype(self.mat.dtype))[cols]
+            else:
+                self._green[key] = (self.q @ lu.solve(self.q.T @ unit))[cols]
+        return self._green[key]
+
+    def pairs(self):
+        """In-gap eigenvalues and strip-coordinate vectors of this block."""
+        if self._pairs is None:
+            n = self.mat.shape[0]
+            w, v = np.empty(0), np.empty((n, 0))
+            if self.count:
+                w, v = _certified_pairs(
+                    self.mat, self._factor().solve, self.sigma, self.gap,
+                    self.count, np.ones(n) / np.sqrt(n), self.norm,
+                )
+            self._pairs = (w, v if self.q is None else self.q @ v)
+        return self._pairs
+
+
+class MomentumStrips:
+    """Momentum strips of one interface kernel and gap, cached by (t, k, parity).
+
+    Both parities, every L and the unperturbed and perturbed solves share
+    the strips and their factors: the momenta of L = 8 are among those of
+    L = 16.  Every shift-invert solve shifts at the gap centre, away from
+    the interface eigenvalues.
+    """
+
+    def __init__(self, iface: kernels.InterfaceKernel, gap: tuple):
+        self.iface = iface
+        self.gap = tuple(gap)
+        self.sigma = 0.5 * (gap[0] + gap[1])
+        kerns = (iface.right, iface.left, iface.seam)
+        self.real = not any(np.iscomplexobj(b) and b.imag.any() for k in kerns for b in k.blocks.values())
+        self._blocks = {}
+
+    def block(self, t: int, frac: tuple, parity: int) -> _MomentumBlock:
+        """The strip at k = 2 pi frac[0] / frac[1], reduced to ``parity`` at k = 0 and pi."""
+        split = frac[1] <= 2
+        key = (t, frac, parity if split else 0)
+        if key not in self._blocks:
+            mat = _truncated_strip(self.iface, t, 2.0 * np.pi * frac[0] / frac[1])
+            q = _sector_isometry(t, frac, parity) if split else None
+            if q is not None:
+                mat = (q.T @ mat @ q).tocsr()
+            self._blocks[key] = _MomentumBlock(mat, q, t, self.gap, self.sigma)
+        return self._blocks[key]
+
+
+class _BlochSector:
+    """Parity sector of the width-t L-strip, acting on full-space columns."""
+
+    def __init__(self, strips: MomentumStrips, L: int, t: int, parity: int):
+        self.L, self.t, self.parity = L, t, parity
+        self.n = 6 * L * (2 * t + 1)
+        fracs = _momenta(L)
+        self.blocks = [strips.block(t, f, parity) for f in fracs]
+        self.real, self.gap, self.sigma = strips.real, strips.gap, strips.sigma
+        j = np.arange(L)
+        n1 = np.arange(-t, t + 1)[:, None]
+        # exp(-i k_j n2) = exp(-i k_j lo(n1)) * (FFT phase of the window row)
+        self.lo_phase = np.exp(-2j * np.pi * ((j * _window_start(L, n1)) % L) / L)
+        self.r_phase = np.exp(-2j * np.pi * ((j * n1) % L) / L)    # R_k: exp(-i k_j n1)
+        self.half = np.arange(len(fracs))
+        self.generic = self.half[(self.half > 0) & (2 * self.half < L)]
+
+    def _to_half(self, x):
+        """Components j = 0..L//2 of the sector projection of the columns ``x``."""
+        xh = np.fft.fft(x.reshape(2 * self.t + 1, self.L, 6, -1), axis=1, norm="ortho")
+        xh *= self.lo_phase[:, :, None, None]
+        mirror = xh[:, (-self.half) % self.L][:, :, _FX_PERM]
+        mirror *= self.r_phase[:, self.half, None, None].conj()
+        return 0.5 * (xh[:, self.half] + self.parity * mirror)
+
+    def _from_half(self, yh):
+        """Full-space columns of the sector vectors with components ``yh``, j = 0..L//2."""
+        full = np.zeros((2 * self.t + 1, self.L) + yh.shape[2:], dtype=complex)
+        full[:, self.half] = yh
+        g = self.generic
+        full[:, self.L - g] = self.parity * yh[:, g][:, :, _FX_PERM] * self.r_phase[:, g, None, None]
+        full *= self.lo_phase.conj()[:, :, None, None]
+        return np.fft.ifft(full, axis=1, norm="ortho").reshape(self.n, -1)
+
+    def _map(self, x, fn):
+        """Apply ``fn(block, strip columns)`` at each momentum to the sector part of ``x``.
+
+        The result is real when the strip is: the operators built from the
+        blocks map real vectors to real vectors.
+        """
+        xh = self._to_half(x)
+        yh = np.empty_like(xh)
+        m = xh.shape[-1]
+        for pos, blk in enumerate(self.blocks):
+            yh[:, pos] = fn(blk, xh[:, pos].reshape(-1, m)).reshape(-1, 6, m)
+        y = self._from_half(yh)
+        return y.real if self.real else y
+
+    def unperturbed_pairs(self):
+        """In-gap eigenvalues, full-space vectors and count of the sector."""
+        vals, parts = [], []
+        for pos, blk in enumerate(self.blocks):
+            w, v = blk.pairs()
+            scale = 1.0 / np.sqrt(2.0) if pos in self.generic else 1.0
+            for i in range(len(w)):
+                yh = np.zeros((2 * self.t + 1, len(self.blocks), 6, 1), dtype=complex)
+                yh[:, pos, :, 0] = scale * v[:, i].reshape(-1, 6)
+                vals.append(w[i])
+                parts.append(self._from_half(yh))
+        vectors = np.hstack(parts) if parts else np.empty((self.n, 0), dtype=complex)
+        return np.array(vals), vectors, len(vals)
+
+    def inertia(self, shift, defect=None) -> int:
+        """Sector eigenvalues below ``shift``, with the low-rank defect (V, supp, D) if given.
+
+        Haynsworth's inertia additivity on the bordered matrix
+        [[A - s, V], [V^H, -D^-1]] gives nu(A + V D V^H - s) = nu(A - s) +
+        nu(-D^-1 - V^H (A - s)^-1 V) - nu(-D^-1).  V^H (A - s)^-1 V needs the
+        momentum-strip resolvents only on the support columns n1 = lo..hi.
+        """
+        nu = sum(blk.inertia(shift) for blk in self.blocks)
+        if defect is None:
+            return nu
+        v, supp, d = defect
+        n1 = supp // 6 // self.L - self.t
+        lo, hi = int(n1.min()), int(n1.max())
+        vh = self._to_half(v)[lo + self.t : hi + self.t + 1]   # (n1, j, sublattice, rank)
+        border = -np.diag(1.0 / d)
+        for pos, blk in enumerate(self.blocks):
+            u = vh[:, pos].reshape(-1, len(d))
+            copies = 2.0 if pos in self.generic else 1.0   # the component at -k adds the same
+            border = border - copies * (u.conj().T @ blk.green(shift, lo, hi) @ u)
+        border = 0.5 * (border + border.conj().T)
+        return nu + int((np.linalg.eigvalsh(border) < 0).sum()) - int((d > 0).sum())
+
+    def perturbed_pairs(self, w: PerturbationW):
+        """In-gap eigenvalues, full-space vectors and count of the sector with the defect.
+
+        The sector part of the defect is V D V^H with D its nonzero
+        eigenvalues.  The in-gap count is the bordered `inertia` at both gap
+        edges, and Woodbury's identity gives (A + W - sigma)^-1 for the
+        shift-invert Lanczos run.
+        """
+        defect = _defect_sector(w, self.L, self.t, self.parity)
+        v, supp, d = defect
+        if len(d) == 0:
+            return self.unperturbed_pairs()   # the defect does not act on this sector
+        gap, sigma = self.gap, self.sigma
+        count = self.inertia(gap[1], defect) - self.inertia(gap[0], defect)
+        if count == 0:
+            return np.empty(0), np.empty((self.n, 0)), 0
+        z = self._map(v, lambda blk, u: blk.solve(u))
+        core = np.linalg.inv(np.diag(1.0 / d) + v[supp].conj().T @ z[supp])
+
+        def opinv(x):
+            x = x.reshape(self.n, -1)
+            return self._map(x, lambda blk, u: blk.solve(u)) - z @ (core @ (z.conj().T @ x))
+
+        def matvec(x):
+            x = x.reshape(self.n, -1)
+            return self._map(x, lambda blk, u: blk.apply(u)) + v @ (d[:, None] * (v.conj().T @ x))
+
+        op = spla.LinearOperator((self.n, self.n), matvec=matvec, matmat=matvec, dtype=z.dtype)
+        v0 = self._from_half(self._to_half(np.arange(1.0, self.n + 1.0)))[:, 0]
+        v0 = v0.real if self.real else v0
+        scale = max(blk.norm for blk in self.blocks) + float(np.abs(d).max())
+        wr, vr = _certified_pairs(op, opinv, sigma, gap, count, v0 / np.linalg.norm(v0), scale)
+        return wr, vr, count
+
+
+def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
+    """The defect's parity part V D V^H on the width-t strip: (V, support rows of V, D)."""
+    ri, ci, vv = (np.concatenate(part) for part in _defect_entries(w, L, t))
+    nfull = 6 * L * (2 * t + 1)
+    if not vv.any():
+        return np.zeros((nfull, 0)), np.zeros(0, dtype=int), np.zeros(0)
+    supp = np.unique(np.concatenate([ri, ci]))
+    n = len(supp)
+    dense = np.zeros((n, n), dtype=vv.dtype)
+    np.add.at(dense, (np.searchsorted(supp, ri), np.searchsorted(supp, ci)), vv)
+    if np.abs(dense - dense.conj().T).max() > 1e-12 * np.abs(dense).max():
+        raise ModelValidationError(f"the periodized defect is not Hermitian at L = {L}")
+    if not dense.imag.any():
+        dense = dense.real
+    site, sub = np.divmod(supp, 6)
+    n1, n2 = _site_cells(L, t, site)
+    image = 6 * _site_indices(L, t, n1, -n1 - n2) + np.array(_FX_PERM)[sub]
+    col = np.searchsorted(supp, image)
+    if not np.array_equal(supp[np.minimum(col, n - 1)], image):
+        raise ModelValidationError("the defect support is not reflection symmetric")
+    proj = 0.5 * np.eye(n)
+    proj[np.arange(n), col] += 0.5 * parity
+    d, vecs = np.linalg.eigh(proj @ dense @ proj.T)
+    keep = np.abs(d) > 1e-12 * np.abs(d).max()
+    v = np.zeros((nfull, keep.sum()), dtype=vecs.dtype)
+    v[supp] = vecs[:, keep]
+    return v, supp, d[keep]
+
+
+def bloch_sector_eigen(
+    strips: MomentumStrips,
+    w: PerturbationW | None,
+    L: int,
+    parity: int,
+    lam_ref: float | None = None,
+    d_zig: float | None = None,
+    t0: int = 80,
+    move_tol: float = 1e-9,
+) -> StripSector:
+    """`strip_sector_eigen` on the momentum strips of ``strips``, same loop and result.
+
+    Without a defect the sector pairs come from the momentum strips.  A
+    defect with a fixed transverse support enters as a low-rank correction:
+    the count is the bordered inertia and the pairs come from shift-invert
+    Lanczos on the Woodbury-corrected Bloch resolvent in full strip space;
+    no strip, isometry or sector matrix is assembled.  A defect that spans
+    the whole window (the line defect) has no low-rank form, so its sector
+    is assembled and solved by `strip_sector_eigen`.
+    """
+    if w is not None and not w.compact:
+        return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
+
+    def solve(t):
+        sector = _BlochSector(strips, L, t, parity)
+        return sector.unperturbed_pairs() if w is None else sector.perturbed_pairs(w)
+
+    return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +756,8 @@ def farfield_persistence(
     alignment and the windowed l2 profile of the difference versus distance
     from the defect center.
     """
-    if sector_pert.sites.keys() != sector_unpert.sites.keys():
+    L, t = sector_pert.L, sector_pert.t_used
+    if (L, t) != (sector_unpert.L, sector_unpert.t_used):
         raise ModelValidationError("sectors live on different windows")
     u1 = sector_pert.tracked_vector
     u0 = sector_unpert.tracked_vector
@@ -412,15 +766,15 @@ def farfield_persistence(
     phase = np.vdot(u0, u1)
     u1 = u1 * np.exp(-1j * np.angle(phase)) if abs(phase) > 0 else u1
 
-    keys = sorted(sector_pert.sites, key=sector_pert.sites.get)
-    radii = np.array([_cell_norm(*k) for k in keys])
+    n1, n2 = _site_cells(L, t, np.arange(len(u0) // 6))
+    radii = _cell_norm(n1, n2)
     mask = np.repeat(radii > exclusion_radius, 6)
     a, b = u0[mask], u1[mask]
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     overlap = float(abs(np.vdot(a, b)) / (na * nb)) if na > 0 and nb > 0 else 1.0
 
     diff = (u1 - u0).reshape(-1, 6)
-    coords = np.array([abs(_ell2_coord(*k)) for k in keys])
+    coords = np.abs(_ell2_coord(n1, n2))
     edges = np.arange(0.0, coords.max() + 2.0, 2.0)
     prof = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -479,14 +833,15 @@ def interface_band_curve(
 
 
 def neumann_mode_check(
-    iface, w: PerturbationW, L: int, parity: int, gap: tuple, t: int = 40,
-    tol: float = 1e-10, max_terms: int = 60,
+    iface, w: PerturbationW, L: int, parity: int, gap: tuple, lam_ref: float,
+    t: int = 40, tol: float = 1e-10, max_terms: int = 60,
 ) -> dict:
     """Perturbed sector mode via the reduced-resolvent series versus direct solve.
 
     Dense eigendecomposition of the unperturbed sector operator supplies the
     exact reduced resolvent; the series is summed until increments fall
-    below ``tol``.
+    below ``tol``.  The unperturbed level is the in-gap sector eigenvalue
+    nearest ``lam_ref`` (the interface-mode eigenvalue of this parity).
     """
     mat0, sites = assemble_strip(iface, L, t)
     matw, _ = assemble_strip(iface, L, t, w)
@@ -496,19 +851,10 @@ def neumann_mode_check(
     wmat = hw - h0
 
     evals, evecs = np.linalg.eigh(h0)
-    ingap = [i for i, v in enumerate(evals) if gap[0] < v < gap[1]]
-    # pick the isolated interface level (edge-filtered by transverse profile)
-    n1s = np.array([k[0] for k in sorted(sites, key=sites.get)])
-    best = None
-    for i in ingap:
-        full = q @ evecs[:, i]
-        prof = np.linalg.norm(full.reshape(-1, 6), axis=1)
-        center = abs(float((prof * n1s).sum() / prof.sum()))
-        if center < t / 2 and (best is None or center < best[1]):
-            best = (i, center)
-    if best is None:
+    ingap = np.flatnonzero((gap[0] < evals) & (evals < gap[1]))
+    if len(ingap) == 0:
         raise GapCollapse("no unperturbed in-gap sector eigenvalue")
-    i0 = best[0]
+    i0 = ingap[np.argmin(np.abs(evals[ingap] - lam_ref))]
     lam0 = evals[i0]
     u0 = evecs[:, i0]
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hexamer import kernels, matching, robust
-from hexamer.errors import GapCollapse, ModelValidationError
+from hexamer.errors import GapCollapse, ModelValidationError, NumericError
 
 DELTA_R = 0.025  # robustness runs use the smaller coupling where the
                  # pi-sector emptiness (and hence sector uniqueness) holds
@@ -206,9 +206,9 @@ def test_scattering_norm_bounded(setup_r):
 
 
 def test_neumann_series_crosscheck(setup_r):
-    iface, gap, _, _ = setup_r
+    iface, gap, lam, _ = setup_r
     w = robust.build_W("compact", 2e-5)
-    rep = robust.neumann_mode_check(iface, w, 8, 1, gap, t=30)
+    rep = robust.neumann_mode_check(iface, w, 8, 1, gap, lam[1], t=30)
     assert rep["mode_difference"] < 1e-6
     assert rep["series_terms"] < 25
 
@@ -246,3 +246,100 @@ def test_pi_sector_empty_small_delta(setup_r, dirac):
     assert vals == []
     vals = matching.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=-np.pi)
     assert vals == []
+
+
+def test_ingap_eigsh_rejects_pairs_with_large_residual(setup_r):
+    """A shift on an eigenvalue passes the inertia count but returns wrong pairs."""
+    iface, gap, _, _ = setup_r
+    strip = matching._truncated_strip(iface, 160, 0.0)
+    # 0.0519702019820843 is the odd interface mode's eigenvalue to 5e-16
+    with pytest.raises(NumericError, match="residual"):
+        matching._ingap_eigsh(strip, 0.0519702019820843, gap)
+    w, v = matching._ingap_eigsh(strip, 0.5 * (gap[0] + gap[1]), gap)
+    assert np.abs(strip @ v - v * w).max() < 1e-12
+
+
+def _assembled_sector(iface, L, t, parity, w=None):
+    mat, sites = robust.assemble_strip(iface, L, t, w)
+    q = robust.parity_isometry(L, sites, parity)
+    return (q.getH() @ mat @ q).tocsr().real
+
+
+def test_momentum_split_sector_inertia(setup_r):
+    """The momentum strips of one parity carry the assembled sector's inertia.
+
+    L = 4, 6, 8 cover the self-conjugate momenta k = 0 and pi, where each
+    strip splits by R_k = exp(-i k n1) FX, and the generic pairs (k, -k).
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    t = 6
+    for L in (4, 6, 8):
+        for parity in (1, -1):
+            sector = _assembled_sector(iface, L, t, parity)
+            dense = np.linalg.eigvalsh(sector.toarray())
+            picks = (np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (len(dense) - 1)).astype(int)
+            blocks = [strips.block(t, f, parity) for f in robust._momenta(L)]
+            assert sum(b.mat.shape[0] for b in blocks) == sector.shape[0]
+            for i in picks:
+                shift = 0.5 * (dense[i] + dense[i + 1])
+                assert sum(matching._inertia(b.mat, shift) for b in blocks) == i + 1
+
+
+def test_bordered_count_matches_assembled(setup_r):
+    """The bordered inertia of the low-rank defect equals the assembled sector's.
+
+    The gap edges and an in-gap shift are the certificate's shifts; at 0.5
+    the defect moves eigenvalues across shifts all over the spectrum, where
+    every momentum's share of V^H (A - s)^-1 V decides the count.
+    """
+    iface, gap, lam, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    L, t = 8, 20
+    for amplitude in (2e-5, 0.05, 0.5):
+        w = robust.build_W("compact", amplitude)
+        for parity in (1, -1):
+            sector = robust._BlochSector(strips, L, t, parity)
+            defect = robust._defect_sector(w, L, t, parity)
+            assembled = _assembled_sector(iface, L, t, parity, w)
+            shifts = [gap[0], gap[1], 0.5 * (lam[1] + lam[-1])]
+            if amplitude == 0.5:
+                dense = np.linalg.eigvalsh(assembled.toarray())
+                picks = (np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (len(dense) - 1)).astype(int)
+                shifts += [0.5 * (dense[i] + dense[i + 1]) for i in picks]
+            for shift in shifts:
+                assert sector.inertia(shift, defect) == matching._inertia(assembled, shift)
+
+
+@pytest.mark.parametrize("kind", [None, "compact"])
+def test_bloch_sector_matches_oracle(setup_r, kind):
+    iface, gap, lam, d_zig = setup_r
+    w = None if kind is None else robust.build_W(kind, 2e-5)
+    strips = robust.MomentumStrips(iface, gap)
+    for L in (8, 16):
+        for parity in (1, -1):
+            ref = robust.strip_sector_eigen(
+                iface, w, L, parity, gap, lam[parity], d_zig[parity], t0=40
+            )
+            new = robust.bloch_sector_eigen(strips, w, L, parity, lam[parity], d_zig[parity], t0=40)
+            assert (new.t_used, new.t_converged, new.ingap_count) == (
+                ref.t_used, ref.t_converged, ref.ingap_count
+            )
+            assert np.abs(new.eigenvalues - ref.eigenvalues).max() < 1e-13
+            overlap = abs(np.vdot(ref.tracked_vector, new.tracked_vector))
+            assert overlap >= 1 - 1e-10
+
+
+def test_bloch_sector_line_defect(setup_r):
+    """The line defect has no low-rank form; its sector is the assembled solve."""
+    iface, gap, lam, d_zig = setup_r
+    w = robust.build_W("line", 2e-5)
+    assert not w.compact and robust.build_W("compact", 2e-5).compact
+    strips = robust.MomentumStrips(iface, gap)
+    base = robust.bloch_sector_eigen(strips, None, 16, 1, lam[1], d_zig[1], t0=40)
+    pert = robust.bloch_sector_eigen(strips, w, 16, 1, lam[1], d_zig[1], t0=40)
+    ref = robust.strip_sector_eigen(iface, w, 16, 1, gap, lam[1], d_zig[1], t0=40)
+    assert (pert.t_used, pert.ingap_count) == (ref.t_used, ref.ingap_count)
+    assert np.abs(pert.eigenvalues - ref.eigenvalues).max() < 1e-13
+    ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+    assert ff["overlap_outside"] >= 0.99
