@@ -66,15 +66,22 @@ def _validate(cfg: dict):
         raise ModelValidationError("delta must lie in [0, 0.5)")
     if not 0.0 < float(cfg["c_star"]) < 1.0:
         raise ModelValidationError("c_star must lie in (0, 1)")
-    if int(cfg["quadrature"]["levels"]) < 3:
-        # the quadrature error estimate reruns the panels at levels - 2
-        raise ModelValidationError("quadrature.levels must be at least 3")
-    if int(cfg["quadrature"]["order"]) <= 0:
-        raise ModelValidationError("quadrature.order must be positive")
+    # the quadrature error estimate reruns the panels at levels - 2
+    _require_int(cfg["quadrature"], "levels", 3, "quadrature.")
+    _require_int(cfg["quadrature"], "order", 1, "quadrature.")
+    _require_int(cfg, "search_points", 2)
+    for key in ("mode_window", "strip_t0", "oracle_blocks"):
+        _require_int(cfg["truncation"], key, 1, "truncation.")
     if float(cfg["perturbation"]["amplitude"]) < 0:
         raise ModelValidationError("perturbation amplitude must be nonnegative")
     if not 0.0 < float(cfg["robustness"]["c_w"]) < 0.5:
         raise ModelValidationError("robustness.c_w must lie in (0, 1/2)")
+
+
+def _require_int(section: dict, key: str, least: int, prefix: str = ""):
+    val = section[key]
+    if isinstance(val, bool) or not isinstance(val, int) or val < least:
+        raise ModelValidationError(f"{prefix}{key} must be an integer >= {least}, got {val!r}")
 
 
 @dataclasses.dataclass
@@ -263,6 +270,8 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
                 for v in result.characteristic.values
             ],
             "characteristic_multiplicity_total": result.characteristic.total_multiplicity(),
+            "sector_counts": result.characteristic.sector_counts,
+            "evaluations": result.characteristic.evaluations,
             "fixed_point_defects": result.fixed_point_defects,
         },
     )

@@ -11,12 +11,12 @@ d >= 0, with X = G(1) G(0)^-1 and Y = G(-1) G(0)^-1.
 Everything on the panel route that does not depend on the energy is computed
 once per bulk strip and kept in ``strip.spectral_cache``: the band edges and,
 for each (levels, order), the nodes, the weights and the eigenpairs
-(eps_kj, v_kj) of the Bloch matrices at the nodes.  An in-gap resolvent is
-then the spectral sum
+(eps_kj, v_kj) of the Bloch matrices at the nodes.  An in-gap resolvent and
+its energy derivative (p = 1, 2) are then the spectral sums
 
-    G(d) = sum_{k,j} w_k exp(i kappa_k d) / (2 pi (eps_kj - lam)) v_kj v_kj^H,
+    d^(p-1)/dlam^(p-1) G(d) = sum_{k,j} w_k exp(i kappa_k d) / (2 pi (eps_kj - lam)^p) v_kj v_kj^H,
 
-one matrix product over all offsets, with no inverse per energy.
+real matrix products over any number of energies, with no inverse per energy.
 
 At the degenerate energy the principal value is computed by subtracting the
 exact singular model (cone modes over their exact slopes), whose symmetric
@@ -61,9 +61,6 @@ class GreenKernel:
     levels: int
     order: int
 
-    def block(self, n: int, m: int) -> np.ndarray:
-        return self.blocks[n - m]
-
 
 def _golden(f, a, b, tol=1e-12):
     """Golden-section minimiser of f on [a, b]."""
@@ -105,10 +102,11 @@ def band_edges(strip: BlockedStripOperator):
     return strip.spectral_cache["edges"]
 
 
-def _band_distance(strip: BlockedStripOperator, lam: float) -> float:
-    """Distance from lam to the strip spectrum (union of band intervals)."""
-    lo, hi = band_edges(strip)
-    dist = np.maximum(np.maximum(lo - lam, lam - hi), 0.0)
+def _band_distance(strip: BlockedStripOperator, lo: float, hi: float | None = None) -> float:
+    """Distance from the energy interval [lo, hi] (default: the point lo) to the strip spectrum."""
+    band_lo, band_hi = band_edges(strip)
+    hi = lo if hi is None else hi
+    dist = np.maximum(np.maximum(band_lo - hi, lo - band_hi), 0.0)
     return float(dist.min())
 
 
@@ -139,14 +137,23 @@ def _spectral_nodes(strip, levels, order):
     return strip.spectral_cache[key]
 
 
-def _gl_quadrature(strip, lam, offsets, levels, order):
-    """Panel-quadrature blocks G(d) for all offsets as one spectral sum."""
+def _gl_quadrature(strip, lams, offsets, levels, order, power=1):
+    """Blocks {d: (len(lams), 6, 6) array} of G(d) (``power`` 1) or dG(d)/dlam (2).
+
+    Per chunk of 32 energies, each trig row is one real product with the
+    packed projectors; nothing per energy or per offset is cached.
+    """
     ks, ws, eps, packed = _spectral_nodes(strip, levels, order)
+    lams = np.asarray(lams, dtype=float)
     phase = np.outer(offsets, ks)
     trig = np.concatenate([np.cos(phase), np.sin(phase)])
-    coef = (trig[:, :, None] * (ws / (eps - lam))).reshape(len(trig), -1)
-    re, im = np.split(coef @ packed, 2)
-    c = (re + 1j * im).reshape(len(offsets), strip.blockdim, strip.blockdim)
+    out = np.empty((len(trig), len(lams), packed.shape[1]))
+    for s in range(0, len(lams), 32):
+        w = ws / (eps - lams[s : s + 32, None, None]) ** power
+        for r, row in enumerate(trig):
+            out[r, s : s + 32] = (row[:, None] * w).reshape(len(w), -1) @ packed
+    re, im = np.split(out, 2)
+    c = (re + 1j * im).reshape(len(offsets), len(lams), strip.blockdim, strip.blockdim)
     g = 0.5 * ((1 + 1j) * c + (1 - 1j) * c.swapaxes(-1, -2))
     return dict(zip(offsets, g))
 
@@ -179,9 +186,9 @@ def gap_resolvent(
         raise ValueError(f"offsets up to |d| = 8 only; got {max(offsets, key=abs)}")
     if _band_distance(strip, lam) < 1e-10:
         raise EnergyInSpectrum(f"energy {lam} within 1e-10 of the strip spectrum")
-    blocks = _gl_quadrature(strip, lam, offsets, levels, order)
-    coarse = _gl_quadrature(strip, lam, offsets, levels - 2, order)
-    err = max(np.abs(blocks[d] - coarse[d]).max() for d in offsets)
+    blocks = {d: g[0] for d, g in _gl_quadrature(strip, [lam], offsets, levels, order).items()}
+    coarse = _gl_quadrature(strip, [lam], offsets, levels - 2, order)
+    err = max(np.abs(blocks[d] - coarse[d][0]).max() for d in offsets)
     return GreenKernel(lam, blocks, strip.blockdim, err, levels, order)
 
 

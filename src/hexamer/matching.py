@@ -31,6 +31,11 @@ EDGE_WEIGHT_TOL = 0.05
 # converged shift-invert pairs reach about 1e-15.
 RESIDUAL_RTOL = 1e-10
 
+# Orthonormal real bases Q_s of the parity sectors s = +1, -1 of boundary
+# pairs (a, b): the eigenspaces of diag(Fx, Fx), which commutes with M.
+_FX_EIG, _FX_VEC = np.linalg.eigh(np.kron(np.eye(2), lattice.FX_INT))
+SECTOR_BASES = {s: _FX_VEC[:, s * _FX_EIG > 0] for s in (1, -1)}
+
 # Generic real weights (sublattice index 1..6 on each boundary block) that fix
 # the global phase of a boundary pair x through <r, x> > 0.  Entries that Fx
 # pairs have equal modulus, so a rule keyed to the largest entry could flip.
@@ -57,7 +62,6 @@ class LimitPieces:
 
     m_pv: np.ndarray
     a_proj: np.ndarray
-    aaux1: np.ndarray
     aaux2: np.ndarray
     maux_pv: np.ndarray
     alpha_star: float
@@ -99,6 +103,8 @@ class SearchResult:
     h_grid: np.ndarray
     sigma_min: np.ndarray
     values: list
+    sector_counts: dict  # parity -> (nu_s at the low end of J, nu_s at the high end)
+    evaluations: dict    # "grid": energies in the batched pass, "newton": steps per root
 
     def total_multiplicity(self) -> int:
         return sum(v.multiplicity for v in self.values)
@@ -115,44 +121,61 @@ class MatchingPipeline:
         self.right = kernels.BlockedStripOperator(iface.right)
         self.left = kernels.BlockedStripOperator(iface.left)
         # hopping blocks entering the matching formulas
-        self.hp_01 = self.right.block(0, -1)
-        self.hp_10 = self.right.block(-1, 0)
-        self.hm_01 = self.left.block(0, -1)
-        self.hm_10 = self.left.block(-1, 0)
-        self.hz_01 = self.op.block(0, -1)
-        self.hz_10 = self.op.block(-1, 0)
+        self.hops = tuple(s.block(n, m) for s in (self.right, self.left, self.op)
+                          for n, m in ((0, -1), (-1, 0)))
+        self.hp_01, self.hp_10, self.hm_01, self.hm_10, self.hz_01, self.hz_10 = self.hops
 
-    def _resolvents(self, lam: float):
-        gp = green.gap_resolvent(self.right, lam, (-1, 0, 1), self.levels, self.order)
-        gm = green.gap_resolvent(self.left, lam, (-1, 0, 1), self.levels, self.order)
-        return gp.blocks, gm.blocks
-
-    def guard_in_gap(self, lam: float, margin: float = 1e-9):
+    def guard_in_gap(self, lo: float, hi: float | None = None, margin: float = 1e-9):
+        """Refuse an energy lo, or every energy of [lo, hi], near a bulk strip band."""
         for strip in (self.right, self.left):
-            if green._band_distance(strip, lam) < margin:
-                raise EnergyOutsideGap(f"energy {lam} touches a bulk strip band")
+            if green._band_distance(strip, lo, hi) < margin:
+                raise EnergyOutsideGap(f"[{lo}, {lo if hi is None else hi}] touches a bulk band")
+
+    def _blocks(self, lams, power: int = 1):
+        return tuple(
+            green._gl_quadrature(s, lams, (-1, 0, 1), self.levels, self.order, power)
+            for s in (self.right, self.left)
+        )
+
+    def matrix_stack(self, lams, derivative: bool = False) -> np.ndarray:
+        """M at every energy of ``lams``, shape (n, 12, 12); dM/dlam with ``derivative``.
+
+        M = M0 - J+^H S G+ S J+ - J-^H S G- S J-, with S = diag(1, -1),
+        J+ = diag(H+(-1, 0), Hz(0, -1)), J- = diag(Hz(-1, 0), H-(0, -1)), M0
+        the constant seam hoppings (dropped by ``derivative``) and G+- =
+        [[G(0), G(-1)], [G(1), G(0)]] the compression of (H+- - lam)^-1 to two
+        adjacent columns.  dG+-/dlam compresses (H+- - lam)^-2 >= 0, so
+        dM/dlam <= 0.  The quadrature keeps this: its dG+-/dlam is
+        sum_kj w_k u u^H / (2 pi (eps_kj - lam)^2), u = (v_kj, exp(i kappa_k)
+        v_kj), with positive Gauss-Legendre weights w_k.  The energies are not
+        guarded; callers check all of J at once (`guard_in_gap`).
+        """
+        gp, gm = self._blocks(lams, 2 if derivative else 1)
+        return _matching(self.hops, gp, gm, hopping=not derivative)
 
     def matrices(self, lam: float) -> MatchingMatrix:
         self.guard_in_gap(lam)
-        gp, gm = self._resolvents(lam)
-        hp01, hp10, hm01, hm10, hz01, hz10 = (
-            self.hp_01, self.hp_10, self.hm_01, self.hm_10, self.hz_01, self.hz_10,
-        )
-        m11 = -hp01 @ gp[0] @ hp10 - hz01 @ gm[0] @ hz10
-        m12 = -hz01 + hp01 @ gp[-1] @ hz01 + hz01 @ gm[-1] @ hm01
-        m21 = -hz10 + hm10 @ gm[1] @ hz10 + hz10 @ gp[1] @ hp10
-        m22 = -hm10 @ gm[0] @ hm01 - hz10 @ gp[0] @ hz01
-        m = np.block([[m11, m12], [m21, m22]])
-        aux = np.block(
-            [
-                [gp[1] @ hp10, -gp[0] @ hz01],
-                [-gm[0] @ hz10, gm[-1] @ hm01],
-            ]
-        )
+        gp, gm = ({d: g[0] for d, g in blocks.items()} for blocks in self._blocks([lam]))
+        m, aux = _matching(self.hops, gp, gm), _auxiliary(self.hops, gp, gm)
         return MatchingMatrix(m, aux, lam, self.iface.delta, gp, gm)
 
-    def sigma_min(self, lam: float) -> float:
-        return float(np.linalg.svd(self.matrices(lam).matrix, compute_uv=False)[-1])
+
+def _matching(hops, gp, gm, hopping: bool = True):
+    """M from the hopping blocks ``hops`` = (H+(0, -1), H+(-1, 0), H-(0, -1),
+    H-(-1, 0), Hz(0, -1), Hz(-1, 0)) and the blocks G+-(d), d = -1, 0, 1, at
+    one energy or stacked over energies; without the constant hopping terms
+    when ``hopping`` is false."""
+    hp01, hp10, hm01, hm10, hz01, hz10 = hops
+    m11 = -hp01 @ gp[0] @ hp10 - hz01 @ gm[0] @ hz10
+    m12 = (-hz01 if hopping else 0) + hp01 @ gp[-1] @ hz01 + hz01 @ gm[-1] @ hm01
+    m21 = (-hz10 if hopping else 0) + hm10 @ gm[1] @ hz10 + hz10 @ gp[1] @ hp10
+    m22 = -hm10 @ gm[0] @ hm01 - hz10 @ gp[0] @ hz01
+    return np.block([[m11, m12], [m21, m22]])
+
+
+def _auxiliary(hops, gp, gm):
+    hp01, hp10, hm01, hm10, hz01, hz10 = hops
+    return np.block([[gp[1] @ hp10, -gp[0] @ hz01], [-gm[0] @ hz10, gm[-1] @ hm01]])
 
 
 def limit_pieces(
@@ -163,72 +186,44 @@ def limit_pieces(
     levels: int = 14,
     order: int = 16,
 ) -> LimitPieces:
-    """Limit matrices M^pv, A, A^aux1, A^aux2 and the scalar profiles."""
+    """Limit matrices M^pv, A, A^aux2 and the scalar profiles."""
     strip = kernels.BlockedStripOperator(kb)
-    gpv = green.physical_green_pv(strip, dirac, vgauge, (-1, 0, 1), levels, order)
-    g = gpv.blocks
-    h01 = strip.block(0, -1)
-    h10 = strip.block(-1, 0)
-    m_pv = np.block(
-        [
-            [-2.0 * h01 @ g[0] @ h10, -h01 + 2.0 * h01 @ g[-1] @ h01],
-            [-h10 + 2.0 * h10 @ g[1] @ h10, -2.0 * h10 @ g[0] @ h01],
-        ]
-    )
-    maux_pv = np.block(
-        [
-            [g[1] @ h10, -g[0] @ h01],
-            [-g[0] @ h10, g[-1] @ h01],
-        ]
-    )
+    g = green.physical_green_pv(strip, dirac, vgauge, (-1, 0, 1), levels, order).blocks
+    hops = (strip.block(0, -1), strip.block(-1, 0)) * 3  # the same bulk on both sides
     w = vgauge.vectors
-    dim = w.shape[0]
-    a_proj = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    aaux1 = np.zeros_like(a_proj)
-    aaux2 = np.zeros_like(a_proj)
-    sgn = (-1.0, 1.0, -1.0, 1.0)       # s(k) = +1 for even k
-    perm = (2, 3, 0, 1)                # p = (13)(24)
-    for k in range(4):
-        p = h01 @ w[:, k]
-        q = h10 @ w[:, k]
-        a_proj += np.block(
-            [
-                [-np.outer(p, p.conj()), np.outer(p, q.conj())],
-                [np.outer(q, p.conj()), -np.outer(q, q.conj())],
-            ]
-        )
-        pp = h01 @ w[:, perm[k]]
-        qp = h10 @ w[:, perm[k]]
-        wk = w[:, k]
-        aaux1 += 0.5 * np.block(
-            [
-                [np.outer(wk, p.conj()), -np.outer(wk, q.conj())],
-                [-np.outer(wk, p.conj()), np.outer(wk, q.conj())],
-            ]
-        )
-        aaux2 += 0.5 * sgn[k] * np.block(
-            [
-                [np.outer(wk, pp.conj()), -np.outer(wk, qp.conj())],
-                [np.outer(wk, pp.conj()), -np.outer(wk, qp.conj())],
-            ]
-        )
     kvecs = np.vstack([w, w])
+    u = np.vstack([hops[0] @ w, -hops[1] @ w])  # columns (H(0, -1) w_k, -H(-1, 0) w_k)
+    # A^aux2 = 1/2 sum_k s(k) (w_k, w_k) u_p(k)^H, s(k) = +1 for even k, p = (13)(24)
+    aaux2 = 0.5 * (kvecs * [-1.0, 1.0, -1.0, 1.0]) @ u[:, [2, 3, 0, 1]].conj().T
     return LimitPieces(
-        m_pv, a_proj, aaux1, aaux2, maux_pv, dirac.alpha_star, beta_star, kvecs
+        _matching(hops, g, g), -u @ u.conj().T, aaux2, _auxiliary(hops, g, g),
+        dirac.alpha_star, beta_star, kvecs,
     )
 
 
-def _bisect(f, a, b, fa, fb, tol=1e-13):
-    while b - a > tol:
-        c = 0.5 * (a + b)
-        fc = f(c)
-        if fc == 0.0:
-            return c
-        if (fa < 0) != (fc < 0):
-            b, fb = c, fc
-        else:
-            a, fa = c, fc
-    return 0.5 * (a + b)
+def _sector_root(pipeline, q, i: int, a: float, b: float, lam_of):
+    """(h, steps): the zero in (a, b) of the i-th eigenvalue of q^T M(lam_of(h)) q.
+
+    Safeguarded Newton with the Hellmann-Feynman slope v^H M' v: a step that
+    leaves the bracket is a bisection.  Stops at a step of at most 4 ulp of lam.
+    """
+    delta = pipeline.iface.delta
+    h = 0.5 * (a + b)
+    for steps in range(1, 101):
+        lam = lam_of(h)
+        w, v = np.linalg.eigh(q.T @ pipeline.matrix_stack([lam])[0] @ q)
+        if w[i] == 0.0:
+            return h, steps
+        a, b = (h, b) if w[i] > 0 else (a, h)
+        vi = q @ v[:, i]
+        slope = delta * np.real(vi.conj() @ pipeline.matrix_stack([lam], True)[0] @ vi)
+        new = h - w[i] / slope if slope < 0 else 0.5 * (a + b)
+        if not a < new < b:
+            new = 0.5 * (a + b)
+        if abs(lam_of(new) - lam) <= 4 * np.spacing(lam) or not a < new < b:
+            return new, steps  # a step of 4 ulp, or a bracket of adjacent floats
+        h = new
+    raise NumericError(f"Newton on sector eigenvalue {i} did not converge in [{a!r}, {b!r}]")
 
 
 def characteristic_search(
@@ -237,16 +232,21 @@ def characteristic_search(
     beta_star: float,
     c_star: float = 0.9,
     n_points: int = 201,
-    refine: bool = True,
     require: bool = False,
 ) -> SearchResult:
-    """Locate the zeros of M(lam* + delta h, delta) over h in J.
+    """Locate and count the zeros of M(lam* + delta h, delta) over h in J.
 
-    M is Hermitian, so its eigenvalue branch nearest zero is a signed scalar
-    whose sign changes bracket every transversal crossing; brackets are
-    resolved by bisection and validated through the singular values (which
-    also supply the multiplicity, counted below 1e-7 * ||M||).  A golden-
-    section polish on sigma_min removes the residual bisection error.
+    M commutes with diag(Fx, Fx), so it splits into 6x6 parity sectors
+    M_s = Q_s^T M Q_s, and dM/dlam <= 0 (`MatchingPipeline.matrix_stack`).  So
+    the number nu_s of negative eigenvalues of M_s rises along J by exactly
+    the number of zeros it passes (Haynsworth, Linear Algebra Appl. 1 (1968)
+    73).  One batched pass evaluates M on the grid, giving nu_s and
+    ``sigma_min`` = |eigenvalue of M nearest 0|.  Where nu_s rises from i in a
+    cell, the i-th eigenvalue of M_s has one zero there (`_sector_root`).  A
+    root needs sigma_min(M) <= 1e-8 ||M(lam*)||; its multiplicity (sector
+    eigenvalues below 1e-7 ||M(lam*)||) advances i until the rise is used up.
+    A falling nu_s, a failed root or a multiplicity beyond the rise raise
+    NumericError.
     """
     delta = pipeline.iface.delta
     edge = c_star * beta_star * (1.0 - 1e-3)
@@ -257,42 +257,42 @@ def characteristic_search(
             [np.linspace(-edge, edge, n_points), np.linspace(-0.3 * edge, 0.3 * edge, 121)]
         )
     )
-
-    def signed_min(h):
-        w = np.linalg.eigvalsh(pipeline.matrices(lambda_star + delta * h).matrix)
-        return float(w[np.argmin(np.abs(w))])
-
-    signed = np.array([signed_min(h) for h in hs])
-    sigma = np.abs(signed)
-    scale = np.linalg.norm(pipeline.matrices(lambda_star).matrix, 2)
-    root_tol = 1e-8 * scale
-    mult_tol = 1e-7 * scale
-    values = []
-    if refine:
-        fsig = lambda h: pipeline.sigma_min(lambda_star + delta * h)
-        for i in range(len(hs) - 1):
-            if (signed[i] < 0) == (signed[i + 1] < 0):
-                continue
-            h0 = _bisect(signed_min, hs[i], hs[i + 1], signed[i], signed[i + 1])
-            h0 = green._golden(fsig, h0 - 1e-10, h0 + 1e-10, tol=1e-14)
-            if any(abs(h0 - v.h) < 1e-9 for v in values):
-                continue
-            lam0 = lambda_star + delta * h0
-            mm = pipeline.matrices(lam0)
-            svals = np.linalg.svd(mm.matrix, compute_uv=False)
-            if svals[-1] > root_tol:
-                continue  # sign flip from a branch switch, not a zero crossing
-            mult = int((svals < mult_tol).sum())
-            _, _, vt = np.linalg.svd(mm.matrix)
-            nulls = vt[-mult:].conj().T
-            values.append(CharacteristicValue(h0, lam0, float(svals[-1]), mult, nulls))
+    lam_of = lambda h: lambda_star + delta * h
+    pipeline.guard_in_gap(lam_of(hs[0]), lam_of(hs[-1]))
+    stack = pipeline.matrix_stack(lam_of(hs))
+    sigma = np.abs(np.linalg.eigvalsh(stack)).min(axis=1)
+    scale = np.linalg.norm(stack[np.argmin(np.abs(hs))], 2)
+    root_tol, mult_tol = 1e-8 * scale, 1e-7 * scale
+    values, counts, newton = [], {}, []
+    for s, q in SECTOR_BASES.items():
+        nu = (np.linalg.eigvalsh(q.T @ stack @ q) < 0).sum(axis=1)
+        if (np.diff(nu) < 0).any():
+            raise NumericError(f"sector {s:+d}: negative count falls along J: {nu.tolist()}")
+        counts[s] = (int(nu[0]), int(nu[-1]))
+        for c in np.flatnonzero(np.diff(nu)):
+            i, a = nu[c], hs[c]
+            while i < nu[c + 1]:
+                h0, steps = _sector_root(pipeline, q, i, a, hs[c + 1], lam_of)
+                newton.append(steps)
+                mm = pipeline.matrices(lam_of(h0))
+                smin = np.linalg.svd(mm.matrix, compute_uv=False)[-1]
+                w, v = np.linalg.eigh(q.T @ mm.matrix @ q)
+                null = np.abs(w) < mult_tol
+                mult = int(null.sum())
+                if smin > root_tol or not 0 < mult <= nu[c + 1] - i:
+                    raise NumericError(
+                        f"sector {s:+d}: root at h = {h0!r} has sigma_min {smin:.2e} and "
+                        f"multiplicity {mult}, but the count rises by {nu[c + 1] - i}"
+                    )
+                values.append(CharacteristicValue(h0, lam_of(h0), float(smin), mult, q @ v[:, null]))
+                i, a = i + mult, h0
     values.sort(key=lambda v: v.h)
     if require and not values:
         raise NoCharacteristicValue(
             f"no characteristic value in J (min sigma_min = {sigma.min():.3e}); "
             "this is the expected outcome for a band-inversion-free interface"
         )
-    return SearchResult(hs, sigma, values)
+    return SearchResult(hs, sigma, values, counts, {"grid": len(hs), "newton": newton})
 
 
 def mode_from_boundary(
@@ -421,14 +421,11 @@ def count_interface_modes(
         basis = cv.null_vectors
         gram = (mm.aux - np.eye(mm.aux.shape[0])) @ basis
         _, svals, vt = np.linalg.svd(gram)
-        for j in range(basis.shape[1]):
-            defect = svals[j]
+        for defect, row in zip(svals, vt):
             if defect < fp_tol:
-                x = basis @ vt[j].conj()
-                x = x / np.linalg.norm(x)
-                n6 = x.shape[0] // 2
-                mode = mode_from_boundary(pipeline, cv.lam, x[:n6], x[n6:], window, mm=mm)
-                modes.append(mode)
+                x = basis @ row.conj()
+                a, b = np.split(x / np.linalg.norm(x), 2)
+                modes.append(mode_from_boundary(pipeline, cv.lam, a, b, window, mm=mm))
                 defects.append(float(defect))
     modes.sort(key=lambda m: -m.parity)
     return ModesResult(search, modes, defects)
@@ -551,23 +548,26 @@ def _certified_pairs(op, solve, sigma: float, gap: tuple, count: int, v0, scale:
 
 
 def _truncated_strip(iface: kernels.InterfaceKernel, half: int, kpar: float):
-    """Sparse interface strip at ``kpar`` on the columns |n| <= ``half``."""
-    op = kernels.BlockedStripOperator(iface, kpar)
-    dim = op.blockdim
-    nb = 2 * half + 1
+    """Sparse interface strip at ``kpar`` on the columns |n| <= ``half``.
+
+    Block (n, n + d) is S(d) at ``kpar`` of the right bulk if n, n + d >= 0,
+    of the left bulk if both are < 0, and of the seam otherwise.
+    """
+    ns = np.arange(-half, half + 1)
     rows, cols, vals = [], [], []
-    for i, n in enumerate(range(-half, half + 1)):
-        for j_off in (-1, 0, 1):
-            if not -half <= n + j_off <= half:
-                continue
-            b = op.block(n, n + j_off)
+    for d in (-1, 0, 1):
+        n = ns[np.abs(ns + d) <= half]
+        right, left = (n >= 0) & (n + d >= 0), (n < 0) & (n + d < 0)
+        for mask, kern in ((right, iface.right), (left, iface.left), (~right & ~left, iface.seam)):
+            b = kern.strip_blocks(kpar).get(d, np.zeros((6, 6)))
             bi, bj = np.nonzero(b)
-            rows.append(i * dim + bi)
-            cols.append((i + j_off) * dim + bj)
-            vals.append(b[bi, bj])
+            i = n[mask, None] + half
+            rows.append((6 * i + bi).ravel())
+            cols.append((6 * (i + d) + bj).ravel())
+            vals.append(np.tile(b[bi, bj], len(i)))
+    size = 6 * len(ns)
     return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nb * dim, nb * dim),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
     ).tocsr()
 
 
@@ -585,20 +585,13 @@ def direct_oracle(
     the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
     """
     half = n_blocks // 2
-    nb = 2 * half + 1
-    dim = kernels.BlockedStripOperator.blockdim
     w, v = _ingap_eigsh(_truncated_strip(iface, half, kpar), lambda_star, gap)
     # the edge band is the outermost max(4, nb // 10) columns on each side
-    edge = max(4, nb // 10) - 1
+    edge = max(4, (2 * half + 1) // 10) - 1
     kept = []
     for val, vec, center in _edge_filtered(w, v, np.arange(-half, half + 1), gap, edge):
-        parity = 0
-        if kpar == 0.0:
-            blocks = vec.reshape(nb, dim)
-            pv = float(
-                np.real(np.vdot(blocks.ravel(), (blocks @ lattice.FX_INT.T).ravel()))
-                / np.vdot(blocks.ravel(), blocks.ravel()).real
-            )
-            parity = 1 if pv > 0 else -1
+        blocks = vec.reshape(-1, 6)
+        even = kpar == 0.0 and np.vdot(blocks, blocks @ lattice.FX_INT.T).real > 0
+        parity = 0 if kpar != 0.0 else 1 if even else -1
         kept.append((val, parity, center))
     return kept

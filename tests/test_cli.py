@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 FAST = {
     "model": "blended",
     "delta": 0.05,
@@ -52,6 +54,23 @@ def test_quadrature_levels_below_three(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
+@pytest.mark.parametrize(
+    "cfg, command",
+    [
+        ({"search_points": -5}, ["interface"]),
+        ({"search_points": "abc"}, ["interface"]),
+        ({"search_points": 2.7}, ["interface"]),
+        ({"quadrature": {"order": 1.5}}, ["interface"]),
+        ({"truncation": {"mode_window": 0}}, ["interface"]),
+        ({"truncation": {"oracle_blocks": 0}}, ["interface", "--oracle"]),
+    ],
+)
+def test_invalid_sizes_exit_two(tmp_path, cfg, command):
+    res = run_cli(tmp_path, "--out", str(tmp_path / "o"), *command, cfg=cfg)
+    assert res.returncode == 2, res.stderr
+    assert "must be an integer" in res.stderr
+
+
 def test_symmetry_report(tmp_path):
     out = tmp_path / "o"
     res = run_cli(tmp_path, "--out", str(out), "symmetry-report", cfg=FAST)
@@ -80,7 +99,10 @@ def test_interface_command(tmp_path):
     assert sorted(payload["parities"]) == [-1, 1]
     assert payload["oracle_max_deviation"] < 1e-6
     assert (out / "mode_1.csv").exists()
-    assert (out / "search_trace.json").exists()
+    trace = json.loads((out / "search_trace.json").read_text())
+    assert trace["sector_counts"] == {"1": [2, 4], "-1": [2, 4]}
+    assert trace["evaluations"]["grid"] == len(trace["h"])
+    assert len(trace["evaluations"]["newton"]) == 2
 
 
 def test_interface_mode_window(tmp_path):
@@ -101,6 +123,8 @@ def test_interface_control_exits_four(tmp_path):
     res = run_cli(tmp_path, "--out", str(out), "interface", "--no-inversion", cfg=FAST)
     assert res.returncode == 4
     assert "control" in res.stderr
+    counts = json.loads((out / "search_trace.json").read_text())["sector_counts"]
+    assert all(lo == hi for lo, hi in counts.values())
 
 
 def test_robustness_bound_violation(tmp_path):

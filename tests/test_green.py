@@ -203,13 +203,14 @@ def test_limiting_absorption_decomposition(bulk_strip, dirac, vgauge, green_pv):
         assert np.abs(extrap - target[d]).max() < 2e-3
 
 
-def _inverse_quadrature(strip, lam, offsets, levels=14, order=16):
-    """Reference panel quadrature: one inverse of H(kappa) - lam per node."""
+def _inverse_quadrature(strip, lam, offsets, levels=14, order=16, power=1):
+    """Reference panel quadrature: one inverse of (H(kappa) - lam)^power per node."""
     x, wq = np.polynomial.legendre.leggauss(order)
     out = {d: 0.0 for d in offsets}
     for a, b in green.dyadic_panels(levels):
         ks = 0.5 * (a + b) + 0.5 * (b - a) * x
         rs = np.linalg.inv(strip.bloch_batch(ks) - lam * np.eye(strip.blockdim))
+        rs = np.linalg.matrix_power(rs, power)
         for d in offsets:
             out[d] = out[d] + np.einsum("k,kij->ij", 0.5 * (b - a) * wq * np.exp(1j * ks * d), rs)
     return {d: g / (2.0 * np.pi) for d, g in out.items()}
@@ -226,6 +227,20 @@ def test_spectral_resolvent_matches_inverse_quadrature(iface, dirac, beta_star):
             scale = max(np.abs(ref[d]).max() for d in offsets)
             assert max(np.abs(g.blocks[d] - ref[d]).max() for d in offsets) <= 1e-12 * scale
             assert g.quad_error <= 1e-13
+
+
+def test_batched_quadrature_matches_inverse_quadrature(iface, dirac, beta_star):
+    """Power 1 gives G(d) and power 2 dG(d)/dlam = ((H - lam)^-2)(d), chunk by chunk."""
+    r = 0.9 * iface.delta * beta_star
+    lams = dirac.lambda_star + np.linspace(-r, r, 150)  # several chunks of energies
+    for bulk in (iface.right, iface.left):
+        strip = kernels.BlockedStripOperator(bulk)
+        for power in (1, 2):
+            batch = green._gl_quadrature(strip, lams, (-1, 0, 1), 14, 16, power)
+            for i in (0, 63, 64, 100, 149):
+                ref = _inverse_quadrature(strip, lams[i], (-1, 0, 1), power=power)
+                scale = max(np.abs(ref[d]).max() for d in ref)
+                assert max(np.abs(batch[d][i] - ref[d]).max() for d in ref) <= 1e-12 * scale
 
 
 def test_spectral_data_built_once_per_strip(iface, dirac, beta_star):

@@ -4,13 +4,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hexamer import green, kernels, matching, robust
+from hexamer import green, kernels, lattice, matching, robust
 from hexamer.errors import (
     DegenerateBoundaryData,
     EnergyOutsideGap,
     NoCharacteristicValue,
     NumericError,
 )
+
+
+FX_PAIR = np.kron(np.eye(2), lattice.FX_INT)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +145,97 @@ def test_characteristic_values_frozen(modes, dirac):
     lams = sorted(v.lam for v in modes.characteristic.values)
     assert abs(lams[0] - 0.04742126608737) < 1e-8
     assert abs(lams[1] - 0.05058086836622) < 1e-8
+
+
+def _grid(dirac, beta_star, delta, n):
+    r = 0.9 * beta_star * delta * (1.0 - 1e-3)
+    return dirac.lambda_star + np.linspace(-r, r, n)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.025])
+@pytest.mark.parametrize("inverted", [True, False])
+def test_matching_derivative_negative_definite(blended, hper, dirac, beta_star, delta, inverted):
+    """The spectral dM/dlam is a central difference of M, and it is < 0 on J."""
+    pipe = matching.MatchingPipeline(
+        kernels.InterfaceKernel.from_bulks(blended, hper, delta, inverted=inverted)
+    )
+    lams = _grid(dirac, beta_star, delta, 50)
+    dm = pipe.matrix_stack(lams, derivative=True)
+    step = 1e-6 * delta
+    fd = (pipe.matrix_stack(lams + step) - pipe.matrix_stack(lams - step)) / (2.0 * step)
+    rel = np.linalg.norm(dm - fd, axis=(1, 2)) / np.linalg.norm(dm, axis=(1, 2))
+    assert rel.max() < 1e-6
+    assert np.linalg.eigvalsh(dm).max() < 0.0
+
+
+def test_matching_commutes_with_reflection(pipeline, dirac, beta_star):
+    lams = _grid(dirac, beta_star, 0.05, 50)
+    for m in (pipeline.matrix_stack(lams), pipeline.matrix_stack(lams, derivative=True)):
+        assert np.abs(m @ FX_PAIR - FX_PAIR @ m).max() < 1e-12
+
+
+def test_sector_bases_split_reflection():
+    q = np.hstack([matching.SECTOR_BASES[1], matching.SECTOR_BASES[-1]])
+    assert np.abs(q.T @ q - np.eye(12)).max() < 1e-14
+    for s, qs in matching.SECTOR_BASES.items():
+        assert qs.shape == (12, 6)
+        assert np.abs(FX_PAIR @ qs - s * qs).max() < 1e-14
+
+
+def test_matrix_stack_matches_single_energy(pipeline, dirac, beta_star):
+    lams = _grid(dirac, beta_star, 0.05, 150)  # several chunks of energies
+    stack = pipeline.matrix_stack(lams)
+    # relative to ||M(lam*)||, the scale of the search's root tolerances:
+    # near a root M is a sum of O(1) terms that cancel to O(0.1)
+    scale = np.linalg.norm(pipeline.matrices(dirac.lambda_star).matrix, 2)
+    for i in range(0, 150, 7):
+        m = pipeline.matrices(lams[i]).matrix
+        assert np.abs(stack[i] - m).max() <= 1e-14 * scale
+
+
+def test_sector_counts_certify_roots(modes):
+    search = modes.characteristic
+    assert search.sector_counts == {1: (2, 4), -1: (2, 4)}
+    assert search.evaluations["grid"] == len(search.h_grid)
+    # one Newton solve per root, quadratic once bracketed
+    assert len(search.evaluations["newton"]) == 2
+    assert max(search.evaluations["newton"]) <= 8
+    for v in search.values:
+        parity = np.vdot(v.null_vectors, FX_PAIR @ v.null_vectors).real / v.multiplicity
+        assert abs(abs(parity) - 1.0) < 1e-12  # each null space lies in one sector
+
+
+def test_control_sector_counts_flat(blended, hper, dirac, beta_star):
+    pipe = matching.MatchingPipeline(
+        kernels.InterfaceKernel.from_bulks(blended, hper, 0.05, inverted=False)
+    )
+    search = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, n_points=41)
+    assert search.values == []
+    for lo, hi in search.sector_counts.values():
+        assert lo == hi
+    assert search.evaluations["newton"] == []
+
+
+def test_falling_sector_count_raises(pipeline, dirac, beta_star, monkeypatch):
+    stack = pipeline.matrix_stack
+    monkeypatch.setattr(
+        pipeline, "matrix_stack", lambda lams, derivative=False: -stack(lams, derivative)
+    )
+    with pytest.raises(NumericError, match="falls"):
+        matching.characteristic_search(pipeline, dirac.lambda_star, beta_star, n_points=41)
+
+
+def test_unvalidated_root_raises(pipeline, dirac, beta_star, monkeypatch):
+    matrices = pipeline.matrices
+
+    def shifted(lam):
+        mm = matrices(lam)
+        mm.matrix = mm.matrix + 1e-6 * np.eye(12)
+        return mm
+
+    monkeypatch.setattr(pipeline, "matrices", shifted)
+    with pytest.raises(NumericError, match="sigma_min"):
+        matching.characteristic_search(pipeline, dirac.lambda_star, beta_star, n_points=41)
 
 
 def test_two_modes_opposite_parity(modes, dirac):
@@ -355,3 +449,30 @@ def test_inertia_certificate_failures_raise():
     swap = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
     with pytest.raises(NumericError):
         matching._inertia(swap, 0.0)
+
+
+def _block_loop_strip(iface, half, kpar):
+    """The strip assembled block by block, as `_truncated_strip` once did."""
+    op = kernels.BlockedStripOperator(iface, kpar)
+    rows, cols, vals = [], [], []
+    for i, n in enumerate(range(-half, half + 1)):
+        for j_off in (-1, 0, 1):
+            if not -half <= n + j_off <= half:
+                continue
+            b = op.block(n, n + j_off)
+            bi, bj = np.nonzero(b)
+            rows.append(i * 6 + bi)
+            cols.append((i + j_off) * 6 + bj)
+            vals.append(b[bi, bj])
+    size = (2 * half + 1) * 6
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    ).tocsr()
+
+
+@pytest.mark.parametrize("kpar", [0.0, 0.3, np.pi, -2.9])
+def test_truncated_strip_matches_block_loop(iface, kpar):
+    for half in (1, 120, 320):
+        got, ref = matching._truncated_strip(iface, half, kpar), _block_loop_strip(iface, half, kpar)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), (half, attr)
