@@ -32,9 +32,12 @@ EDGE_WEIGHT_TOL = 0.05
 RESIDUAL_RTOL = 1e-10
 
 # Orthonormal real bases Q_s of the parity sectors s = +1, -1 of boundary
-# pairs (a, b): the eigenspaces of diag(Fx, Fx), which commutes with M.
-_FX_EIG, _FX_VEC = np.linalg.eigh(np.kron(np.eye(2), lattice.FX_INT))
-SECTOR_BASES = {s: _FX_VEC[:, s * _FX_EIG > 0] for s in (1, -1)}
+# pairs (a, b), the eigenspaces of diag(Fx, Fx): Fx swaps sites 1, 2, 3 with
+# 6, 4, 5, so columns 1-3 of each block of (1 + s Fx) / sqrt(2) span sector s.
+SECTOR_BASES = {
+    s: np.kron(np.eye(2), np.eye(6) + s * lattice.FX_INT)[:, [0, 1, 2, 6, 7, 8]] / np.sqrt(2.0)
+    for s in (1, -1)
+}
 
 # Generic real weights (sublattice index 1..6 on each boundary block) that fix
 # the global phase of a boundary pair x through <r, x> > 0.  Entries that Fx
@@ -252,11 +255,8 @@ def characteristic_search(
     edge = c_star * beta_star * (1.0 - 1e-3)
     # characteristic values bifurcate from h = 0; always resolve a dense core
     # there in addition to the configured grid over all of J
-    hs = np.unique(
-        np.concatenate(
-            [np.linspace(-edge, edge, n_points), np.linspace(-0.3 * edge, 0.3 * edge, 121)]
-        )
-    )
+    core = np.linspace(-0.3 * edge, 0.3 * edge, 121)
+    hs = np.unique(np.concatenate([np.linspace(-edge, edge, n_points), core]))
     lam_of = lambda h: lambda_star + delta * h
     pipeline.guard_in_gap(lam_of(hs[0]), lam_of(hs[-1]))
     stack = pipeline.matrix_stack(lam_of(hs))
