@@ -48,6 +48,8 @@ def _unit(i: int, j: int) -> np.ndarray:
 # Internal (sublattice) actions of the generators.
 R6_INT = _unit(1, 3) + _unit(2, 1) + _unit(3, 5) + _unit(4, 2) + _unit(5, 6) + _unit(6, 4)
 FX_INT = _unit(1, 6) + _unit(2, 4) + _unit(3, 5) + _unit(4, 2) + _unit(5, 3) + _unit(6, 1)
+# Fx as a sublattice permutation (0-based): (FX_INT x)[i] = x[FX_PERM[i]].
+FX_PERM = FX_INT.argmax(axis=1)
 # Supersymmetry translation restricted to the periodic (Gamma) Bloch space.
 T_GAMMA = _unit(1, 5) + _unit(2, 6) + _unit(3, 2) + _unit(4, 1) + _unit(5, 4) + _unit(6, 3)
 

@@ -85,6 +85,7 @@ class CharacteristicValue:
     sigma_min: float
     multiplicity: int
     null_vectors: np.ndarray  # 12 x multiplicity
+    matrices: MatchingMatrix  # M, Maux and the resolvent blocks at lam, which validated the root
 
 
 @dataclass
@@ -284,7 +285,7 @@ def characteristic_search(
                         f"sector {s:+d}: root at h = {h0!r} has sigma_min {smin:.2e} and "
                         f"multiplicity {mult}, but the count rises by {nu[c + 1] - i}"
                     )
-                values.append(CharacteristicValue(h0, lam_of(h0), float(smin), mult, q @ v[:, null]))
+                values.append(CharacteristicValue(h0, lam_of(h0), float(smin), mult, q @ v[:, null], mm))
                 i, a = i + mult, h0
     values.sort(key=lambda v: v.h)
     if require and not values:
@@ -417,7 +418,7 @@ def count_interface_modes(
     search = characteristic_search(pipeline, lambda_star, beta_star, c_star, n_points)
     modes, defects = [], []
     for cv in search.values:
-        mm = pipeline.matrices(cv.lam)
+        mm = cv.matrices
         basis = cv.null_vectors
         gram = (mm.aux - np.eye(mm.aux.shape[0])) @ basis
         _, svals, vt = np.linalg.svd(gram)
@@ -486,16 +487,15 @@ def _inertia(mat, shift: float) -> int:
     return int((lu.U.diagonal().real < 0).sum())
 
 
-def _norm_bound(mat) -> float:
-    """Largest absolute row sum of a sparse matrix, a bound on its 2-norm when Hermitian."""
-    return float(abs(mat).sum(axis=1).max())
-
-
 def _ingap_eigsh(mat, sigma: float, gap: tuple):
     """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``.
 
     The in-gap count comes from the inertia at both gap edges, so nothing in
-    the gap is missed; `_certified_pairs` then finds exactly that many.  An
+    the gap is missed.  Shift-invert Lanczos about ``sigma`` then asks for
+    that many pairs and doubles ``k`` until all of them are found.  Each
+    returned pair (w, v) must have a residual ||(mat - w) v|| of at most
+    ``RESIDUAL_RTOL`` times the largest absolute row sum of ``mat``: a shift
+    on an eigenvalue passes the count and yet returns wrong pairs.  An
     exactly real matrix is solved in real arithmetic.  Returns (eigenvalues
     ascending, vector columns); raises NumericError when the certificate
     fails (more pairs than counted, ``k`` reaching n - 2, a bad factor, a
@@ -507,32 +507,17 @@ def _ingap_eigsh(mat, sigma: float, gap: tuple):
     count = _inertia(mat, gap[1]) - _inertia(mat, gap[0])
     if count == 0:
         return np.empty(0), np.empty((n, 0), dtype=mat.dtype)
-    lu = _factor(mat, sigma)
+    opinv = spla.LinearOperator(mat.shape, matvec=_factor(mat, sigma).solve, dtype=mat.dtype)
     v0 = np.ones(n) / np.sqrt(n)
-    return _certified_pairs(mat, lu.solve, sigma, gap, count, v0, _norm_bound(mat))
-
-
-def _certified_pairs(op, solve, sigma: float, gap: tuple, count: int, v0, scale: float):
-    """The ``count`` eigenpairs of the Hermitian ``op`` inside the open ``gap``.
-
-    Shift-invert Lanczos about ``sigma``, with ``solve`` applying
-    (op - sigma)^-1, asks for ``count`` pairs and doubles ``k`` until all of
-    them are found.  Each returned pair (w, v) must have a residual
-    ||(op - w) v|| of at most ``RESIDUAL_RTOL * scale``, with ``scale`` a
-    bound on ||op||: a shift on an eigenvalue of ``op`` passes the count and
-    yet returns wrong pairs.  Returns (eigenvalues ascending, vector
-    columns); raises NumericError when any of this fails.
-    """
-    n = op.shape[0]
-    opinv = spla.LinearOperator(op.shape, matvec=solve, dtype=op.dtype)
     k = count
     while True:
-        w, v = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+        w, v = spla.eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
         inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))
         if len(inside) == count:
             inside = inside[np.argsort(w[inside])]
             w, v = w[inside], v[:, inside]
-            resid = np.linalg.norm(op @ v - v * w, axis=0) / scale
+            # the largest absolute row sum bounds ||mat|| for a Hermitian mat
+            resid = np.linalg.norm(mat @ v - v * w, axis=0) / float(abs(mat).sum(axis=1).max())
             if resid.max() > RESIDUAL_RTOL:
                 raise NumericError(
                     f"in-gap pair {float(w[np.argmax(resid)]):.12g} has relative residual "

@@ -9,23 +9,15 @@ reproduce the unperturbed interface modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import (
-    _certified_pairs,
-    _edge_filtered,
-    _factor,
-    _inertia,
-    _ingap_eigsh,
-    _norm_bound,
-    _truncated_strip,
-)
+from .matching import _edge_filtered, _ingap_eigsh, _truncated_strip
 
 _OFF = kernels.RANGE1_OFFSETS
 
@@ -297,9 +289,6 @@ def _defect_entries(w: PerturbationW, L: int, t: int):
     return ri, ci, vv
 
 
-_FX_PERM = [5, 3, 4, 1, 2, 0]  # new sublattice value index i comes from perm[i]
-
-
 def reflection_permutation(L: int, sites: dict) -> sp.csr_matrix:
     nc = len(sites)
     t = (nc // L - 1) // 2
@@ -307,7 +296,7 @@ def reflection_permutation(L: int, sites: dict) -> sp.csr_matrix:
     i = np.fromiter(sites.values(), dtype=int, count=nc)
     j = _site_indices(L, t, n1, -n1 - n2)
     ri = (6 * i[:, None] + np.arange(6)).ravel()
-    ci = (6 * j[:, None] + np.array(_FX_PERM)).ravel()
+    ci = (6 * j[:, None] + lattice.FX_PERM).ravel()
     return sp.coo_matrix((np.ones(len(ri)), (ri, ci)), shape=(6 * nc, 6 * nc)).tocsr()
 
 
@@ -362,7 +351,7 @@ def strip_sector_eigen(
         mat, sites = assemble_strip(iface, L, t, w)
         q = parity_isometry(L, sites, parity)
         wr, vr = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), sigma, gap)
-        return wr, q @ vr, len(wr)
+        return wr, q @ vr
 
     return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol)
 
@@ -370,8 +359,8 @@ def strip_sector_eigen(
 def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol) -> StripSector:
     """Grow the strip width until the tracked in-gap eigenvalue settles.
 
-    ``solve(t)`` returns the in-gap eigenvalues of the width-t sector, their
-    full-space vectors and the in-gap count.  The transverse truncation
+    ``solve(t)`` returns all the in-gap eigenvalues of the width-t sector and
+    their full-space vectors.  The transverse truncation
     starts at ``t0`` cells per side and doubles until the tracked eigenvalue
     (the kept one nearest ``lam_ref``, or the gap centre) moves by less than
     ``move_tol``, or up to 8 * ``t0`` (then ``t_converged`` is False).
@@ -384,12 +373,12 @@ def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol) -> StripSe
 
     def attempt(t):
         nonlocal prev
-        wr, vectors, count = solve(t)
+        wr, vectors = solve(t)
         kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), gap, max(4, t // 8))
         tracked = min((v for v, _, _ in kept), key=lambda v: abs(v - lam_center), default=None)
         done = prev is not None and tracked is not None and abs(tracked - prev) < move_tol
         prev = tracked
-        return done, (kept, count)
+        return done, (kept, len(wr))
 
     (kept, count), t, converged = green._double_until(t0, 8 * t0, attempt)
     if len(kept) == 0:
@@ -448,7 +437,7 @@ def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
     sign = parity * (-1.0) ** (np.abs(n1) * frac[0])   # parity * exp(-i k n1)
     cols = np.arange(3 * len(n1))
     rows_a = (6 * (n1 + t)[:, None] + np.array([0, 1, 2])).ravel()
-    rows_b = (6 * (n1 + t)[:, None] + np.array(_FX_PERM[:3])).ravel()
+    rows_b = (6 * (n1 + t)[:, None] + lattice.FX_PERM[:3]).ravel()
     vals_b = np.repeat(sign, 3) / np.sqrt(2.0)
     return sp.coo_matrix(
         (np.concatenate([np.full(len(cols), 1.0 / np.sqrt(2.0)), vals_b]),
@@ -457,87 +446,31 @@ def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
     ).tocsr()
 
 
-def _lu_solve(lu, b, real: bool):
-    """``lu.solve(b)`` that also takes a complex ``b`` when the factored matrix is ``real``."""
-    if real and np.iscomplexobj(b):
-        parts = lu.solve(np.concatenate([b.real, b.imag], axis=1))
-        return parts[:, : b.shape[1]] + 1j * parts[:, b.shape[1] :]
-    return lu.solve(b)
+@dataclass
+class _MomentumStrip:
+    """One momentum strip, or its parity part at k = 0 and pi, with its in-gap pairs.
 
-
-class _MomentumBlock:
-    """One momentum strip, or its parity part at k = 0 and pi.
-
-    It keeps its inertias, one pivoting factor at the gap centre ``sigma``
-    (made on first use), its in-gap pairs and blocks of its resolvent at
-    other shifts.  The inertia factors are not kept.
+    ``q`` is the isometry from the part into strip coordinates (None for a
+    whole strip).
     """
 
-    def __init__(self, mat, q, t, gap, sigma):
-        self.mat = mat.real if not mat.data.imag.any() else mat
-        self.real = not np.iscomplexobj(self.mat)
-        self.q = q                 # isometry from block into strip coordinates, or None
-        self.t, self.gap, self.sigma = t, gap, sigma
-        self.norm = _norm_bound(self.mat)
-        self._inertia = {}
-        self.count = self.inertia(gap[1]) - self.inertia(gap[0])
-        self._lu = None
-        self._pairs = None
-        self._green = {}
+    mat: sp.csr_matrix
+    q: sp.csr_matrix | None
+    gap: tuple
+    sigma: float
 
-    def inertia(self, shift) -> int:
-        if shift not in self._inertia:
-            self._inertia[shift] = _inertia(self.mat, shift)
-        return self._inertia[shift]
-
-    def _factor(self):
-        if self._lu is None:
-            self._lu = _factor(self.mat, self.sigma)
-        return self._lu
-
-    def apply(self, x):
-        return self.mat @ x if self.q is None else self.q @ (self.mat @ (self.q.T @ x))
-
-    def solve(self, x):
-        """(H_k - sigma)^-1 x for strip-coordinate columns x (in the parity part at k = 0, pi)."""
-        if self.q is None:
-            return _lu_solve(self._factor(), x, self.real)
-        return self.q @ _lu_solve(self._factor(), self.q.T @ x, self.real)
-
-    def green(self, shift, lo: int, hi: int):
-        """Rows and columns n1 = lo..hi of (H_k - shift)^-1 in strip coordinates."""
-        key = (shift, lo, hi)
-        if key not in self._green:
-            cols = np.arange(6 * (lo + self.t), 6 * (hi + self.t + 1))
-            unit = np.zeros((6 * (2 * self.t + 1), len(cols)))
-            unit[cols, np.arange(len(cols))] = 1.0
-            lu = _factor(self.mat, shift)
-            if self.q is None:
-                self._green[key] = lu.solve(unit.astype(self.mat.dtype))[cols]
-            else:
-                self._green[key] = (self.q @ lu.solve(self.q.T @ unit))[cols]
-        return self._green[key]
-
+    @cached_property
     def pairs(self):
-        """In-gap eigenvalues and strip-coordinate vectors of this block."""
-        if self._pairs is None:
-            n = self.mat.shape[0]
-            w, v = np.empty(0), np.empty((n, 0))
-            if self.count:
-                w, v = _certified_pairs(
-                    self.mat, self._factor().solve, self.sigma, self.gap,
-                    self.count, np.ones(n) / np.sqrt(n), self.norm,
-                )
-            self._pairs = (w, v if self.q is None else self.q @ v)
-        return self._pairs
+        """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``."""
+        return _ingap_eigsh(self.mat, self.sigma, self.gap)
 
 
 class MomentumStrips:
     """Momentum strips of one interface kernel and gap, cached by (t, k, parity).
 
     Both parities, every L and the unperturbed and perturbed solves share
-    the strips and their factors: the momenta of L = 8 are among those of
-    L = 16.  Every shift-invert solve shifts at the gap centre, away from
+    the strips and their in-gap pairs: the momenta of L = 8 are among those
+    of L = 16.  Every shift-invert solve shifts at the gap centre, away from
     the interface eigenvalues.
     """
 
@@ -549,7 +482,7 @@ class MomentumStrips:
         self.real = not any(np.iscomplexobj(b) and b.imag.any() for k in kerns for b in k.blocks.values())
         self._blocks = {}
 
-    def block(self, t: int, frac: tuple, parity: int) -> _MomentumBlock:
+    def block(self, t: int, frac: tuple, parity: int) -> _MomentumStrip:
         """The strip at k = 2 pi frac[0] / frac[1], reduced to ``parity`` at k = 0 and pi."""
         split = frac[1] <= 2
         key = (t, frac, parity if split else 0)
@@ -558,18 +491,26 @@ class MomentumStrips:
             q = _sector_isometry(t, frac, parity) if split else None
             if q is not None:
                 mat = (q.T @ mat @ q).tocsr()
-            self._blocks[key] = _MomentumBlock(mat, q, t, self.gap, self.sigma)
+            mat = mat.real if not mat.data.imag.any() else mat
+            self._blocks[key] = _MomentumStrip(mat, q, self.gap, self.sigma)
         return self._blocks[key]
 
 
 class _BlochSector:
-    """Parity sector of the width-t L-strip, acting on full-space columns."""
+    """Parity sector of the width-t L-strip in momentum coordinates.
+
+    The coordinates stack the blocks of j = 0..L//2.  `to_full` is the
+    isometry B from them onto the sector in full strip space: a block
+    column at 0 < k < pi is the pair of components at k and -k, each with
+    weight 1/sqrt(2), and one at k = 0 or pi is q of it.  So B^H A B is
+    blockdiag(H_k) for the unperturbed strip A, and `to_momentum` is B^H.
+    """
 
     def __init__(self, strips: MomentumStrips, L: int, t: int, parity: int):
         self.L, self.t, self.parity = L, t, parity
-        self.n = 6 * L * (2 * t + 1)
         fracs = _momenta(L)
         self.blocks = [strips.block(t, f, parity) for f in fracs]
+        self.bounds = np.cumsum([0] + [blk.mat.shape[0] for blk in self.blocks])
         self.real, self.gap, self.sigma = strips.real, strips.gap, strips.sigma
         j = np.arange(L)
         n1 = np.arange(-t, t + 1)[:, None]
@@ -583,7 +524,7 @@ class _BlochSector:
         """Components j = 0..L//2 of the sector projection of the columns ``x``."""
         xh = np.fft.fft(x.reshape(2 * self.t + 1, self.L, 6, -1), axis=1, norm="ortho")
         xh *= self.lo_phase[:, :, None, None]
-        mirror = xh[:, (-self.half) % self.L][:, :, _FX_PERM]
+        mirror = xh[:, (-self.half) % self.L][:, :, lattice.FX_PERM]
         mirror *= self.r_phase[:, self.half, None, None].conj()
         return 0.5 * (xh[:, self.half] + self.parity * mirror)
 
@@ -592,102 +533,86 @@ class _BlochSector:
         full = np.zeros((2 * self.t + 1, self.L) + yh.shape[2:], dtype=complex)
         full[:, self.half] = yh
         g = self.generic
-        full[:, self.L - g] = self.parity * yh[:, g][:, :, _FX_PERM] * self.r_phase[:, g, None, None]
+        full[:, self.L - g] = self.parity * yh[:, g][:, :, lattice.FX_PERM] * self.r_phase[:, g, None, None]
         full *= self.lo_phase.conj()[:, :, None, None]
-        return np.fft.ifft(full, axis=1, norm="ortho").reshape(self.n, -1)
+        return np.fft.ifft(full, axis=1, norm="ortho").reshape(6 * self.L * (2 * self.t + 1), -1)
 
-    def _map(self, x, fn):
-        """Apply ``fn(block, strip columns)`` at each momentum to the sector part of ``x``.
-
-        The result is real when the strip is: the operators built from the
-        blocks map real vectors to real vectors.
-        """
+    def to_momentum(self, x):
+        """Momentum coordinates B^H x of the full-space columns ``x``."""
         xh = self._to_half(x)
-        yh = np.empty_like(xh)
-        m = xh.shape[-1]
+        parts = []
         for pos, blk in enumerate(self.blocks):
-            yh[:, pos] = fn(blk, xh[:, pos].reshape(-1, m)).reshape(-1, 6, m)
-        y = self._from_half(yh)
-        return y.real if self.real else y
+            u = xh[:, pos].reshape(-1, xh.shape[-1])
+            parts.append(np.sqrt(2.0) * u if blk.q is None else blk.q.T @ u)
+        return np.vstack(parts)
+
+    def to_full(self, z):
+        """Full-space columns B z of the momentum-coordinate columns ``z``."""
+        m = z.shape[1]
+        yh = np.empty((2 * self.t + 1, len(self.blocks), 6, m), dtype=complex)
+        for pos, blk in enumerate(self.blocks):
+            part = z[self.bounds[pos] : self.bounds[pos + 1]]
+            part = part / np.sqrt(2.0) if blk.q is None else blk.q @ part
+            yh[:, pos] = part.reshape(2 * self.t + 1, 6, m)
+        return self._from_half(yh)
+
+    def _full_pairs(self, w, z):
+        """(w, full-space vectors) of the eigenpairs (w, z) in momentum coordinates.
+
+        A real strip has a real sector, whose eigenvector B z is real up to
+        one global phase: each column is turned by exp(-i arg(sum x^2) / 2)
+        and its real part kept.
+        """
+        x = self.to_full(z)
+        if self.real:
+            x = (x * np.exp(-0.5j * np.angle((x * x).sum(axis=0)))).real
+        return w, x
 
     def unperturbed_pairs(self):
-        """In-gap eigenvalues, full-space vectors and count of the sector."""
-        vals, parts = [], []
+        """In-gap eigenvalues and full-space vectors of the sector."""
+        vals, cols = [], []
         for pos, blk in enumerate(self.blocks):
-            w, v = blk.pairs()
-            scale = 1.0 / np.sqrt(2.0) if pos in self.generic else 1.0
-            for i in range(len(w)):
-                yh = np.zeros((2 * self.t + 1, len(self.blocks), 6, 1), dtype=complex)
-                yh[:, pos, :, 0] = scale * v[:, i].reshape(-1, 6)
-                vals.append(w[i])
-                parts.append(self._from_half(yh))
-        vectors = np.hstack(parts) if parts else np.empty((self.n, 0), dtype=complex)
-        return np.array(vals), vectors, len(vals)
+            w, v = blk.pairs
+            col = np.zeros((self.bounds[-1], len(w)), dtype=v.dtype)
+            col[self.bounds[pos] : self.bounds[pos + 1]] = v
+            vals.append(w)
+            cols.append(col)
+        return self._full_pairs(np.concatenate(vals), np.hstack(cols))
 
-    def inertia(self, shift, defect=None) -> int:
-        """Sector eigenvalues below ``shift``, with the low-rank defect (V, supp, D) if given.
+    def matrix(self, v, d):
+        """The sector of the strip plus V D V^H in momentum coordinates, a sparse Hermitian K.
 
-        Haynsworth's inertia additivity on the bordered matrix
-        [[A - s, V], [V^H, -D^-1]] gives nu(A + V D V^H - s) = nu(A - s) +
-        nu(-D^-1 - V^H (A - s)^-1 V) - nu(-D^-1).  V^H (A - s)^-1 V needs the
-        momentum-strip resolvents only on the support columns n1 = lo..hi.
+        K = blockdiag(H_k) + U D U^H with U = B^H V, which is nonzero only
+        on the rows of the columns n1 that V touches.
         """
-        nu = sum(blk.inertia(shift) for blk in self.blocks)
-        if defect is None:
-            return nu
-        v, supp, d = defect
-        n1 = supp // 6 // self.L - self.t
-        lo, hi = int(n1.min()), int(n1.max())
-        vh = self._to_half(v)[lo + self.t : hi + self.t + 1]   # (n1, j, sublattice, rank)
-        border = -np.diag(1.0 / d)
-        for pos, blk in enumerate(self.blocks):
-            u = vh[:, pos].reshape(-1, len(d))
-            copies = 2.0 if pos in self.generic else 1.0   # the component at -k adds the same
-            border = border - copies * (u.conj().T @ blk.green(shift, lo, hi) @ u)
-        border = 0.5 * (border + border.conj().T)
-        return nu + int((np.linalg.eigvalsh(border) < 0).sum()) - int((d > 0).sum())
+        u = self.to_momentum(v)
+        rows = np.flatnonzero(u.any(axis=1))
+        core = (u[rows] * d) @ u[rows].conj().T
+        core = 0.5 * (core + core.conj().T)
+        ri, ci = np.meshgrid(rows, rows, indexing="ij")
+        n = self.bounds[-1]
+        k = sp.block_diag([blk.mat for blk in self.blocks], format="csr")
+        return (k + sp.csr_matrix((core.ravel(), (ri.ravel(), ci.ravel())), shape=(n, n))).tocsr()
 
     def perturbed_pairs(self, w: PerturbationW):
-        """In-gap eigenvalues, full-space vectors and count of the sector with the defect.
+        """In-gap eigenvalues and full-space vectors of the sector with the defect.
 
-        The sector part of the defect is V D V^H with D its nonzero
-        eigenvalues.  The in-gap count is the bordered `inertia` at both gap
-        edges, and Woodbury's identity gives (A + W - sigma)^-1 for the
-        shift-invert Lanczos run.
+        The sector part of the defect is V D V^H, D its nonzero eigenvalues.
+        `_ingap_eigsh` certifies the in-gap count of the sector `matrix` by
+        its inertia at both gap edges and finds the pairs.
         """
-        defect = _defect_sector(w, self.L, self.t, self.parity)
-        v, supp, d = defect
+        v, d = _defect_sector(w, self.L, self.t, self.parity)
         if len(d) == 0:
             return self.unperturbed_pairs()   # the defect does not act on this sector
-        gap, sigma = self.gap, self.sigma
-        count = self.inertia(gap[1], defect) - self.inertia(gap[0], defect)
-        if count == 0:
-            return np.empty(0), np.empty((self.n, 0)), 0
-        z = self._map(v, lambda blk, u: blk.solve(u))
-        core = np.linalg.inv(np.diag(1.0 / d) + v[supp].conj().T @ z[supp])
-
-        def opinv(x):
-            x = x.reshape(self.n, -1)
-            return self._map(x, lambda blk, u: blk.solve(u)) - z @ (core @ (z.conj().T @ x))
-
-        def matvec(x):
-            x = x.reshape(self.n, -1)
-            return self._map(x, lambda blk, u: blk.apply(u)) + v @ (d[:, None] * (v.conj().T @ x))
-
-        op = spla.LinearOperator((self.n, self.n), matvec=matvec, matmat=matvec, dtype=z.dtype)
-        v0 = self._from_half(self._to_half(np.arange(1.0, self.n + 1.0)))[:, 0]
-        v0 = v0.real if self.real else v0
-        scale = max(blk.norm for blk in self.blocks) + float(np.abs(d).max())
-        wr, vr = _certified_pairs(op, opinv, sigma, gap, count, v0 / np.linalg.norm(v0), scale)
-        return wr, vr, count
+        return self._full_pairs(*_ingap_eigsh(self.matrix(v, d), self.sigma, self.gap))
 
 
 def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
-    """The defect's parity part V D V^H on the width-t strip: (V, support rows of V, D)."""
+    """The defect's parity part V D V^H on the width-t strip: (V, D)."""
     ri, ci, vv = (np.concatenate(part) for part in _defect_entries(w, L, t))
     nfull = 6 * L * (2 * t + 1)
     if not vv.any():
-        return np.zeros((nfull, 0)), np.zeros(0, dtype=int), np.zeros(0)
+        return np.zeros((nfull, 0)), np.zeros(0)
     supp = np.unique(np.concatenate([ri, ci]))
     n = len(supp)
     dense = np.zeros((n, n), dtype=vv.dtype)
@@ -698,7 +623,7 @@ def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
         dense = dense.real
     site, sub = np.divmod(supp, 6)
     n1, n2 = _site_cells(L, t, site)
-    image = 6 * _site_indices(L, t, n1, -n1 - n2) + np.array(_FX_PERM)[sub]
+    image = 6 * _site_indices(L, t, n1, -n1 - n2) + lattice.FX_PERM[sub]
     col = np.searchsorted(supp, image)
     if not np.array_equal(supp[np.minimum(col, n - 1)], image):
         raise ModelValidationError("the defect support is not reflection symmetric")
@@ -708,7 +633,7 @@ def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
     keep = np.abs(d) > 1e-12 * np.abs(d).max()
     v = np.zeros((nfull, keep.sum()), dtype=vecs.dtype)
     v[supp] = vecs[:, keep]
-    return v, supp, d[keep]
+    return v, d[keep]
 
 
 def bloch_sector_eigen(
@@ -723,13 +648,12 @@ def bloch_sector_eigen(
 ) -> StripSector:
     """`strip_sector_eigen` on the momentum strips of ``strips``, same loop and result.
 
-    Without a defect the sector pairs come from the momentum strips.  A
-    defect with a fixed transverse support enters as a low-rank correction:
-    the count is the bordered inertia and the pairs come from shift-invert
-    Lanczos on the Woodbury-corrected Bloch resolvent in full strip space;
-    no strip, isometry or sector matrix is assembled.  A defect that spans
-    the whole window (the line defect) has no low-rank form, so its sector
-    is assembled and solved by `strip_sector_eigen`.
+    Without a defect the sector pairs are the momentum strips' pairs.  A
+    defect with a fixed transverse support enters as a low-rank correction
+    to the sector matrix in momentum coordinates (`_BlochSector`), solved
+    by `_ingap_eigsh`; no strip or isometry in full space is assembled.  A
+    defect that spans the whole window (the line defect) has no low-rank
+    form, so its sector is assembled and solved by `strip_sector_eigen`.
     """
     if w is not None and not w.compact:
         return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)

@@ -138,19 +138,23 @@ def test_robustness_bound_violation(tmp_path):
 
 
 def test_robustness_command(tmp_path):
-    cfg = dict(FAST)
-    cfg["delta"] = 0.025
-    out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "robustness", cfg=cfg)
-    assert res.returncode == 0, res.stderr
-    payload = json.loads((out / "robustness_report.json").read_text())
-    assert payload["pi_sector_empty"] is True
-    assert payload["perturbation"]["within_theory"] is True
-    for parity in ("1", "-1"):
-        entry = payload["sectors"][parity][0]
-        assert entry["farfield_overlap"] >= 0.99
-        for side in ("unperturbed", "perturbed"):
-            assert entry["ingap_count"][side] >= len(entry[side])
+    # the compact defect takes the momentum-coordinate solve, the line defect the assembled one
+    for kind in ("compact", "line"):
+        cfg = dict(FAST)
+        cfg["delta"] = 0.025
+        cfg["perturbation"] = dict(FAST["perturbation"], kind=kind)
+        out = tmp_path / kind
+        res = run_cli(tmp_path, "--out", str(out), "robustness", cfg=cfg)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads((out / "robustness_report.json").read_text())
+        assert payload["pi_sector_empty"] is True
+        assert payload["perturbation"]["kind"] == kind
+        assert payload["perturbation"]["within_theory"] is True
+        for parity in ("1", "-1"):
+            entry = payload["sectors"][parity][0]
+            assert entry["farfield_overlap"] >= 0.99
+            for side in ("unperturbed", "perturbed"):
+                assert entry["ingap_count"][side] >= len(entry[side])
 
 
 def test_band_curve_command(tmp_path):

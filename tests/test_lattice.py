@@ -59,6 +59,7 @@ def test_generator_relations():
     eye = np.eye(6)
     assert np.allclose(np.linalg.matrix_power(r6, 6), eye)
     assert np.allclose(fx @ fx, eye)
+    assert np.array_equal(fx, eye[lattice.FX_PERM])  # a permutation matrix, row i = e_FX_PERM[i]
     assert np.allclose(r6 @ fx @ r6 @ fx, eye)  # R6 Fx = Fx R6^-1
     assert np.allclose(np.linalg.matrix_power(t, 3), eye)
     assert np.allclose(fx @ t, t @ fx)

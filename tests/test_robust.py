@@ -286,29 +286,59 @@ def test_momentum_split_sector_inertia(setup_r):
                 assert sum(matching._inertia(b.mat, shift) for b in blocks) == i + 1
 
 
-def test_bordered_count_matches_assembled(setup_r):
-    """The bordered inertia of the low-rank defect equals the assembled sector's.
+def test_momentum_sector_matches_assembled_spectrum(setup_r):
+    """The momentum-coordinate matrix K of the perturbed sector is unitarily the assembled sector.
 
-    The gap edges and an in-gap shift are the certificate's shifts; at 0.5
-    the defect moves eigenvalues across shifts all over the spectrum, where
-    every momentum's share of V^H (A - s)^-1 V decides the count.
+    Its dense spectrum equals the assembled one, so every weight of the
+    defect's momentum coordinates (sqrt(2) at 0 < k < pi, q^T at k = 0 and
+    pi, the mirror phase) is checked; at 0.5 the defect moves eigenvalues
+    all over the spectrum.
     """
-    iface, gap, lam, _ = setup_r
+    iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
     L, t = 8, 20
     for amplitude in (2e-5, 0.05, 0.5):
         w = robust.build_W("compact", amplitude)
         for parity in (1, -1):
             sector = robust._BlochSector(strips, L, t, parity)
-            defect = robust._defect_sector(w, L, t, parity)
+            k = sector.matrix(*robust._defect_sector(w, L, t, parity))
             assembled = _assembled_sector(iface, L, t, parity, w)
-            shifts = [gap[0], gap[1], 0.5 * (lam[1] + lam[-1])]
-            if amplitude == 0.5:
-                dense = np.linalg.eigvalsh(assembled.toarray())
-                picks = (np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (len(dense) - 1)).astype(int)
-                shifts += [0.5 * (dense[i] + dense[i + 1]) for i in picks]
-            for shift in shifts:
-                assert sector.inertia(shift, defect) == matching._inertia(assembled, shift)
+            assert abs(k - k.getH()).max() < 1e-15
+            dense = np.linalg.eigvalsh(assembled.toarray())
+            assert np.abs(np.linalg.eigvalsh(k.toarray()) - dense).max() < 1e-12
+
+
+def test_momentum_coordinates_back_map(setup_r):
+    """Momentum coordinates map onto the parity sector isometrically.
+
+    Identity columns go to orthonormal vectors with P x = p x, real at
+    k = 0 and pi; the perturbed pairs come back real, of unit norm and
+    eigenpairs of the assembled strip.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    L, t = 8, 4
+    perm = robust.reflection_permutation(L, robust.strip_sites(L, t))
+    for parity in (1, -1):
+        sector = robust._BlochSector(strips, L, t, parity)
+        eye = np.eye(sector.bounds[-1])
+        x = sector.to_full(eye)
+        assert np.abs(x.conj().T @ x - eye).max() < 1e-13
+        assert np.abs(perm @ x - parity * x).max() < 1e-14
+        assert np.abs(sector.to_momentum(x) - eye).max() < 1e-13
+        for pos in (0, len(sector.blocks) - 1):   # k = 0 and pi
+            assert np.abs(x[:, sector.bounds[pos] : sector.bounds[pos + 1]].imag).max() < 1e-15
+
+    t = 20
+    w = robust.build_W("compact", 0.05)
+    mat, sites = robust.assemble_strip(iface, L, t, w)
+    perm = robust.reflection_permutation(L, sites)
+    for parity in (1, -1):
+        vals, vecs = robust._BlochSector(strips, L, t, parity).perturbed_pairs(w)
+        assert len(vals) > 0 and not np.iscomplexobj(vecs)
+        assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() < 1e-13
+        assert np.abs(perm @ vecs - parity * vecs).max() < 1e-14
+        assert np.abs(mat @ vecs - vecs * vals).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", [None, "compact"])
