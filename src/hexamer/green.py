@@ -63,19 +63,22 @@ class GreenKernel:
 
 
 def _golden(f, a, b, tol=1e-12):
-    """Golden-section minimiser of f on [a, b]."""
+    """Golden-section minimisers of f on the brackets [a, b], arrays of lanes.
+
+    ``f`` maps one point per lane to its values; a lane stops once its bracket is at most ``tol``.
+    """
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
+    while (live := np.abs(b - a) > tol).any():
+        left = live & (fc < fd)     # keep [a, d], probe a new c
+        right = live & ~(fc < fd)   # keep [c, b], probe a new d
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        x = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
     return 0.5 * (a + b)
 
 
@@ -84,21 +87,20 @@ def band_edges(strip: BlockedStripOperator):
 
     Computed once per strip: the extremes over 512 equispaced momenta are
     polished by a golden-section search over the two sample intervals around
-    each, so an extremum between samples is not missed.
+    each, so an extremum between samples is not missed; the searches run as lanes of one loop.
     """
     if "edges" not in strip.spectral_cache:
         kaps = np.linspace(-np.pi, np.pi, 512, endpoint=False)
         step = kaps[1] - kaps[0]
         w = np.linalg.eigvalsh(strip.bloch_batch(kaps))
-        edges = []
-        for sign in (1.0, -1.0):  # minima, then maxima as minima of -w
-            f = sign * w
-            best = f.min(axis=0)
-            for b, i in enumerate(f.argmin(axis=0)):
-                band = lambda k: sign * np.linalg.eigvalsh(strip.bloch(k))[b]
-                best[b] = min(best[b], band(_golden(band, kaps[i] - step, kaps[i] + step)))
-            edges.append(sign * best)
-        strip.spectral_cache["edges"] = tuple(edges)
+        nb = w.shape[1]
+        f = np.hstack([w, -w])   # minima, then maxima as minima of -w
+        sign = np.repeat([1.0, -1.0], nb)
+        lane, band = np.arange(2 * nb), np.tile(np.arange(nb), 2)
+        lanes = lambda ks: sign * np.linalg.eigvalsh(strip.bloch(ks[:, None, None]))[lane, band]
+        centre = kaps[f.argmin(axis=0)]
+        best = np.minimum(f.min(axis=0), lanes(_golden(lanes, centre - step, centre + step)))
+        strip.spectral_cache["edges"] = (best[:nb], -best[nb:])
     return strip.spectral_cache["edges"]
 
 

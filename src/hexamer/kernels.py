@@ -304,7 +304,7 @@ class BlockedStripOperator:
         return self._triple
 
     def bloch(self, kap: float) -> np.ndarray:
-        """Blocked Bloch matrix (bulk operators only)."""
+        """Blocked Bloch matrix (bulk operators only); ``kap`` of shape (n, 1, 1) gives n of them."""
         b0, bp, bm = self._bulk_triple()
         return b0 + np.exp(1j * kap) * bp + np.exp(-1j * kap) * bm
 

@@ -432,15 +432,28 @@ def _momenta(L: int) -> list:
 
 
 def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
-    """Columns span the part of the 1-D strip at k = 0 or pi where R_k = parity."""
+    """Orthonormal basis S of the strip at k = 2 pi frac[0] / frac[1] in which S^H H_k S is real.
+
+    Per cell n1 and Fx pair (a, b) the columns exp(i k n1 / 2) (e_a + e_b) / sqrt(2)
+    and i exp(i k n1 / 2) (e_a - e_b) / sqrt(2) are fixed by x -> M conj(x),
+    M = diag(exp(i k n1)) FX, a symmetry of H_k as the hoppings are real.  At
+    k = 0 and pi the columns are real and span the part where R_k = parity.
+    """
     n1 = np.arange(-t, t + 1)
-    sign = parity * (-1.0) ** (np.abs(n1) * frac[0])   # parity * exp(-i k n1)
-    cols = np.arange(3 * len(n1))
     rows_a = (6 * (n1 + t)[:, None] + np.array([0, 1, 2])).ravel()
     rows_b = (6 * (n1 + t)[:, None] + lattice.FX_PERM[:3]).ravel()
-    vals_b = np.repeat(sign, 3) / np.sqrt(2.0)
+    if frac[1] <= 2:
+        cols = np.arange(3 * len(n1))
+        vals_a = np.ones(len(cols))
+        vals_b = np.repeat(parity * (-1.0) ** (np.abs(n1) * frac[0]), 3)   # parity * exp(-i k n1)
+    else:
+        phase = np.repeat(np.exp(1j * np.pi * frac[0] / frac[1] * n1), 3)   # exp(i k n1 / 2)
+        cols = np.concatenate([rows_a, rows_a + 3])
+        rows_a, rows_b = np.tile(rows_a, 2), np.tile(rows_b, 2)
+        vals_a = np.concatenate([phase, 1j * phase])
+        vals_b = np.concatenate([phase, -1j * phase])
     return sp.coo_matrix(
-        (np.concatenate([np.full(len(cols), 1.0 / np.sqrt(2.0)), vals_b]),
+        (np.concatenate([vals_a, vals_b]) / np.sqrt(2.0),
          (np.concatenate([rows_a, rows_b]), np.concatenate([cols, cols]))),
         shape=(6 * len(n1), len(cols)),
     ).tocsr()
@@ -448,14 +461,14 @@ def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
 
 @dataclass
 class _MomentumStrip:
-    """One momentum strip, or its parity part at k = 0 and pi, with its in-gap pairs.
+    """One momentum strip in its real basis, its parity part at k = 0 and pi, with its in-gap pairs.
 
-    ``q`` is the isometry from the part into strip coordinates (None for a
-    whole strip).
+    ``mat`` is the real symmetric S^H H_k S and ``q`` the isometry S of
+    `_sector_isometry` into strip coordinates.
     """
 
     mat: sp.csr_matrix
-    q: sp.csr_matrix | None
+    q: sp.csr_matrix
     gap: tuple
     sigma: float
 
@@ -478,21 +491,18 @@ class MomentumStrips:
         self.iface = iface
         self.gap = tuple(gap)
         self.sigma = 0.5 * (gap[0] + gap[1])
-        kerns = (iface.right, iface.left, iface.seam)
-        self.real = not any(np.iscomplexobj(b) and b.imag.any() for k in kerns for b in k.blocks.values())
         self._blocks = {}
 
     def block(self, t: int, frac: tuple, parity: int) -> _MomentumStrip:
-        """The strip at k = 2 pi frac[0] / frac[1], reduced to ``parity`` at k = 0 and pi."""
-        split = frac[1] <= 2
-        key = (t, frac, parity if split else 0)
+        """The strip at k = 2 pi frac[0] / frac[1] in its real basis; its ``parity`` part at k = 0 and pi."""
+        key = (t, frac, parity if frac[1] <= 2 else 0)
         if key not in self._blocks:
-            mat = _truncated_strip(self.iface, t, 2.0 * np.pi * frac[0] / frac[1])
-            q = _sector_isometry(t, frac, parity) if split else None
-            if q is not None:
-                mat = (q.T @ mat @ q).tocsr()
-            mat = mat.real if not mat.data.imag.any() else mat
-            self._blocks[key] = _MomentumStrip(mat, q, self.gap, self.sigma)
+            q = _sector_isometry(t, frac, parity)
+            strip = _truncated_strip(self.iface, t, 2.0 * np.pi * frac[0] / frac[1])
+            mat = (q.getH() @ strip @ q).tocsr()
+            if abs(mat.imag).max() > 1e-12 * abs(mat).max():
+                raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
+            self._blocks[key] = _MomentumStrip(mat.real, q, self.gap, self.sigma)
         return self._blocks[key]
 
 
@@ -501,9 +511,12 @@ class _BlochSector:
 
     The coordinates stack the blocks of j = 0..L//2.  `to_full` is the
     isometry B from them onto the sector in full strip space: a block
-    column at 0 < k < pi is the pair of components at k and -k, each with
-    weight 1/sqrt(2), and one at k = 0 or pi is q of it.  So B^H A B is
-    blockdiag(H_k) for the unperturbed strip A, and `to_momentum` is B^H.
+    column z at 0 < k < pi is the component c_p S z / sqrt(2) at k and its
+    image p R_k at -k, and one at k = 0 or pi is S z (S = q, the real basis).
+    c_p = 1 (even) or i (odd) makes the components at k and -k complex
+    conjugates, so B is real (`to_full` leaves rounding-level imaginary
+    parts), B^T A B = blockdiag(S^H H_k S) for the unperturbed strip A, and
+    `to_momentum` is B^T.
     """
 
     def __init__(self, strips: MomentumStrips, L: int, t: int, parity: int):
@@ -511,7 +524,9 @@ class _BlochSector:
         fracs = _momenta(L)
         self.blocks = [strips.block(t, f, parity) for f in fracs]
         self.bounds = np.cumsum([0] + [blk.mat.shape[0] for blk in self.blocks])
-        self.real, self.gap, self.sigma = strips.real, strips.gap, strips.sigma
+        self.gap, self.sigma = strips.gap, strips.sigma
+        cp = 1.0 if parity == 1 else 1j
+        self.scale = [1.0 if f[1] <= 2 else cp / np.sqrt(2.0) for f in fracs]
         j = np.arange(L)
         n1 = np.arange(-t, t + 1)[:, None]
         # exp(-i k_j n2) = exp(-i k_j lo(n1)) * (FFT phase of the window row)
@@ -543,7 +558,7 @@ class _BlochSector:
         parts = []
         for pos, blk in enumerate(self.blocks):
             u = xh[:, pos].reshape(-1, xh.shape[-1])
-            parts.append(np.sqrt(2.0) * u if blk.q is None else blk.q.T @ u)
+            parts.append(blk.q.getH() @ u / self.scale[pos])
         return np.vstack(parts)
 
     def to_full(self, z):
@@ -552,21 +567,8 @@ class _BlochSector:
         yh = np.empty((2 * self.t + 1, len(self.blocks), 6, m), dtype=complex)
         for pos, blk in enumerate(self.blocks):
             part = z[self.bounds[pos] : self.bounds[pos + 1]]
-            part = part / np.sqrt(2.0) if blk.q is None else blk.q @ part
-            yh[:, pos] = part.reshape(2 * self.t + 1, 6, m)
+            yh[:, pos] = (self.scale[pos] * (blk.q @ part)).reshape(2 * self.t + 1, 6, m)
         return self._from_half(yh)
-
-    def _full_pairs(self, w, z):
-        """(w, full-space vectors) of the eigenpairs (w, z) in momentum coordinates.
-
-        A real strip has a real sector, whose eigenvector B z is real up to
-        one global phase: each column is turned by exp(-i arg(sum x^2) / 2)
-        and its real part kept.
-        """
-        x = self.to_full(z)
-        if self.real:
-            x = (x * np.exp(-0.5j * np.angle((x * x).sum(axis=0)))).real
-        return w, x
 
     def unperturbed_pairs(self):
         """In-gap eigenvalues and full-space vectors of the sector."""
@@ -577,38 +579,38 @@ class _BlochSector:
             col[self.bounds[pos] : self.bounds[pos + 1]] = v
             vals.append(w)
             cols.append(col)
-        return self._full_pairs(np.concatenate(vals), np.hstack(cols))
+        return np.concatenate(vals), self.to_full(np.hstack(cols)).real
 
     def matrix(self, v, d):
-        """The sector of the strip plus V D V^H in momentum coordinates, a sparse Hermitian K.
+        """The sector of the strip plus V D V^T in momentum coordinates, a sparse real symmetric K.
 
-        K = blockdiag(H_k) + U D U^H with U = B^H V, which is nonzero only
-        on the rows of the columns n1 that V touches.
+        K = blockdiag(S^H H_k S) + U D U^T with U = B^T V, real for the real
+        V of `_defect_sector` and nonzero only on the rows of the columns n1
+        that V touches.
         """
-        u = self.to_momentum(v)
+        u = self.to_momentum(v).real
         rows = np.flatnonzero(u.any(axis=1))
-        core = (u[rows] * d) @ u[rows].conj().T
-        core = 0.5 * (core + core.conj().T)
+        core = (u[rows] * d) @ u[rows].T
+        core = 0.5 * (core + core.T)
         ri, ci = np.meshgrid(rows, rows, indexing="ij")
         n = self.bounds[-1]
         k = sp.block_diag([blk.mat for blk in self.blocks], format="csr")
         return (k + sp.csr_matrix((core.ravel(), (ri.ravel(), ci.ravel())), shape=(n, n))).tocsr()
 
-    def perturbed_pairs(self, w: PerturbationW):
-        """In-gap eigenvalues and full-space vectors of the sector with the defect.
+    def perturbed_pairs(self, v, d):
+        """In-gap eigenvalues and full-space vectors of the sector plus the defect part V D V^T.
 
-        The sector part of the defect is V D V^H, D its nonzero eigenvalues.
         `_ingap_eigsh` certifies the in-gap count of the sector `matrix` by
         its inertia at both gap edges and finds the pairs.
         """
-        v, d = _defect_sector(w, self.L, self.t, self.parity)
         if len(d) == 0:
             return self.unperturbed_pairs()   # the defect does not act on this sector
-        return self._full_pairs(*_ingap_eigsh(self.matrix(v, d), self.sigma, self.gap))
+        w, z = _ingap_eigsh(self.matrix(v, d), self.sigma, self.gap)
+        return w, self.to_full(z).real
 
 
 def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
-    """The defect's parity part V D V^H on the width-t strip: (V, D)."""
+    """The defect's parity part V D V^T on the width-t strip: (V, D), V real."""
     ri, ci, vv = (np.concatenate(part) for part in _defect_entries(w, L, t))
     nfull = 6 * L * (2 * t + 1)
     if not vv.any():
@@ -617,10 +619,9 @@ def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
     n = len(supp)
     dense = np.zeros((n, n), dtype=vv.dtype)
     np.add.at(dense, (np.searchsorted(supp, ri), np.searchsorted(supp, ci)), vv)
-    if np.abs(dense - dense.conj().T).max() > 1e-12 * np.abs(dense).max():
-        raise ModelValidationError(f"the periodized defect is not Hermitian at L = {L}")
-    if not dense.imag.any():
-        dense = dense.real
+    if dense.imag.any() or np.abs(dense - dense.T).max() > 1e-12 * np.abs(dense).max():
+        raise ModelValidationError(f"the periodized defect is not real symmetric at L = {L}")
+    dense = dense.real
     site, sub = np.divmod(supp, 6)
     n1, n2 = _site_cells(L, t, site)
     image = 6 * _site_indices(L, t, n1, -n1 - n2) + lattice.FX_PERM[sub]
@@ -634,6 +635,11 @@ def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
     v = np.zeros((nfull, keep.sum()), dtype=vecs.dtype)
     v[supp] = vecs[:, keep]
     return v, d[keep]
+
+
+def _widen(v, L: int, dt: int):
+    """Full-space columns ``v`` of a width-t L-strip as columns of the width-(t + dt) strip."""
+    return np.pad(v, ((6 * L * dt, 6 * L * dt), (0, 0)))
 
 
 def bloch_sector_eigen(
@@ -658,9 +664,17 @@ def bloch_sector_eigen(
     if w is not None and not w.compact:
         return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
 
+    ref = None   # (t, V, D); once the strip holds the whole defect, a wider one only moves V's rows
+    t_fit = None if w is None else 1 + max(map(abs, w.transverse_range(0)))
+
     def solve(t):
+        nonlocal ref
         sector = _BlochSector(strips, L, t, parity)
-        return sector.unperturbed_pairs() if w is None else sector.perturbed_pairs(w)
+        if w is None:
+            return sector.unperturbed_pairs()
+        if ref is None or ref[0] < t_fit:
+            ref = (t, *_defect_sector(w, L, t, parity))
+        return sector.perturbed_pairs(_widen(ref[1], L, t - ref[0]), ref[2])
 
     return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
 

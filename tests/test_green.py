@@ -277,3 +277,45 @@ def test_band_edges_contain_dense_scan(iface):
         assert np.all(lo <= w.min(axis=0) + 1e-12)
         assert np.all(hi >= w.max(axis=0) - 1e-12)
         assert np.all(lo > w.min(axis=0) - 1e-4) and np.all(hi < w.max(axis=0) + 1e-4)
+
+
+def _scalar_band_edges(strip):
+    """The band edges by one scalar golden-section search per band extremum."""
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def golden(f, a, b, tol=1e-12):
+        c, d = b - gr * (b - a), a + gr * (b - a)
+        fc, fd = f(c), f(d)
+        while abs(b - a) > tol:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - gr * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + gr * (b - a)
+                fd = f(d)
+        return 0.5 * (a + b)
+
+    kaps = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    step = kaps[1] - kaps[0]
+    w = np.linalg.eigvalsh(strip.bloch_batch(kaps))
+    edges = []
+    for sign in (1.0, -1.0):
+        f = sign * w
+        best = f.min(axis=0)
+        for b, i in enumerate(f.argmin(axis=0)):
+            band = lambda k: sign * np.linalg.eigvalsh(strip.bloch(k))[b]
+            best[b] = min(best[b], band(golden(band, kaps[i] - step, kaps[i] + step)))
+        edges.append(sign * best)
+    return edges
+
+
+def test_band_edges_match_scalar_polish(iface):
+    """The twelve golden-section polishes run as one vectorised loop give the scalar edges."""
+    for bulk in (iface.right, iface.left):
+        for kpar in (0.0, 0.3, np.pi):
+            lo, hi = green.band_edges(kernels.BlockedStripOperator(bulk, kpar=kpar))
+            ref_lo, ref_hi = _scalar_band_edges(kernels.BlockedStripOperator(bulk, kpar=kpar))
+            assert np.abs(lo - ref_lo).max() <= 1e-14
+            assert np.abs(hi - ref_hi).max() <= 1e-14

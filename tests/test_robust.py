@@ -309,11 +309,11 @@ def test_momentum_sector_matches_assembled_spectrum(setup_r):
 
 
 def test_momentum_coordinates_back_map(setup_r):
-    """Momentum coordinates map onto the parity sector isometrically.
+    """Momentum coordinates map onto the parity sector isometrically and really.
 
-    Identity columns go to orthonormal vectors with P x = p x, real at
-    k = 0 and pi; the perturbed pairs come back real, of unit norm and
-    eigenpairs of the assembled strip.
+    Identity columns go to real orthonormal vectors with P x = p x at every
+    momentum, not only at k = 0 and pi; the perturbed pairs come back real,
+    of unit norm and eigenpairs of the assembled strip.
     """
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
@@ -326,19 +326,103 @@ def test_momentum_coordinates_back_map(setup_r):
         assert np.abs(x.conj().T @ x - eye).max() < 1e-13
         assert np.abs(perm @ x - parity * x).max() < 1e-14
         assert np.abs(sector.to_momentum(x) - eye).max() < 1e-13
-        for pos in (0, len(sector.blocks) - 1):   # k = 0 and pi
-            assert np.abs(x[:, sector.bounds[pos] : sector.bounds[pos + 1]].imag).max() < 1e-15
+        assert np.abs(x.imag).max() < 1e-15
 
     t = 20
     w = robust.build_W("compact", 0.05)
     mat, sites = robust.assemble_strip(iface, L, t, w)
     perm = robust.reflection_permutation(L, sites)
     for parity in (1, -1):
-        vals, vecs = robust._BlochSector(strips, L, t, parity).perturbed_pairs(w)
+        vals, vecs = robust._BlochSector(strips, L, t, parity).perturbed_pairs(
+            *robust._defect_sector(w, L, t, parity)
+        )
         assert len(vals) > 0 and not np.iscomplexobj(vecs)
         assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() < 1e-13
         assert np.abs(perm @ vecs - parity * vecs).max() < 1e-14
         assert np.abs(mat @ vecs - vecs * vals).max() < 1e-12
+
+
+def test_momentum_blocks_real(setup_r):
+    """Every momentum block is real in its reflection-adapted basis, with the strip's spectrum.
+
+    At 0 < k < pi the block is S^H H_k S for the complex Hermitian H_k; at
+    k = 0 and pi the two parity parts together carry H_k.  The sector matrix
+    K with the defect is real in both parities.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    t = 20
+    for L in (8, 16):
+        for frac in robust._momenta(L):
+            strip = matching._truncated_strip(iface, t, 2.0 * np.pi * frac[0] / frac[1])
+            ref = np.linalg.eigvalsh(strip.toarray())
+            parts = (1, -1) if frac[1] <= 2 else (1,)
+            mats = [strips.block(t, frac, p).mat for p in parts]
+            assert all(m.dtype == np.float64 for m in mats)
+            dense = np.sort(np.concatenate([np.linalg.eigvalsh(m.toarray()) for m in mats]))
+            assert np.abs(dense - ref).max() < 1e-12
+    L = 8
+    w = robust.build_W("compact", 0.05)
+    for parity in (1, -1):
+        sector = robust._BlochSector(strips, L, t, parity)
+        assert sector.matrix(*robust._defect_sector(w, L, t, parity)).dtype == np.float64
+    # an imaginary on-site hopping breaks the symmetry that makes the blocks real
+    onsite = np.zeros((6, 6), dtype=complex)
+    onsite[0, 1], onsite[1, 0] = 0.01j, -0.01j
+    right = iface.right.plus(kernels.HoppingKernel("twist", 1, {(0, 0): onsite}))
+    twisted = kernels.InterfaceKernel(right, iface.left, iface.seam, iface.delta)
+    with pytest.raises(ModelValidationError, match="not real"):
+        robust.MomentumStrips(twisted, gap).block(t, (1, 8), 1)
+
+
+def test_defect_sector_widens_by_row_offset(setup_r, monkeypatch):
+    """Once the strip holds the defect, a wider strip only moves V's rows by 6 L (t - t0).
+
+    So `bloch_sector_eigen` forms the defect's sector part once per (L,
+    parity) and widens it; below the defect's extent it forms it afresh.
+    """
+    w = robust.build_W("compact", 2e-5)
+    for L in (8, 16):
+        for parity in (1, -1):
+            v0, d0 = robust._defect_sector(w, L, 80, parity)
+            for t in (160, 320):
+                v, d = robust._defect_sector(w, L, t, parity)
+                assert np.array_equal(robust._widen(v0, L, t - 80), v)
+                assert np.array_equal(d0, d)
+    # a width-1 strip cuts the defect off, so its V is no part of a wider one
+    v1, d1 = robust._defect_sector(w, 8, 1, 1)
+    v4, d4 = robust._defect_sector(w, 8, 4, 1)
+    assert len(d1) != len(d4) or not np.allclose(robust._widen(v1, 8, 3), v4)
+
+    iface, gap, lam, d_zig = setup_r
+    widths = []
+    fresh = robust._defect_sector
+    monkeypatch.setattr(robust, "_defect_sector", lambda *a: widths.append(a[2]) or fresh(*a))
+    strips = robust.MomentumStrips(iface, gap)
+    robust.bloch_sector_eigen(strips, w, 8, 1, lam[1], d_zig[1], t0=20)
+    assert widths == [20]
+    widths.clear()
+    with pytest.raises(GapCollapse):   # widths 1 to 8 hold no isolated interface mode
+        robust.bloch_sector_eigen(strips, w, 8, 1, lam[1], d_zig[1], t0=1)
+    assert widths == [1, 2, 4]
+
+
+def test_sector_solves_stay_real(setup_r, monkeypatch):
+    """Every matrix the momentum-coordinate sector solves hand to `_ingap_eigsh` is real."""
+    iface, gap, lam, d_zig = setup_r
+    seen = []
+
+    def real_only(mat, sigma, gap):
+        seen.append(mat.dtype)
+        return matching._ingap_eigsh(mat, sigma, gap)
+
+    monkeypatch.setattr(robust, "_ingap_eigsh", real_only)
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 2e-5)
+    for parity in (1, -1):
+        for defect in (None, w):
+            robust.bloch_sector_eigen(strips, defect, 8, parity, lam[parity], d_zig[parity], t0=20)
+    assert len(seen) > 0 and all(dtype == np.float64 for dtype in seen)
 
 
 @pytest.mark.parametrize("kind", [None, "compact"])
