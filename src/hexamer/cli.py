@@ -62,26 +62,42 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 def _validate(cfg: dict):
     if cfg["model"] not in ("toy", "extended", "blended"):
         raise ModelValidationError(f"model must be toy|extended|blended, got {cfg['model']!r}")
-    if not 0.0 <= float(cfg["delta"]) < 0.5:
+    _require_number(cfg, "mix")
+    if not 0.0 <= _require_number(cfg, "delta") < 0.5:
         raise ModelValidationError("delta must lie in [0, 0.5)")
-    if not 0.0 < float(cfg["c_star"]) < 1.0:
+    if not 0.0 < _require_number(cfg, "c_star") < 1.0:
         raise ModelValidationError("c_star must lie in (0, 1)")
     # the quadrature error estimate reruns the panels at levels - 2
     _require_int(cfg["quadrature"], "levels", 3, "quadrature.")
     _require_int(cfg["quadrature"], "order", 1, "quadrature.")
+    _require_int(cfg, "grid_points", 1)
     _require_int(cfg, "search_points", 2)
     for key in ("mode_window", "strip_t0", "oracle_blocks"):
         _require_int(cfg["truncation"], key, 1, "truncation.")
-    if float(cfg["perturbation"]["amplitude"]) < 0:
+    if _require_number(cfg["perturbation"], "amplitude", "perturbation.") < 0:
         raise ModelValidationError("perturbation amplitude must be nonnegative")
-    if not 0.0 < float(cfg["robustness"]["c_w"]) < 0.5:
+    if not 0.0 < _require_number(cfg["robustness"], "c_w", "robustness.") < 0.5:
         raise ModelValidationError("robustness.c_w must lie in (0, 1/2)")
+    ls = cfg["robustness"]["L_values"]
+    if not isinstance(ls, list) or not ls or any(
+        isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ls
+    ):
+        raise ModelValidationError(
+            f"robustness.L_values must be a non-empty list of integers >= 1, got {ls!r}"
+        )
 
 
 def _require_int(section: dict, key: str, least: int, prefix: str = ""):
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, int) or val < least:
         raise ModelValidationError(f"{prefix}{key} must be an integer >= {least}, got {val!r}")
+
+
+def _require_number(section: dict, key: str, prefix: str = "") -> float:
+    val = section[key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
+        raise ModelValidationError(f"{prefix}{key} must be a finite number, got {val!r}")
+    return float(val)
 
 
 @dataclasses.dataclass
@@ -125,12 +141,13 @@ def cmd_bands(cfg: dict) -> int:
     # band structure along Gamma-centered rays in dual coordinates
     rows = []
     plus, minus = kernels.perturbed_bulks(ws.kb, ws.kper, delta)
+    ts = np.linspace(-np.pi, np.pi, 201)
     for seg_id, (d1, d2) in enumerate([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]):
-        ts = np.linspace(-np.pi, np.pi, 201)
-        for t in ts:
-            for tag, kern in (("plus", plus), ("minus", minus)):
-                w = np.linalg.eigvalsh(kern.bloch_rad(t * d1, t * d2))
-                rows.append([seg_id, tag, t * d1, t * d2, *w])
+        k1, k2 = ts * d1, ts * d2
+        w_plus, w_minus = (np.linalg.eigvalsh(k.bloch_rad(k1, k2)) for k in (plus, minus))
+        for i in range(ts.size):
+            rows.append([seg_id, "plus", k1[i], k2[i], *w_plus[i]])
+            rows.append([seg_id, "minus", k1[i], k2[i], *w_minus[i]])
     emit.write_csv(
         out / "bands.csv",
         ["segment", "bulk", "kappa1", "kappa2", *[f"lambda{i}" for i in range(1, 7)]],

@@ -18,20 +18,20 @@ from .errors import ModelValidationError, NearZeroCoupling
 
 _Z6 = np.zeros((6, 6), dtype=complex)
 
-# Cell offsets reachable by a range-1 kernel (|e1 l1 + e2 l2| <= 1).
+# Cell offsets a kernel may use: every kernel has range 1 (|e1 l1 + e2 l2| <= 1).
 RANGE1_OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
 
 
 @dataclass(frozen=True)
 class HoppingKernel:
-    """Finite-range, translation-invariant hopping data.
+    """Range-1, translation-invariant hopping data.
 
-    ``blocks`` maps a cell offset ``e`` to the 6x6 block ``H(n, n+e)``;
-    Hermiticity requires ``blocks[-e] == blocks[e].conj().T``.
+    ``blocks`` maps a cell offset ``e`` in ``RANGE1_OFFSETS`` to the 6x6
+    block ``H(n, n+e)``; Hermiticity requires
+    ``blocks[-e] == blocks[e].conj().T``.
     """
 
     name: str
-    range_: int
     blocks: dict = field(repr=False)
 
     def __post_init__(self):
@@ -41,21 +41,15 @@ class HoppingKernel:
                 self.blocks[em], np.asarray(b).conj().T, atol=1e-12
             ):
                 raise ModelValidationError(f"kernel {self.name}: not Hermitian at offset {e}")
-            if np.linalg.norm(e[0] * lattice.ELL1 + e[1] * lattice.ELL2) > self.range_ + 1e-9:
-                raise ModelValidationError(f"kernel {self.name}: offset {e} beyond range")
+            if e not in RANGE1_OFFSETS:
+                raise ModelValidationError(f"kernel {self.name}: offset {e} beyond range 1")
 
     def block(self, e: tuple[int, int]) -> np.ndarray:
         return self.blocks.get(e, _Z6)
 
-    def bloch_rad(self, kap1: float, kap2: float) -> np.ndarray:
-        return lattice._bloch_from_blocks(self.blocks, kap1, kap2)
-
-    def bloch_rad_batch(self, kap1: np.ndarray, kap2: np.ndarray) -> np.ndarray:
-        """Stacked Bloch matrices over momentum arrays (radians)."""
-        h = np.zeros(np.shape(kap1) + (6, 6), dtype=complex)
-        for (e1, e2), b in self.blocks.items():
-            h += np.exp(1j * (kap1 * e1 + kap2 * e2))[..., None, None] * b
-        return h
+    def bloch_rad(self, kap1, kap2) -> np.ndarray:
+        """Bloch matrix at momenta in radians; arrays give a stack (``lattice.bloch``)."""
+        return lattice.bloch(self.blocks, kap1, kap2)
 
     def strip_blocks(self, kpar: float = 0.0) -> dict[int, np.ndarray]:
         """Cell blocks S(d) of the strip operator at quasi-momentum kpar."""
@@ -65,24 +59,16 @@ class HoppingKernel:
         return s
 
     def scaled(self, c: float, name: str | None = None) -> "HoppingKernel":
-        return HoppingKernel(
-            name or f"{c}*{self.name}",
-            self.range_,
-            {e: c * b for e, b in self.blocks.items()},
-        )
+        return HoppingKernel(name or f"{c}*{self.name}", {e: c * b for e, b in self.blocks.items()})
 
     def plus(self, other: "HoppingKernel", c: float = 1.0, name: str | None = None):
         blocks = {e: b.copy() for e, b in self.blocks.items()}
         for e, b in other.blocks.items():
             blocks[e] = blocks.get(e, _Z6) + c * b
-        return HoppingKernel(
-            name or f"{self.name}+{c}*{other.name}",
-            max(self.range_, other.range_),
-            blocks,
-        )
+        return HoppingKernel(name or f"{self.name}+{c}*{other.name}", blocks)
 
     def describe(self) -> dict:
-        return {"generator": self.name, "range": self.range_}
+        return {"generator": self.name, "range": 1}
 
 
 def bloch_matrix(kernel: HoppingKernel, kappa) -> np.ndarray:
@@ -103,7 +89,7 @@ def _distance_kernel(name: str, weight: Callable[[tuple, float], float]) -> Hopp
                 b[i - 1, j - 1] = weight(e, lattice.site_distance(e, i, j))
         if np.abs(b).max() > 0:
             blocks[e] = b
-    return HoppingKernel(name, 1, blocks)
+    return HoppingKernel(name, blocks)
 
 
 def build_toy_bulk() -> HoppingKernel:
@@ -171,11 +157,10 @@ def check_nonsingular_hopping(kernel: HoppingKernel):
     """Invertibility of the l2-summed forward hopping block (reported).
 
     Returns (is_nonsingular, condition_number); the block tested is
-    ``sum_s K((N, s))`` for kernel range N.
+    ``sum_s K((1, s))``.
     """
-    n = kernel.range_
     blk = sum(
-        (b for (e1, e2), b in kernel.blocks.items() if e1 == n),
+        (b for (e1, e2), b in kernel.blocks.items() if e1 == 1),
         np.zeros((6, 6), dtype=complex),
     )
     svals = np.linalg.svd(blk, compute_uv=False)
@@ -270,8 +255,6 @@ class BlockedStripOperator:
         self.interface = source if isinstance(source, InterfaceKernel) else None
         kerns = (source.right, source.left, source.seam) if self.interface else (source,)
         self._strips = {id(k): k.strip_blocks(kpar) for k in kerns}
-        if any(abs(d) > 1 for s in self._strips.values() for d in s):
-            raise ModelValidationError("strip operators take range-1 kernels only")
         self._uniform = None if self.interface else self._strips[id(source)]
         # energy-independent spectral data of a bulk strip (band edges, Bloch
         # eigenpairs at quadrature nodes), filled lazily by hexamer.green

@@ -58,6 +58,9 @@ FX_EXT = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 TAU = np.exp(1j * np.pi / 3.0)
 
+# Generators of the extended group on the Gamma Bloch space, with their names.
+EXTENDED_GENERATORS = (("R6", R6_INT), ("Fx", FX_INT), ("T", T_GAMMA))
+
 
 @dataclass(frozen=True)
 class CellIndex:
@@ -216,6 +219,27 @@ def _convolve(a: dict, b: dict) -> dict:
     return {e: blk for e, blk in out.items() if np.abs(blk).max() > 1e-15}
 
 
+def _closure(identity, gens, compose, key):
+    """Breadth-first closure of ``gens`` from ``identity``, in discovery order.
+
+    ``compose(f, g)`` extends a found element ``f`` by a generator ``g``;
+    ``key`` must be exact (``tobytes`` of integer or permutation matrices).
+    """
+    elems, seen, frontier = [identity], {key(identity)}, [identity]
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = compose(f, g)
+                k = key(h)
+                if k not in seen:
+                    seen.add(k)
+                    elems.append(h)
+                    new.append(h)
+        frontier = new
+    return elems
+
+
 def generate_group(include_supersymmetry: bool = False):
     """Close the generated symmetry group.
 
@@ -225,47 +249,19 @@ def generate_group(include_supersymmetry: bool = False):
     list of (name, matrix) pairs of length 36.
     """
     if not include_supersymmetry:
-        gens = [rotation_op(), reflection_op()]
         ident = SymmetryOp("e", np.eye(6), np.eye(2), np.eye(2, dtype=int))
-        elems = [ident]
-
-        def seen(op):
-            return any(
-                np.allclose(op.int_, e.int_, atol=1e-12)
-                and np.allclose(op.cell, e.cell)
-                for e in elems
-            )
-
-        frontier = [ident]
-        while frontier:
-            new = []
-            for f in frontier:
-                for g in gens:
-                    h = g.compose(f)
-                    if not seen(h):
-                        elems.append(h)
-                        new.append(h)
-            frontier = new
-        return elems
-
-    gens = [("R6", R6_INT), ("Fx", FX_INT), ("T", T_GAMMA)]
-    elems = [("e", np.eye(6))]
-
-    def seen(m):
-        return any(np.allclose(m, em, atol=1e-12) for _, em in elems)
-
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for fname, fm in frontier:
-            for gname, gm in gens:
-                m = gm @ fm
-                if not seen(m):
-                    item = (f"{gname}*{fname}".replace("*e", ""), m)
-                    elems.append(item)
-                    new.append(item)
-        frontier = new
-    return elems
+        return _closure(
+            ident,
+            [rotation_op(), reflection_op()],
+            lambda f, g: g.compose(f),
+            lambda op: op.int_.tobytes() + op.cell.tobytes(),
+        )
+    return _closure(
+        ("e", np.eye(6)),
+        EXTENDED_GENERATORS,
+        lambda f, g: (f"{g[0]}*{f[0]}".replace("*e", ""), g[1] @ f[1]),
+        lambda item: item[1].tobytes(),
+    )
 
 
 def conjugate_kernel(blocks: dict, op: SymmetryOp) -> dict:
@@ -283,10 +279,15 @@ def conjugate_kernel(blocks: dict, op: SymmetryOp) -> dict:
     return _convolve(t, _convolve(blocks, tinv))
 
 
-def _bloch_from_blocks(blocks: dict, kap1: float, kap2: float) -> np.ndarray:
-    h = np.zeros((6, 6), dtype=complex)
+def bloch(blocks: dict, kap1, kap2) -> np.ndarray:
+    """Bloch matrices sum_e exp(i kappa.e) K(e) at momenta in radians.
+
+    ``kap1`` and ``kap2`` are scalars or arrays of one common shape S; the
+    result has shape S + (6, 6).
+    """
+    h = np.zeros(np.broadcast(kap1, kap2).shape + (6, 6), dtype=complex)
     for (e1, e2), b in blocks.items():
-        h = h + np.exp(1j * (kap1 * e1 + kap2 * e2)) * b
+        h += np.exp(1j * (kap1 * e1 + kap2 * e2))[..., None, None] * b
     return h
 
 
@@ -302,14 +303,10 @@ def commutator_norm(ham, op: SymmetryOp, samples: int = 9) -> float:
         g = op.gamma_matrix()
         diff = g @ blocks @ np.linalg.inv(g) - blocks
         return float(np.linalg.norm(diff, 2))
-    conj = conjugate_kernel(blocks, op)
     kaps = 2.0 * np.pi * (np.arange(samples) / samples - 0.5)
-    worst = 0.0
-    for ka in kaps:
-        for kb in kaps:
-            diff = _bloch_from_blocks(conj, ka, kb) - _bloch_from_blocks(blocks, ka, kb)
-            worst = max(worst, float(np.linalg.norm(diff, 2)))
-    return worst
+    ka, kb = np.meshgrid(kaps, kaps, indexing="ij")
+    diff = bloch(conjugate_kernel(blocks, op), ka, kb) - bloch(blocks, ka, kb)
+    return float(np.linalg.norm(diff, 2, axis=(-2, -1)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +358,6 @@ class RepMatrixSet:
 
 def _word_elements():
     """The 12 point-group elements as words R6^k (* Fx), with their matrices."""
-    r, f = rotation_op(), reflection_op()
     out = []
     for k in range(6):
         rk = np.linalg.matrix_power(R6_INT, k)
@@ -405,28 +401,16 @@ def c6v_isotypic_projectors() -> dict[str, np.ndarray]:
 def rho_tilde_projector() -> np.ndarray:
     """Isotypic projector of the 4d irrep on C^6 (extended group of order 36)."""
     rep = rep_rho_tilde()
-    gens = {"R6": R6_INT, "Fx": FX_INT, "T": T_GAMMA}
-    elems = {}
-
-    def key(m):
-        return tuple(np.round(m, 9).ravel())
-
-    frontier = [((), np.eye(6))]
-    elems[key(np.eye(6))] = ()
-    while frontier:
-        new = []
-        for word, m in frontier:
-            for letter, g in gens.items():
-                mm = m @ g
-                if key(mm) not in elems:
-                    elems[key(mm)] = word + (letter,)
-                    new.append((word + (letter,), mm))
-        frontier = new
+    elems = _closure(
+        ((), np.eye(6)),
+        EXTENDED_GENERATORS,
+        lambda f, g: (f[0] + (g[0],), f[1] @ g[1]),
+        lambda item: item[1].tobytes(),
+    )
     if len(elems) != 36:
         raise ModelValidationError(f"extended group closure has {len(elems)} elements")
     p = np.zeros((6, 6), dtype=complex)
-    for k, word in elems.items():
-        u = np.array(k, dtype=complex).reshape(6, 6)
+    for word, u in elems:
         chi = np.trace(_rep_of_word(word, rep))
         p += (4.0 / 36.0) * np.conj(chi) * u
     return p

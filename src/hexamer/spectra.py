@@ -216,7 +216,7 @@ def _grid(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
 def _edges_around(kernel, lam, grids) -> tuple[float, float]:
     lo, hi = -np.inf, np.inf
     for k1g, k2g in grids:
-        w = np.linalg.eigvalsh(kernel.bloch_rad_batch(k1g, k2g)).ravel()
+        w = np.linalg.eigvalsh(kernel.bloch_rad(k1g, k2g)).ravel()
         below, above = w[w <= lam], w[w > lam]
         if below.size:
             lo = max(lo, float(below.max()))
@@ -281,7 +281,7 @@ def gap_report(
     # spectral no-fold margin of the unperturbed bands (reported, not assumed)
     disk = 0.35
     k1g, k2g = coarse
-    w = np.linalg.eigvalsh(kb.bloch_rad_batch(k1g, k2g))
+    w = np.linalg.eigvalsh(kb.bloch_rad(k1g, k2g))
     outside = np.hypot(k1g, k2g) >= disk
     margin = float(np.abs(w[outside] - lam).min()) if outside.any() else np.nan
 

@@ -48,6 +48,28 @@ def test_malformed_config(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "cfg, command",
+    [
+        ({"delta": "abc"}, ["bands"]),
+        ({"mix": "abc"}, ["bands"]),
+        ({"c_star": "abc"}, ["bands"]),
+        ({"model": "toy", "mix": True}, ["bands"]),
+        ({"grid_points": "abc"}, ["bands"]),
+        ({"grid_points": 0}, ["bands"]),
+        ({"perturbation": {"amplitude": "x"}}, ["robustness"]),
+        ({"robustness": {"c_w": "x"}}, ["robustness"]),
+        ({"robustness": {"L_values": [0]}}, ["robustness"]),
+        ({"robustness": {"L_values": 16}}, ["robustness"]),
+        ({"robustness": {"L_values": []}}, ["robustness"]),
+    ],
+)
+def test_malformed_values_exit_two(tmp_path, cfg, command):
+    res = run_cli(tmp_path, "--out", str(tmp_path / "o"), *command, cfg=cfg)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_quadrature_levels_below_three(tmp_path):
     # the error estimate reruns the panels at levels - 2
     res = run_cli(tmp_path, "green-check", cfg={"quadrature": {"levels": 2}})
@@ -177,12 +199,15 @@ def test_determinism(tmp_path):
         assert res.returncode == 0, res.stderr
         res = run_cli(tmp_path, "--out", str(out / "robust"), "robustness", cfg=FAST)
         assert res.returncode == 0, res.stderr
+        res = run_cli(tmp_path, "--out", str(out), "symmetry-report", cfg=FAST)
+        assert res.returncode == 0, res.stderr
         outs.append(out)
     modes = sorted(p.name for p in outs[0].glob("mode_*.csv*"))
     assert len(modes) == 4  # two profiles and their .meta.json
     for name in (
         "bands.csv", "gap_report.json", "inversion_scores.json",
         "search_trace.json", "interface_summary.json", *modes, "robust/robustness_report.json",
+        "symmetry_report.json",
     ):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 

@@ -28,7 +28,7 @@ def test_hper_entries(hper):
 def test_kernel_hermiticity_validated():
     bad = {(1, 0): np.eye(6), (-1, 0): 2 * np.eye(6)}
     with pytest.raises(ModelValidationError):
-        kernels.HoppingKernel("bad", 1, bad)
+        kernels.HoppingKernel("bad", bad)
 
 
 def test_blend_range_guard():
@@ -114,9 +114,8 @@ def test_blocked_operator_structure(blended):
     for k in (0.0, 1.234):
         assert np.abs(op.bloch(k) - blended.bloch_rad(k, 0.0)).max() < 1e-12
     # a wider kernel would couple blocks two apart, outside the tridiagonal form
-    wide = kernels.HoppingKernel("wide", 2, {(2, 0): np.eye(6), (-2, 0): np.eye(6)})
     with pytest.raises(ModelValidationError):
-        kernels.BlockedStripOperator(wide)
+        kernels.HoppingKernel("wide", {(2, 0): np.eye(6), (-2, 0): np.eye(6)})
 
 
 def test_truncation_spectra_fill_band_slices(blended):
@@ -181,7 +180,7 @@ def test_gap_criterion_values(toy, extended, blended, hper):
 
 
 def test_gap_criterion_rejects_zero(toy):
-    zero = kernels.HoppingKernel("zero", 1, {(0, 0): np.zeros((6, 6))})
+    zero = kernels.HoppingKernel("zero", {(0, 0): np.zeros((6, 6))})
     with pytest.raises(NearZeroCoupling):
         kernels.verify_gap_criterion(toy, zero)
 
@@ -209,7 +208,7 @@ def test_reduced_perturbation_matrix_diagonal(blended, hper, dirac):
 
 
 def test_nonsingular_check_zero_kernel():
-    zero = kernels.HoppingKernel("zero", 1, {(0, 0): np.zeros((6, 6))})
+    zero = kernels.HoppingKernel("zero", {(0, 0): np.zeros((6, 6))})
     ok, cond = kernels.check_nonsingular_hopping(zero)
     assert ok is False and cond == np.inf
 

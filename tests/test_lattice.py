@@ -53,6 +53,24 @@ def test_extended_group_order_and_closure():
         assert member(mats[i] @ mats[j])
 
 
+def test_group_elements_in_breadth_first_order():
+    """Both closures list elements by word length, each named by its product."""
+    names = [g.name for g in lattice.generate_group(include_supersymmetry=False)]
+    assert names == [
+        "e", "R6*e", "Fx*e", "R6*R6*e", "Fx*R6*e", "R6*Fx*e", "R6*R6*R6*e", "Fx*R6*R6*e",
+        "R6*R6*Fx*e", "Fx*R6*Fx*e", "R6*R6*R6*R6*e", "Fx*R6*R6*R6*e",
+    ]
+    elems = lattice.generate_group(include_supersymmetry=True)
+    assert [n for n, _ in elems[:11]] == [
+        "e", "R6", "Fx", "T", "R6*R6", "Fx*R6", "T*R6", "R6*Fx", "T*Fx", "R6*T", "T*T",
+    ]
+    gens = dict(lattice.EXTENDED_GENERATORS)
+    lengths = [len(name.split("*")) for name, _ in elems[1:]]
+    assert lengths == sorted(lengths)
+    for name, m in elems[1:]:
+        assert np.array_equal(np.linalg.multi_dot([np.eye(6)] + [gens[x] for x in name.split("*")]), m)
+
+
 def test_generator_relations():
     r6, fx = lattice.R6_INT, lattice.FX_INT
     t = lattice.T_GAMMA
@@ -97,6 +115,53 @@ def test_commutators_symmetric_models(toy, extended, blended, hper):
         assert lattice.commutator_norm(kern.blocks, tsym) < 1e-12
     assert max(lattice.commutator_norm(hper.blocks, g) for g in group) < 1e-12
     assert lattice.commutator_norm(hper.blocks, tsym) > 0.1
+
+
+def _bloch_scalar(blocks, kap1, kap2):
+    """One Bloch matrix, summed block by block: the scalar reference."""
+    h = np.zeros((6, 6), dtype=complex)
+    for (e1, e2), b in blocks.items():
+        h = h + np.exp(1j * (kap1 * e1 + kap2 * e2)) * b
+    return h
+
+
+def _commutator_scalar(blocks, op):
+    """Largest 2-norm of g H g^-1 - H over the 9x9 grid, one momentum at a time."""
+    conj = lattice.conjugate_kernel(blocks, op)
+    kaps = 2.0 * np.pi * (np.arange(9) / 9 - 0.5)
+    worst = 0.0
+    for ka in kaps:
+        for kb in kaps:
+            diff = _bloch_scalar(conj, ka, kb) - _bloch_scalar(blocks, ka, kb)
+            worst = max(worst, float(np.linalg.norm(diff, 2)))
+    return worst
+
+
+def _kernel_cases(toy, extended, blended, hper):
+    cases = [k.blocks for k in (toy, extended, blended, hper)]
+    # the detuning breaks T, so its image under T is a kernel of its own
+    return cases + [lattice.conjugate_kernel(hper.blocks, lattice.supersymmetry_op())]
+
+
+def test_bloch_grid_matches_scalar_calls(toy, extended, blended, hper):
+    kaps = 2.0 * np.pi * (np.arange(9) / 9 - 0.5)
+    ka, kb = np.meshgrid(kaps, kaps, indexing="ij")
+    for blocks in _kernel_cases(toy, extended, blended, hper):
+        stacked = lattice.bloch(blocks, ka, kb)
+        assert stacked.shape == (9, 9, 6, 6)
+        for bloch in (lattice.bloch, _bloch_scalar):
+            one_by_one = np.array(
+                [[bloch(blocks, a, b) for a, b in zip(ra, rb)] for ra, rb in zip(ka, kb)]
+            )
+            assert np.array_equal(stacked, one_by_one)
+
+
+def test_commutator_norm_matches_scalar_loop(toy, extended, blended, hper):
+    ops = lattice.generate_group(include_supersymmetry=False) + [lattice.supersymmetry_op()]
+    assert len(ops) == 13
+    for blocks in _kernel_cases(toy, extended, blended, hper):
+        for op in ops:
+            assert lattice.commutator_norm(blocks, op) == _commutator_scalar(blocks, op), op.name
 
 
 def test_supersymmetry_kernel_inverse():

@@ -369,7 +369,7 @@ def test_momentum_blocks_real(setup_r):
     # an imaginary on-site hopping breaks the symmetry that makes the blocks real
     onsite = np.zeros((6, 6), dtype=complex)
     onsite[0, 1], onsite[1, 0] = 0.01j, -0.01j
-    right = iface.right.plus(kernels.HoppingKernel("twist", 1, {(0, 0): onsite}))
+    right = iface.right.plus(kernels.HoppingKernel("twist", {(0, 0): onsite}))
     twisted = kernels.InterfaceKernel(right, iface.left, iface.seam, iface.delta)
     with pytest.raises(ModelValidationError, match="not real"):
         robust.MomentumStrips(twisted, gap).block(t, (1, 8), 1)
