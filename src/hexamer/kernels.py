@@ -224,13 +224,6 @@ class InterfaceKernel:
         left = minus if inverted else plus
         return cls(right=plus, left=left, seam=seam, delta=delta)
 
-    def kernel_for(self, c1: int, c2: int) -> HoppingKernel:
-        if c1 >= 0 and c2 >= 0:
-            return self.right
-        if c1 < 0 and c2 < 0:
-            return self.left
-        return self.seam
-
     def describe(self) -> dict:
         return {
             "right": self.right.describe(),
@@ -238,6 +231,14 @@ class InterfaceKernel:
             "seam": self.seam.describe(),
             "delta": self.delta,
         }
+
+
+def _side(n, m):
+    """Kernel of the cell pair (n, m) of an interface strip, scalars or arrays.
+
+    0 = right (both columns >= 0), 1 = left (both < 0), 2 = seam.
+    """
+    return 2 - 2 * ((n >= 0) & (m >= 0)) - ((n < 0) & (m < 0))
 
 
 class BlockedStripOperator:
@@ -253,34 +254,20 @@ class BlockedStripOperator:
     def __init__(self, source, kpar: float = 0.0):
         self.kpar = float(kpar)
         self.interface = source if isinstance(source, InterfaceKernel) else None
-        kerns = (source.right, source.left, source.seam) if self.interface else (source,)
-        self._strips = {id(k): k.strip_blocks(kpar) for k in kerns}
-        self._uniform = None if self.interface else self._strips[id(source)]
+        # strip blocks S(d) of the right, left and seam kernels (`_side`); a
+        # bulk kernel fills all three
+        kerns = (source.right, source.left, source.seam) if self.interface else (source,) * 3
+        self._sides = tuple(k.strip_blocks(kpar) for k in kerns)
         # energy-independent spectral data of a bulk strip (band edges, Bloch
         # eigenpairs at quadrature nodes), filled lazily by hexamer.green
         self.spectral_cache: dict = {}
 
     def block(self, n: int, m: int) -> np.ndarray:
         """6x6 block H~(n, m) = S(m - n); zero when |n - m| > 1."""
-        if self._uniform is not None:
-            s = self._uniform
-        else:
-            s = self._strips[id(self.interface.kernel_for(n, m))]
-        return s.get(m - n, _Z6)
-
-    def diag(self, n: int) -> np.ndarray:
-        return self.block(n, n)
-
-    def upper(self, n: int) -> np.ndarray:
-        """Coupling H~(n, n+1)."""
-        return self.block(n, n + 1)
-
-    def lower(self, n: int) -> np.ndarray:
-        """Coupling H~(n, n-1) = upper(n-1)^H."""
-        return self.block(n, n - 1)
+        return self._sides[_side(n, m)].get(m - n, _Z6)
 
     def _bulk_triple(self):
-        if self._uniform is None:
+        if self.interface is not None:
             raise ModelValidationError("Bloch matrix undefined for interface operators")
         if not hasattr(self, "_triple"):
             self._triple = (self.block(0, 0), self.block(0, 1), self.block(0, -1))
@@ -297,32 +284,27 @@ class BlockedStripOperator:
         ph = np.exp(1j * np.asarray(kaps))
         return b0 + ph[:, None, None] * bp + ph.conj()[:, None, None] * bm
 
-    def materialize(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """Dense matrix of the truncation to blocks n_lo..n_hi (Dirichlet)."""
-        nb = n_hi - n_lo + 1
-        d = self.blockdim
-        out = np.zeros((nb * d, nb * d), dtype=complex)
-        for i, n in enumerate(range(n_lo, n_hi + 1)):
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = self.diag(n)
-            if i + 1 < nb:
-                out[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = self.upper(n)
-                out[(i + 1) * d : (i + 2) * d, i * d : (i + 1) * d] = self.lower(n + 1)
-        return out
+    def csr(self, half: int):
+        """Sparse Dirichlet truncation to the columns |n| <= ``half``: its block (n, m) is `block(n, m)`."""
+        import scipy.sparse as sp  # deferred: only the sparse strip solves need scipy
+
+        ns = np.arange(-half, half + 1)
+        rows, cols, vals = [], [], []
+        for d in (-1, 0, 1):
+            n = ns[np.abs(ns + d) <= half]
+            side = _side(n, n + d)
+            for s, blocks in enumerate(self._sides):
+                b = blocks.get(d, _Z6)
+                bi, bj = np.nonzero(b)
+                i = n[side == s, None] + half
+                rows.append((6 * i + bi).ravel())
+                cols.append((6 * (i + d) + bj).ravel())
+                vals.append(np.tile(b[bi, bj], len(i)))
+        size = 6 * len(ns)
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+        ).tocsr()
 
     def describe(self) -> dict:
         src = self.interface.describe() if self.interface else {"bulk": True}
         return {"kpar": self.kpar, "blockdim": self.blockdim, "source": src}
-
-    def apply_blocks(self, profile: np.ndarray, n_lo: int) -> np.ndarray:
-        """Apply the operator to a block profile (rows = consecutive blocks)."""
-        nb = profile.shape[0]
-        out = np.zeros_like(profile)
-        for i in range(nb):
-            n = n_lo + i
-            acc = self.diag(n) @ profile[i]
-            if i + 1 < nb:
-                acc = acc + self.upper(n) @ profile[i + 1]
-            if i - 1 >= 0:
-                acc = acc + self.lower(n) @ profile[i - 1]
-            out[i] = acc
-        return out

@@ -356,16 +356,6 @@ class RepMatrixSet:
     rho_tilde: dict = field(default_factory=rep_rho_tilde)
 
 
-def _word_elements():
-    """The 12 point-group elements as words R6^k (* Fx), with their matrices."""
-    out = []
-    for k in range(6):
-        rk = np.linalg.matrix_power(R6_INT, k)
-        out.append((("R6",) * k, rk))
-        out.append((("R6",) * k + ("Fx",), rk @ FX_INT))
-    return out
-
-
 def _rep_of_word(word, rep: dict) -> np.ndarray:
     dim = rep["R6"].shape[0]
     m = np.eye(dim, dtype=complex)
@@ -380,7 +370,8 @@ def c6v_isotypic_projectors() -> dict[str, np.ndarray]:
     Returns all six irreducible components; the four one-dimensional irreps
     are labelled by the character values (chi(R6), chi(Fx)).
     """
-    words = _word_elements()
+    # each element's word is its name, R6 and Fx joined by "*" and ended by "e"
+    words = [([w for w in op.name.split("*") if w != "e"], op.int_) for op in generate_group()]
     projs: dict[str, np.ndarray] = {}
     for name, rep in (("E1", rep_rho1()), ("E2", rep_rho2())):
         p = np.zeros((6, 6), dtype=complex)

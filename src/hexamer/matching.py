@@ -352,7 +352,7 @@ def mode_from_boundary(
 
     prof, t, converged = green._double_until(window, 8 * window, attempt)
     ns = np.arange(-t, t + 1)
-    applied = pipeline.op.apply_blocks(prof, int(ns[0]))
+    applied = (pipeline.op.csr(t) @ prof.ravel()).reshape(prof.shape)
     interior = slice(2, len(ns) - 2)
     resid = float(np.abs(applied[interior] - lam * prof[interior]).max())
     nrm = np.linalg.norm(prof)
@@ -532,30 +532,6 @@ def _ingap_eigsh(mat, sigma: float, gap: tuple):
         k = min(2 * k, n - 2)
 
 
-def _truncated_strip(iface: kernels.InterfaceKernel, half: int, kpar: float):
-    """Sparse interface strip at ``kpar`` on the columns |n| <= ``half``.
-
-    Block (n, n + d) is S(d) at ``kpar`` of the right bulk if n, n + d >= 0,
-    of the left bulk if both are < 0, and of the seam otherwise.
-    """
-    ns = np.arange(-half, half + 1)
-    rows, cols, vals = [], [], []
-    for d in (-1, 0, 1):
-        n = ns[np.abs(ns + d) <= half]
-        right, left = (n >= 0) & (n + d >= 0), (n < 0) & (n + d < 0)
-        for mask, kern in ((right, iface.right), (left, iface.left), (~right & ~left, iface.seam)):
-            b = kern.strip_blocks(kpar).get(d, np.zeros((6, 6)))
-            bi, bj = np.nonzero(b)
-            i = n[mask, None] + half
-            rows.append((6 * i + bi).ravel())
-            cols.append((6 * (i + d) + bj).ravel())
-            vals.append(np.tile(b[bi, bj], len(i)))
-    size = 6 * len(ns)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
-    ).tocsr()
-
-
 def direct_oracle(
     iface: kernels.InterfaceKernel,
     lambda_star: float,
@@ -570,7 +546,7 @@ def direct_oracle(
     the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
     """
     half = n_blocks // 2
-    w, v = _ingap_eigsh(_truncated_strip(iface, half, kpar), lambda_star, gap)
+    w, v = _ingap_eigsh(kernels.BlockedStripOperator(iface, kpar).csr(half), lambda_star, gap)
     # the edge band is the outermost max(4, nb // 10) columns on each side
     edge = max(4, (2 * half + 1) // 10) - 1
     kept = []

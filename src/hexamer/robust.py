@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import _edge_filtered, _ingap_eigsh, _truncated_strip
+from .matching import _edge_filtered, _ingap_eigsh
 
 _OFF = kernels.RANGE1_OFFSETS
 
@@ -211,22 +211,16 @@ def _site_cells(L: int, t: int, idx):
     return n1, _window_start(L, n1) + idx % L
 
 
-def strip_sites(L: int, t: int) -> dict:
-    n1, n2 = _site_cells(L, t, np.arange((2 * t + 1) * L))
-    return dict(zip(zip(n1.tolist(), n2.tolist()), range(len(n1))))
-
-
 def assemble_strip(
     iface: kernels.InterfaceKernel, L: int, t: int, w: PerturbationW | None = None
-):
-    """Sparse L-periodic interface strip on cells |n1| <= t, plus site map.
+) -> sp.csr_matrix:
+    """Sparse L-periodic interface strip on cells |n1| <= t.
 
-    The translation-invariant part is assembled offset by offset with the
-    bulk/seam block selected per transverse sign pair; the localized
-    perturbation is added separately over its small support.
+    The translation-invariant part is assembled offset by offset, each cell
+    pair taking the kernel of its side of the seam (`kernels._side`); the
+    localized perturbation is added separately over its small support.
     """
-    sites = strip_sites(L, t)
-    nc = len(sites)
+    nc = (2 * t + 1) * L
     n1s, n2s = _site_cells(L, t, np.arange(nc))
 
     ri_parts, ci_parts, vv_parts = [], [], []
@@ -237,33 +231,27 @@ def assemble_strip(
             continue
         i_idx = np.nonzero(valid)[0]
         j_idx = _site_indices(L, t, m1[i_idx], n2s[i_idx] + d[1])
-        cat_right = (n1s[i_idx] >= 0) & (m1[i_idx] >= 0)
-        cat_left = (n1s[i_idx] < 0) & (m1[i_idx] < 0)
-        for mask, kern in (
-            (cat_right, iface.right),
-            (cat_left, iface.left),
-            (~cat_right & ~cat_left, iface.seam),
-        ):
+        side = kernels._side(n1s[i_idx], m1[i_idx])
+        for s, kern in enumerate((iface.right, iface.left, iface.seam)):
             b = kern.blocks.get(d)
+            mask = side == s
             if b is None or not mask.any():
                 continue
             bi, bj = np.nonzero(b)
-            vals = b[bi, bj]
             ii = i_idx[mask]
             jj = j_idx[mask]
             ri_parts.append((6 * ii[:, None] + bi[None, :]).ravel())
             ci_parts.append((6 * jj[:, None] + bj[None, :]).ravel())
-            vv_parts.append(np.tile(vals, len(ii)))
+            vv_parts.append(np.tile(b[bi, bj], len(ii)))
 
     if w is not None:
         for parts, entries in zip((ri_parts, ci_parts, vv_parts), _defect_entries(w, L, t)):
             parts.extend(entries)
 
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vv_parts), (np.concatenate(ri_parts), np.concatenate(ci_parts))),
         shape=(6 * nc, 6 * nc),
     ).tocsr()
-    return mat, sites
 
 
 def _defect_entries(w: PerturbationW, L: int, t: int):
@@ -289,43 +277,41 @@ def _defect_entries(w: PerturbationW, L: int, t: int):
     return ri, ci, vv
 
 
-def reflection_permutation(L: int, sites: dict) -> sp.csr_matrix:
-    nc = len(sites)
-    t = (nc // L - 1) // 2
-    n1, n2 = np.array(list(sites)).T
-    i = np.fromiter(sites.values(), dtype=int, count=nc)
-    j = _site_indices(L, t, n1, -n1 - n2)
-    ri = (6 * i[:, None] + np.arange(6)).ravel()
-    ci = (6 * j[:, None] + lattice.FX_PERM).ravel()
-    return sp.coo_matrix((np.ones(len(ri)), (ri, ci)), shape=(6 * nc, 6 * nc)).tocsr()
+def _reflection_image(L: int, t: int, idx):
+    """Full-space index of P e_idx for each index ``idx`` of the width-t L-strip.
+
+    P maps the cell (n1, n2) to (n1, -n1 - n2) and permutes the sites within
+    the cell by Fx; it is an involution.
+    """
+    site, sub = np.divmod(idx, 6)
+    n1, n2 = _site_cells(L, t, site)
+    return 6 * _site_indices(L, t, n1, -n1 - n2) + lattice.FX_PERM[sub]
 
 
-def parity_isometry(L: int, sites: dict, parity: int) -> sp.csr_matrix:
-    """Columns form an orthonormal basis of the chosen parity sector."""
-    p = reflection_permutation(L, sites).tocoo()
-    n = p.shape[0]
-    img = np.empty(n, dtype=int)
-    img[p.col] = p.row  # P e_j = e_{img[j]}
-    seen = np.zeros(n, dtype=bool)
-    ri, ci, vv = [], [], []
-    col = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        t = int(img[s])
-        seen[s] = seen[t] = True
-        if t == s:
-            if parity == 1:
-                ri.append(s)
-                ci.append(col)
-                vv.append(1.0)
-                col += 1
-            continue
-        ri.extend([s, t])
-        ci.extend([col, col])
-        vv.extend([1.0 / np.sqrt(2.0), parity / np.sqrt(2.0)])
-        col += 1
-    return sp.coo_matrix((vv, (ri, ci)), shape=(n, col)).tocsr()
+def reflection_permutation(L: int, t: int) -> sp.csr_matrix:
+    """The reflection P on the width-t L-strip as a permutation matrix."""
+    idx = np.arange(6 * L * (2 * t + 1))
+    return sp.csr_matrix(
+        (np.ones(len(idx)), (idx, _reflection_image(L, t, idx))), shape=(len(idx), len(idx))
+    )
+
+
+def parity_isometry(L: int, t: int, parity: int) -> sp.csr_matrix:
+    """Columns form an orthonormal basis of the chosen parity sector.
+
+    Fx fixes no site of the cell, so every orbit of P is a pair {s, P s};
+    its column is (e_s + parity e_Ps) / sqrt(2), and the columns follow the
+    smaller index of each pair.
+    """
+    idx = np.arange(6 * L * (2 * t + 1))
+    img = _reflection_image(L, t, idx)
+    lead = idx[idx < img]
+    col = np.arange(len(lead))
+    vals = np.repeat([1.0 / np.sqrt(2.0), parity / np.sqrt(2.0)], len(lead))
+    return sp.csr_matrix(
+        (vals, (np.concatenate([lead, img[lead]]), np.concatenate([col, col]))),
+        shape=(len(idx), len(lead)),
+    )
 
 
 def strip_sector_eigen(
@@ -348,8 +334,8 @@ def strip_sector_eigen(
     sigma = 0.5 * (gap[0] + gap[1]) if lam_ref is None else lam_ref
 
     def solve(t):
-        mat, sites = assemble_strip(iface, L, t, w)
-        q = parity_isometry(L, sites, parity)
+        mat = assemble_strip(iface, L, t, w)
+        q = parity_isometry(L, t, parity)
         wr, vr = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), sigma, gap)
         return wr, q @ vr
 
@@ -405,17 +391,16 @@ def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol) -> StripSe
 
 def full_strip_ingap(iface, L, t, gap, lam_center):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
-    mat, sites = assemble_strip(iface, L, t)
-    w, v = _ingap_eigsh(mat, lam_center, gap)
+    w, v = _ingap_eigsh(assemble_strip(iface, L, t), lam_center, gap)
     n1s = np.repeat(np.arange(-t, t + 1), L)
-    return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))], sites
+    return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))]
 
 
 # ---------------------------------------------------------------------------
 # Bloch-reduced sector solves
 #
 # Without the defect the L-periodic strip on |n1| <= t is unitarily the direct
-# sum of the 1-D strips H_k = `_truncated_strip(iface, t, k)` at k = 2 pi j / L:
+# sum of the 1-D strips H_k = `BlockedStripOperator(iface, k).csr(t)` at k = 2 pi j / L:
 # a full-space vector x(n1, n2) has the momentum components
 #     x_j(n1) = L^-1/2 sum_n2 exp(-i k n2) x(n1, n2),
 # an FFT along each column.  The reflection P (n1, n2) -> (n1, -n1 - n2) maps
@@ -498,7 +483,7 @@ class MomentumStrips:
         key = (t, frac, parity if frac[1] <= 2 else 0)
         if key not in self._blocks:
             q = _sector_isometry(t, frac, parity)
-            strip = _truncated_strip(self.iface, t, 2.0 * np.pi * frac[0] / frac[1])
+            strip = kernels.BlockedStripOperator(self.iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
             mat = (q.getH() @ strip @ q).tocsr()
             if abs(mat.imag).max() > 1e-12 * abs(mat).max():
                 raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
@@ -536,12 +521,20 @@ class _BlochSector:
         self.generic = self.half[(self.half > 0) & (2 * self.half < L)]
 
     def _to_half(self, x):
-        """Components j = 0..L//2 of the sector projection of the columns ``x``."""
-        xh = np.fft.fft(x.reshape(2 * self.t + 1, self.L, 6, -1), axis=1, norm="ortho")
-        xh *= self.lo_phase[:, :, None, None]
+        """Components j = 0..L//2 of the sector projection of the columns ``x``.
+
+        Only the columns n1 on which ``x`` is nonzero are transformed; the
+        components of the others are zero.
+        """
+        x = x.reshape(2 * self.t + 1, self.L, 6, -1)
+        cols = np.flatnonzero(x.any(axis=(1, 2, 3)))
+        xh = np.fft.fft(x[cols], axis=1, norm="ortho")
+        xh *= self.lo_phase[cols, :, None, None]
         mirror = xh[:, (-self.half) % self.L][:, :, lattice.FX_PERM]
-        mirror *= self.r_phase[:, self.half, None, None].conj()
-        return 0.5 * (xh[:, self.half] + self.parity * mirror)
+        mirror *= self.r_phase[cols][:, self.half, None, None].conj()
+        out = np.zeros((2 * self.t + 1, len(self.half)) + x.shape[2:], dtype=complex)
+        out[cols] = 0.5 * (xh[:, self.half] + self.parity * mirror)
+        return out
 
     def _from_half(self, yh):
         """Full-space columns of the sector vectors with components ``yh``, j = 0..L//2."""
@@ -622,9 +615,7 @@ def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
     if dense.imag.any() or np.abs(dense - dense.T).max() > 1e-12 * np.abs(dense).max():
         raise ModelValidationError(f"the periodized defect is not real symmetric at L = {L}")
     dense = dense.real
-    site, sub = np.divmod(supp, 6)
-    n1, n2 = _site_cells(L, t, site)
-    image = 6 * _site_indices(L, t, n1, -n1 - n2) + lattice.FX_PERM[sub]
+    image = _reflection_image(L, t, supp)
     col = np.searchsorted(supp, image)
     if not np.array_equal(supp[np.minimum(col, n - 1)], image):
         raise ModelValidationError("the defect support is not reflection symmetric")
@@ -781,9 +772,9 @@ def neumann_mode_check(
     below ``tol``.  The unperturbed level is the in-gap sector eigenvalue
     nearest ``lam_ref`` (the interface-mode eigenvalue of this parity).
     """
-    mat0, sites = assemble_strip(iface, L, t)
-    matw, _ = assemble_strip(iface, L, t, w)
-    q = parity_isometry(L, sites, parity)
+    mat0 = assemble_strip(iface, L, t)
+    matw = assemble_strip(iface, L, t, w)
+    q = parity_isometry(L, t, parity)
     h0 = (q.getH() @ mat0 @ q).toarray()
     hw = (q.getH() @ matw @ q).toarray()
     wmat = hw - h0

@@ -254,15 +254,16 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
     cauchy_ok = True
     bound62_ok = True
     overlap_min = 1.0
+    strips = robust.MomentumStrips(iface, gap)
     for parity in (1, -1):
         vals = []
         base = pert = None
         for L in (8, 16, 32):
-            base = robust.strip_sector_eigen(
-                iface, None, L, parity, gap, lam[parity], d_zig[parity], t0=80
+            base = robust.bloch_sector_eigen(
+                strips, None, L, parity, lam[parity], d_zig[parity], t0=80
             )
-            pert = robust.strip_sector_eigen(
-                iface, w, L, parity, gap, lam[parity], d_zig[parity], t0=80
+            pert = robust.bloch_sector_eigen(
+                strips, w, L, parity, lam[parity], d_zig[parity], t0=80
             )
             unique_ok = unique_ok and len(base.eigenvalues) == 1 and len(pert.eigenvalues) == 1
             bound62_ok = bound62_ok and abs(pert.tracked_eigenvalue - lam[parity]) < 0.5 * d_zig[parity]

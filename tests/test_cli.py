@@ -201,13 +201,15 @@ def test_determinism(tmp_path):
         assert res.returncode == 0, res.stderr
         res = run_cli(tmp_path, "--out", str(out), "symmetry-report", cfg=FAST)
         assert res.returncode == 0, res.stderr
+        res = run_cli(tmp_path, "--out", str(out), "band-curve", cfg=FAST)
+        assert res.returncode == 0, res.stderr
         outs.append(out)
     modes = sorted(p.name for p in outs[0].glob("mode_*.csv*"))
     assert len(modes) == 4  # two profiles and their .meta.json
     for name in (
         "bands.csv", "gap_report.json", "inversion_scores.json",
         "search_trace.json", "interface_summary.json", *modes, "robust/robustness_report.json",
-        "symmetry_report.json",
+        "symmetry_report.json", "band_curve.csv", "band_curve_summary.json",
     ):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 

@@ -29,7 +29,7 @@ def truncated_inverse(resolvent):
     """Blocks inv(n, 0), |n| <= 100, of a 201-block Dirichlet truncation."""
     strip, lam, _ = resolvent
     t = 100
-    mat = strip.materialize(-t, t)
+    mat = strip.csr(t).toarray()
     inv = np.linalg.inv(mat - lam * np.eye(mat.shape[0]))
     mid = t  # block index of cell 0
     return lambda d: inv[6 * (mid + d) : 6 * (mid + d + 1), 6 * mid : 6 * (mid + 1)]

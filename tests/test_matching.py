@@ -395,10 +395,10 @@ def test_mode_decay_consistent_with_resolvent(modes, pipeline):
 
 def test_inertia_count_matches_dense(iface, gap, dirac):
     """Negative diagonal pivots count the eigenvalues below each shift."""
-    mat, sites = robust.assemble_strip(iface, 4, 6)
-    q = robust.parity_isometry(4, sites, 1)
+    mat = robust.assemble_strip(iface, 4, 6)
+    q = robust.parity_isometry(4, 6, 1)
     sector = (q.getH() @ mat @ q).tocsr().real
-    strip = matching._truncated_strip(iface, 20, 0.3)
+    strip = kernels.BlockedStripOperator(iface, 0.3).csr(20)
     assert np.abs(strip.data.imag).max() > 0.1
     shifts = (gap[0], gap[1], dirac.lambda_star, gap[1] + 0.2, -0.7)
     for m in (sector, strip):
@@ -409,7 +409,7 @@ def test_inertia_count_matches_dense(iface, gap, dirac):
 
 def test_ingap_eigsh_grows_k_near_gap_edge(iface, gap, monkeypatch):
     """With the shift by a gap edge the nearest pairs lie in the band."""
-    mat = matching._truncated_strip(iface, 20, 0.0)
+    mat = kernels.BlockedStripOperator(iface).csr(20)
     dense = np.linalg.eigvalsh(mat.toarray())
     expect = dense[(gap[0] < dense) & (dense < gap[1])]
     sigma = gap[1] - 1e-4
@@ -451,9 +451,9 @@ def test_inertia_certificate_failures_raise():
         matching._inertia(swap, 0.0)
 
 
-def _block_loop_strip(iface, half, kpar):
-    """The strip assembled block by block, as `_truncated_strip` once did."""
-    op = kernels.BlockedStripOperator(iface, kpar)
+def _block_loop_strip(source, half, kpar):
+    """The strip assembled block by block from `BlockedStripOperator.block`."""
+    op = kernels.BlockedStripOperator(source, kpar)
     rows, cols, vals = [], [], []
     for i, n in enumerate(range(-half, half + 1)):
         for j_off in (-1, 0, 1):
@@ -471,8 +471,10 @@ def _block_loop_strip(iface, half, kpar):
 
 
 @pytest.mark.parametrize("kpar", [0.0, 0.3, np.pi, -2.9])
-def test_truncated_strip_matches_block_loop(iface, kpar):
-    for half in (1, 120, 320):
-        got, ref = matching._truncated_strip(iface, half, kpar), _block_loop_strip(iface, half, kpar)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), (half, attr)
+def test_truncated_strip_matches_block_loop(iface, blended, kpar):
+    for source in (iface, blended):
+        for half in (1, 120, 320):
+            got = kernels.BlockedStripOperator(source, kpar).csr(half)
+            ref = _block_loop_strip(source, half, kpar)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), (source, half, attr)

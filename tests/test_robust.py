@@ -64,17 +64,24 @@ def test_window_rows_count():
 def test_strip_hermitian_and_reflection(setup_r):
     iface, _, _, _ = setup_r
     w = robust.build_W("compact", 1e-4)
-    mat, sites = robust.assemble_strip(iface, 8, 30, w)
+    mat = robust.assemble_strip(iface, 8, 30, w)
     assert abs(mat - mat.getH()).max() < 1e-14
-    perm = robust.reflection_permutation(8, sites)
+    perm = robust.reflection_permutation(8, 30)
     assert abs(perm @ mat - mat @ perm).max() < 1e-14
+
+
+def test_one_cell_strip_is_the_kpar_zero_strip(iface):
+    """At L = 1 the periodized strip is the kpar = 0 strip: both builders take one seam rule."""
+    for t in (1, 5, 40):
+        periodized = robust.assemble_strip(iface, 1, t).toarray()
+        assert np.array_equal(periodized, kernels.BlockedStripOperator(iface).csr(t).toarray())
 
 
 def test_parity_isometries(setup_r):
     iface, _, _, _ = setup_r
-    mat, sites = robust.assemble_strip(iface, 8, 20)
-    qe = robust.parity_isometry(8, sites, 1)
-    qo = robust.parity_isometry(8, sites, -1)
+    mat = robust.assemble_strip(iface, 8, 20)
+    qe = robust.parity_isometry(8, 20, 1)
+    qo = robust.parity_isometry(8, 20, -1)
     n = mat.shape[0]
     assert qe.shape[1] + qo.shape[1] == n
     assert abs(qe.getH() @ qe - np.eye(qe.shape[1])).max() < 1e-14
@@ -98,7 +105,7 @@ def test_sector_unique_unperturbed(setup_r):
 def test_sampling_identity_lemma(setup_r, dirac):
     """Full-strip in-gap set equals the kpar-curve samples on A_L."""
     iface, gap, lam, _ = setup_r
-    vals, _ = robust.full_strip_ingap(iface, 8, 60, gap, dirac.lambda_star)
+    vals = robust.full_strip_ingap(iface, 8, 60, gap, dirac.lambda_star)
     curve = []
     for n in range(-4, 5):
         kp = 2.0 * np.pi * n / 8
@@ -251,7 +258,7 @@ def test_pi_sector_empty_small_delta(setup_r, dirac):
 def test_ingap_eigsh_rejects_pairs_with_large_residual(setup_r):
     """A shift on an eigenvalue passes the inertia count but returns wrong pairs."""
     iface, gap, _, _ = setup_r
-    strip = matching._truncated_strip(iface, 160, 0.0)
+    strip = kernels.BlockedStripOperator(iface).csr(160)
     # 0.0519702019820843 is the odd interface mode's eigenvalue to 5e-16
     with pytest.raises(NumericError, match="residual"):
         matching._ingap_eigsh(strip, 0.0519702019820843, gap)
@@ -260,8 +267,8 @@ def test_ingap_eigsh_rejects_pairs_with_large_residual(setup_r):
 
 
 def _assembled_sector(iface, L, t, parity, w=None):
-    mat, sites = robust.assemble_strip(iface, L, t, w)
-    q = robust.parity_isometry(L, sites, parity)
+    mat = robust.assemble_strip(iface, L, t, w)
+    q = robust.parity_isometry(L, t, parity)
     return (q.getH() @ mat @ q).tocsr().real
 
 
@@ -318,7 +325,7 @@ def test_momentum_coordinates_back_map(setup_r):
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
     L, t = 8, 4
-    perm = robust.reflection_permutation(L, robust.strip_sites(L, t))
+    perm = robust.reflection_permutation(L, t)
     for parity in (1, -1):
         sector = robust._BlochSector(strips, L, t, parity)
         eye = np.eye(sector.bounds[-1])
@@ -330,8 +337,8 @@ def test_momentum_coordinates_back_map(setup_r):
 
     t = 20
     w = robust.build_W("compact", 0.05)
-    mat, sites = robust.assemble_strip(iface, L, t, w)
-    perm = robust.reflection_permutation(L, sites)
+    mat = robust.assemble_strip(iface, L, t, w)
+    perm = robust.reflection_permutation(L, t)
     for parity in (1, -1):
         vals, vecs = robust._BlochSector(strips, L, t, parity).perturbed_pairs(
             *robust._defect_sector(w, L, t, parity)
@@ -354,7 +361,7 @@ def test_momentum_blocks_real(setup_r):
     t = 20
     for L in (8, 16):
         for frac in robust._momenta(L):
-            strip = matching._truncated_strip(iface, t, 2.0 * np.pi * frac[0] / frac[1])
+            strip = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
             ref = np.linalg.eigvalsh(strip.toarray())
             parts = (1, -1) if frac[1] <= 2 else (1,)
             mats = [strips.block(t, frac, p).mat for p in parts]
