@@ -8,7 +8,7 @@ reproduce the unperturbed interface modes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
@@ -31,36 +31,31 @@ def _ell2_coord(n1: int, n2: int) -> float:
 # Class-(A) perturbations
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationW:
     """Reflection-symmetric, longitudinally localized perturbation.
 
-    ``block(n, m)`` returns the 6x6 kernel block for absolute cell pairs or
-    None outside the support; ``m_w`` is the longitudinal localization
-    constant (sup over columns of summed block norms).
+    W couples the cells n and n + d (d a range-1 offset) by the 6x6 block of
+    all ``amplitude`` when n or n + d lies within unit distance of the origin
+    (``compact``) or of the line n.l2 = 0 (``line``); ``m_w`` is the
+    longitudinal localization constant (sup over columns of summed block
+    norms) and ``fx_defect`` the reflection commutator on the support.
     """
 
     kind: str
     amplitude: float
     m_w: float
     fx_defect: float
-    _support_radius: int = 3
-
-    def block(self, n: tuple, m: tuple):
-        raise NotImplementedError
-
-    def support_rows(self, n1: int) -> list:
-        """n2 values with a potentially nonzero row at transverse index n1."""
-        raise NotImplementedError
-
-    def transverse_range(self, t: int):
-        """n1 values with potentially nonzero rows inside a width-t window."""
-        return range(-self._support_radius, self._support_radius + 1)
 
     @property
     def compact(self) -> bool:
         """Whether the support has a fixed transverse extent, whatever the window width."""
-        return self.transverse_range(0) == self.transverse_range(1)
+        return self.kind == "compact"
+
+    def _couples(self, n1, n2, d1, d2):
+        """Whether W couples the cells n and n + d (arrays too)."""
+        near = _cell_norm if self.compact else (lambda c1, c2: np.abs(_ell2_coord(c1, c2)))
+        return (near(n1, n2) <= 1.0 + 1e-9) | (near(n1 + d1, n2 + d2) <= 1.0 + 1e-9)
 
 
 def _cell_norm(n1, n2):
@@ -70,34 +65,11 @@ def _cell_norm(n1, n2):
     return np.hypot(x, y)
 
 
-class _CompactW(PerturbationW):
-    def block(self, n, m):
-        if _cell_norm(n[0] - m[0], n[1] - m[1]) > 1.0 + 1e-9:
-            return None
-        if _cell_norm(*n) <= 1.0 + 1e-9 or _cell_norm(*m) <= 1.0 + 1e-9:
-            return np.full((6, 6), self.amplitude, dtype=complex)
-        return None
-
-    def support_rows(self, n1):
-        if abs(n1) > 2:
-            return []
-        return [n2 for n2 in range(-3, 4)]
-
-
-class _LineW(PerturbationW):
-    def block(self, n, m):
-        if _cell_norm(n[0] - m[0], n[1] - m[1]) > 1.0 + 1e-9:
-            return None
-        if abs(_ell2_coord(*n)) <= 1.0 + 1e-9 or abs(_ell2_coord(*m)) <= 1.0 + 1e-9:
-            return np.full((6, 6), self.amplitude, dtype=complex)
-        return None
-
-    def support_rows(self, n1):
-        base = int(np.floor(-0.5 * n1))
-        return [base + d for d in range(-3, 5)]
-
-    def transverse_range(self, t):
-        return range(-t, t + 1)
+def _box(h1: int, h2: int):
+    """(n1, n2, d1, d2): cells |n1| <= h1, |n2| <= h2 on the first two axes, offsets d on the last."""
+    n1, n2 = np.ogrid[-h1 : h1 + 1, -h2 : h2 + 1]
+    d1, d2 = np.array(_OFF).T
+    return n1[..., None], n2[..., None], d1, d2
 
 
 def build_W(kind: str, amplitude: float) -> PerturbationW:
@@ -108,52 +80,21 @@ def build_W(kind: str, amplitude: float) -> PerturbationW:
     """
     if amplitude < 0:
         raise ModelValidationError("amplitude must be nonnegative")
-    cls = {"compact": _CompactW, "line": _LineW}.get(kind)
-    if cls is None:
+    if kind not in ("compact", "line"):
         raise ModelValidationError(f"unknown perturbation kind '{kind}'")
-    w = cls(kind=kind, amplitude=amplitude, m_w=0.0, fx_defect=0.0)
+    w = PerturbationW(kind, amplitude, 0.0, 0.0)
 
-    # M_W = sup_n1 sum_{n2, m} ||W(n, m)||; by symmetry a few columns suffice
-    m_w = 0.0
-    for n1 in range(-4, 5):
-        acc = 0.0
-        for n2 in range(-8, 9):
-            for d in _OFF:
-                b = w.block((n1, n2), (n1 + d[0], n2 + d[1]))
-                if b is not None:
-                    acc += float(np.linalg.norm(b, 2))
-        m_w = max(m_w, acc)
-    w.m_w = m_w
+    # M_W = sup_n1 sum_{n2, d} ||W(n, n + d)||; by symmetry a few columns suffice.
+    # Every block has the norm of the all-amplitude block, summed one by one.
+    norm = float(np.linalg.norm(np.full((6, 6), amplitude, dtype=complex), 2))
+    coupled = w._couples(*_box(4, 8)).sum(axis=(1, 2))
+    m_w = max([0.0] + [sum([norm] * int(c), 0.0) for c in coupled])
 
-    fxc = lattice.FX_INT
-    defect = 0.0
-    for n1 in range(-3, 4):
-        for n2 in range(-4, 5):
-            for d in _OFF:
-                n, m = (n1, n2), (n1 + d[0], n2 + d[1])
-                fn = (n[0], -n[0] - n[1])
-                fm = (m[0], -m[0] - m[1])
-                b = w.block(n, m)
-                bf = w.block(fn, fm)
-                b = np.zeros((6, 6)) if b is None else b
-                bf = np.zeros((6, 6)) if bf is None else bf
-                defect = max(defect, float(np.abs(fxc @ bf @ fxc - b).max()))
-    w.fx_defect = defect
-    return w
-
-
-def periodized_block(w: PerturbationW, n, m, L: int):
-    """Block of W^L = (periodize . W . restrict) for window representatives.
-
-    Rows with representative outside the half-width window are zero; for the
-    localized perturbations used here this reproduces W exactly once L
-    exceeds twice the support radius.
-    """
-    if w is None:
-        return None
-    if abs(_ell2_coord(*n)) > L / 4.0 + 1e-9:
-        return None
-    return w.block(n, m)
+    # P maps the pair (n, n + d) to (Pn, Pn + (d1, -d1 - d2)), and FX J FX = J for the all-ones J
+    n1, n2, d1, d2 = _box(3, 4)
+    moved = w._couples(n1, n2, d1, d2) != w._couples(n1, -n1 - n2, d1, -d1 - d2)
+    defect = float(amplitude) if moved.any() else 0.0
+    return replace(w, m_w=m_w, fx_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +124,6 @@ class StripSector:
 def _window_start(L: int, n1):
     """First row n2 of the window -L/2 <= n.l2 < L/2 at column n1 (arrays too)."""
     return np.ceil(-L / 2.0 - 0.5 * np.asarray(n1) - 1e-9).astype(int)
-
-
-def window_rows(L: int, n1: int) -> list:
-    """Fundamental n2 rows: -L/2 <= n.l2 < L/2 (symmetric, half-open)."""
-    lo = int(_window_start(L, n1))
-    return list(range(lo, lo + L))
 
 
 def _wrap_row(L: int, n1, n2):
@@ -246,7 +181,7 @@ def assemble_strip(
 
     if w is not None:
         for parts, entries in zip((ri_parts, ci_parts, vv_parts), _defect_entries(w, L, t)):
-            parts.extend(entries)
+            parts.append(entries)
 
     return sp.coo_matrix(
         (np.concatenate(vv_parts), (np.concatenate(ri_parts), np.concatenate(ci_parts))),
@@ -255,26 +190,28 @@ def assemble_strip(
 
 
 def _defect_entries(w: PerturbationW, L: int, t: int):
-    """Row, column and value arrays of the periodized defect on the width-t strip."""
-    ri, ci, vv = [], [], []
-    for n1 in w.transverse_range(t):
-        if not -t <= n1 <= t:
-            continue
-        for n2 in w.support_rows(n1):
-            i = _site_indices(L, t, n1, n2)
-            for d in _OFF:
-                m1, m2 = n1 + d[0], n2 + d[1]
-                if not -t <= m1 <= t:
-                    continue
-                wb = periodized_block(w, (n1, n2), (m1, m2), L)
-                if wb is None:
-                    continue
-                j = _site_indices(L, t, m1, m2)
-                bi, bj = np.nonzero(wb)
-                ri.append(6 * i + bi)
-                ci.append(6 * j + bj)
-                vv.append(wb[bi, bj])
-    return ri, ci, vv
+    """Row, column and value arrays of the periodized defect W^L on the width-t strip.
+
+    W^L keeps W's pairs (n, n + d) whose row cell lies within |n.l2| <= L/4
+    of the defect, n + d wrapped into the window, on columns |n1| <= t; this
+    reproduces W once L exceeds twice its support.  Raises
+    ``ModelValidationError`` when the kept cell pairs are not symmetric, so
+    that W^L is not Hermitian (below L = 8 for both kinds).  Values are
+    complex; a zero amplitude gives no entries.
+    """
+    nc = (2 * t + 1) * L
+    n1, n2 = (c[:, None] for c in _site_cells(L, t, np.arange(nc)))
+    d1, d2 = np.array(_OFF).T
+    cut = np.abs(_ell2_coord(n1, n2)) <= L / 4.0 + 1e-9
+    inside = np.abs(n1 + d1) <= t
+    i, off = np.nonzero(cut & inside & w._couples(n1, n2, d1, d2) & (w.amplitude != 0))
+    j = _site_indices(L, t, n1[i, 0] + d1[off], n2[i, 0] + d2[off])
+    if not np.array_equal(np.sort(i * nc + j), np.sort(j * nc + i)):
+        raise ModelValidationError(f"the periodized defect is not Hermitian at L = {L}")
+    sub = np.arange(36)
+    rows = (6 * i[:, None] + sub // 6).ravel()
+    cols = (6 * j[:, None] + sub % 6).ravel()
+    return rows, cols, np.full(len(rows), w.amplitude, dtype=complex)
 
 
 def _reflection_image(L: int, t: int, idx):
@@ -604,17 +541,14 @@ class _BlochSector:
 
 def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
     """The defect's parity part V D V^T on the width-t strip: (V, D), V real."""
-    ri, ci, vv = (np.concatenate(part) for part in _defect_entries(w, L, t))
+    ri, ci, vv = _defect_entries(w, L, t)
     nfull = 6 * L * (2 * t + 1)
     if not vv.any():
         return np.zeros((nfull, 0)), np.zeros(0)
     supp = np.unique(np.concatenate([ri, ci]))
     n = len(supp)
-    dense = np.zeros((n, n), dtype=vv.dtype)
-    np.add.at(dense, (np.searchsorted(supp, ri), np.searchsorted(supp, ci)), vv)
-    if dense.imag.any() or np.abs(dense - dense.T).max() > 1e-12 * np.abs(dense).max():
-        raise ModelValidationError(f"the periodized defect is not real symmetric at L = {L}")
-    dense = dense.real
+    dense = np.zeros((n, n))
+    np.add.at(dense, (np.searchsorted(supp, ri), np.searchsorted(supp, ci)), vv.real)
     image = _reflection_image(L, t, supp)
     col = np.searchsorted(supp, image)
     if not np.array_equal(supp[np.minimum(col, n - 1)], image):
@@ -655,16 +589,18 @@ def bloch_sector_eigen(
     if w is not None and not w.compact:
         return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
 
-    ref = None   # (t, V, D); once the strip holds the whole defect, a wider one only moves V's rows
-    t_fit = None if w is None else 1 + max(map(abs, w.transverse_range(0)))
+    # (t, V, D, held); once the defect keeps off the columns +-t, the strip holds all of it
+    # and a wider one only moves V's rows
+    ref = None
 
     def solve(t):
         nonlocal ref
         sector = _BlochSector(strips, L, t, parity)
         if w is None:
             return sector.unperturbed_pairs()
-        if ref is None or ref[0] < t_fit:
-            ref = (t, *_defect_sector(w, L, t, parity))
+        if ref is None or not ref[3]:
+            columns = _defect_entries(w, L, t)[0] // (6 * L)    # n1 + t of each entry's row
+            ref = (t, *_defect_sector(w, L, t, parity), not np.isin(columns, (0, 2 * t)).any())
         return sector.perturbed_pairs(_widen(ref[1], L, t - ref[0]), ref[2])
 
     return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
@@ -772,12 +708,12 @@ def neumann_mode_check(
     below ``tol``.  The unperturbed level is the in-gap sector eigenvalue
     nearest ``lam_ref`` (the interface-mode eigenvalue of this parity).
     """
-    mat0 = assemble_strip(iface, L, t)
-    matw = assemble_strip(iface, L, t, w)
     q = parity_isometry(L, t, parity)
-    h0 = (q.getH() @ mat0 @ q).toarray()
-    hw = (q.getH() @ matw @ q).toarray()
-    wmat = hw - h0
+    ri, ci, vv = _defect_entries(w, L, t)
+    wfull = sp.csr_matrix((vv, (ri, ci)), shape=(q.shape[0],) * 2)
+    h0 = (q.getH() @ assemble_strip(iface, L, t) @ q).toarray()
+    wmat = (q.getH() @ wfull @ q).toarray()
+    hw = h0 + wmat
 
     evals, evecs = np.linalg.eigh(h0)
     ingap = np.flatnonzero((gap[0] < evals) & (evals < gap[1]))

@@ -179,6 +179,16 @@ def test_robustness_command(tmp_path):
                 assert entry["ingap_count"][side] >= len(entry[side])
 
 
+def test_robustness_short_period_exits_two(tmp_path):
+    # below L = 8 the periodized line defect is not Hermitian
+    cfg = dict(FAST)
+    cfg["perturbation"] = {"kind": "line", "amplitude": 2e-6}
+    cfg["robustness"] = dict(FAST["robustness"], L_values=[6])
+    res = run_cli(tmp_path, "--out", str(tmp_path / "o"), "robustness", cfg=cfg)
+    assert res.returncode == 2, res.stderr
+    assert "not Hermitian at L = 6" in res.stderr
+
+
 def test_band_curve_command(tmp_path):
     cfg = dict(FAST)
     cfg["delta"] = 0.025

@@ -1,8 +1,10 @@
 """Periodized strips, parity sectors, class-(A) perturbations, band curve."""
+import math
+
 import numpy as np
 import pytest
 
-from hexamer import kernels, matching, robust
+from hexamer import kernels, lattice, matching, robust
 from hexamer.errors import GapCollapse, ModelValidationError, NumericError
 
 DELTA_R = 0.025  # robustness runs use the smaller coupling where the
@@ -26,39 +28,62 @@ def test_build_w_compact():
     w = robust.build_W("compact", 1e-4)
     # 23 nonzero rows per central column, each an all-ones 6x6 of norm 6 amp
     assert abs(w.m_w - 23 * 6 * 1e-4) < 1e-12
-    assert w.fx_defect < 1e-12
+    assert w.fx_defect == 0.0
     assert robust.build_W("compact", 0.0).m_w == 0.0
 
 
 def test_build_w_line():
     w = robust.build_W("line", 1e-4)
-    assert w.m_w > 0.0
-    assert w.fx_defect < 1e-12
+    # the central column meets 23 cell pairs of the line too
+    assert abs(w.m_w - 23 * 6 * 1e-4) < 1e-12
+    assert w.fx_defect == 0.0
     with pytest.raises(ModelValidationError):
         robust.build_W("blob", 1.0)
 
 
+def _near(kind, c1, c2):
+    """The defect rule written out: the cell lies within unit distance of the origin or the line n.l2 = 0."""
+    if kind == "compact":
+        x, y = c1 * lattice.ELL1 + c2 * lattice.ELL2
+        return math.hypot(x, y) <= 1.0 + 1e-9
+    return abs(0.5 * c1 + c2) <= 1.0 + 1e-9
+
+
 def test_periodized_equals_w_on_window():
-    w = robust.build_W("compact", 1.0)
-    for L in (16, 8):
-        for n1 in range(-2, 3):
-            for n2 in range(-3, 4):
-                if abs(0.5 * n1 + n2) > L / 4:
-                    continue
-                for d in kernels.RANGE1_OFFSETS:
-                    m = (n1 + d[0], n2 + d[1])
-                    a = robust.periodized_block(w, (n1, n2), m, L)
-                    b = w.block((n1, n2), m)
-                    if b is None:
-                        assert a is None
-                    else:
-                        assert a is not None and np.abs(a - b).max() == 0.0
+    """The periodized defect's cell pairs are W's pairs with the row cell within |n.l2| <= L/4."""
+    t = 5
+    for kind in ("compact", "line"):
+        w = robust.build_W(kind, 0.5)
+        for L in (16, 8):
+            expected = set()
+            for n1 in range(-t, t + 1):
+                for n2 in range(-L, L + 1):
+                    if abs(0.5 * n1 + n2) > L / 4:
+                        continue
+                    for d1, d2 in kernels.RANGE1_OFFSETS:
+                        m1, m2 = n1 + d1, n2 + d2
+                        if abs(m1) <= t and (_near(kind, n1, n2) or _near(kind, m1, m2)):
+                            i = int(robust._site_indices(L, t, n1, n2))
+                            j = int(robust._site_indices(L, t, m1, m2))
+                            expected |= {(6 * i + a, 6 * j + b) for a in range(6) for b in range(6)}
+            ri, ci, vv = robust._defect_entries(w, L, t)
+            assert sorted(zip(ri.tolist(), ci.tolist())) == sorted(expected)
+            assert np.all(vv == 0.5)
 
 
-def test_window_rows_count():
-    for L in (4, 8, 16):
-        for n1 in (-3, -1, 0, 2):
-            assert len(robust.window_rows(L, n1)) == L
+def test_short_period_defect_not_hermitian(setup_r):
+    """Below L = 8 the cut |n.l2| <= L/4 splits cell pairs of either defect, so W^L is not Hermitian."""
+    iface = setup_r[0]
+    for kind in ("compact", "line"):
+        w = robust.build_W(kind, 2e-5)
+        for L in (4, 5, 6, 7):
+            with pytest.raises(ModelValidationError, match="not Hermitian"):
+                robust.assemble_strip(iface, L, 3, w)
+            with pytest.raises(ModelValidationError, match="not Hermitian"):
+                robust._defect_sector(w, L, 3, 1)
+        mat = robust.assemble_strip(iface, 8, 3, w)
+        assert abs(mat - mat.getH()).max() < 1e-14
+        assert len(robust._defect_sector(w, 8, 3, 1)[1]) > 0
 
 
 def test_strip_hermitian_and_reflection(setup_r):
