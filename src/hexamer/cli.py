@@ -398,12 +398,8 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
     for parity in (1, -1):
         per_l = []
         for L in cfg["robustness"]["L_values"]:
-            base = robust.bloch_sector_eigen(
-                strips, None, int(L), parity, lam_by_parity[parity], d_zig[parity], t0=t0,
-            )
-            pert = robust.bloch_sector_eigen(
-                strips, w, int(L), parity, lam_by_parity[parity],
-                d_zig[parity] if in_theory else None, t0=t0,
+            base, pert = robust.sector_pair(
+                strips, w, int(L), parity, lam_by_parity[parity], d_zig[parity], t0, in_theory,
             )
             ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
             per_l.append(
@@ -412,7 +408,8 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
                     "unperturbed": base.eigenvalues.tolist(),
                     "perturbed": pert.eigenvalues.tolist(),
                     "t_used": pert.t_used,
-                    "t_converged": pert.t_converged,
+                    "t_converged": base.t_converged and pert.t_converged,
+                    "residual_bound": max(base.residual_bound, pert.residual_bound),
                     "ingap_count": {
                         "unperturbed": base.ingap_count,
                         "perturbed": pert.ingap_count,

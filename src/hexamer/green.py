@@ -194,19 +194,20 @@ def gap_resolvent(
     return GreenKernel(lam, blocks, strip.blockdim, err, levels, order)
 
 
-def _double_until(start: int, cap: int, attempt):
-    """Run ``attempt(n)`` for n = start, 2 start, 4 start, ... until it is done.
+def _grow_until(start: int, cap: int, attempt):
+    """Run ``attempt(n)`` from n = ``start`` until it is done or n has reached ``cap``.
 
-    ``attempt`` returns ``(done, result)``.  The loop stops when an attempt is
-    done or n has reached ``cap``, and returns ``(result, n, converged)`` of
-    the last attempt, where ``converged`` is its ``done``.
+    ``attempt`` returns ``(following, result)``: ``following`` is None when
+    the attempt is done, else the next n to try, held to ``cap``.  Returns
+    ``(result, n, converged)`` of the last attempt, where ``converged`` says
+    whether it was done.
     """
     n = start
     while True:
-        done, result = attempt(n)
-        if done or n >= cap:
-            return result, n, bool(done)
-        n *= 2
+        following, result = attempt(n)
+        if following is None or n >= cap:
+            return result, n, following is None
+        n = min(following, cap)
 
 
 def physical_green_pv(

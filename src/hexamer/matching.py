@@ -348,9 +348,9 @@ def mode_from_boundary(
         for i in range(t - 2, -1, -1):
             prof[i] = y_op @ prof[i + 1]
         tail = np.linalg.norm(prof[:3]) + np.linalg.norm(prof[-3:])
-        return tail < tail_tol * np.linalg.norm(prof), prof
+        return (None if tail < tail_tol * np.linalg.norm(prof) else 2 * t), prof
 
-    prof, t, converged = green._double_until(window, 8 * window, attempt)
+    prof, t, converged = green._grow_until(window, 8 * window, attempt)
     ns = np.arange(-t, t + 1)
     applied = (pipeline.op.csr(t) @ prof.ravel()).reshape(prof.shape)
     interior = slice(2, len(ns) - 2)

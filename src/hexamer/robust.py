@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import gcd
+from math import ceil, gcd
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,7 +106,8 @@ class StripSector:
     L: int
     parity: int
     t_used: int
-    t_converged: bool      # False when the width hit its cap 8 * t0
+    t_converged: bool      # False when the certificate still failed at the cap (8 * t0 by default)
+    residual_bound: float  # the kept pairs' certificate at t_used (`_certificate`)
     ingap_count: int       # in-gap eigenvalues by inertia, before edge filtering
     eigenvalues: np.ndarray
     vectors: np.ndarray    # full-space columns
@@ -261,6 +262,7 @@ def strip_sector_eigen(
     d_zig: float | None = None,
     t0: int = 80,
     move_tol: float = 1e-9,
+    t_max: int | None = None,
 ) -> StripSector:
     """In-gap eigenpairs of one parity sector of the (perturbed) L-strip.
 
@@ -273,37 +275,91 @@ def strip_sector_eigen(
     def solve(t):
         mat = assemble_strip(iface, L, t, w)
         q = parity_isometry(L, t, parity)
-        wr, vr = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), sigma, gap)
-        return wr, q @ vr
+        wr, vr, resid = _sector_pairs((q.getH() @ mat @ q).tocsr(), sigma, gap)
+        return wr, q @ vr, resid
 
-    return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol)
+    h = _column_coupling(iface, w)
+    return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol, h, t_max)
 
 
-def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol) -> StripSector:
-    """Grow the strip width until the tracked in-gap eigenvalue settles.
+def _sector_pairs(mat, sigma: float, gap: tuple):
+    """`_ingap_eigsh` of ``mat`` and the largest residual ||(mat - w) v|| of its pairs (0 without any)."""
+    w, v = _ingap_eigsh(mat, sigma, gap)
+    return w, v, float(np.linalg.norm(mat @ v - v * w, axis=0).max(initial=0.0))
 
-    ``solve(t)`` returns all the in-gap eigenvalues of the width-t sector and
-    their full-space vectors.  The transverse truncation
-    starts at ``t0`` cells per side and doubles until the tracked eigenvalue
-    (the kept one nearest ``lam_ref``, or the gap centre) moves by less than
-    ``move_tol``, or up to 8 * ``t0`` (then ``t_converged`` is False).
-    Raises ``GapCollapse`` when the sector shows no isolated in-gap
-    eigenvalue, and checks the localization bound |lam - lam_ref| < d_zig/2
-    when the reference data is supplied.
+
+def _column_coupling(iface: kernels.InterfaceKernel, w: PerturbationW | None) -> float:
+    """h: a bound on the norm of the strip's coupling from one column n1 to the next.
+
+    Each kernel couples neighbouring columns by its blocks b_d with d1 = 1
+    (or their adjoints), each a permutation of the rows times b_d.  The
+    line defect adds at most its localization constant M_W.  The compact
+    one couples only the columns |n1| <= 2, inside every strip on which
+    the edge filter keeps a pair (its edge band of at least 4 columns per
+    side covers all of a strip with t <= 4).
     """
-    lam_center = 0.5 * (gap[0] + gap[1]) if lam_ref is None else lam_ref
-    prev = None
+    sums = [
+        sum(np.linalg.norm(b, 2) for d, b in kern.blocks.items() if d[0] == 1)
+        for kern in (iface.right, iface.left, iface.seam)
+    ]
+    return float(max(sums)) + (w.m_w if w is not None and not w.compact else 0.0)
+
+
+def _certificate(vectors, resid: float, h: float, L: int, t: int):
+    """(eps, r) of the kept width-t sector pairs: their Weyl certificate and slowest decay per column.
+
+    Zero-padded, a unit pair (lam, v) of the width-t strip has the residual
+    (A_t - lam) v inside and, on the columns +-(t + 1), at most h ||v(+-t)||
+    (`_column_coupling`) on the infinite strip, so the infinite strip has
+    an eigenvalue within eps = ||(A_t - lam) v|| + h (||v(-t)||^2 + ||v(t)||^2)^1/2
+    of lam; ``resid`` bounds the first term for every pair.  r is the
+    largest column-norm ratio fitted over t/4 <= |n1| <= 3t/4 on either
+    side, NaN when that range holds fewer than two columns.
+    """
+    cols = np.linalg.norm(vectors.reshape(2 * t + 1, 6 * L, -1), axis=1)
+    cols /= np.linalg.norm(cols, axis=0)
+    eps = resid + h * float(np.hypot(cols[0], cols[-1]).max())
+    dist = np.arange(ceil(t / 4), 3 * t // 4 + 1)
+    if len(dist) < 2:
+        return eps, float("nan")
+    sides = np.concatenate([cols[t + dist], cols[t - dist]], axis=1)
+    slopes = np.polyfit(dist, np.log(np.maximum(sides, np.finfo(float).tiny)), 1)[0]
+    return eps, float(np.exp(slopes.max()))
+
+
+def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol, h, t_max=None) -> StripSector:
+    """Grow the strip width until the kept in-gap pairs are certified to ``move_tol``.
+
+    ``solve(t)`` returns all the in-gap eigenvalues of the width-t sector,
+    their full-space vectors and a bound on their residuals.  The width
+    starts at ``t0`` cells per side.  It stops once the `_certificate` eps
+    of the pairs kept by the edge filter is at most ``move_tol``: each
+    kept eigenvalue then lies within eps of one of the infinite strip.
+    Otherwise the width grows by the step that the fitted decay rate r
+    predicts to reach ``move_tol``, ln(eps / move_tol) / -ln r rounded up
+    to a multiple of 8, and it doubles while no pair is kept (or r is not
+    below 1).  It stops at ``t_max`` (default 8 * ``t0``), where
+    ``t_converged`` is False if the certificate still fails.  Raises
+    ``GapCollapse`` when the sector shows no isolated in-gap eigenvalue,
+    and checks the localization bound |lam - lam_ref| < d_zig/2 when the
+    reference data is supplied.
+    """
 
     def attempt(t):
-        nonlocal prev
-        wr, vectors = solve(t)
+        wr, vectors, resid = solve(t)
         kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), gap, max(4, t // 8))
-        tracked = min((v for v, _, _ in kept), key=lambda v: abs(v - lam_center), default=None)
-        done = prev is not None and tracked is not None and abs(tracked - prev) < move_tol
-        prev = tracked
-        return done, (kept, len(wr))
+        if not kept:
+            return 2 * t, (kept, len(wr), float("inf"))
+        eps, rate = _certificate(np.column_stack([vec for _, vec, _ in kept]), resid, h, L, t)
+        result = (kept, len(wr), eps)
+        if eps <= move_tol:
+            return None, result
+        if not rate < 1.0:
+            return 2 * t, result
+        step = ceil(np.log(eps / move_tol) / -np.log(rate))
+        return t + 8 * ceil(step / 8), result
 
-    (kept, count), t, converged = green._double_until(t0, 8 * t0, attempt)
+    (kept, count, eps), t, converged = green._grow_until(t0, 8 * t0 if t_max is None else t_max, attempt)
     if len(kept) == 0:
         raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
     tracked = 0
@@ -319,6 +375,7 @@ def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol) -> StripSe
         parity=parity,
         t_used=t,
         t_converged=converged,
+        residual_bound=eps,
         ingap_count=count,
         eigenvalues=np.array([v for v, _, _ in kept]),
         vectors=np.column_stack([vec for _, vec, _ in kept]),
@@ -396,8 +453,8 @@ class _MomentumStrip:
 
     @cached_property
     def pairs(self):
-        """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``."""
-        return _ingap_eigsh(self.mat, self.sigma, self.gap)
+        """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
+        return _sector_pairs(self.mat, self.sigma, self.gap)
 
 
 class MomentumStrips:
@@ -501,15 +558,16 @@ class _BlochSector:
         return self._from_half(yh)
 
     def unperturbed_pairs(self):
-        """In-gap eigenvalues and full-space vectors of the sector."""
-        vals, cols = [], []
+        """In-gap eigenvalues and full-space vectors of the sector, and their largest residual."""
+        vals, cols, resid = [], [], 0.0
         for pos, blk in enumerate(self.blocks):
-            w, v = blk.pairs
+            w, v, r = blk.pairs
             col = np.zeros((self.bounds[-1], len(w)), dtype=v.dtype)
             col[self.bounds[pos] : self.bounds[pos + 1]] = v
             vals.append(w)
             cols.append(col)
-        return np.concatenate(vals), self.to_full(np.hstack(cols)).real
+            resid = max(resid, r)
+        return np.concatenate(vals), self.to_full(np.hstack(cols)).real, resid
 
     def matrix(self, v, d):
         """The sector of the strip plus V D V^T in momentum coordinates, a sparse real symmetric K.
@@ -528,15 +586,15 @@ class _BlochSector:
         return (k + sp.csr_matrix((core.ravel(), (ri.ravel(), ci.ravel())), shape=(n, n))).tocsr()
 
     def perturbed_pairs(self, v, d):
-        """In-gap eigenvalues and full-space vectors of the sector plus the defect part V D V^T.
+        """In-gap eigenvalues, full-space vectors and largest residual of the sector plus V D V^T.
 
         `_ingap_eigsh` certifies the in-gap count of the sector `matrix` by
         its inertia at both gap edges and finds the pairs.
         """
         if len(d) == 0:
             return self.unperturbed_pairs()   # the defect does not act on this sector
-        w, z = _ingap_eigsh(self.matrix(v, d), self.sigma, self.gap)
-        return w, self.to_full(z).real
+        w, z, resid = _sector_pairs(self.matrix(v, d), self.sigma, self.gap)
+        return w, self.to_full(z).real, resid
 
 
 def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
@@ -576,6 +634,7 @@ def bloch_sector_eigen(
     d_zig: float | None = None,
     t0: int = 80,
     move_tol: float = 1e-9,
+    t_max: int | None = None,
 ) -> StripSector:
     """`strip_sector_eigen` on the momentum strips of ``strips``, same loop and result.
 
@@ -587,7 +646,7 @@ def bloch_sector_eigen(
     form, so its sector is assembled and solved by `strip_sector_eigen`.
     """
     if w is not None and not w.compact:
-        return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
+        return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol, t_max)
 
     # (t, V, D, held); once the defect keeps off the columns +-t, the strip holds all of it
     # and a wider one only moves V's rows
@@ -603,7 +662,41 @@ def bloch_sector_eigen(
             ref = (t, *_defect_sector(w, L, t, parity), not np.isin(columns, (0, 2 * t)).any())
         return sector.perturbed_pairs(_widen(ref[1], L, t - ref[0]), ref[2])
 
-    return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol)
+    h = _column_coupling(strips.iface, w)
+    return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol, h, t_max)
+
+
+def sector_pair(
+    strips: MomentumStrips,
+    w: PerturbationW,
+    L: int,
+    parity: int,
+    lam_ref: float,
+    d_zig: float,
+    t0: int = 80,
+    bound_perturbed: bool = True,
+):
+    """The unperturbed and the perturbed sector of (L, parity), certified on one window.
+
+    The perturbed solve starts at the unperturbed sector's certified
+    ``t_used``; when its certificate needs a wider strip, the narrower
+    sector is solved again at the wider width until both share one, as
+    `farfield_persistence` requires.  Every solve stops at 8 * ``t0``.
+    The perturbed sector is held to d_zig/2 only if ``bound_perturbed``.
+    """
+
+    def solve(defect, start):
+        bound = d_zig if defect is None or bound_perturbed else None
+        return bloch_sector_eigen(strips, defect, L, parity, lam_ref, bound, t0=start, t_max=8 * t0)
+
+    base = solve(None, t0)
+    pert = solve(w, base.t_used)
+    while pert.t_used != base.t_used:
+        if base.t_used < pert.t_used:
+            base = solve(None, pert.t_used)
+        else:
+            pert = solve(w, base.t_used)
+    return base, pert
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,34 @@ def test_robustness_command(tmp_path):
                 assert entry["ingap_count"][side] >= len(entry[side])
 
 
+def test_robustness_sectors_share_one_window(tmp_path, monkeypatch):
+    """A perturbed sector certified on a wider strip makes the unperturbed one solve again there."""
+    from hexamer import cli, robust
+
+    solve = robust.bloch_sector_eigen
+    starts = []
+
+    def wider(strips, w, *args, t0, t_max):
+        # every perturbed solve starts 16 columns beyond the width it is handed
+        starts.append((w is not None, t0))
+        return solve(strips, w, *args, t0=t0 + 16 if w is not None else t0, t_max=t_max)
+
+    monkeypatch.setattr(robust, "bloch_sector_eigen", wider)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(FAST, delta=0.025)))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "robustness"]) == 0
+    payload = json.loads((tmp_path / "o" / "robustness_report.json").read_text())
+    t0 = FAST["truncation"]["strip_t0"]
+    assert len(starts) == 6
+    for parity, (base, pert, again) in zip(("1", "-1"), zip(*[iter(starts)] * 3)):
+        entry = payload["sectors"][parity][0]
+        # the perturbed solve starts at the certified unperturbed width
+        assert base == (False, t0) and pert[0] and pert[1] > t0
+        assert again == (False, pert[1] + 16) and entry["t_used"] == pert[1] + 16
+        assert entry["t_converged"] and entry["residual_bound"] <= 1e-9
+        assert entry["farfield_overlap"] >= 0.99
+
+
 def test_robustness_short_period_exits_two(tmp_path):
     # below L = 8 the periodized line defect is not Hermitian
     cfg = dict(FAST)

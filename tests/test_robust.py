@@ -365,10 +365,11 @@ def test_momentum_coordinates_back_map(setup_r):
     mat = robust.assemble_strip(iface, L, t, w)
     perm = robust.reflection_permutation(L, t)
     for parity in (1, -1):
-        vals, vecs = robust._BlochSector(strips, L, t, parity).perturbed_pairs(
+        vals, vecs, resid = robust._BlochSector(strips, L, t, parity).perturbed_pairs(
             *robust._defect_sector(w, L, t, parity)
         )
         assert len(vals) > 0 and not np.iscomplexobj(vecs)
+        assert resid < 1e-12
         assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() < 1e-13
         assert np.abs(perm @ vecs - parity * vecs).max() < 1e-14
         assert np.abs(mat @ vecs - vecs * vals).max() < 1e-12
@@ -437,6 +438,54 @@ def test_defect_sector_widens_by_row_offset(setup_r, monkeypatch):
     with pytest.raises(GapCollapse):   # widths 1 to 8 hold no isolated interface mode
         robust.bloch_sector_eigen(strips, w, 8, 1, lam[1], d_zig[1], t0=1)
     assert widths == [1, 2, 4]
+
+
+def test_certificate_fits_the_decay_rate():
+    """Column norms r^|n1| give back r, and eps adds h times the two boundary columns."""
+    L, t, r, h = 2, 40, 0.8, 2.0
+    cols = r ** np.abs(np.arange(-t, t + 1))
+    vec = np.repeat(cols / np.sqrt(6 * L), 6 * L)[:, None]
+    eps, rate = robust._certificate(vec, 1e-15, h, L, t)
+    scale = np.linalg.norm(cols)
+    assert abs(rate - r) < 1e-12
+    assert abs(eps - (1e-15 + h * np.sqrt(2.0) * r**t / scale)) < 1e-12 * eps
+    assert np.isnan(robust._certificate(vec[: 6 * L * 5], 0.0, h, L, 2)[1])
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_certificate_is_sound(setup_r, L):
+    """Doubling the certified width moves no kept eigenvalue by more than the certificate."""
+    iface, gap, lam, d_zig = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 2e-5)
+    for parity in (1, -1):
+        for defect in (None, w):
+            sector = robust.bloch_sector_eigen(strips, defect, L, parity, lam[parity], d_zig[parity], t0=80)
+            t = 2 * sector.t_used
+            wide = robust.bloch_sector_eigen(
+                strips, defect, L, parity, lam[parity], d_zig[parity], t0=t, t_max=t
+            )
+            assert sector.t_converged and sector.residual_bound <= 1e-9
+            assert len(wide.eigenvalues) == len(sector.eigenvalues)
+            assert np.abs(wide.eigenvalues - sector.eigenvalues).max() <= sector.residual_bound
+
+
+def test_rate_step_reaches_certified_width(setup_r, monkeypatch):
+    """From a first width of 40 one step of the fitted decay rate reaches a certified width."""
+    iface, gap, lam, d_zig = setup_r
+    widths = []
+    sector = robust._BlochSector
+    monkeypatch.setattr(
+        robust, "_BlochSector", lambda strips, L, t, parity: widths.append(t) or sector(strips, L, t, parity)
+    )
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 2e-5)
+    for parity in (1, -1):
+        widths.clear()
+        result = robust.bloch_sector_eigen(strips, w, 8, parity, lam[parity], d_zig[parity], t0=40)
+        assert widths == [40, result.t_used]     # not 40, 80, 160, 320
+        assert result.t_used % 8 == 0 and 40 < result.t_used < 320
+        assert result.t_converged and result.residual_bound <= 1e-9
 
 
 def test_sector_solves_stay_real(setup_r, monkeypatch):
