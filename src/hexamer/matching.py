@@ -496,17 +496,18 @@ def _ingap_eigsh(mat, sigma: float, gap: tuple):
     returned pair (w, v) must have a residual ||(mat - w) v|| of at most
     ``RESIDUAL_RTOL`` times the largest absolute row sum of ``mat``: a shift
     on an eigenvalue passes the count and yet returns wrong pairs.  An
-    exactly real matrix is solved in real arithmetic.  Returns (eigenvalues
-    ascending, vector columns); raises NumericError when the certificate
-    fails (more pairs than counted, ``k`` reaching n - 2, a bad factor, a
-    pair with a large residual).
+    exactly real matrix is solved in real arithmetic.  Returns the
+    eigenvalues ascending, their vector columns and the largest absolute
+    residual ||(mat - w) v|| (0 without pairs); raises NumericError when the
+    certificate fails (more pairs than counted, ``k`` reaching n - 2, a bad
+    factor, a pair with a large residual).
     """
     if not mat.data.imag.any():
         mat = mat.real
     n = mat.shape[0]
     count = _inertia(mat, gap[1]) - _inertia(mat, gap[0])
     if count == 0:
-        return np.empty(0), np.empty((n, 0), dtype=mat.dtype)
+        return np.empty(0), np.empty((n, 0), dtype=mat.dtype), 0.0
     opinv = spla.LinearOperator(mat.shape, matvec=_factor(mat, sigma).solve, dtype=mat.dtype)
     v0 = np.ones(n) / np.sqrt(n)
     k = count
@@ -516,14 +517,15 @@ def _ingap_eigsh(mat, sigma: float, gap: tuple):
         if len(inside) == count:
             inside = inside[np.argsort(w[inside])]
             w, v = w[inside], v[:, inside]
+            resid = np.linalg.norm(mat @ v - v * w, axis=0)
             # the largest absolute row sum bounds ||mat|| for a Hermitian mat
-            resid = np.linalg.norm(mat @ v - v * w, axis=0) / float(abs(mat).sum(axis=1).max())
-            if resid.max() > RESIDUAL_RTOL:
+            rel = resid / float(abs(mat).sum(axis=1).max())
+            if rel.max() > RESIDUAL_RTOL:
                 raise NumericError(
-                    f"in-gap pair {float(w[np.argmax(resid)]):.12g} has relative residual "
-                    f"{resid.max():.2e} > {RESIDUAL_RTOL:.0e} (shift {sigma!r})"
+                    f"in-gap pair {float(w[np.argmax(rel)]):.12g} has relative residual "
+                    f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e} (shift {sigma!r})"
                 )
-            return w, v
+            return w, v, float(resid.max())
         if len(inside) > count or k >= n - 2:
             raise NumericError(
                 f"shift-invert found {len(inside)} in-gap eigenvalues with k = {k}, "
@@ -546,7 +548,7 @@ def direct_oracle(
     the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
     """
     half = n_blocks // 2
-    w, v = _ingap_eigsh(kernels.BlockedStripOperator(iface, kpar).csr(half), lambda_star, gap)
+    w, v, _ = _ingap_eigsh(kernels.BlockedStripOperator(iface, kpar).csr(half), lambda_star, gap)
     # the edge band is the outermost max(4, nb // 10) columns on each side
     edge = max(4, (2 * half + 1) // 10) - 1
     kept = []

@@ -14,12 +14,14 @@ from math import ceil, gcd
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import _edge_filtered, _ingap_eigsh
+from .matching import _edge_filtered, _ingap_eigsh, direct_oracle
 
 _OFF = kernels.RANGE1_OFFSETS
+MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
 
 
 def _ell2_coord(n1: int, n2: int) -> float:
@@ -197,8 +199,9 @@ def _defect_entries(w: PerturbationW, L: int, t: int):
     of the defect, n + d wrapped into the window, on columns |n1| <= t; this
     reproduces W once L exceeds twice its support.  Raises
     ``ModelValidationError`` when the kept cell pairs are not symmetric, so
-    that W^L is not Hermitian (below L = 8 for both kinds).  Values are
-    complex; a zero amplitude gives no entries.
+    that W^L is not Hermitian (below L = 8 for both kinds), or when their
+    set is not its own image under the reflection P.  Values are complex; a
+    zero amplitude gives no entries.
     """
     nc = (2 * t + 1) * L
     n1, n2 = (c[:, None] for c in _site_cells(L, t, np.arange(nc)))
@@ -207,8 +210,12 @@ def _defect_entries(w: PerturbationW, L: int, t: int):
     inside = np.abs(n1 + d1) <= t
     i, off = np.nonzero(cut & inside & w._couples(n1, n2, d1, d2) & (w.amplitude != 0))
     j = _site_indices(L, t, n1[i, 0] + d1[off], n2[i, 0] + d2[off])
-    if not np.array_equal(np.sort(i * nc + j), np.sort(j * nc + i)):
+    pairs = np.sort(i * nc + j)
+    if not np.array_equal(pairs, np.sort(j * nc + i)):
         raise ModelValidationError(f"the periodized defect is not Hermitian at L = {L}")
+    ip, jp = (_reflection_image(L, t, 6 * c) // 6 for c in (i, j))
+    if not np.array_equal(pairs, np.sort(ip * nc + jp)):
+        raise ModelValidationError(f"the periodized defect is not reflection symmetric at L = {L}")
     sub = np.arange(36)
     rows = (6 * i[:, None] + sub // 6).ravel()
     cols = (6 * j[:, None] + sub % 6).ravel()
@@ -261,31 +268,24 @@ def strip_sector_eigen(
     lam_ref: float | None = None,
     d_zig: float | None = None,
     t0: int = 80,
-    move_tol: float = 1e-9,
     t_max: int | None = None,
 ) -> StripSector:
     """In-gap eigenpairs of one parity sector of the (perturbed) L-strip.
 
     Each width is assembled, reduced to the sector by `parity_isometry` and
-    solved by `_ingap_eigsh` about ``lam_ref`` (else the gap centre); the
-    loop and the result are `_sector_loop`'s.
+    solved by `_ingap_eigsh` about the gap centre; ``lam_ref`` only picks
+    the tracked pair.  The loop and the result are `_sector_loop`'s.
     """
-    sigma = 0.5 * (gap[0] + gap[1]) if lam_ref is None else lam_ref
+    sigma = 0.5 * (gap[0] + gap[1])
 
     def solve(t):
         mat = assemble_strip(iface, L, t, w)
         q = parity_isometry(L, t, parity)
-        wr, vr, resid = _sector_pairs((q.getH() @ mat @ q).tocsr(), sigma, gap)
+        wr, vr, resid = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), sigma, gap)
         return wr, q @ vr, resid
 
     h = _column_coupling(iface, w)
-    return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol, h, t_max)
-
-
-def _sector_pairs(mat, sigma: float, gap: tuple):
-    """`_ingap_eigsh` of ``mat`` and the largest residual ||(mat - w) v|| of its pairs (0 without any)."""
-    w, v = _ingap_eigsh(mat, sigma, gap)
-    return w, v, float(np.linalg.norm(mat @ v - v * w, axis=0).max(initial=0.0))
+    return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, h, t_max)
 
 
 def _column_coupling(iface: kernels.InterfaceKernel, w: PerturbationW | None) -> float:
@@ -327,16 +327,16 @@ def _certificate(vectors, resid: float, h: float, L: int, t: int):
     return eps, float(np.exp(slopes.max()))
 
 
-def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol, h, t_max=None) -> StripSector:
-    """Grow the strip width until the kept in-gap pairs are certified to ``move_tol``.
+def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, h, t_max=None) -> StripSector:
+    """Grow the strip width until the kept in-gap pairs are certified to ``MOVE_TOL``.
 
     ``solve(t)`` returns all the in-gap eigenvalues of the width-t sector,
     their full-space vectors and a bound on their residuals.  The width
     starts at ``t0`` cells per side.  It stops once the `_certificate` eps
-    of the pairs kept by the edge filter is at most ``move_tol``: each
+    of the pairs kept by the edge filter is at most ``MOVE_TOL``: each
     kept eigenvalue then lies within eps of one of the infinite strip.
     Otherwise the width grows by the step that the fitted decay rate r
-    predicts to reach ``move_tol``, ln(eps / move_tol) / -ln r rounded up
+    predicts to reach ``MOVE_TOL``, ln(eps / MOVE_TOL) / -ln r rounded up
     to a multiple of 8, and it doubles while no pair is kept (or r is not
     below 1).  It stops at ``t_max`` (default 8 * ``t0``), where
     ``t_converged`` is False if the certificate still fails.  Raises
@@ -352,11 +352,11 @@ def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol, h, t_max=N
             return 2 * t, (kept, len(wr), float("inf"))
         eps, rate = _certificate(np.column_stack([vec for _, vec, _ in kept]), resid, h, L, t)
         result = (kept, len(wr), eps)
-        if eps <= move_tol:
+        if eps <= MOVE_TOL:
             return None, result
         if not rate < 1.0:
             return 2 * t, result
-        step = ceil(np.log(eps / move_tol) / -np.log(rate))
+        step = ceil(np.log(eps / MOVE_TOL) / -np.log(rate))
         return t + 8 * ceil(step / 8), result
 
     (kept, count, eps), t, converged = green._grow_until(t0, 8 * t0 if t_max is None else t_max, attempt)
@@ -385,7 +385,7 @@ def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, move_tol, h, t_max=N
 
 def full_strip_ingap(iface, L, t, gap, lam_center):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
-    w, v = _ingap_eigsh(assemble_strip(iface, L, t), lam_center, gap)
+    w, v, _ = _ingap_eigsh(assemble_strip(iface, L, t), lam_center, gap)
     n1s = np.repeat(np.arange(-t, t + 1), L)
     return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))]
 
@@ -454,7 +454,7 @@ class _MomentumStrip:
     @cached_property
     def pairs(self):
         """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
-        return _sector_pairs(self.mat, self.sigma, self.gap)
+        return _ingap_eigsh(self.mat, self.sigma, self.gap)
 
 
 class MomentumStrips:
@@ -559,70 +559,45 @@ class _BlochSector:
 
     def unperturbed_pairs(self):
         """In-gap eigenvalues and full-space vectors of the sector, and their largest residual."""
-        vals, cols, resid = [], [], 0.0
-        for pos, blk in enumerate(self.blocks):
-            w, v, r = blk.pairs
-            col = np.zeros((self.bounds[-1], len(w)), dtype=v.dtype)
-            col[self.bounds[pos] : self.bounds[pos + 1]] = v
-            vals.append(w)
-            cols.append(col)
-            resid = max(resid, r)
-        return np.concatenate(vals), self.to_full(np.hstack(cols)).real, resid
+        vals, vecs, resid = zip(*(blk.pairs for blk in self.blocks))
+        return np.concatenate(vals), self.to_full(block_diag(*vecs)).real, max(resid)
 
-    def matrix(self, v, d):
-        """The sector of the strip plus V D V^T in momentum coordinates, a sparse real symmetric K.
+    def matrix(self, w: PerturbationW):
+        """The sector of the strip plus the defect W^L in momentum coordinates, a sparse real symmetric K.
 
-        K = blockdiag(S^H H_k S) + U D U^T with U = B^T V, real for the real
-        V of `_defect_sector` and nonzero only on the rows of the columns n1
+        W^L's real block on its support rows is factored as V D V^T, D its
+        nonzero eigenvalues.  K = blockdiag(S^H H_k S) + U D U^T with
+        U = B^T V: B^T maps onto the sector, so V needs no parity
+        projection, and U is nonzero only on the rows of the columns n1
         that V touches.
         """
+        ri, ci, vv = _defect_entries(w, self.L, self.t)
+        supp, row = np.unique(ri, return_inverse=True)   # W^L is Hermitian: its columns are its rows
+        dense = np.zeros((len(supp), len(supp)))
+        np.add.at(dense, (row, np.searchsorted(supp, ci)), vv.real)
+        d, vecs = np.linalg.eigh(dense)
+        keep = np.abs(d) > 1e-12 * np.abs(d).max()
+        v = np.zeros((6 * self.L * (2 * self.t + 1), keep.sum()))
+        v[supp] = vecs[:, keep]
         u = self.to_momentum(v).real
         rows = np.flatnonzero(u.any(axis=1))
-        core = (u[rows] * d) @ u[rows].T
+        core = (u[rows] * d[keep]) @ u[rows].T
         core = 0.5 * (core + core.T)
-        ri, ci = np.meshgrid(rows, rows, indexing="ij")
+        mi, mj = np.meshgrid(rows, rows, indexing="ij")
         n = self.bounds[-1]
         k = sp.block_diag([blk.mat for blk in self.blocks], format="csr")
-        return (k + sp.csr_matrix((core.ravel(), (ri.ravel(), ci.ravel())), shape=(n, n))).tocsr()
+        return (k + sp.csr_matrix((core.ravel(), (mi.ravel(), mj.ravel())), shape=(n, n))).tocsr()
 
-    def perturbed_pairs(self, v, d):
-        """In-gap eigenvalues, full-space vectors and largest residual of the sector plus V D V^T.
+    def perturbed_pairs(self, w: PerturbationW):
+        """In-gap eigenvalues, full-space vectors and largest residual of the sector plus the defect.
 
         `_ingap_eigsh` certifies the in-gap count of the sector `matrix` by
         its inertia at both gap edges and finds the pairs.
         """
-        if len(d) == 0:
-            return self.unperturbed_pairs()   # the defect does not act on this sector
-        w, z, resid = _sector_pairs(self.matrix(v, d), self.sigma, self.gap)
-        return w, self.to_full(z).real, resid
-
-
-def _defect_sector(w: PerturbationW, L: int, t: int, parity: int):
-    """The defect's parity part V D V^T on the width-t strip: (V, D), V real."""
-    ri, ci, vv = _defect_entries(w, L, t)
-    nfull = 6 * L * (2 * t + 1)
-    if not vv.any():
-        return np.zeros((nfull, 0)), np.zeros(0)
-    supp = np.unique(np.concatenate([ri, ci]))
-    n = len(supp)
-    dense = np.zeros((n, n))
-    np.add.at(dense, (np.searchsorted(supp, ri), np.searchsorted(supp, ci)), vv.real)
-    image = _reflection_image(L, t, supp)
-    col = np.searchsorted(supp, image)
-    if not np.array_equal(supp[np.minimum(col, n - 1)], image):
-        raise ModelValidationError("the defect support is not reflection symmetric")
-    proj = 0.5 * np.eye(n)
-    proj[np.arange(n), col] += 0.5 * parity
-    d, vecs = np.linalg.eigh(proj @ dense @ proj.T)
-    keep = np.abs(d) > 1e-12 * np.abs(d).max()
-    v = np.zeros((nfull, keep.sum()), dtype=vecs.dtype)
-    v[supp] = vecs[:, keep]
-    return v, d[keep]
-
-
-def _widen(v, L: int, dt: int):
-    """Full-space columns ``v`` of a width-t L-strip as columns of the width-(t + dt) strip."""
-    return np.pad(v, ((6 * L * dt, 6 * L * dt), (0, 0)))
+        if w.amplitude == 0:
+            return self.unperturbed_pairs()   # W^L has no entries
+        vals, z, resid = _ingap_eigsh(self.matrix(w), self.sigma, self.gap)
+        return vals, self.to_full(z).real, resid
 
 
 def bloch_sector_eigen(
@@ -633,7 +608,6 @@ def bloch_sector_eigen(
     lam_ref: float | None = None,
     d_zig: float | None = None,
     t0: int = 80,
-    move_tol: float = 1e-9,
     t_max: int | None = None,
 ) -> StripSector:
     """`strip_sector_eigen` on the momentum strips of ``strips``, same loop and result.
@@ -646,24 +620,14 @@ def bloch_sector_eigen(
     form, so its sector is assembled and solved by `strip_sector_eigen`.
     """
     if w is not None and not w.compact:
-        return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol, t_max)
-
-    # (t, V, D, held); once the defect keeps off the columns +-t, the strip holds all of it
-    # and a wider one only moves V's rows
-    ref = None
+        return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, t_max)
 
     def solve(t):
-        nonlocal ref
         sector = _BlochSector(strips, L, t, parity)
-        if w is None:
-            return sector.unperturbed_pairs()
-        if ref is None or not ref[3]:
-            columns = _defect_entries(w, L, t)[0] // (6 * L)    # n1 + t of each entry's row
-            ref = (t, *_defect_sector(w, L, t, parity), not np.isin(columns, (0, 2 * t)).any())
-        return sector.perturbed_pairs(_widen(ref[1], L, t - ref[0]), ref[2])
+        return sector.unperturbed_pairs() if w is None else sector.perturbed_pairs(w)
 
     h = _column_coupling(strips.iface, w)
-    return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, move_tol, h, t_max)
+    return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, h, t_max)
 
 
 def sector_pair(
@@ -741,7 +705,6 @@ def farfield_persistence(
     return {
         "overlap_outside": overlap,
         "difference_norm": float(np.linalg.norm(diff)),
-        "window_edges": edges.tolist(),
         "difference_profile": prof,
     }
 
@@ -763,8 +726,6 @@ def interface_band_curve(
     jump larger than half the gap width raises ``BranchLost``.  The result
     reports per-momentum samples and the emptiness of the pi sectors.
     """
-    from .matching import direct_oracle
-
     if kpars is None:
         kpars = np.linspace(-np.pi, np.pi, 41)
     samples = []

@@ -430,12 +430,8 @@ def analytic_label(kernel: HoppingKernel, k1_grid: np.ndarray | None = None) -> 
     mu = np.zeros((n_k, 6))
     vecs = np.zeros((n_k, 6, 6), dtype=complex)
     i0 = int(np.argmin(np.abs(k1_grid)))
-    mu[i0] = np.array([dd.lambda_star] * 4 + [bundle.eigenvalues[c[0]] for c in rest_idx])[
-        [0, 1, 2, 3, 4, 5]
-    ]
-    # recompute rest eigenvalue order to match the parity reordering
-    rest_vals = np.concatenate([bundle.eigenvalues[c] for c in rest_idx])[order]
-    mu[i0, 4:] = rest_vals
+    rest_vals = np.concatenate([bundle.eigenvalues[c] for c in rest_idx])[order]   # in the order of ``rest``
+    mu[i0] = np.concatenate([[dd.lambda_star] * 4, rest_vals])
     vecs[i0] = start
 
     even_b, odd_b = _parity_basis()

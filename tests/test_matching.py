@@ -423,11 +423,12 @@ def test_ingap_eigsh_grows_k_near_gap_edge(iface, gap, monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", spy)
-    w, v = matching._ingap_eigsh(mat, sigma, gap)
+    w, v, resid = matching._ingap_eigsh(mat, sigma, gap)
     assert ks[0] == len(expect) and ks[-1] > len(expect)
     assert len(w) == len(expect)
     assert np.abs(w - expect).max() < 1e-10
     assert np.abs(mat @ v - v * w).max() < 1e-10
+    assert resid == np.linalg.norm(mat @ v - v * w, axis=0).max()
 
 
 def test_ingap_eigsh_zero_count_skips_solver(monkeypatch):
@@ -436,8 +437,8 @@ def test_ingap_eigsh_zero_count_skips_solver(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", refuse)
     mat = sp.diags([-2.0, -1.0, 1.0, 2.0, 3.0]).tocsr()
-    w, v = matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5))
-    assert w.shape == (0,) and v.shape == (5, 0)
+    w, v, resid = matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5))
+    assert w.shape == (0,) and v.shape == (5, 0) and resid == 0.0
 
 
 def test_inertia_certificate_failures_raise():

@@ -80,10 +80,31 @@ def test_short_period_defect_not_hermitian(setup_r):
             with pytest.raises(ModelValidationError, match="not Hermitian"):
                 robust.assemble_strip(iface, L, 3, w)
             with pytest.raises(ModelValidationError, match="not Hermitian"):
-                robust._defect_sector(w, L, 3, 1)
+                robust._defect_entries(w, L, 3)
         mat = robust.assemble_strip(iface, 8, 3, w)
         assert abs(mat - mat.getH()).max() < 1e-14
-        assert len(robust._defect_sector(w, 8, 3, 1)[1]) > 0
+        assert len(robust._defect_entries(w, 8, 3)[2]) > 0
+
+
+def test_off_centre_defect_not_reflection_symmetric(setup_r, monkeypatch):
+    """A defect one row off centre is refused on both sector paths.
+
+    At L = 16 the cut |n.l2| <= L/4 holds all of its pairs, so W^L is
+    Hermitian but not reflection symmetric; at L = 8 the cut splits pairs
+    and the Hermiticity check fires first.
+    """
+    iface, gap, _, _ = setup_r
+    w = robust.build_W("compact", 2e-5)
+    couples = robust.PerturbationW._couples
+    monkeypatch.setattr(
+        robust.PerturbationW, "_couples", lambda self, n1, n2, d1, d2: couples(self, n1, n2 + 1, d1, d2)
+    )
+    strips = robust.MomentumStrips(iface, gap)
+    for L, message in ((16, "not reflection symmetric"), (8, "not Hermitian")):
+        with pytest.raises(ModelValidationError, match=message):
+            robust.assemble_strip(iface, L, 4, w)
+        with pytest.raises(ModelValidationError, match=message):
+            robust._BlochSector(strips, L, 4, 1).matrix(w)
 
 
 def test_strip_hermitian_and_reflection(setup_r):
@@ -287,7 +308,7 @@ def test_ingap_eigsh_rejects_pairs_with_large_residual(setup_r):
     # 0.0519702019820843 is the odd interface mode's eigenvalue to 5e-16
     with pytest.raises(NumericError, match="residual"):
         matching._ingap_eigsh(strip, 0.0519702019820843, gap)
-    w, v = matching._ingap_eigsh(strip, 0.5 * (gap[0] + gap[1]), gap)
+    w, v, _ = matching._ingap_eigsh(strip, 0.5 * (gap[0] + gap[1]), gap)
     assert np.abs(strip @ v - v * w).max() < 1e-12
 
 
@@ -333,7 +354,7 @@ def test_momentum_sector_matches_assembled_spectrum(setup_r):
         w = robust.build_W("compact", amplitude)
         for parity in (1, -1):
             sector = robust._BlochSector(strips, L, t, parity)
-            k = sector.matrix(*robust._defect_sector(w, L, t, parity))
+            k = sector.matrix(w)
             assembled = _assembled_sector(iface, L, t, parity, w)
             assert abs(k - k.getH()).max() < 1e-15
             dense = np.linalg.eigvalsh(assembled.toarray())
@@ -365,9 +386,7 @@ def test_momentum_coordinates_back_map(setup_r):
     mat = robust.assemble_strip(iface, L, t, w)
     perm = robust.reflection_permutation(L, t)
     for parity in (1, -1):
-        vals, vecs, resid = robust._BlochSector(strips, L, t, parity).perturbed_pairs(
-            *robust._defect_sector(w, L, t, parity)
-        )
+        vals, vecs, resid = robust._BlochSector(strips, L, t, parity).perturbed_pairs(w)
         assert len(vals) > 0 and not np.iscomplexobj(vecs)
         assert resid < 1e-12
         assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() < 1e-13
@@ -398,7 +417,7 @@ def test_momentum_blocks_real(setup_r):
     w = robust.build_W("compact", 0.05)
     for parity in (1, -1):
         sector = robust._BlochSector(strips, L, t, parity)
-        assert sector.matrix(*robust._defect_sector(w, L, t, parity)).dtype == np.float64
+        assert sector.matrix(w).dtype == np.float64
     # an imaginary on-site hopping breaks the symmetry that makes the blocks real
     onsite = np.zeros((6, 6), dtype=complex)
     onsite[0, 1], onsite[1, 0] = 0.01j, -0.01j
@@ -408,36 +427,19 @@ def test_momentum_blocks_real(setup_r):
         robust.MomentumStrips(twisted, gap).block(t, (1, 8), 1)
 
 
-def test_defect_sector_widens_by_row_offset(setup_r, monkeypatch):
-    """Once the strip holds the defect, a wider strip only moves V's rows by 6 L (t - t0).
-
-    So `bloch_sector_eigen` forms the defect's sector part once per (L,
-    parity) and widens it; below the defect's extent it forms it afresh.
-    """
-    w = robust.build_W("compact", 2e-5)
-    for L in (8, 16):
-        for parity in (1, -1):
-            v0, d0 = robust._defect_sector(w, L, 80, parity)
-            for t in (160, 320):
-                v, d = robust._defect_sector(w, L, t, parity)
-                assert np.array_equal(robust._widen(v0, L, t - 80), v)
-                assert np.array_equal(d0, d)
-    # a width-1 strip cuts the defect off, so its V is no part of a wider one
-    v1, d1 = robust._defect_sector(w, 8, 1, 1)
-    v4, d4 = robust._defect_sector(w, 8, 4, 1)
-    assert len(d1) != len(d4) or not np.allclose(robust._widen(v1, 8, 3), v4)
-
+def test_sector_width_doubles_while_no_pair_is_kept(setup_r, monkeypatch):
+    """Without a kept pair the width doubles up to its cap 8 t0, then the sector collapses."""
     iface, gap, lam, d_zig = setup_r
     widths = []
-    fresh = robust._defect_sector
-    monkeypatch.setattr(robust, "_defect_sector", lambda *a: widths.append(a[2]) or fresh(*a))
+    sector = robust._BlochSector
+    monkeypatch.setattr(
+        robust, "_BlochSector", lambda strips, L, t, parity: widths.append(t) or sector(strips, L, t, parity)
+    )
     strips = robust.MomentumStrips(iface, gap)
-    robust.bloch_sector_eigen(strips, w, 8, 1, lam[1], d_zig[1], t0=20)
-    assert widths == [20]
-    widths.clear()
+    w = robust.build_W("compact", 2e-5)
     with pytest.raises(GapCollapse):   # widths 1 to 8 hold no isolated interface mode
         robust.bloch_sector_eigen(strips, w, 8, 1, lam[1], d_zig[1], t0=1)
-    assert widths == [1, 2, 4]
+    assert widths == [1, 2, 4, 8]
 
 
 def test_certificate_fits_the_decay_rate():
@@ -504,6 +506,24 @@ def test_sector_solves_stay_real(setup_r, monkeypatch):
         for defect in (None, w):
             robust.bloch_sector_eigen(strips, defect, 8, parity, lam[parity], d_zig[parity], t0=20)
     assert len(seen) > 0 and all(dtype == np.float64 for dtype in seen)
+
+
+def test_sector_solves_shift_at_gap_centre(setup_r, monkeypatch):
+    """Both sector paths shift every solve at the gap centre; ``lam_ref`` only picks the tracked pair."""
+    iface, gap, lam, d_zig = setup_r
+    shifts = []
+
+    def spy(mat, sigma, gap):
+        shifts.append(sigma)
+        return matching._ingap_eigsh(mat, sigma, gap)
+
+    monkeypatch.setattr(robust, "_ingap_eigsh", spy)
+    strips = robust.MomentumStrips(iface, gap)
+    # the line defect's perturbed sector is the assembled `strip_sector_eigen`
+    for defect in (None, robust.build_W("compact", 2e-5), robust.build_W("line", 2e-5)):
+        for parity in (1, -1):
+            robust.bloch_sector_eigen(strips, defect, 8, parity, lam[parity], d_zig[parity], t0=20)
+    assert len(shifts) > 0 and set(shifts) == {0.5 * (gap[0] + gap[1])}
 
 
 @pytest.mark.parametrize("kind", [None, "compact"])
