@@ -2,19 +2,24 @@
 
 Subcommands: bands, symmetry-report, green-check, interface, robustness,
 band-curve.  All numeric work is deterministic; identical configurations
-produce identical outputs.  Exit codes: 0 success, 2 model validation,
+produce identical outputs.  Each command runs BLAS on one thread (see
+``one_blas_thread``).  Exit codes: 0 success, 2 model validation,
 3 numeric failure, 4 unexpected interface-mode count, 5 perturbation bound
 violated without override.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import emit, green, kernels, lattice, matching, robust, spectra
 from .errors import BoundViolation, HexamerError, ModelValidationError, NumericError
@@ -467,6 +472,54 @@ def cmd_band_curve(cfg: dict) -> int:
     return 0
 
 
+# The OpenBLAS copy each wheel bundles: package, library folder, thread getter, setter.
+# NumPy's serves eigh, eigvalsh and matmul; SciPy's serves SuperLU and ARPACK.
+_OPENBLAS = (
+    (np, "numpy.libs", "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy.libs", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of each bundled OpenBLAS copy already loaded.
+
+    ``RTLD_NOLOAD`` opens a library only if the process has loaded it, so a copy
+    that is missing or not loaded is skipped, and nothing new is loaded.
+    """
+    found = []
+    for pkg, folder, get_name, set_name in _OPENBLAS:
+        for path in sorted((Path(pkg.__file__).parent.parent / folder).glob("libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with both OpenBLAS copies on one thread; restore their counts after.
+
+    The matrices here are small, so a second BLAS thread costs more time than
+    it saves (README, Threads).  On one thread every summation order, and so
+    every output byte, is the same whatever thread count the process started
+    with.  Without a bundled copy this does nothing.
+    """
+    copies = _openblas_threads()
+    saved = [get() for get, _ in copies]
+    try:
+        for _, set_ in copies:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(copies, saved):
+            set_(n)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexamer",
@@ -495,18 +548,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"out": args.out})
-        if args.command == "bands":
-            return cmd_bands(cfg)
-        if args.command == "symmetry-report":
-            return cmd_symmetry_report(cfg)
-        if args.command == "green-check":
-            return cmd_green_check(cfg)
-        if args.command == "interface":
-            return cmd_interface(cfg, args.no_inversion, args.oracle)
-        if args.command == "robustness":
-            return cmd_robustness(cfg, args.override_bound)
-        if args.command == "band-curve":
-            return cmd_band_curve(cfg)
+        with one_blas_thread():
+            if args.command == "bands":
+                return cmd_bands(cfg)
+            if args.command == "symmetry-report":
+                return cmd_symmetry_report(cfg)
+            if args.command == "green-check":
+                return cmd_green_check(cfg)
+            if args.command == "interface":
+                return cmd_interface(cfg, args.no_inversion, args.oracle)
+            if args.command == "robustness":
+                return cmd_robustness(cfg, args.override_bound)
+            if args.command == "band-curve":
+                return cmd_band_curve(cfg)
         raise ModelValidationError(f"unknown command {args.command}")
     except ModelValidationError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)

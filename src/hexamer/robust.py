@@ -724,14 +724,22 @@ def interface_band_curve(
 
     Branches are matched between neighboring momenta by proximity; a matched
     jump larger than half the gap width raises ``BranchLost``.  The result
-    reports per-momentum samples and the emptiness of the pi sectors.
+    reports per-momentum samples and the emptiness of the pi sectors.  The
+    hoppings are real, so the strip at -kpar is the complex conjugate of the
+    one at kpar, with the same eigenvalues: every momentum is solved at
+    |kpar|, once for both signs.
     """
     if kpars is None:
         kpars = np.linspace(-np.pi, np.pi, 41)
+    solved = {}
     samples = []
-    for kp in kpars:
-        vals = [v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=float(kp))]
-        samples.append(sorted(vals))
+    for kp in map(float, kpars):
+        key = abs(kp)
+        if key not in solved:
+            solved[key] = sorted(
+                v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=key)
+            )
+        samples.append(list(solved[key]))
     width = gap[1] - gap[0]
     for i in range(1, len(kpars)):
         prev, cur = samples[i - 1], samples[i]

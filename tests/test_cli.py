@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, and deterministic emission."""
 import filecmp
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+from hexamer import cli
+from hexamer.errors import NumericError
 
 FAST = {
     "model": "blended",
@@ -18,14 +22,14 @@ FAST = {
 }
 
 
-def run_cli(tmp_path, *args, cfg=None):
+def run_cli(tmp_path, *args, cfg=None, env=None):
     argv = [sys.executable, "-m", "hexamer.cli"]
     if cfg is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         argv += ["--config", str(path)]
     argv += list(args)
-    return subprocess.run(argv, capture_output=True, text=True)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def test_bands_command(tmp_path):
@@ -181,7 +185,7 @@ def test_robustness_command(tmp_path):
 
 def test_robustness_sectors_share_one_window(tmp_path, monkeypatch):
     """A perturbed sector certified on a wider strip makes the unperturbed one solve again there."""
-    from hexamer import cli, robust
+    from hexamer import robust
 
     solve = robust.bloch_sector_eigen
     starts = []
@@ -265,3 +269,65 @@ def test_debug_csv_exports(tmp_path):
     res = run_cli(tmp_path, "--out", str(out), "green-check", cfg=FAST)
     assert res.returncode == 0
     assert (out / "green_pv_blocks.csv").exists()
+
+
+def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
+    """main pins both OpenBLAS copies to one thread and restores their counts, also on error."""
+    copies = cli._openblas_threads()
+    assert len(copies) == 2  # NumPy's libscipy_openblas64_ and SciPy's libscipy_openblas
+    inside = []
+
+    def recording(outcome):
+        def cmd(cfg):
+            inside.append([get() for get, _ in copies])
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+        return cmd
+
+    monkeypatch.setattr(cli, "cmd_bands", recording(0))
+    monkeypatch.setattr(cli, "cmd_green_check", recording(NumericError("forced")))
+    monkeypatch.setattr(cli, "cmd_symmetry_report", recording(RuntimeError("forced")))
+    argv = ["--out", str(tmp_path / "o")]
+    before = [get() for get, _ in copies]
+    try:
+        for _, set_ in copies:
+            set_(2)
+        assert cli.main([*argv, "bands"]) == 0
+        assert [get() for get, _ in copies] == [2, 2]
+        assert cli.main([*argv, "green-check"]) == 3
+        assert [get() for get, _ in copies] == [2, 2]
+        with pytest.raises(RuntimeError):
+            cli.main([*argv, "symmetry-report"])
+        assert [get() for get, _ in copies] == [2, 2]
+    finally:
+        for (_, set_), n in zip(copies, before):
+            set_(n)
+    assert inside == [[1, 1]] * 3
+
+
+def test_main_runs_without_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(FAST))
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(path), "--out", str(out), "symmetry-report"]) == 0
+    assert (out / "symmetry_report.json").exists()
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    """Every output but the echoed config is the same bytes at 1 and 2 OpenBLAS threads."""
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        for command in ("green-check", "robustness"):
+            res = run_cli(tmp_path, "--out", str(out / command), command, cfg=FAST, env=env)
+            assert res.returncode == 0, res.stderr
+        outs.append(out)
+    names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*.*"))
+    assert names == sorted(str(p.relative_to(outs[1])) for p in outs[1].rglob("*.*"))
+    compared = [n for n in names if not n.endswith("effective_config.json")]
+    assert len(compared) == 6  # green-check 3 files, robustness 3 (with .meta.json)
+    for name in compared:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name

@@ -278,6 +278,34 @@ def test_band_curve(setup_r, dirac, blended, hper, beta_star):
     assert np.abs(np.array(center) - np.array(sorted(lam.values()))).max() < 1e-6
 
 
+def test_band_curve_solves_each_momentum_pair_once(setup_r, dirac, monkeypatch):
+    """H(-k) = conj H(k): every momentum is solved at |k|, once for +-k."""
+    iface, gap, _, _ = setup_r
+    # the CLI's grid is symmetric to the bit; -0.3 has no partner on it
+    kpars = np.append(np.linspace(-np.pi, np.pi, 41), -0.3)
+    full = [
+        sorted(v for v, _, _ in matching.direct_oracle(
+            iface, dirac.lambda_star, gap, 160, kpar=float(k)))
+        for k in kpars
+    ]
+    solve = robust.direct_oracle
+    solved = []
+
+    def counted(*args, kpar):
+        solved.append(kpar)
+        return solve(*args, kpar=kpar)
+
+    monkeypatch.setattr(robust, "direct_oracle", counted)
+    curve = robust.interface_band_curve(
+        iface, gap, dirac.lambda_star, kpars=kpars, n_blocks=160
+    )
+    assert sorted(solved) == sorted([0.3, *(float(k) for k in kpars[20:41])])
+    assert [len(s) for s in curve["samples"]] == [len(f) for f in full]
+    for s, f in zip(curve["samples"], full):
+        assert np.abs(np.subtract(s, f)).max(initial=0.0) < 1e-12
+    assert curve["empty_at_pi"] is True
+
+
 def test_band_curve_continuity_refinement(setup_r, dirac):
     """Successive jumps scale linearly with the momentum step."""
     iface, gap, _, _ = setup_r
