@@ -768,7 +768,8 @@ def neumann_mode_check(
     Dense eigendecomposition of the unperturbed sector operator supplies the
     exact reduced resolvent; the series is summed until increments fall
     below ``tol``.  The unperturbed level is the in-gap sector eigenvalue
-    nearest ``lam_ref`` (the interface-mode eigenvalue of this parity).
+    nearest ``lam_ref`` (the interface-mode eigenvalue of this parity); the
+    perturbed pair nearest it comes from one shift-invert solve.
     """
     q = parity_isometry(L, t, parity)
     ri, ci, vv = _defect_entries(w, L, t)
@@ -785,9 +786,8 @@ def neumann_mode_check(
     lam0 = evals[i0]
     u0 = evecs[:, i0]
 
-    wpert, vpert = np.linalg.eigh(hw)
-    j0 = int(np.argmin(np.abs(wpert - lam0)))
-    lam_w, u_direct = wpert[j0], vpert[:, j0]
+    wpert, vpert = sp.linalg.eigsh(hw, k=1, sigma=lam0, v0=np.ones(len(hw)))
+    lam_w, u_direct = wpert[0], vpert[:, 0]
 
     inv = np.zeros_like(evals)
     mask = np.arange(len(evals)) != i0

@@ -208,21 +208,49 @@ class GapReport:
         }
 
 
-def _grid(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.linspace(-half_width, half_width, n)
-    return np.meshgrid(ks, ks, indexing="ij")
+def _invariant_duals(kernels) -> list[np.ndarray]:
+    """Momentum maps of the point-group ops that fix every kernel's blocks to 1e-12."""
+    zero = np.zeros((6, 6))
+
+    def fixes(blocks, op):
+        conj = lattice.conjugate_kernel(blocks, op)
+        return all(np.abs(conj.get(e, zero) - blocks.get(e, zero)).max() <= 1e-12
+                   for e in conj.keys() | blocks.keys())
+
+    return [op.dual for op in lattice.generate_group()
+            if all(fixes(k.blocks, op) for k in kernels)]
 
 
-def _edges_around(kernel, lam, grids) -> tuple[float, float]:
-    lo, hi = -np.inf, np.inf
-    for k1g, k2g in grids:
-        w = np.linalg.eigvalsh(kernel.bloch_rad(k1g, k2g)).ravel()
-        below, above = w[w <= lam], w[w > lam]
-        if below.size:
-            lo = max(lo, float(below.max()))
-        if above.size:
-            hi = min(hi, float(above.min()))
-    return lo, hi
+def _orbit_representatives(ks, axis, period, duals) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta of the lowest-index point of each orbit on the grid ``ks`` x ``ks``.
+
+    ``axis`` holds the grid's points as exact integers and ``period`` their
+    period in those units (None for a box); only the ``duals`` that map that
+    integer grid onto itself act.
+    """
+    n = len(axis)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij")).reshape(2, -1)
+    flat = np.arange(n * n)
+    rep = flat
+    for d in duals:
+        img = d @ pts
+        if period is not None:
+            img = (img - axis[0]) % period + axis[0]
+        j = np.searchsorted(axis, img).clip(max=n - 1)
+        if (axis[j] == img).all():
+            rep = np.minimum(rep, j[0] * n + j[1])
+    keep = flat[rep == flat]
+    return ks[keep // n], ks[keep % n]
+
+
+def _edges_around(kernels, lam, grids) -> tuple[float, float]:
+    """Highest level <= ``lam`` and lowest level > ``lam`` of all ``kernels``."""
+    duals = _invariant_duals(kernels)
+    reps = [_orbit_representatives(*grid, duals) for grid in grids]
+    w = np.concatenate([np.linalg.eigvalsh(k.bloch_rad(*r)).ravel() for r in reps for k in kernels])
+    below, above = w[w <= lam], w[w > lam]
+    return (float(below.max()) if below.size else -np.inf,
+            float(above.min()) if above.size else np.inf)
 
 
 def gap_report(
@@ -237,6 +265,12 @@ def gap_report(
     The coarse periodic grid is refined with two nested boxes around Gamma
     (the gap edges live at momentum scale ~delta).  Inversion scores are the
     isotypic weights of the two gap-edge eigenspaces at Gamma.
+
+    Each grid is scanned at one point per orbit of the point-group ops that
+    fix the scanned kernels and map the grid onto itself (the margin scan
+    also needs them to keep the norm ``outside`` uses), so edges and margin
+    equal the full grid's up to rounding.  On C6v models these are {I, -I,
+    swap, -swap}: R6 maps neither the odd coarse grid nor the boxes onto itself.
     """
     from .kernels import verify_gap_criterion
 
@@ -245,14 +279,14 @@ def gap_report(
     dd = locate_double_dirac(kb)
     lam = dd.lambda_star
 
-    ks = np.linspace(-np.pi, np.pi, grid_points, endpoint=False)
-    coarse = np.meshgrid(ks, ks, indexing="ij")
-    boxes = [coarse, _grid(81, 0.6), _grid(81, min(0.15, 12.0 * delta + 1e-3))]
+    n = grid_points
+    # (momenta, the same as integers, their period); k = pi (2j - n) / n
+    coarse = (np.linspace(-np.pi, np.pi, n, endpoint=False), 2 * np.arange(n) - n, 2 * n)
+    grids = [coarse] + [(np.linspace(-h, h, 81), np.arange(-40, 41), None)
+                        for h in (0.6, min(0.15, 12.0 * delta + 1e-3))]
 
     plus, minus = perturbed_bulks(kb, kper_or, delta)
-    lo_p, hi_p = _edges_around(plus, lam, boxes)
-    lo_m, hi_m = _edges_around(minus, lam, boxes)
-    lo, hi = max(lo_p, lo_m), min(hi_p, hi_m)
+    lo, hi = _edges_around((plus, minus), lam, grids)
     if delta == 0.0:
         # the cone pins lambda* in the spectrum; any measured width is grid noise
         lo = hi = lam
@@ -280,9 +314,10 @@ def gap_report(
 
     # spectral no-fold margin of the unperturbed bands (reported, not assumed)
     disk = 0.35
-    k1g, k2g = coarse
-    w = np.linalg.eigvalsh(kb.bloch_rad(k1g, k2g))
-    outside = np.hypot(k1g, k2g) >= disk
+    isometries = [d for d in _invariant_duals([kb]) if (d.T @ d == np.eye(2)).all()]
+    k1, k2 = _orbit_representatives(*coarse, isometries)
+    w = np.linalg.eigvalsh(kb.bloch_rad(k1, k2))
+    outside = np.hypot(k1, k2) >= disk
     margin = float(np.abs(w[outside] - lam).min()) if outside.any() else np.nan
 
     return GapReport(

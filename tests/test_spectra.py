@@ -103,6 +103,71 @@ def test_blended_nofold_margin(blended, hper):
     assert abs(rep.width_ratio - 1.0) < 0.02
 
 
+def _scan_grids(n, delta):
+    """gap_report's grids as (momenta, the same points as integers, period)."""
+    coarse = (np.linspace(-np.pi, np.pi, n, endpoint=False), 2 * np.arange(n) - n, 2 * n)
+    return [coarse] + [(np.linspace(-h, h, 81), np.arange(-40, 41), None)
+                       for h in (0.6, min(0.15, 12.0 * delta + 1e-3))]
+
+
+def _full_edges(bulks, lam, grids):
+    """Gap edges about ``lam`` from every point of every grid, no reduction."""
+    w = np.concatenate([
+        np.linalg.eigvalsh(b.bloch_rad(*np.meshgrid(ks, ks, indexing="ij"))).ravel()
+        for ks, _, _ in grids for b in bulks
+    ])
+    return w[w <= lam].max(), w[w > lam].min()
+
+
+@pytest.mark.parametrize("model", ["toy", "extended", "blended"])
+def test_reduced_gap_scan_equals_full_scan(model, hper, request):
+    """The orbit-reduced scan finds the full grid's edges and margin to 1e-14."""
+    kb = request.getfixturevalue(model)
+    _, _, kper = kernels.verify_gap_criterion(kb, hper)
+    lam = spectra.locate_double_dirac(kb).lambda_star
+    for n in (41, 60, 101):
+        ks = np.linspace(-np.pi, np.pi, n, endpoint=False)
+        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+        w = np.linalg.eigvalsh(kb.bloch_rad(k1, k2))
+        margin = np.abs(w[np.hypot(k1, k2) >= 0.35] - lam).min()
+        for delta in (0.0, 0.025, 0.1):
+            rep = spectra.gap_report(kb, hper, delta, grid_points=n)
+            edges = (lam, lam) if delta == 0.0 else _full_edges(
+                kernels.perturbed_bulks(kb, kper, delta), lam, _scan_grids(n, delta))
+            assert np.abs(np.subtract(rep.gap_interval, edges)).max() <= 1e-14
+            assert abs(rep.nofold_margin - margin) <= 1e-14
+
+
+def test_reduced_gap_scan_with_broken_symmetry(blended, hper, dirac):
+    """An on-site energy on sublattice 1 leaves only the ops that fix it.
+
+    Near lambda* the edges sit at Gamma, which every op fixes, so the levels
+    are also compared about energies inside the bands, where the nearest
+    level lies at a generic momentum.
+    """
+    onsite = np.zeros((6, 6))
+    onsite[0, 0] = 0.01
+    bulks = kernels.perturbed_bulks(blended, hper, 0.05)
+    broken = [b.plus(kernels.HoppingKernel("onsite", {(0, 0): onsite})) for b in bulks]
+    assert len(spectra._invariant_duals(bulks)) == 12
+    assert 1 < len(spectra._invariant_duals(broken)) < 12
+    grids = _scan_grids(41, 0.05)
+    for lam in dirac.lambda_star + np.array([-0.3, 0.0, 0.3]):
+        got = spectra._edges_around(broken, lam, grids)
+        assert np.abs(np.subtract(got, _full_edges(broken, lam, grids))).max() <= 1e-14
+
+
+def test_orbit_counts_at_full_c6v():
+    """{I, -I, swap, -swap} act on the odd periodic grid and the box; R6 acts on neither."""
+    duals = [op.dual for op in lattice.generate_group()]
+    r6 = [lattice.rotation_op().dual]
+    coarse, box, _ = _scan_grids(101, 0.05)
+    for grid, count in ((coarse, 2601), (box, 1681)):
+        n = len(grid[0])
+        assert len(spectra._orbit_representatives(*grid, duals)[0]) == count
+        assert len(spectra._orbit_representatives(*grid, r6)[0]) == n * n
+
+
 def test_eigenpair_asymptotics(blended, hper, dirac):
     beta = 2.0
     # kappa = 0: eigenvalues lambda* +- beta delta to O(delta^2)
