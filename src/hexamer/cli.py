@@ -366,6 +366,13 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
         print("numeric failure: unperturbed interface does not show 2 modes", file=sys.stderr)
         return 3
     lam_by_parity = {m.parity: m.lambda_zig for m in modes.modes}
+    if sorted(lam_by_parity) != [-1, 1]:
+        print(
+            "numeric failure: the two interface modes must have one mode per parity, got parities "
+            + ", ".join(f"{m.parity:+d}" for m in modes.modes),
+            file=sys.stderr,
+        )
+        return 3
     d_zig = {
         p: min(lam - gap[0], gap[1] - lam) for p, lam in lam_by_parity.items()
     }

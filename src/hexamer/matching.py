@@ -470,8 +470,8 @@ def _factor(mat, shift: float, **options):
         raise NumericError(f"strip factor at shift {shift!r} failed: {exc}") from exc
 
 
-def _inertia(mat, shift: float) -> int:
-    """Number of eigenvalues of the Hermitian ``mat`` below ``shift``.
+def _inertia_factor(mat, shift: float):
+    """Diagonal-pivot SuperLU factor of ``mat - shift`` and the number of eigenvalues of the Hermitian ``mat`` below ``shift``.
 
     With diagonal pivots SuperLU factors P (mat - shift) P^T = L U, and for a
     Hermitian matrix U = D L^H; by Sylvester's law of inertia the negative
@@ -484,35 +484,53 @@ def _inertia(mat, shift: float) -> int:
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericError(f"off-diagonal pivot in the inertia factor at shift {shift!r}")
-    return int((lu.U.diagonal().real < 0).sum())
+    return lu, int((lu.U.diagonal().real < 0).sum())
 
 
-def _ingap_eigsh(mat, sigma: float, gap: tuple):
+def _inertia(mat, shift: float) -> int:
+    """Number of eigenvalues of the Hermitian ``mat`` below ``shift`` (`_inertia_factor`)."""
+    return _inertia_factor(mat, shift)[1]
+
+
+def _ingap_eigsh(mat, sigma: float, gap: tuple, count: int | None = None, v0=None):
     """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``.
 
     The in-gap count comes from the inertia at both gap edges, so nothing in
-    the gap is missed.  Shift-invert Lanczos about ``sigma`` then asks for
-    that many pairs and doubles ``k`` until all of them are found.  Each
-    returned pair (w, v) must have a residual ||(mat - w) v|| of at most
-    ``RESIDUAL_RTOL`` times the largest absolute row sum of ``mat``: a shift
-    on an eigenvalue passes the count and yet returns wrong pairs.  An
-    exactly real matrix is solved in real arithmetic.  Returns the
-    eigenvalues ascending, their vector columns and the largest absolute
-    residual ||(mat - w) v|| (0 without pairs); raises NumericError when the
-    certificate fails (more pairs than counted, ``k`` reaching n - 2, a bad
-    factor, a pair with a large residual).
+    the gap is missed; a caller that has certified it otherwise passes it
+    as ``count``.  Shift-invert Lanczos about ``sigma`` then asks for that
+    many pairs and doubles ``k`` until all of them are found.  It starts
+    from ``v0``, or from the normalised all-ones vector; a start close to
+    the pairs gets a Lanczos basis of 2k + 1 vectors instead of ARPACK's
+    default of at least 20.  Each returned pair (w, v) must have a residual
+    ||(mat - w) v|| of at most ``RESIDUAL_RTOL`` times the largest absolute
+    row sum of ``mat``: a shift on an eigenvalue passes the count and yet
+    returns wrong pairs.  An exactly real matrix is solved in real
+    arithmetic.  Returns the eigenvalues ascending, their vector columns
+    and the largest absolute residual ||(mat - w) v|| (0 without pairs);
+    raises NumericError when the certificate fails (more pairs than
+    counted, ``k`` reaching n - 2, a bad factor, a pair with a large
+    residual) or ARPACK does not converge.
     """
     if not mat.data.imag.any():
         mat = mat.real
     n = mat.shape[0]
-    count = _inertia(mat, gap[1]) - _inertia(mat, gap[0])
+    if count is None:
+        count = _inertia(mat, gap[1]) - _inertia(mat, gap[0])
     if count == 0:
         return np.empty(0), np.empty((n, 0), dtype=mat.dtype), 0.0
     opinv = spla.LinearOperator(mat.shape, matvec=_factor(mat, sigma).solve, dtype=mat.dtype)
-    v0 = np.ones(n) / np.sqrt(n)
+    warm = v0 is not None
+    if not warm:
+        v0 = np.ones(n) / np.sqrt(n)
     k = count
     while True:
-        w, v = spla.eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+        try:
+            w, v = spla.eigsh(
+                mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv,
+                ncv=min(n, 2 * k + 1) if warm else None,
+            )
+        except spla.ArpackError as exc:
+            raise NumericError(f"shift-invert Lanczos failed with k = {k} (shift {sigma!r}): {exc}") from exc
         inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))
         if len(inside) == count:
             inside = inside[np.argsort(w[inside])]

@@ -18,10 +18,11 @@ from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import _edge_filtered, _ingap_eigsh, direct_oracle
+from .matching import _edge_filtered, _inertia_factor, _ingap_eigsh, direct_oracle
 
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
+CORE_COLUMNS = 2  # the compact defect couples only the columns |n1| <= 2
 
 
 def _ell2_coord(n1: int, n2: int) -> float:
@@ -443,27 +444,47 @@ class _MomentumStrip:
     """One momentum strip in its real basis, its parity part at k = 0 and pi, with its in-gap pairs.
 
     ``mat`` is the real symmetric S^H H_k S and ``q`` the isometry S of
-    `_sector_isometry` into strip coordinates.
+    `_sector_isometry` into strip coordinates; ``core`` holds the rows of
+    the columns |n1| <= ``CORE_COLUMNS``, where a compact defect acts.
     """
 
     mat: sp.csr_matrix
     q: sp.csr_matrix
     gap: tuple
     sigma: float
+    core: np.ndarray
+
+    def resolvent_core(self, shift: float):
+        """(nu, G): the eigenvalues of ``mat`` below ``shift`` and the block of (mat - shift)^-1 on ``core``.
+
+        Both come from one diagonal-pivot factor (`_inertia_factor`), which
+        is dropped on return.
+        """
+        lu, below = _inertia_factor(self.mat, shift)
+        rhs = np.zeros((self.mat.shape[0], len(self.core)))
+        rhs[self.core, np.arange(len(self.core))] = 1.0
+        return below, lu.solve(rhs)[self.core]
+
+    @cached_property
+    def edges(self):
+        """`resolvent_core` at both gap edges: the strip's in-gap count, and the border of a perturbed sector's."""
+        return [self.resolvent_core(edge) for edge in self.gap]
 
     @cached_property
     def pairs(self):
         """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
-        return _ingap_eigsh(self.mat, self.sigma, self.gap)
+        (below0, _), (below1, _) = self.edges
+        return _ingap_eigsh(self.mat, self.sigma, self.gap, count=below1 - below0)
 
 
 class MomentumStrips:
     """Momentum strips of one interface kernel and gap, cached by (t, k, parity).
 
     Both parities, every L and the unperturbed and perturbed solves share
-    the strips and their in-gap pairs: the momenta of L = 8 are among those
-    of L = 16.  Every shift-invert solve shifts at the gap centre, away from
-    the interface eigenvalues.
+    the strips, their in-gap pairs and their resolvent cores at the gap
+    edges: the momenta of L = 8 are among those of L = 16.  Every
+    shift-invert solve shifts at the gap centre, away from the interface
+    eigenvalues.
     """
 
     def __init__(self, iface: kernels.InterfaceKernel, gap: tuple):
@@ -481,8 +502,34 @@ class MomentumStrips:
             mat = (q.getH() @ strip @ q).tocsr()
             if abs(mat.imag).max() > 1e-12 * abs(mat).max():
                 raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
-            self._blocks[key] = _MomentumStrip(mat.real, q, self.gap, self.sigma)
+            per_cell = mat.shape[0] // (2 * t + 1)
+            reach = min(CORE_COLUMNS, t)
+            core = np.arange(per_cell * (t - reach), per_cell * (t + reach + 1))
+            self._blocks[key] = _MomentumStrip(mat.real, q, self.gap, self.sigma, core)
         return self._blocks[key]
+
+
+def _bordered_inertia(cores, u, d) -> int:
+    """Eigenvalues of K = A + U D U^T below a shift s, from the `resolvent_core` of each block of A at s.
+
+    ``cores`` holds (nu_j, G_j) of each diagonal block A_j, ``u`` is U on
+    the stacked core rows (zero elsewhere) and ``d`` the diagonal of D.
+    The bordered matrix M = [[A - s, U], [U^T, -D^-1]] has two Schur
+    complements: M/(A - s) = S(s) = -D^-1 - U^T (A - s)^-1 U, and
+    M/(-D^-1) = A - s + U D U^T = K - s.  Haynsworth's inertia additivity
+    (Linear Algebra Appl. 1 (1968) 73) counts the negative eigenvalues nu
+    of M both ways:
+        nu(A - s) + nu(S(s)) = nu(M) = nu(-D^-1) + nu(K - s).
+    A is block diagonal and U vanishes off the core rows, so
+    U^T (A - s)^-1 U = U^T blockdiag(G_j) U, and nu(A - s) = sum nu_j.
+    The in-gap count of K is the difference at the two gap edges, where
+    nu(-D^-1), the number of positive d, cancels.  A - s must be
+    nonsingular, as its inertia factor requires.
+    """
+    below = sum(nu for nu, _ in cores)
+    schur = -np.diag(1.0 / d) - u.T @ block_diag(*(g for _, g in cores)) @ u
+    negative = int((np.linalg.eigvalsh(0.5 * (schur + schur.T)) < 0).sum())
+    return below + negative - int((d > 0).sum())
 
 
 class _BlochSector:
@@ -503,6 +550,7 @@ class _BlochSector:
         fracs = _momenta(L)
         self.blocks = [strips.block(t, f, parity) for f in fracs]
         self.bounds = np.cumsum([0] + [blk.mat.shape[0] for blk in self.blocks])
+        self.core = np.concatenate([lo + blk.core for lo, blk in zip(self.bounds, self.blocks)])
         self.gap, self.sigma = strips.gap, strips.sigma
         cp = 1.0 if parity == 1 else 1j
         self.scale = [1.0 if f[1] <= 2 else cp / np.sqrt(2.0) for f in fracs]
@@ -562,14 +610,14 @@ class _BlochSector:
         vals, vecs, resid = zip(*(blk.pairs for blk in self.blocks))
         return np.concatenate(vals), self.to_full(block_diag(*vecs)).real, max(resid)
 
-    def matrix(self, w: PerturbationW):
-        """The sector of the strip plus the defect W^L in momentum coordinates, a sparse real symmetric K.
+    def defect(self, w: PerturbationW):
+        """(U, D): the defect W^L in momentum coordinates as U D U^T, U on the core rows.
 
         W^L's real block on its support rows is factored as V D V^T, D its
-        nonzero eigenvalues.  K = blockdiag(S^H H_k S) + U D U^T with
-        U = B^T V: B^T maps onto the sector, so V needs no parity
-        projection, and U is nonzero only on the rows of the columns n1
-        that V touches.
+        nonzero eigenvalues, and U = B^T V: B^T maps onto the sector, so V
+        needs no parity projection, and U is nonzero only on the rows of
+        the columns n1 that V touches.  Raises ``ModelValidationError``
+        when those reach beyond the core columns |n1| <= ``CORE_COLUMNS``.
         """
         ri, ci, vv = _defect_entries(w, self.L, self.t)
         supp, row = np.unique(ri, return_inverse=True)   # W^L is Hermitian: its columns are its rows
@@ -580,8 +628,20 @@ class _BlochSector:
         v = np.zeros((6 * self.L * (2 * self.t + 1), keep.sum()))
         v[supp] = vecs[:, keep]
         u = self.to_momentum(v).real
-        rows = np.flatnonzero(u.any(axis=1))
-        core = (u[rows] * d[keep]) @ u[rows].T
+        if np.count_nonzero(u[self.core]) < np.count_nonzero(u):
+            raise ModelValidationError(f"the defect acts beyond the columns |n1| <= {CORE_COLUMNS}")
+        return u[self.core], d[keep]
+
+    def matrix(self, defect):
+        """The sector of the strip plus the `defect` (U, D) in momentum coordinates, a sparse real symmetric K.
+
+        K = blockdiag(S^H H_k S) + U D U^T: the block-diagonal strips plus
+        one dense block on the rows where U is nonzero.
+        """
+        u, d = defect
+        live = np.flatnonzero(u.any(axis=1))
+        rows = self.core[live]
+        core = (u[live] * d) @ u[live].T
         core = 0.5 * (core + core.T)
         mi, mj = np.meshgrid(rows, rows, indexing="ij")
         n = self.bounds[-1]
@@ -591,12 +651,23 @@ class _BlochSector:
     def perturbed_pairs(self, w: PerturbationW):
         """In-gap eigenvalues, full-space vectors and largest residual of the sector plus the defect.
 
-        `_ingap_eigsh` certifies the in-gap count of the sector `matrix` by
-        its inertia at both gap edges and finds the pairs.
+        K (`matrix`) is factored once, at the gap centre.  Its in-gap count
+        is the strips' own count corrected at each gap edge by the Schur
+        complement of the bordered K, of the defect's rank, from the
+        resolvent cores the strips keep there (`_bordered_inertia`).
+        Shift-invert Lanczos on K starts from the normalised sum of the
+        strips' unperturbed in-gap pairs, which the perturbation only moves.
         """
         if w.amplitude == 0:
             return self.unperturbed_pairs()   # W^L has no entries
-        vals, z, resid = _ingap_eigsh(self.matrix(w), self.sigma, self.gap)
+        defect = self.defect(w)
+        below = [_bordered_inertia([blk.edges[i] for blk in self.blocks], *defect) for i in (0, 1)]
+        start = np.concatenate([blk.pairs[1].sum(axis=1) for blk in self.blocks])
+        norm = np.linalg.norm(start)
+        vals, z, resid = _ingap_eigsh(
+            self.matrix(defect), self.sigma, self.gap,
+            count=below[1] - below[0], v0=start / norm if norm > 0 else None,
+        )
         return vals, self.to_full(z).real, resid
 
 

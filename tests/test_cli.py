@@ -211,6 +211,27 @@ def test_robustness_sectors_share_one_window(tmp_path, monkeypatch):
         assert entry["farfield_overlap"] >= 0.99
 
 
+def test_robustness_modes_of_one_parity_exit_three(tmp_path, monkeypatch, capsys):
+    """Two interface modes of one parity break the one-mode-per-parity invariant: exit 3, no traceback."""
+    from dataclasses import replace
+
+    from hexamer import matching
+
+    count = matching.count_interface_modes
+
+    def one_parity(*args, **kwargs):
+        result = count(*args, **kwargs)
+        return replace(result, modes=[replace(m, parity=1) for m in result.modes])
+
+    monkeypatch.setattr(matching, "count_interface_modes", one_parity)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(FAST, delta=0.025)))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "robustness"]) == 3
+    err = capsys.readouterr().err
+    assert "one mode per parity" in err and "+1, +1" in err
+    assert not (tmp_path / "o" / "robustness_report.json").exists()
+
+
 def test_robustness_short_period_exits_two(tmp_path):
     # below L = 8 the periodized line defect is not Hermitian
     cfg = dict(FAST)

@@ -441,6 +441,23 @@ def test_ingap_eigsh_zero_count_skips_solver(monkeypatch):
     assert w.shape == (0,) and v.shape == (5, 0) and resid == 0.0
 
 
+@pytest.mark.parametrize(
+    "error",
+    [spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((5, 0))), spla.ArpackError(-9999)],
+)
+def test_ingap_eigsh_arpack_failure_is_numeric(error, monkeypatch):
+    """An ARPACK failure leaves `_ingap_eigsh` as NumericError (exit 3), not as a traceback."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    mat = sp.diags([-2.0, -0.1, 0.2, 2.0, 3.0]).tocsr()
+    with pytest.raises(NumericError, match="Lanczos"):
+        matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5))
+    with pytest.raises(NumericError, match="Lanczos"):
+        matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5), count=2, v0=np.ones(5) / np.sqrt(5.0))
+
+
 def test_inertia_certificate_failures_raise():
     mat = sp.diags([-1.0, 0.3, 1.0, 2.0, 3.0]).tocsr()
     # a gap edge on an eigenvalue makes that factor exactly singular

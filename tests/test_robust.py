@@ -1,5 +1,6 @@
 """Periodized strips, parity sectors, class-(A) perturbations, band curve."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_off_centre_defect_not_reflection_symmetric(setup_r, monkeypatch):
         with pytest.raises(ModelValidationError, match=message):
             robust.assemble_strip(iface, L, 4, w)
         with pytest.raises(ModelValidationError, match=message):
-            robust._BlochSector(strips, L, 4, 1).matrix(w)
+            robust._BlochSector(strips, L, 4, 1).defect(w)
 
 
 def test_strip_hermitian_and_reflection(setup_r):
@@ -382,11 +383,79 @@ def test_momentum_sector_matches_assembled_spectrum(setup_r):
         w = robust.build_W("compact", amplitude)
         for parity in (1, -1):
             sector = robust._BlochSector(strips, L, t, parity)
-            k = sector.matrix(w)
+            k = sector.matrix(sector.defect(w))
             assembled = _assembled_sector(iface, L, t, parity, w)
             assert abs(k - k.getH()).max() < 1e-15
             dense = np.linalg.eigvalsh(assembled.toarray())
             assert np.abs(np.linalg.eigvalsh(k.toarray()) - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_bordered_count_matches_assembled_sector(setup_r, L):
+    """The bordered count of K below a shift is the inertia of the assembled perturbed sector.
+
+    The shifts are both gap edges, points inside the gap and points across
+    the whole spectrum; at 0.5 the defect moves eigenvalues all over it.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    t = 12
+    inside = gap[0] + np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (gap[1] - gap[0])
+    for amplitude in (2e-5, 0.05, 0.5):
+        w = robust.build_W("compact", amplitude)
+        for parity in (1, -1):
+            sector = robust._BlochSector(strips, L, t, parity)
+            assembled = _assembled_sector(iface, L, t, parity, w)
+            reach = float(abs(assembled).sum(axis=1).max())
+            defect = sector.defect(w)
+            for shift in np.concatenate([inside, np.linspace(-0.93, 0.97, 9) * reach]):
+                cores = [blk.resolvent_core(shift) for blk in sector.blocks]
+                assert robust._bordered_inertia(cores, *defect) == matching._inertia(assembled, shift)
+
+
+def test_warm_started_pairs_match_cold_solve(setup_r, monkeypatch):
+    """Lanczos started from the unperturbed pairs finds the cold solve's pairs with fewer solves.
+
+    At L = 16 on the certified widths of delta = 0.025 the cold start takes
+    21 (even) and 55 (odd) shift-invert solves.  Once the strips are
+    solved, the perturbed sector factors K alone, once, at the gap centre.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 2e-5)
+    solves, factors = [], []
+    factor = matching._factor
+
+    def counted(mat, shift, **options):
+        factors.append((mat.shape[0], shift))
+        lu = factor(mat, shift, **options)
+        if options:    # an inertia factor
+            return lu
+        solves.append(0)
+        index = len(solves) - 1
+
+        def solve(x):
+            solves[index] += 1
+            return lu.solve(x)
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(matching, "_factor", counted)
+    for parity, t, cold_solves in ((1, 192, 21), (-1, 184, 55)):
+        sector = robust._BlochSector(strips, 16, t, parity)
+        sector.unperturbed_pairs()
+        solves.clear()
+        factors.clear()
+        vals, vecs, _ = sector.perturbed_pairs(w)
+        assert factors == [(sector.bounds[-1], sector.sigma)]
+        assert len(solves) == 1 and solves[0] < cold_solves
+        k = sector.matrix(sector.defect(w))
+        cold, z, _ = matching._ingap_eigsh(k, sector.sigma, gap)
+        assert solves[1] == cold_solves and solves[0] < solves[1]
+        assert len(vals) == len(cold) > 0
+        assert np.abs(vals - cold).max() <= 1e-13 * np.abs(cold).max()
+        overlap = np.abs(np.sum(vecs * sector.to_full(z).real, axis=0))
+        assert overlap.min() >= 1.0 - 1e-12
 
 
 def test_momentum_coordinates_back_map(setup_r):
@@ -445,7 +514,7 @@ def test_momentum_blocks_real(setup_r):
     w = robust.build_W("compact", 0.05)
     for parity in (1, -1):
         sector = robust._BlochSector(strips, L, t, parity)
-        assert sector.matrix(w).dtype == np.float64
+        assert sector.matrix(sector.defect(w)).dtype == np.float64
     # an imaginary on-site hopping breaks the symmetry that makes the blocks real
     onsite = np.zeros((6, 6), dtype=complex)
     onsite[0, 1], onsite[1, 0] = 0.01j, -0.01j
@@ -523,9 +592,9 @@ def test_sector_solves_stay_real(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
     seen = []
 
-    def real_only(mat, sigma, gap):
+    def real_only(mat, sigma, gap, **options):
         seen.append(mat.dtype)
-        return matching._ingap_eigsh(mat, sigma, gap)
+        return matching._ingap_eigsh(mat, sigma, gap, **options)
 
     monkeypatch.setattr(robust, "_ingap_eigsh", real_only)
     strips = robust.MomentumStrips(iface, gap)
@@ -541,9 +610,9 @@ def test_sector_solves_shift_at_gap_centre(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
     shifts = []
 
-    def spy(mat, sigma, gap):
+    def spy(mat, sigma, gap, **options):
         shifts.append(sigma)
-        return matching._ingap_eigsh(mat, sigma, gap)
+        return matching._ingap_eigsh(mat, sigma, gap, **options)
 
     monkeypatch.setattr(robust, "_ingap_eigsh", spy)
     strips = robust.MomentumStrips(iface, gap)
