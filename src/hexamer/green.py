@@ -10,13 +10,18 @@ d >= 0, with X = G(1) G(0)^-1 and Y = G(-1) G(0)^-1.
 
 Everything on the panel route that does not depend on the energy is computed
 once per bulk strip and kept in ``strip.spectral_cache``: the band edges and,
-for each (levels, order), the nodes, the weights and the eigenpairs
-(eps_kj, v_kj) of the Bloch matrices at the nodes.  An in-gap resolvent and
-its energy derivative (p = 1, 2) are then the spectral sums
+for each (levels, order), the nodes, the weights and the eigenvalues eps_kj
+and projectors P_kj = v_kj v_kj^H of the Bloch matrices at the nodes.  An
+in-gap resolvent and its energy derivative (p = 1, 2) are then the sums
 
-    d^(p-1)/dlam^(p-1) G(d) = sum_{k,j} w_k exp(i kappa_k d) / (2 pi (eps_kj - lam)^p) v_kj v_kj^H,
+    d^(p-1)/dlam^(p-1) G(d) = sum_{k,j} w_k exp(i kappa_k d) / (2 pi (eps_kj - lam)^p) P_kj,
 
-real matrix products over any number of energies, with no inverse per energy.
+with no inverse per energy.  The strip blocks are real (kpar = 0; others are
+refused), so H(-kappa) = conj H(kappa): the mirror node -kappa adds conj P,
+and the pair gives 2 Re(exp(i kappa d) P).  So over the nodes kappa > 0 alone,
+with c = w / (pi (eps - lam)^p), R_d = sum c cos(kappa d) Re P (symmetric) and
+A_d = sum c sin(kappa d) Im P (antisymmetric), G(d) = R_d - A_d and
+G(-d) = R_d + A_d = G(d)^T: real blocks from half the nodes and offsets.
 
 At the degenerate energy the principal value is computed by subtracting the
 exact singular model (cone modes over their exact slopes), whose symmetric
@@ -123,41 +128,45 @@ def _gl_nodes(levels, order):
 
 
 def _spectral_nodes(strip, levels, order):
-    """Cached nodes, weights / 2 pi, Bloch eigenvalues and packed projectors.
+    """Cached nodes kappa > 0, weights w / pi, Bloch eigenvalues, Re P and Im P.
 
-    Each projector P = v v^H is stored as the real matrix Q = Re P + Im P;
-    as Re P is symmetric and Im P antisymmetric, P = ((1+i) Q + (1-i) Q^T) / 2,
-    which is linear in Q, so sums over projectors run in real arithmetic.
+    Each -kappa node is folded into its mirror (see the module docstring);
+    Re P and Im P have rows (node, band) and 36 real columns.
     """
     key = ("gl", levels, order)
     if key not in strip.spectral_cache:
+        if any(strip.block(0, d).imag.any() for d in (-1, 0, 1)):
+            raise ValueError("the folded quadrature needs real strip blocks (kpar = 0)")
         ks, ws = _gl_nodes(levels, order)
+        m = np.argsort(ks)  # the panels mirror bit for bit about 0, and no node lies at 0
+        assert np.array_equal(ks[m], -ks[m][::-1]) and np.array_equal(ws[m], ws[m][::-1])
+        assert ks.all()
+        ks, ws = ks[ks > 0], ws[ks > 0]
         eps, v = np.linalg.eigh(strip.bloch_batch(ks))
-        proj = np.einsum("kaj,kbj->kjab", v, v.conj())
-        packed = (proj.real + proj.imag).reshape(eps.size, -1)
-        strip.spectral_cache[key] = (ks, ws[:, None] / (2.0 * np.pi), eps, packed)
+        proj = np.einsum("kaj,kbj->kjab", v, v.conj()).reshape(eps.size, -1)
+        strip.spectral_cache[key] = (ks, ws[:, None] / np.pi, eps, proj.real.copy(), proj.imag.copy())
     return strip.spectral_cache[key]
 
 
 def _gl_quadrature(strip, lams, offsets, levels, order, power=1):
-    """Blocks {d: (len(lams), 6, 6) array} of G(d) (``power`` 1) or dG(d)/dlam (2).
+    """Real blocks {d: (len(lams), 6, 6) array} of G(d) (``power`` 1) or dG(d)/dlam (2).
 
-    Per chunk of 32 energies, each trig row is one real product with the
-    packed projectors; nothing per energy or per offset is cached.
+    G(d) = R_d - A_d and G(-d) = R_d + A_d (module docstring).  Per chunk of 32
+    energies one real product gives every R_d, and one every A_d, d > 0.
     """
-    ks, ws, eps, packed = _spectral_nodes(strip, levels, order)
+    ks, ws, eps, re_p, im_p = _spectral_nodes(strip, levels, order)
     lams = np.asarray(lams, dtype=float)
-    phase = np.outer(offsets, ks)
-    trig = np.concatenate([np.cos(phase), np.sin(phase)])
-    out = np.empty((len(trig), len(lams), packed.shape[1]))
+    mags = np.array(sorted({abs(d) for d in offsets}))
+    odd = mags > 0
+    parts = ((np.cos(np.outer(mags, ks)), re_p, mags >= 0), (np.sin(np.outer(mags[odd], ks)), im_p, odd))
+    out = np.zeros((2, len(mags), len(lams), strip.blockdim, strip.blockdim))
     for s in range(0, len(lams), 32):
         w = ws / (eps - lams[s : s + 32, None, None]) ** power
-        for r, row in enumerate(trig):
-            out[r, s : s + 32] = (row[:, None] * w).reshape(len(w), -1) @ packed
-    re, im = np.split(out, 2)
-    c = (re + 1j * im).reshape(len(offsets), len(lams), strip.blockdim, strip.blockdim)
-    g = 0.5 * ((1 + 1j) * c + (1 - 1j) * c.swapaxes(-1, -2))
-    return dict(zip(offsets, g))
+        for o, (trig, proj, rows) in zip(out, parts):
+            prod = (trig[:, None, :, None] * w).reshape(-1, proj.shape[0]) @ proj
+            o[rows, s : s + 32] = prod.reshape(len(trig), len(w), *o.shape[2:])
+    r, a = (dict(zip(mags, x)) for x in out)
+    return {d: r[abs(d)] - np.sign(d) * a[abs(d)] for d in offsets}
 
 
 def _pv_quadrature(strip, lam, offsets, levels, order, subtract):

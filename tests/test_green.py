@@ -256,8 +256,30 @@ def test_spectral_data_built_once_per_strip(iface, dirac, beta_star):
     r = 0.9 * iface.delta * beta_star
     for lam in np.linspace(dirac.lambda_star - r, dirac.lambda_star + r, 50):
         green.gap_resolvent(strip, lam, (-1, 0, 1))
-    # band edges, then the (14, 16) and (12, 16) node sets
-    assert len(sizes) <= 3
+    # band edges, then the (14, 16) and (12, 16) node sets, folded to kappa > 0
+    assert sizes == [512, 224, 192]
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_folded_blocks_real_and_transposed(iface, dirac, beta_star, power):
+    """G(d) = R_d - A_d and G(-d) = R_d + A_d: real blocks with G(-d) = G(d)^T to the bit."""
+    r = 0.9 * iface.delta * beta_star
+    lams = dirac.lambda_star + np.linspace(-r, r, 40)
+    for bulk in (iface.right, iface.left):
+        strip = kernels.BlockedStripOperator(bulk)
+        blocks = green._gl_quadrature(strip, lams, range(-8, 9), 14, 16, power)
+        assert all(g.dtype == np.float64 for g in blocks.values())
+        for d in range(1, 9):
+            assert np.array_equal(blocks[-d], blocks[d].swapaxes(-1, -2))
+
+
+def test_folded_quadrature_refuses_complex_strip(iface, dirac):
+    """Off kpar = 0 the blocks are complex and the -kappa nodes cannot be folded."""
+    for bulk in (iface.right, iface.left):
+        strip = kernels.BlockedStripOperator(bulk, kpar=0.3)
+        assert green._band_distance(strip, dirac.lambda_star) > 0.1  # in the gap
+        with pytest.raises(ValueError, match="real strip blocks"):
+            green.gap_resolvent(strip, dirac.lambda_star, (-1, 0, 1))
 
 
 def test_cached_edges_reject_spectrum_energy(blended, dirac):

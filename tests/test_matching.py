@@ -155,7 +155,11 @@ def _grid(dirac, beta_star, delta, n):
 @pytest.mark.parametrize("delta", [0.05, 0.025])
 @pytest.mark.parametrize("inverted", [True, False])
 def test_matching_derivative_negative_definite(blended, hper, dirac, beta_star, delta, inverted):
-    """The spectral dM/dlam is a central difference of M, and it is < 0 on J."""
+    """The spectral dM/dlam is a central difference of M, and it is < 0 on J.
+
+    It is <= 0 to rounding at every energy of the search grid too, on which
+    the certified count rests.
+    """
     pipe = matching.MatchingPipeline(
         kernels.InterfaceKernel.from_bulks(blended, hper, delta, inverted=inverted)
     )
@@ -166,6 +170,9 @@ def test_matching_derivative_negative_definite(blended, hper, dirac, beta_star, 
     rel = np.linalg.norm(dm - fd, axis=(1, 2)) / np.linalg.norm(dm, axis=(1, 2))
     assert rel.max() < 1e-6
     assert np.linalg.eigvalsh(dm).max() < 0.0
+    hs = matching.characteristic_search(pipe, dirac.lambda_star, beta_star).h_grid
+    w = np.linalg.eigvalsh(pipe.matrix_stack(dirac.lambda_star + delta * hs, derivative=True))
+    assert (w.max(axis=1) <= 1e-12 * np.abs(w).max(axis=1)).all()
 
 
 def test_matching_commutes_with_reflection(pipeline, dirac, beta_star):
