@@ -117,8 +117,8 @@ class Workspace:
     @classmethod
     def build(cls, cfg: dict) -> "Workspace":
         kb = kernels.bulk_model(cfg["model"], float(cfg["mix"]))
-        beta1, _, kper = kernels.verify_gap_criterion(kb, kernels.build_hper())
         dirac = spectra.locate_double_dirac(kb)
+        beta1, _, kper = spectra.verify_gap_criterion(dirac, kernels.build_hper())
         return cls(cfg, kb, kper, dirac, spectra.fix_gauge_v(dirac), abs(beta1))
 
     def interface(self, inverted: bool = True) -> kernels.InterfaceKernel:
@@ -130,14 +130,19 @@ class Workspace:
         r = float(self.cfg["c_star"]) * float(self.cfg["delta"]) * self.beta_star
         return (self.dirac.lambda_star - r, self.dirac.lambda_star + r)
 
-
-def _echo_config(cfg: dict, out: Path):
-    emit.write_json(out / "effective_config.json", cfg)
+    def modes(self, iface: kernels.InterfaceKernel) -> matching.ModesResult:
+        """The interface modes of ``iface`` found by the layer-potential search."""
+        cfg, q = self.cfg, self.cfg["quadrature"]
+        pipeline = matching.MatchingPipeline(iface, int(q["levels"]), int(q["order"]))
+        return matching.count_interface_modes(
+            pipeline, self.dirac.lambda_star, self.beta_star, float(cfg["c_star"]),
+            n_points=int(cfg["search_points"]),
+            window=int(cfg["truncation"]["mode_window"]),
+        )
 
 
 def cmd_bands(cfg: dict) -> int:
     out = Path(cfg["out"])
-    _echo_config(cfg, out)
     ws = Workspace.build(cfg)
     delta = float(cfg["delta"])
     report = spectra.gap_report(
@@ -159,10 +164,9 @@ def cmd_bands(cfg: dict) -> int:
         rows,
         meta={"eigen_residual_tol": 1e-10, "cluster_rtol": spectra.CLUSTER_RTOL},
     )
-    emit.write_csv(
-        out / "kernel_blocks.csv",
-        ["e1", "e2", *sum([[f"re{i}{j}", f"im{i}{j}"] for i in range(6) for j in range(6)], [])],
-        emit.kernel_block_rows(ws.kb),
+    offsets = sorted(ws.kb.blocks)
+    emit.write_complex_csv(
+        out / "kernel_blocks.csv", ["e1", "e2"], offsets, [ws.kb.blocks[e] for e in offsets],
         meta=ws.kb.describe(),
     )
     payload = report.to_dict()
@@ -183,7 +187,6 @@ def cmd_bands(cfg: dict) -> int:
 
 def cmd_symmetry_report(cfg: dict) -> int:
     out = Path(cfg["out"])
-    _echo_config(cfg, out)
     group = lattice.generate_group(include_supersymmetry=False)
     gamma_group = lattice.generate_group(include_supersymmetry=True)
     tsym = lattice.supersymmetry_op()
@@ -231,7 +234,6 @@ def _rep_relation_residuals() -> dict:
 
 def cmd_green_check(cfg: dict) -> int:
     out = Path(cfg["out"])
-    _echo_config(cfg, out)
     ws = Workspace.build(cfg)
     q = cfg["quadrature"]
     strip = kernels.BlockedStripOperator(ws.kb)
@@ -259,10 +261,10 @@ def cmd_green_check(cfg: dict) -> int:
         "alpha_star_abs": abs(ws.dirac.alpha_star),
     }
     emit.write_json(out / "green_check.json", payload)
-    emit.write_csv(
-        out / "green_pv_blocks.csv",
-        ["n", "m", *sum([[f"re{i}{j}", f"im{i}{j}"] for i in range(6) for j in range(6)], [])],
-        emit.green_block_rows(gpv),
+    offsets = sorted(gpv.blocks)
+    emit.write_complex_csv(
+        out / "green_pv_blocks.csv", ["n", "m"], [(d, 0) for d in offsets],
+        [gpv.blocks[d] for d in offsets],
         meta={"energy": ws.dirac.lambda_star, "quadrature_error": gpv.quad_error},
     )
     print(f"right-inverse residual {worst:.2e}, "
@@ -272,16 +274,9 @@ def cmd_green_check(cfg: dict) -> int:
 
 def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -> int:
     out = Path(cfg["out"])
-    _echo_config(cfg, out)
     ws = Workspace.build(cfg)
-    q = cfg["quadrature"]
     iface = ws.interface(inverted=not no_inversion)
-    pipeline = matching.MatchingPipeline(iface, int(q["levels"]), int(q["order"]))
-    result = matching.count_interface_modes(
-        pipeline, ws.dirac.lambda_star, ws.beta_star, float(cfg["c_star"]),
-        n_points=int(cfg["search_points"]),
-        window=int(cfg["truncation"]["mode_window"]),
-    )
+    result = ws.modes(iface)
     emit.write_json(
         out / "search_trace.json",
         {
@@ -298,10 +293,9 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
         },
     )
     for i, mode in enumerate(result.modes, start=1):
-        emit.write_csv(
-            out / f"mode_{i}.csv",
-            ["block", *sum([[f"re{j}", f"im{j}"] for j in range(mode.profile.shape[1])], [])],
-            emit.mode_profile_rows(mode),
+        emit.write_complex_csv(
+            out / f"mode_{i}.csv", ["block"],
+            [(mode.n_lo + j,) for j in range(len(mode.profile))], mode.profile,
             meta={
                 "lambda_zig": mode.lambda_zig,
                 "parity": mode.parity,
@@ -321,9 +315,7 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
         oracle_vals = matching.direct_oracle(
             iface, ws.dirac.lambda_star, ws.gap(), int(cfg["truncation"]["oracle_blocks"])
         )
-        summary["oracle"] = [
-            {"lambda": v, "parity": p, "center": c} for v, p, c in oracle_vals
-        ]
+        summary["oracle"] = [{"lambda": v, "parity": p, "center": c} for v, p, c in oracle_vals]
         summary["oracle_max_deviation"] = (
             max(
                 min(abs(v - m) for v, _, _ in oracle_vals)
@@ -334,10 +326,9 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
         )
     emit.write_json(out / "interface_summary.json", summary)
     if result.count != 2:
-        both = (result.characteristic.total_multiplicity(), result.count)
         print(
-            f"interface-mode count {result.count} != 2 "
-            f"(characteristic multiplicity {both[0]}, surviving modes {both[1]}); "
+            f"interface-mode count {result.count} != 2 (characteristic multiplicity "
+            f"{result.characteristic.total_multiplicity()}, surviving modes {result.count}); "
             + ("expected for the no-inversion control" if no_inversion else "unexpected"),
             file=sys.stderr,
         )
@@ -351,17 +342,10 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
 
 def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
     out = Path(cfg["out"])
-    _echo_config(cfg, out)
     ws = Workspace.build(cfg)
     iface = ws.interface()
     gap = ws.gap()
-    q = cfg["quadrature"]
-    pipeline = matching.MatchingPipeline(iface, int(q["levels"]), int(q["order"]))
-    modes = matching.count_interface_modes(
-        pipeline, ws.dirac.lambda_star, ws.beta_star, float(cfg["c_star"]),
-        n_points=int(cfg["search_points"]),
-        window=int(cfg["truncation"]["mode_window"]),
-    )
+    modes = ws.modes(iface)
     if modes.count != 2:
         print("numeric failure: unperturbed interface does not show 2 modes", file=sys.stderr)
         return 3
@@ -413,7 +397,7 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
             base, pert = robust.sector_pair(
                 strips, w, int(L), parity, lam_by_parity[parity], d_zig[parity], t0, in_theory,
             )
-            ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+            ff = robust.farfield_persistence(pert, base)
             per_l.append(
                 {
                     "L": int(L),
@@ -432,11 +416,10 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
             )
         report["sectors"][str(parity)] = per_l
     emit.write_json(out / "robustness_report.json", report)
-    diff_rows = []
-    for parity, entries in report["sectors"].items():
-        for entry in entries:
-            for i, v in enumerate(entry["difference_profile"]):
-                diff_rows.append([parity, entry["L"], i, v])
+    diff_rows = [
+        [parity, entry["L"], i, v] for parity, entries in report["sectors"].items()
+        for entry in entries for i, v in enumerate(entry["difference_profile"])
+    ]
     emit.write_csv(
         out / "mode_difference_profiles.csv",
         ["parity", "L", "window", "l2_norm"],
@@ -449,17 +432,12 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
 
 def cmd_band_curve(cfg: dict) -> int:
     out = Path(cfg["out"])
-    _echo_config(cfg, out)
     ws = Workspace.build(cfg)
-    iface = ws.interface()
     curve = robust.interface_band_curve(
-        iface, ws.gap(), ws.dirac.lambda_star,
+        ws.interface(), ws.gap(), ws.dirac.lambda_star,
         n_blocks=int(cfg["truncation"]["oracle_blocks"]) // 2,
     )
-    rows = []
-    for kp, vals in zip(curve["kpar"], curve["samples"]):
-        for v in vals:
-            rows.append([kp, v])
+    rows = [[kp, v] for kp, vals in zip(curve["kpar"], curve["samples"]) for v in vals]
     emit.write_csv(
         out / "band_curve.csv",
         ["kpar", "lambda"],
@@ -555,6 +533,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"out": args.out})
+        emit.write_json(Path(cfg["out"]) / "effective_config.json", cfg)
         with one_blas_thread():
             if args.command == "bands":
                 return cmd_bands(cfg)

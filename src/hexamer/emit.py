@@ -62,35 +62,14 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def mode_profile_rows(mode) -> list:
-    """Block index plus interleaved re/im entries of a mode profile."""
-    rows = []
-    for i, block in enumerate(mode.profile):
-        row = [mode.n_lo + i]
-        for z in block:
-            row.extend([z.real, z.imag])
-        rows.append(row)
-    return rows
+def write_complex_csv(path, key_header, keys, arrays, meta: dict | None = None) -> Path:
+    """One row per key: its integers, then re and im of each entry of its array, row-major.
 
-
-def kernel_block_rows(kernel) -> list:
-    """Offset plus interleaved re/im entries of each 6x6 kernel block."""
-    rows = []
-    for (e1, e2) in sorted(kernel.blocks):
-        b = kernel.blocks[(e1, e2)]
-        row = [e1, e2]
-        for z in np.asarray(b).ravel():
-            row.extend([z.real, z.imag])
-        rows.append(row)
-    return rows
-
-
-def green_block_rows(green_kernel) -> list:
-    """Offset pair (n, m) = (d, 0) plus interleaved block entries."""
-    rows = []
-    for d in sorted(green_kernel.blocks):
-        row = [d, 0]
-        for z in np.asarray(green_kernel.blocks[d]).ravel():
-            row.extend([z.real, z.imag])
-        rows.append(row)
-    return rows
+    Entry columns are named by their index digits: ``re0, im0, ..., im5`` for
+    arrays of shape (6,), ``re00, im00, ..., im55`` for arrays of shape (6, 6).
+    """
+    digits = ["".join(map(str, ix)) for ix in np.ndindex(np.shape(arrays[0]))]
+    header = [*key_header, *(part + d for d in digits for part in ("re", "im"))]
+    rows = [[*key, *np.stack([z.real, z.imag], -1).ravel()]
+            for key, z in zip(keys, map(np.ravel, arrays))]
+    return write_csv(path, header, rows, meta)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import ModelValidationError, NearZeroCoupling
+from .errors import ModelValidationError
 
 _Z6 = np.zeros((6, 6), dtype=complex)
 
@@ -167,34 +167,6 @@ def check_nonsingular_hopping(kernel: HoppingKernel):
     if svals[-1] < 1e-12 * max(svals[0], 1.0):
         return False, np.inf
     return True, float(svals[0] / svals[-1])
-
-
-def verify_gap_criterion(kb: HoppingKernel, kper: HoppingKernel):
-    """First-order gap-opening data on the cone quadruplet.
-
-    Returns ``(beta1, beta3, oriented_perturbation)`` where the returned
-    kernel equals ``kper`` with its sign flipped if necessary so that
-    ``beta* = beta1 = -beta3 > 0`` holds verbatim.  Raises
-    ``NearZeroCoupling`` when the perturbation does not split the cone at
-    first order, and checks that the reduced 4x4 perturbation matrix is
-    diagonal with paired entries.
-    """
-    from .spectra import locate_double_dirac  # deferred: spectra imports kernels
-
-    dd = locate_double_dirac(kb)
-    hper0 = kper.bloch_rad(0.0, 0.0)
-    red = dd.ustar.conj().T @ hper0 @ dd.ustar
-    beta1 = float(np.real(red[0, 0]))
-    beta3 = float(np.real(red[2, 2]))
-    offdiag = np.abs(red - np.diag(np.diag(red))).max()
-    if offdiag > 1e-10:
-        raise NearZeroCoupling(f"reduced perturbation matrix not diagonal ({offdiag:.2e})")
-    if abs(beta1 + beta3) > 1e-8 or abs(red[1, 1] - red[0, 0]) > 1e-10:
-        raise NearZeroCoupling("perturbation does not satisfy beta1 = -beta3 pairing")
-    if abs(beta1) <= 1e-6:
-        raise NearZeroCoupling(f"|beta1| = {abs(beta1):.2e} <= 1e-6")
-    oriented = kper if beta1 > 0 else kper.scaled(-1.0, name=f"-{kper.name}")
-    return beta1, beta3, oriented
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,15 @@ def _rep_of_word(word, rep: dict) -> np.ndarray:
     return m
 
 
+def _isotypic_projector(elems, rep: dict) -> np.ndarray:
+    """(dim rep / |G|) sum_g conj(chi(g)) g over the (word, matrix) pairs ``elems`` of G."""
+    coef = rep["R6"].shape[0] / len(elems)
+    p = np.zeros((6, 6), dtype=complex)
+    for word, u in elems:
+        p += coef * np.conj(np.trace(_rep_of_word(word, rep))) * u
+    return p
+
+
 def c6v_isotypic_projectors() -> dict[str, np.ndarray]:
     """Isotypic projectors of the point group on the sublattice space C^6.
 
@@ -372,26 +381,15 @@ def c6v_isotypic_projectors() -> dict[str, np.ndarray]:
     """
     # each element's word is its name, R6 and Fx joined by "*" and ended by "e"
     words = [([w for w in op.name.split("*") if w != "e"], op.int_) for op in generate_group()]
-    projs: dict[str, np.ndarray] = {}
-    for name, rep in (("E1", rep_rho1()), ("E2", rep_rho2())):
-        p = np.zeros((6, 6), dtype=complex)
-        for word, u in words:
-            chi = np.trace(_rep_of_word(word, rep))
-            p += (2.0 / 12.0) * np.conj(chi) * u
-        projs[name] = p
+    reps = {"E1": rep_rho1(), "E2": rep_rho2()}
     for r in (1, -1):
         for f in (1, -1):
-            p = np.zeros((6, 6), dtype=complex)
-            for word, u in words:
-                chi = np.prod([r if w == "R6" else f for w in word]) if word else 1.0
-                p += (1.0 / 12.0) * np.conj(chi) * u
-            projs[f"1d({r:+d},{f:+d})"] = p
-    return projs
+            reps[f"1d({r:+d},{f:+d})"] = {"R6": np.array([[r]]), "Fx": np.array([[f]])}
+    return {name: _isotypic_projector(words, rep) for name, rep in reps.items()}
 
 
 def rho_tilde_projector() -> np.ndarray:
     """Isotypic projector of the 4d irrep on C^6 (extended group of order 36)."""
-    rep = rep_rho_tilde()
     elems = _closure(
         ((), np.eye(6)),
         EXTENDED_GENERATORS,
@@ -400,11 +398,7 @@ def rho_tilde_projector() -> np.ndarray:
     )
     if len(elems) != 36:
         raise ModelValidationError(f"extended group closure has {len(elems)} elements")
-    p = np.zeros((6, 6), dtype=complex)
-    for word, u in elems:
-        chi = np.trace(_rep_of_word(word, rep))
-        p += (4.0 / 36.0) * np.conj(chi) * u
-    return p
+    return _isotypic_projector(elems, rep_rho_tilde())
 
 
 def isotypic_dimension(projector: np.ndarray, basis: np.ndarray) -> float:
@@ -415,8 +409,7 @@ def isotypic_dimension(projector: np.ndarray, basis: np.ndarray) -> float:
 
 def isotypic_score(projector: np.ndarray, basis: np.ndarray) -> float:
     """Fraction of the subspace carried by the isotypic component, in [0, 1]."""
-    q, _ = np.linalg.qr(basis)
-    return float(np.real(np.trace(q.conj().T @ projector @ q)) / basis.shape[1])
+    return isotypic_dimension(projector, basis) / basis.shape[1]
 
 
 # ---------------------------------------------------------------------------

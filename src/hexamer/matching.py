@@ -31,6 +31,10 @@ EDGE_WEIGHT_TOL = 0.05
 # converged shift-invert pairs reach about 1e-15.
 RESIDUAL_RTOL = 1e-10
 
+BOUNDARY_TOL = 1e-6     # a pair (a, b), or its Maux image relative to it, below this is degenerate
+TAIL_RTOL = 1e-10       # a profile has converged when its 3 end blocks a side hold less of its norm
+FIXED_POINT_TOL = 1e-4  # largest singular value of Maux - 1 still a fixed point (ghosts are O(1))
+
 # Orthonormal real bases Q_s of the parity sectors s = +1, -1 of boundary
 # pairs (a, b), the eigenspaces of diag(Fx, Fx): Fx swaps sites 1, 2, 3 with
 # 6, 4, 5, so columns 1-3 of each block of (1 + s Fx) / sqrt(2) span sector s.
@@ -302,8 +306,6 @@ def mode_from_boundary(
     a: np.ndarray,
     b: np.ndarray,
     window: int = 120,
-    tail_tol: float = 1e-10,
-    fp_tol: float = 1e-6,
     mm: MatchingMatrix | None = None,
 ) -> InterfaceMode:
     """Reconstruct a mode by the layer potential and validate it.
@@ -319,14 +321,15 @@ def mode_from_boundary(
     psi(0) = G+(1) rp - G+(0) rz with psi(n+1) = X psi(n), and
     psi(-1) = -G-(0) lz + G-(-1) lm with psi(n-1) = Y psi(n).  The profile
     window is grown from ``window`` until the tail norm drops below
-    ``tail_tol``, or up to 8 * ``window`` (then ``profile_converged`` is
+    ``TAIL_RTOL``, or up to 8 * ``window`` (then ``profile_converged`` is
     False).  ``mm`` is ``pipeline.matrices(lam)`` when the caller already has
     it; its resolvent blocks serve the recurrence.
     """
     if mm is None:
         mm = pipeline.matrices(lam)
     x = np.concatenate([a, b])
-    if np.linalg.norm(x) < fp_tol or np.linalg.norm(mm.aux @ x) < fp_tol * np.linalg.norm(x):
+    nx = np.linalg.norm(x)
+    if nx < BOUNDARY_TOL or np.linalg.norm(mm.aux @ x) < BOUNDARY_TOL * nx:
         raise DegenerateBoundaryData("auxiliary matrix annihilates the boundary pair")
     x = x * np.exp(-1j * np.angle(np.vdot(_PHASE_REF, x)))
     a, b = np.split(x, 2)
@@ -348,7 +351,7 @@ def mode_from_boundary(
         for i in range(t - 2, -1, -1):
             prof[i] = y_op @ prof[i + 1]
         tail = np.linalg.norm(prof[:3]) + np.linalg.norm(prof[-3:])
-        return (None if tail < tail_tol * np.linalg.norm(prof) else 2 * t), prof
+        return (None if tail < TAIL_RTOL * np.linalg.norm(prof) else 2 * t), prof
 
     prof, t, converged = green._grow_until(window, 8 * window, attempt)
     ns = np.arange(-t, t + 1)
@@ -406,7 +409,6 @@ def count_interface_modes(
     beta_star: float,
     c_star: float = 0.9,
     n_points: int = 201,
-    fp_tol: float = 1e-4,
     window: int = 120,
 ) -> ModesResult:
     """Characteristic values filtered by the auxiliary fixed-point condition.
@@ -423,7 +425,7 @@ def count_interface_modes(
         gram = (mm.aux - np.eye(mm.aux.shape[0])) @ basis
         _, svals, vt = np.linalg.svd(gram)
         for defect, row in zip(svals, vt):
-            if defect < fp_tol:
+            if defect < FIXED_POINT_TOL:
                 x = basis @ row.conj()
                 a, b = np.split(x / np.linalg.norm(x), 2)
                 modes.append(mode_from_boundary(pipeline, cv.lam, a, b, window, mm=mm))

@@ -23,6 +23,9 @@ from .matching import _edge_filtered, _inertia_factor, _ingap_eigsh, direct_orac
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
 CORE_COLUMNS = 2  # the compact defect couples only the columns |n1| <= 2
+EXCLUSION_RADIUS = 3.0  # farfield_persistence compares modes beyond this cell norm
+NEUMANN_TOL = 1e-10     # neumann_mode_check stops at a series increment below this
+NEUMANN_MAX_TERMS = 60  # ... or after this many terms
 
 
 def _ell2_coord(n1: int, n2: int) -> float:
@@ -741,9 +744,8 @@ def sector_pair(
 def farfield_persistence(
     sector_pert: StripSector,
     sector_unpert: StripSector,
-    exclusion_radius: float,
 ) -> dict:
-    """Overlap of perturbed and unperturbed modes away from the defect.
+    """Overlap of perturbed and unperturbed modes beyond ``EXCLUSION_RADIUS`` of the defect.
 
     Returns the normalized far-field overlap after optimal global phase
     alignment and the windowed l2 profile of the difference versus distance
@@ -761,7 +763,7 @@ def farfield_persistence(
 
     n1, n2 = _site_cells(L, t, np.arange(len(u0) // 6))
     radii = _cell_norm(n1, n2)
-    mask = np.repeat(radii > exclusion_radius, 6)
+    mask = np.repeat(radii > EXCLUSION_RADIUS, 6)
     a, b = u0[mask], u1[mask]
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     overlap = float(abs(np.vdot(a, b)) / (na * nb)) if na > 0 and nb > 0 else 1.0
@@ -832,13 +834,13 @@ def interface_band_curve(
 
 def neumann_mode_check(
     iface, w: PerturbationW, L: int, parity: int, gap: tuple, lam_ref: float,
-    t: int = 40, tol: float = 1e-10, max_terms: int = 60,
+    t: int = 40,
 ) -> dict:
     """Perturbed sector mode via the reduced-resolvent series versus direct solve.
 
     Dense eigendecomposition of the unperturbed sector operator supplies the
     exact reduced resolvent; the series is summed until increments fall
-    below ``tol``.  The unperturbed level is the in-gap sector eigenvalue
+    below ``NEUMANN_TOL``.  The unperturbed level is the in-gap sector eigenvalue
     nearest ``lam_ref`` (the interface-mode eigenvalue of this parity); the
     perturbed pair nearest it comes from one shift-invert solve.
     """
@@ -873,10 +875,10 @@ def neumann_mode_check(
     series = -y.copy()
     term = y
     n_terms = 1
-    for n_terms in range(2, max_terms + 2):
+    for n_terms in range(2, NEUMANN_MAX_TERMS + 2):
         term = -qinv(wmat @ term - dl * term)
         series -= term
-        if np.linalg.norm(term) < tol:
+        if np.linalg.norm(term) < NEUMANN_TOL:
             break
     u_series = u0 + series
     u_series /= np.linalg.norm(u_series)

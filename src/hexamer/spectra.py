@@ -16,6 +16,7 @@ from .errors import (
     AlignmentFailure,
     ContinuationAmbiguity,
     GridTooCoarse,
+    NearZeroCoupling,
     NoFourFoldDegeneracy,
     VanishingSlope,
 )
@@ -131,6 +132,31 @@ def locate_double_dirac(kernel: HoppingKernel) -> DiracData:
         raise VanishingSlope(f"|alpha*| = {abs(alpha):.2e}")
     fit = _richardson_slope(kernel, u[:, 0], u[:, 2])
     return DiracData(lam, u, float(alpha.real), fit, kernel.name)
+
+
+def verify_gap_criterion(dd: DiracData, kper: HoppingKernel):
+    """First-order gap-opening data of ``kper`` on the cone quadruplet ``dd``.
+
+    Returns ``(beta1, beta3, oriented_perturbation)`` where the returned
+    kernel equals ``kper`` with its sign flipped if necessary so that
+    ``beta* = beta1 = -beta3 > 0`` holds verbatim.  Raises
+    ``NearZeroCoupling`` when the perturbation does not split the cone at
+    first order, and checks that the reduced 4x4 perturbation matrix is
+    diagonal with paired entries.
+    """
+    hper0 = kper.bloch_rad(0.0, 0.0)
+    red = dd.ustar.conj().T @ hper0 @ dd.ustar
+    beta1 = float(np.real(red[0, 0]))
+    beta3 = float(np.real(red[2, 2]))
+    offdiag = np.abs(red - np.diag(np.diag(red))).max()
+    if offdiag > 1e-10:
+        raise NearZeroCoupling(f"reduced perturbation matrix not diagonal ({offdiag:.2e})")
+    if abs(beta1 + beta3) > 1e-8 or abs(red[1, 1] - red[0, 0]) > 1e-10:
+        raise NearZeroCoupling("perturbation does not satisfy beta1 = -beta3 pairing")
+    if abs(beta1) <= 1e-6:
+        raise NearZeroCoupling(f"|beta1| = {abs(beta1):.2e} <= 1e-6")
+    oriented = kper if beta1 > 0 else kper.scaled(-1.0, name=f"-{kper.name}")
+    return beta1, beta3, oriented
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +298,9 @@ def gap_report(
     equal the full grid's up to rounding.  On C6v models these are {I, -I,
     swap, -swap}: R6 maps neither the odd coarse grid nor the boxes onto itself.
     """
-    from .kernels import verify_gap_criterion
-
-    beta1, _, kper_or = verify_gap_criterion(kb, kper)
-    beta = abs(beta1)
     dd = locate_double_dirac(kb)
+    beta1, _, kper_or = verify_gap_criterion(dd, kper)
+    beta = abs(beta1)
     lam = dd.lambda_star
 
     n = grid_points
@@ -342,11 +366,9 @@ def eigenpair_asymptotics_check(
     delta^2 + |q|^2) with q = alpha*(k1 + conj(tau)^2 k2); eigenvector models
     are the stated u-combinations, compared as two-dimensional subspaces.
     """
-    from .kernels import verify_gap_criterion
-
-    beta1, _, kper_or = verify_gap_criterion(kb, kper)
-    beta = abs(beta1)
     dd = locate_double_dirac(kb)
+    beta1, _, kper_or = verify_gap_criterion(dd, kper)
+    beta = abs(beta1)
     u = dd.ustar
     a = dd.alpha_star
     k1, k2 = kappa

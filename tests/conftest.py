@@ -26,8 +26,8 @@ def hper():
 
 
 @pytest.fixture(scope="session")
-def beta_star(blended, hper):
-    beta1, beta3, oriented = kernels.verify_gap_criterion(blended, hper)
+def beta_star(dirac, hper):
+    beta1, beta3, oriented = spectra.verify_gap_criterion(dirac, hper)
     assert oriented is hper  # beta1 > 0 for this detuning; no sign flip
     return abs(beta1)
 

@@ -259,10 +259,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
         vals = []
         base = pert = None
         for L in (8, 16, 32):
-            base = robust.bloch_sector_eigen(
-                strips, None, L, parity, lam[parity], d_zig[parity], t0=80
-            )
-            pert = robust.bloch_sector_eigen(
+            base, pert = robust.sector_pair(
                 strips, w, L, parity, lam[parity], d_zig[parity], t0=80
             )
             unique_ok = unique_ok and len(base.eigenvalues) == 1 and len(pert.eigenvalues) == 1
@@ -270,7 +267,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
             vals.append(pert.tracked_eigenvalue)
         diffs = np.abs(np.diff(vals))
         cauchy_ok = cauchy_ok and diffs[1] <= diffs[0] + 1e-12
-        ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+        ff = robust.farfield_persistence(pert, base)
         overlap_min = min(overlap_min, ff["overlap_outside"])
 
     pi_vals = matching.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)

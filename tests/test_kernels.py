@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexamer import kernels, lattice
+from hexamer import kernels, lattice, spectra
 from hexamer.errors import ModelValidationError, NearZeroCoupling
 
 
@@ -173,7 +173,7 @@ def test_nonsingular_hopping(toy, extended, blended):
 
 def test_gap_criterion_values(toy, extended, blended, hper):
     for kern in (toy, extended, blended):
-        b1, b3, oriented = kernels.verify_gap_criterion(kern, hper)
+        b1, b3, oriented = spectra.verify_gap_criterion(spectra.locate_double_dirac(kern), hper)
         assert abs(b1 - 2.0) < 1e-10
         assert abs(b3 + 2.0) < 1e-10
         assert oriented is hper
@@ -182,15 +182,15 @@ def test_gap_criterion_values(toy, extended, blended, hper):
 def test_gap_criterion_rejects_zero(toy):
     zero = kernels.HoppingKernel("zero", {(0, 0): np.zeros((6, 6))})
     with pytest.raises(NearZeroCoupling):
-        kernels.verify_gap_criterion(toy, zero)
+        spectra.verify_gap_criterion(spectra.locate_double_dirac(toy), zero)
 
 
-def test_gap_criterion_flips_sign(toy, hper):
+def test_gap_criterion_flips_sign(dirac_toy, hper):
     flipped = hper.scaled(-1.0)
-    b1, b3, oriented = kernels.verify_gap_criterion(toy, flipped)
+    b1, b3, oriented = spectra.verify_gap_criterion(dirac_toy, flipped)
     assert b1 < 0 < b3
     assert oriented is not flipped
-    b1o, _, _ = kernels.verify_gap_criterion(toy, oriented)
+    b1o, _, _ = spectra.verify_gap_criterion(dirac_toy, oriented)
     assert b1o > 0
 
 

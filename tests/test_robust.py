@@ -194,10 +194,10 @@ def test_farfield_persistence(setup_r):
     w = robust.build_W("compact", 2e-5)
     base = robust.strip_sector_eigen(iface, None, 8, 1, gap, lam[1], d_zig[1], t0=40)
     pert = robust.strip_sector_eigen(iface, w, 8, 1, gap, lam[1], d_zig[1], t0=40)
-    ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+    ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99
     # zero perturbation: identical modes
-    same = robust.farfield_persistence(base, base, exclusion_radius=3.0)
+    same = robust.farfield_persistence(base, base)
     assert same["difference_norm"] < 1e-12
 
 
@@ -206,7 +206,7 @@ def test_line_defect_difference_localized(setup_r):
     w = robust.build_W("line", 2e-5)
     base = robust.strip_sector_eigen(iface, None, 16, 1, gap, lam[1], d_zig[1], t0=40)
     pert = robust.strip_sector_eigen(iface, w, 16, 1, gap, lam[1], d_zig[1], t0=40)
-    ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+    ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99
     prof = ff["difference_profile"]
     if ff["difference_norm"] > 1e-10:
@@ -240,7 +240,7 @@ def test_protection_beyond_proven_bound(setup_r):
     assert w.m_w > 100 * 0.25 * min(d_zig.values())
     base = robust.strip_sector_eigen(iface, None, 8, 1, gap, lam[1], d_zig[1], t0=40)
     pert = robust.strip_sector_eigen(iface, w, 8, 1, gap, lam[1], d_zig[1], t0=40)
-    ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+    ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] > 0.99
 
 
@@ -653,5 +653,5 @@ def test_bloch_sector_line_defect(setup_r):
     ref = robust.strip_sector_eigen(iface, w, 16, 1, gap, lam[1], d_zig[1], t0=40)
     assert (pert.t_used, pert.ingap_count) == (ref.t_used, ref.ingap_count)
     assert np.abs(pert.eigenvalues - ref.eigenvalues).max() < 1e-13
-    ff = robust.farfield_persistence(pert, base, exclusion_radius=3.0)
+    ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99

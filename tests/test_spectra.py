@@ -123,8 +123,9 @@ def _full_edges(bulks, lam, grids):
 def test_reduced_gap_scan_equals_full_scan(model, hper, request):
     """The orbit-reduced scan finds the full grid's edges and margin to 1e-14."""
     kb = request.getfixturevalue(model)
-    _, _, kper = kernels.verify_gap_criterion(kb, hper)
-    lam = spectra.locate_double_dirac(kb).lambda_star
+    dd = spectra.locate_double_dirac(kb)
+    _, _, kper = spectra.verify_gap_criterion(dd, hper)
+    lam = dd.lambda_star
     for n in (41, 60, 101):
         ks = np.linspace(-np.pi, np.pi, n, endpoint=False)
         k1, k2 = np.meshgrid(ks, ks, indexing="ij")
