@@ -3,9 +3,11 @@
 Subcommands: bands, symmetry-report, green-check, interface, robustness,
 band-curve.  All numeric work is deterministic; identical configurations
 produce identical outputs.  Each command runs BLAS on one thread (see
-``one_blas_thread``).  Exit codes: 0 success, 2 model validation,
-3 numeric failure, 4 unexpected interface-mode count, 5 perturbation bound
-violated without override.
+``one_blas_thread``); robustness, band-curve and interface --oracle run
+their independent halves in two processes when two CPUs are usable (see
+``fork_join``).  Exit codes: 0 success, 2 model validation or outputs that
+cannot be written, 3 numeric failure, 4 unexpected interface-mode count,
+5 perturbation bound violated without override.
 """
 from __future__ import annotations
 
@@ -13,9 +15,13 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import json
 import os
+import pickle
+import signal
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +48,11 @@ DEFAULTS = {
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))
     if path:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ModelValidationError(f"cannot read config: {exc}") from exc
         if not isinstance(user, dict):
             raise ModelValidationError("config root must be a JSON object")
         for key, val in user.items():
@@ -276,35 +285,47 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
     out = Path(cfg["out"])
     ws = Workspace.build(cfg)
     iface = ws.interface(inverted=not no_inversion)
-    result = ws.modes(iface)
-    emit.write_json(
-        out / "search_trace.json",
-        {
-            "h": result.characteristic.h_grid,
-            "sigma_min": result.characteristic.sigma_min,
-            "characteristic_values": [
-                {"h": v.h, "lambda": v.lam, "sigma_min": v.sigma_min, "multiplicity": v.multiplicity}
-                for v in result.characteristic.values
-            ],
-            "characteristic_multiplicity_total": result.characteristic.total_multiplicity(),
-            "sector_counts": result.characteristic.sector_counts,
-            "evaluations": result.characteristic.evaluations,
-            "fixed_point_defects": result.fixed_point_defects,
-        },
-    )
-    for i, mode in enumerate(result.modes, start=1):
-        emit.write_complex_csv(
-            out / f"mode_{i}.csv", ["block"],
-            [(mode.n_lo + j,) for j in range(len(mode.profile))], mode.profile,
-            meta={
-                "lambda_zig": mode.lambda_zig,
-                "parity": mode.parity,
-                "eigen_residual": mode.residual,
-                "decay_rate_right": mode.decay_rate_right,
-                "decay_rate_left": mode.decay_rate_left,
-                "profile_converged": mode.profile_converged,
+
+    def search() -> matching.ModesResult:
+        result = ws.modes(iface)
+        emit.write_json(
+            out / "search_trace.json",
+            {
+                "h": result.characteristic.h_grid,
+                "sigma_min": result.characteristic.sigma_min,
+                "characteristic_values": [
+                    {"h": v.h, "lambda": v.lam, "sigma_min": v.sigma_min,
+                     "multiplicity": v.multiplicity}
+                    for v in result.characteristic.values
+                ],
+                "characteristic_multiplicity_total": result.characteristic.total_multiplicity(),
+                "sector_counts": result.characteristic.sector_counts,
+                "evaluations": result.characteristic.evaluations,
+                "fixed_point_defects": result.fixed_point_defects,
             },
         )
+        for i, mode in enumerate(result.modes, start=1):
+            emit.write_complex_csv(
+                out / f"mode_{i}.csv", ["block"],
+                [(mode.n_lo + j,) for j in range(len(mode.profile))], mode.profile,
+                meta={
+                    "lambda_zig": mode.lambda_zig,
+                    "parity": mode.parity,
+                    "eigen_residual": mode.residual,
+                    "decay_rate_right": mode.decay_rate_right,
+                    "decay_rate_left": mode.decay_rate_left,
+                    "profile_converged": mode.profile_converged,
+                },
+            )
+        return result
+
+    if not oracle:
+        result = search()
+    else:
+        # the worker runs the direct oracle during the layer-potential search
+        result, oracle_vals = fork_join(search, lambda: matching.direct_oracle(
+            iface, ws.dirac.lambda_star, ws.gap(), int(cfg["truncation"]["oracle_blocks"])
+        ))
     summary = {
         "count": result.count,
         "eigenvalues": result.eigenvalues,
@@ -312,9 +333,6 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
         "lambda_star": ws.dirac.lambda_star,
     }
     if oracle:
-        oracle_vals = matching.direct_oracle(
-            iface, ws.dirac.lambda_star, ws.gap(), int(cfg["truncation"]["oracle_blocks"])
-        )
         summary["oracle"] = [{"lambda": v, "parity": p, "center": c} for v, p, c in oracle_vals]
         summary["oracle_max_deviation"] = (
             max(
@@ -387,11 +405,11 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
         },
         "unperturbed": {str(p): lam for p, lam in lam_by_parity.items()},
         "d_zig": {str(p): d for p, d in d_zig.items()},
-        "sectors": {},
     }
     t0 = int(cfg["truncation"]["strip_t0"])
     strips = robust.MomentumStrips(iface, gap)
-    for parity in (1, -1):
+
+    def sectors(parity: int) -> list:
         per_l = []
         for L in cfg["robustness"]["L_values"]:
             base, pert = robust.sector_pair(
@@ -414,7 +432,11 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
                     "difference_profile": ff["difference_profile"],
                 }
             )
-        report["sectors"][str(parity)] = per_l
+        return per_l
+
+    # the reflection parities are decoupled: the worker solves -1 while this process solves +1
+    even, odd = fork_join(lambda: sectors(1), lambda: sectors(-1))
+    report["sectors"] = {"1": even, "-1": odd}
     emit.write_json(out / "robustness_report.json", report)
     diff_rows = [
         [parity, entry["L"], i, v] for parity, entries in report["sectors"].items()
@@ -433,10 +455,15 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
 def cmd_band_curve(cfg: dict) -> int:
     out = Path(cfg["out"])
     ws = Workspace.build(cfg)
-    curve = robust.interface_band_curve(
-        ws.interface(), ws.gap(), ws.dirac.lambda_star,
+    kpars, momenta = robust.band_curve_momenta()
+    solve = functools.partial(
+        robust.band_curve_samples, ws.interface(), ws.gap(), ws.dirac.lambda_star,
         n_blocks=int(cfg["truncation"]["oracle_blocks"]) // 2,
     )
+    # this process solves the first half of the momenta, the worker the rest
+    half = (len(momenta) + 1) // 2
+    first, rest = fork_join(lambda: solve(momenta[:half]), lambda: solve(momenta[half:]))
+    curve = robust.assemble_band_curve(kpars, dict(zip(momenta, first + rest)), ws.gap())
     rows = [[kp, v] for kp, vals in zip(curve["kpar"], curve["samples"]) for v in vals]
     emit.write_csv(
         out / "band_curve.csv",
@@ -490,9 +517,9 @@ def one_blas_thread():
     """Run the block with both OpenBLAS copies on one thread; restore their counts after.
 
     The matrices here are small, so a second BLAS thread costs more time than
-    it saves (README, Threads).  On one thread every summation order, and so
-    every output byte, is the same whatever thread count the process started
-    with.  Without a bundled copy this does nothing.
+    it saves (README, Threads and processes).  On one thread every summation
+    order, and so every output byte, is the same whatever thread count the
+    process started with.  Without a bundled copy this does nothing.
     """
     copies = _openblas_threads()
     saved = [get() for get, _ in copies]
@@ -503,6 +530,64 @@ def one_blas_thread():
     finally:
         for (_, set_), n in zip(copies, saved):
             set_(n)
+
+
+def fork_join(first, second) -> tuple:
+    """``(first(), second())``, with ``second`` run in a forked worker while this process runs ``first``.
+
+    The worker inherits the process as it stands (the built workspace, the
+    one BLAS thread), writes no file and prints nothing: it sends back its
+    result, or its exception, pickled over a pipe.  The worker is reaped on
+    every path.  An exception of ``first`` wins and kills the worker, as it
+    would have stopped the run before ``second`` began; a worker killed by a
+    signal raises `NumericError`.  With fewer than two usable CPUs, or when
+    no worker can be started, the two run in order in this process.
+    """
+    if len(os.sched_getaffinity(0)) < 2:
+        return first(), second()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return first(), second()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_outcome(second))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            mine = first()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise NumericError(f"the worker process was killed by {signal.Signals(-code).name}")
+    if code != 0:
+        raise NumericError(f"the worker process exited with status {code}")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _outcome(fn) -> bytes:
+    """The pickled ``(True, fn())``, or ``(False, exception)`` if ``fn`` raised."""
+    try:
+        return pickle.dumps((True, fn()))
+    except BaseException as exc:
+        exc.add_note("raised in the worker process:\n" + traceback.format_exc())
+        return pickle.dumps((False, exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,6 +645,9 @@ def main(argv=None) -> int:
     except HexamerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -786,33 +786,35 @@ def farfield_persistence(
 # Interface band curve in the parallel momentum
 
 
-def interface_band_curve(
-    iface: kernels.InterfaceKernel,
-    gap: tuple,
-    lam_star: float,
-    kpars: np.ndarray | None = None,
-    n_blocks: int = 240,
-) -> dict:
-    """Track the in-gap eigenvalue branches of the interface strip in kpar.
+def band_curve_momenta(kpars: np.ndarray | None = None) -> tuple:
+    """The kpar grid (41 points over [-pi, pi] unless given) and its distinct |kpar|.
+
+    The hoppings are real, so the strip at -kpar is the complex conjugate of
+    the one at kpar, with the same eigenvalues: each |kpar| is solved once
+    for both signs, in the order the grid first reaches it.
+    """
+    kpars = np.linspace(-np.pi, np.pi, 41) if kpars is None else np.asarray(kpars)
+    return kpars, list(dict.fromkeys(abs(float(kp)) for kp in kpars))
+
+
+def band_curve_samples(
+    iface: kernels.InterfaceKernel, gap: tuple, lam_star: float, momenta, n_blocks: int = 240
+) -> list:
+    """The sorted in-gap eigenvalues of the interface strip at each of ``momenta``, in order."""
+    return [
+        sorted(v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=k))
+        for k in momenta
+    ]
+
+
+def assemble_band_curve(kpars: np.ndarray, solved: dict, gap: tuple) -> dict:
+    """The in-gap branches on ``kpars`` from ``solved``, the samples keyed by |kpar|.
 
     Branches are matched between neighboring momenta by proximity; a matched
     jump larger than half the gap width raises ``BranchLost``.  The result
-    reports per-momentum samples and the emptiness of the pi sectors.  The
-    hoppings are real, so the strip at -kpar is the complex conjugate of the
-    one at kpar, with the same eigenvalues: every momentum is solved at
-    |kpar|, once for both signs.
+    reports per-momentum samples and the emptiness of the pi sectors.
     """
-    if kpars is None:
-        kpars = np.linspace(-np.pi, np.pi, 41)
-    solved = {}
-    samples = []
-    for kp in map(float, kpars):
-        key = abs(kp)
-        if key not in solved:
-            solved[key] = sorted(
-                v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=key)
-            )
-        samples.append(list(solved[key]))
+    samples = [list(solved[abs(float(kp))]) for kp in kpars]
     width = gap[1] - gap[0]
     for i in range(1, len(kpars)):
         prev, cur = samples[i - 1], samples[i]
@@ -826,6 +828,23 @@ def interface_band_curve(
         if abs(abs(kpars[0]) - np.pi) < 1e-9
         else None,
     }
+
+
+def interface_band_curve(
+    iface: kernels.InterfaceKernel,
+    gap: tuple,
+    lam_star: float,
+    kpars: np.ndarray | None = None,
+    n_blocks: int = 240,
+) -> dict:
+    """Track the in-gap eigenvalue branches of the interface strip in kpar.
+
+    Solves each |kpar| of `band_curve_momenta` once (`band_curve_samples`)
+    and matches the branches (`assemble_band_curve`).
+    """
+    kpars, momenta = band_curve_momenta(kpars)
+    samples = band_curve_samples(iface, gap, lam_star, momenta, n_blocks)
+    return assemble_band_curve(kpars, dict(zip(momenta, samples)), gap)
 
 
 # ---------------------------------------------------------------------------

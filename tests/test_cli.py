@@ -2,14 +2,17 @@
 import filecmp
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from hexamer import cli
-from hexamer.errors import NumericError
+from hexamer import robust
+from hexamer.errors import GapCollapse, NumericError
 
 FAST = {
     "model": "blended",
@@ -31,6 +34,16 @@ def run_cli(tmp_path, *args, cfg=None, env=None):
         argv += ["--config", str(path)]
     argv += list(args)
     return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def _append_record(path, record):
+    """Append one JSON line to ``path``: a spy's record that survives the worker process."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+
+def _read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def test_bands_command(tmp_path):
@@ -186,21 +199,21 @@ def test_robustness_command(tmp_path):
 
 def test_robustness_sectors_share_one_window(tmp_path, monkeypatch):
     """A perturbed sector certified on a wider strip makes the unperturbed one solve again there."""
-    from hexamer import robust
-
     solve = robust.bloch_sector_eigen
-    starts = []
+    record = tmp_path / "starts.jsonl"
 
-    def wider(strips, w, *args, t0, t_max):
+    def wider(strips, w, L, parity, *args, t0, t_max):
         # every perturbed solve starts 16 columns beyond the width it is handed
-        starts.append((w is not None, t0))
-        return solve(strips, w, *args, t0=t0 + 16 if w is not None else t0, t_max=t_max)
+        _append_record(record, [parity, w is not None, t0])
+        return solve(strips, w, L, parity, *args, t0=t0 + 16 if w is not None else t0, t_max=t_max)
 
     monkeypatch.setattr(robust, "bloch_sector_eigen", wider)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(FAST, delta=0.025)))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "robustness"]) == 0
     payload = json.loads((tmp_path / "o" / "robustness_report.json").read_text())
+    # the parity -1 solves run in the worker process; each process keeps its own order
+    starts = [(pert, t0) for _, pert, t0 in sorted(_read_records(record), key=lambda r: -r[0])]
     t0 = FAST["truncation"]["strip_t0"]
     assert len(starts) == 6
     for parity, (base, pert, again) in zip(("1", "-1"), zip(*[iter(starts)] * 3)):
@@ -379,3 +392,141 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     assert len(compared) == 6  # green-check 3 files, robustness 3 (with .meta.json)
     for name in compared:
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+def test_unwritable_outputs_exit_two(tmp_path):
+    """An output directory below a regular file, or an unreadable config, exits 2 in one line."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = run_cli(tmp_path, "--out", str(blocker / "o"), "symmetry-report")
+    assert res.returncode == 2
+    assert res.stderr.startswith("cannot write outputs: ") and res.stderr.count("\n") == 1
+    res = run_cli(tmp_path, "--config", str(tmp_path / "missing.json"), "symmetry-report")
+    assert res.returncode == 2
+    assert "cannot read config" in res.stderr and "Traceback" not in res.stderr
+
+
+def _run_main(tmp_path, out, *command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(FAST))
+    return cli.main(["--config", str(path), "--out", str(out), *command])
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _sector_pair_with(monkeypatch, action):
+    """Run ``action(parity)`` before each `robust.sector_pair` of the robustness command."""
+    pair = robust.sector_pair
+
+    def patched(strips, w, L, parity, *args):
+        action(parity)
+        return pair(strips, w, L, parity, *args)
+
+    monkeypatch.setattr(robust, "sector_pair", patched)
+
+
+@pytest.mark.parametrize("command", [["robustness"], ["band-curve"], ["interface", "--oracle"]])
+def test_forked_run_matches_one_cpu(tmp_path, monkeypatch, capsys, command):
+    """A split command writes the same bytes and stdout with its worker process as without."""
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    outs, captured = [], []
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        outs.append(tmp_path / str(cpus))
+        assert _run_main(tmp_path, outs[-1], *command) == 0
+        captured.append(capsys.readouterr())
+    assert forks == [os.getpid()]  # the 2-CPU run forked once, the 1-CPU run never
+    assert captured[0] == captured[1] and captured[0].out
+    names = [sorted(str(p.relative_to(o)) for p in o.rglob("*.*")) for o in outs]
+    assert names[0] == names[1]
+    compared = [n for n in names[0] if n != "effective_config.json"]
+    assert compared
+    for name in compared:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+@pytest.mark.parametrize(
+    "errors, code, message",
+    [
+        ({-1: GapCollapse("forced in parity -1")}, 3, "numeric failure: forced in parity -1"),
+        # parity +1 runs first in order, so its error wins over the worker's
+        ({1: GapCollapse("forced in parity +1"), -1: GapCollapse("forced in parity -1")},
+         3, "numeric failure: forced in parity +1"),
+        ({-1: OSError(28, "No space left on device")},
+         2, "cannot write outputs: [Errno 28] No space left on device"),
+    ],
+)
+def test_worker_errors_exit_as_in_order(tmp_path, monkeypatch, capsys, errors, code, message):
+    """An error in either half exits with the code and message of the one-process run."""
+
+    def fail(parity):
+        if parity in errors:
+            raise errors[parity]
+
+    _sector_pair_with(monkeypatch, fail)
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        assert _run_main(tmp_path, tmp_path / str(cpus), "robustness") == code
+        assert capsys.readouterr().err == message + "\n"
+
+
+def test_parent_error_reaps_worker(tmp_path, monkeypatch, capsys):
+    """An error in this process's half kills the worker and leaves no child behind."""
+
+    def fail_or_stall(parity):
+        if parity == 1:
+            raise GapCollapse("forced in parity +1")
+        time.sleep(60)
+
+    _sector_pair_with(monkeypatch, fail_or_stall)
+    _usable_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    assert _run_main(tmp_path, tmp_path / "o", "robustness") == 3
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == "numeric failure: forced in parity +1\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_killed_by_signal_exits_three(tmp_path, monkeypatch, capsys):
+    test_pid = os.getpid()
+
+    def die(parity):
+        if parity == -1 and os.getpid() != test_pid:  # only ever the worker
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _sector_pair_with(monkeypatch, die)
+    _usable_cpus(monkeypatch, 2)
+    assert _run_main(tmp_path, tmp_path / "o", "robustness") == 3
+    assert capsys.readouterr().err == "numeric failure: the worker process was killed by SIGKILL\n"
+    assert not (tmp_path / "o" / "robustness_report.json").exists()
+
+
+def test_worker_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    """The worker inherits the one BLAS thread of both OpenBLAS copies."""
+    copies = cli._openblas_threads()
+    record = tmp_path / "threads.jsonl"
+    _sector_pair_with(monkeypatch, lambda parity: _append_record(
+        record, [parity, os.getpid(), [get() for get, _ in cli._openblas_threads()]]
+    ))
+    _usable_cpus(monkeypatch, 2)
+    before = [get() for get, _ in copies]
+    try:
+        for _, set_ in copies:
+            set_(2)
+        assert _run_main(tmp_path, tmp_path / "o", "robustness") == 0
+    finally:
+        for (_, set_), n in zip(copies, before):
+            set_(n)
+    records = _read_records(record)
+    pids = {parity: pid for parity, pid, _ in records}
+    assert sorted(pids) == [-1, 1] and pids[1] == os.getpid() and pids[-1] != os.getpid()
+    assert len(copies) == 2 and all(threads == [1, 1] for _, _, threads in records)
