@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import emit, green, kernels, lattice, matching, robust, spectra
-from .errors import BoundViolation, HexamerError, ModelValidationError, NumericError
+from .errors import HexamerError, ModelValidationError, NumericError
 
 DEFAULTS = {
     "model": "blended",
@@ -636,9 +636,6 @@ def main(argv=None) -> int:
     except ModelValidationError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)
         return 2
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 5
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

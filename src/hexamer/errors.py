@@ -33,10 +33,6 @@ class GridTooCoarse(NumericError):
     """Momentum grid refinement failed to separate bands."""
 
 
-class ContinuationAmbiguity(NumericError):
-    """Eigenvector-overlap continuation could not pick a unique branch."""
-
-
 class EnergyInSpectrum(NumericError):
     """Requested resolvent energy lies in (or too close to) the spectrum."""
 
@@ -49,10 +45,6 @@ class GaugeMissing(NumericError):
     """Principal-value construction requires the fixed analytic gauge."""
 
 
-class NoCharacteristicValue(NumericError):
-    """No characteristic value found in the search interval."""
-
-
 class DegenerateBoundaryData(NumericError):
     """Boundary pair is annihilated by the auxiliary matching matrix."""
 
@@ -63,7 +55,3 @@ class GapCollapse(NumericError):
 
 class BranchLost(NumericError):
     """Continuity tracking of an in-gap branch failed."""
-
-
-class BoundViolation(HexamerError):
-    """Perturbation size exceeds the configured localization bound."""

@@ -301,12 +301,6 @@ def energy_flux(strip: BlockedStripOperator, phi, psi, n: int) -> complex:
     return complex(psi(n).conj() @ up - psi(n - 1).conj() @ dn)
 
 
-def flux_site_independence(strip, phi, psi, sites) -> float:
-    """Max deviation of the flux over the given sites from its value at the first."""
-    base = energy_flux(strip, phi, psi, sites[0])
-    return max(abs(energy_flux(strip, phi, psi, n) - base) for n in sites)
-
-
 def flux_matrix(strip: BlockedStripOperator, vectors: np.ndarray, n: int = 0) -> np.ndarray:
     """Flux form evaluated pairwise on constant block profiles (columns)."""
     m = vectors.shape[1]
@@ -315,21 +309,3 @@ def flux_matrix(strip: BlockedStripOperator, vectors: np.ndarray, n: int = 0) ->
         for j in range(m):
             out[i, j] = energy_flux(strip, vectors[:, i], vectors[:, j], n)
     return out
-
-
-def green_identity_residual(strip, lam, phi_i, phi_j, k: int, p: int) -> float:
-    """Residual of the discrete Gauss-Green summation identity on [k, k+p]."""
-    phi_i, phi_j = _as_profile(phi_i), _as_profile(phi_j)
-
-    def f(prof, n):
-        return (
-            strip.block(n, n - 1) @ prof(n - 1)
-            + (strip.block(n, n) - lam * np.eye(strip.blockdim)) @ prof(n)
-            + strip.block(n, n + 1) @ prof(n + 1)
-        )
-
-    lhs = 0.0 + 0.0j
-    for m in range(k, k + p + 1):
-        lhs += phi_j(m).conj() @ f(phi_i, m) - f(phi_j, m).conj() @ phi_i(m)
-    rhs = energy_flux(strip, phi_i, phi_j, k) - energy_flux(strip, phi_i, phi_j, k + p + 1)
-    return abs(lhs - rhs)

@@ -71,15 +71,6 @@ class HoppingKernel:
         return {"generator": self.name, "range": 1}
 
 
-def bloch_matrix(kernel: HoppingKernel, kappa) -> np.ndarray:
-    """Bloch matrix at a dual momentum given in period-1 coefficients."""
-    if isinstance(kappa, lattice.DualMomentum):
-        k1, k2 = kappa.radians
-    else:
-        k1, k2 = 2.0 * np.pi * kappa[0], 2.0 * np.pi * kappa[1]
-    return kernel.bloch_rad(k1, k2)
-
-
 def _distance_kernel(name: str, weight: Callable[[tuple, float], float]) -> HoppingKernel:
     blocks = {}
     for e in RANGE1_OFFSETS:
@@ -153,22 +144,6 @@ def perturbed_bulks(kb: HoppingKernel, kper: HoppingKernel, delta: float):
     )
 
 
-def check_nonsingular_hopping(kernel: HoppingKernel):
-    """Invertibility of the l2-summed forward hopping block (reported).
-
-    Returns (is_nonsingular, condition_number); the block tested is
-    ``sum_s K((1, s))``.
-    """
-    blk = sum(
-        (b for (e1, e2), b in kernel.blocks.items() if e1 == 1),
-        np.zeros((6, 6), dtype=complex),
-    )
-    svals = np.linalg.svd(blk, compute_uv=False)
-    if svals[-1] < 1e-12 * max(svals[0], 1.0):
-        return False, np.inf
-    return True, float(svals[0] / svals[-1])
-
-
 # ---------------------------------------------------------------------------
 # Interface kernel and blocked strip operators
 
@@ -178,8 +153,8 @@ class InterfaceKernel:
     """Two bulk kernels glued along the zigzag line n1 = 0.
 
     Cell pairs with both columns >= 0 use ``right`` (the +delta bulk), both
-    < 0 use ``left`` (-delta), and pairs straddling the seam use
-    ``seam`` = unperturbed bulk + delta * seam_extra.
+    < 0 use ``left`` (-delta), and pairs straddling the seam use ``seam``,
+    the unperturbed bulk.
     """
 
     right: HoppingKernel
@@ -188,13 +163,11 @@ class InterfaceKernel:
     delta: float
 
     @classmethod
-    def from_bulks(cls, kb, kper, delta, seam_extra: HoppingKernel | None = None,
-                   inverted: bool = True):
+    def from_bulks(cls, kb, kper, delta, inverted: bool = True):
         """Standard construction; ``inverted=False`` puts +delta on both sides."""
         plus, minus = perturbed_bulks(kb, kper, delta)
-        seam = kb if seam_extra is None else kb.plus(seam_extra, delta, name="seam")
         left = minus if inverted else plus
-        return cls(right=plus, left=left, seam=seam, delta=delta)
+        return cls(right=plus, left=left, seam=kb, delta=delta)
 
     def describe(self) -> dict:
         return {

@@ -102,11 +102,6 @@ class DualMomentum:
         return 2.0 * np.pi * self.k1, 2.0 * np.pi * self.k2
 
 
-def real_position(site: SiteIndex) -> np.ndarray:
-    """Cartesian position of a site: n1*l1 + n2*l2 + d_sub."""
-    return site.cell.vector() + SITE_OFFSETS[site.sub - 1]
-
-
 def site_distance(cell_offset: tuple[int, int], i: int, j: int) -> float:
     """Distance between site (0, i) and site (cell_offset, j)."""
     d = (
@@ -177,12 +172,6 @@ def rotation_op() -> SymmetryOp:
 
 def reflection_op() -> SymmetryOp:
     return SymmetryOp("Fx", FX_INT, FX_EXT, _cell_matrix(FX_EXT))
-
-
-def reflection_y_op() -> SymmetryOp:
-    """y-axis reflection, defined as R6^3 composed with Fx (convention)."""
-    r = rotation_op()
-    return r.compose(r).compose(r).compose(reflection_op())
 
 
 def supersymmetry_op() -> SymmetryOp:
@@ -388,19 +377,6 @@ def c6v_isotypic_projectors() -> dict[str, np.ndarray]:
     return {name: _isotypic_projector(words, rep) for name, rep in reps.items()}
 
 
-def rho_tilde_projector() -> np.ndarray:
-    """Isotypic projector of the 4d irrep on C^6 (extended group of order 36)."""
-    elems = _closure(
-        ((), np.eye(6)),
-        EXTENDED_GENERATORS,
-        lambda f, g: (f[0] + (g[0],), f[1] @ g[1]),
-        lambda item: item[1].tobytes(),
-    )
-    if len(elems) != 36:
-        raise ModelValidationError(f"extended group closure has {len(elems)} elements")
-    return _isotypic_projector(elems, rep_rho_tilde())
-
-
 def isotypic_dimension(projector: np.ndarray, basis: np.ndarray) -> float:
     """Trace of the projector restricted to span(basis columns)."""
     q, _ = np.linalg.qr(basis)
@@ -422,32 +398,3 @@ def momentum_derivative_blocks(blocks: dict, j: int) -> np.ndarray:
     for e, b in blocks.items():
         d = d + 1j * e[j] * b
     return d
-
-
-def first_order_matrices(blocks: dict, basis: np.ndarray):
-    """Reduced matrices H_j = [ (u_k, dH/dkappa_j(0) u_p) ] on an eigenbasis.
-
-    ``basis`` holds the aligned eigenvectors as columns (4 for the cone
-    quadruplet, 2 for a doubly degenerate level).  Hermiticity of each H_j is
-    enforced to machine precision before returning.
-    """
-    blocks = getattr(blocks, "blocks", blocks)
-    out = []
-    for j in (0, 1):
-        d = momentum_derivative_blocks(blocks, j)
-        h = basis.conj().T @ d @ basis
-        out.append(0.5 * (h + h.conj().T))
-    return out[0], out[1]
-
-
-def dispersion_det_roots(h1: np.ndarray, h2: np.ndarray, kappa) -> np.ndarray:
-    """Sorted eigenvalues of kappa1*H1 + kappa2*H2 (first-order dispersion)."""
-    k1, k2 = kappa
-    return np.linalg.eigvalsh(k1 * h1 + k2 * h2)
-
-
-def reduced_model_slopes(alpha_star: float, kappa) -> np.ndarray:
-    """Eigenvalues +-|alpha*| |kappa1 + conj(tau)^2 kappa2| of the 4x4 model."""
-    k1, k2 = kappa
-    m = abs(alpha_star) * abs(k1 + TAU.conjugate() ** 2 * k2)
-    return np.array([-m, -m, m, m])

@@ -14,13 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import green, kernels, lattice, spectra
-from .errors import (
-    DegenerateBoundaryData,
-    EnergyOutsideGap,
-    NoCharacteristicValue,
-    NumericError,
-)
+from . import green, kernels, lattice
+from .errors import DegenerateBoundaryData, EnergyOutsideGap, NumericError
 
 # Dirichlet truncation sheds edge-localized in-gap states carrying O(1)
 # weight at the window ends; genuine interface modes keep at most a
@@ -61,25 +56,6 @@ class MatchingMatrix:
     @property
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
-
-@dataclass
-class LimitPieces:
-    """delta -> 0 limit data of the matching matrices."""
-
-    m_pv: np.ndarray
-    a_proj: np.ndarray
-    aaux2: np.ndarray
-    maux_pv: np.ndarray
-    alpha_star: float
-    beta_star: float
-    kernel_vectors: np.ndarray  # columns (w_k, w_k), k = 1..4
-
-    def xi(self, h: float) -> float:
-        return h / (abs(self.alpha_star) * np.sqrt(self.beta_star**2 - h**2))
-
-    def eta(self, h: float) -> float:
-        return self.beta_star / (abs(self.alpha_star) * np.sqrt(self.beta_star**2 - h**2))
 
 
 @dataclass
@@ -186,29 +162,6 @@ def _auxiliary(hops, gp, gm):
     return np.block([[gp[1] @ hp10, -gp[0] @ hz01], [-gm[0] @ hz10, gm[-1] @ hm01]])
 
 
-def limit_pieces(
-    kb: kernels.HoppingKernel,
-    dirac: spectra.DiracData,
-    vgauge: spectra.VGauge,
-    beta_star: float,
-    levels: int = 14,
-    order: int = 16,
-) -> LimitPieces:
-    """Limit matrices M^pv, A, A^aux2 and the scalar profiles."""
-    strip = kernels.BlockedStripOperator(kb)
-    g = green.physical_green_pv(strip, dirac, vgauge, (-1, 0, 1), levels, order).blocks
-    hops = (strip.block(0, -1), strip.block(-1, 0)) * 3  # the same bulk on both sides
-    w = vgauge.vectors
-    kvecs = np.vstack([w, w])
-    u = np.vstack([hops[0] @ w, -hops[1] @ w])  # columns (H(0, -1) w_k, -H(-1, 0) w_k)
-    # A^aux2 = 1/2 sum_k s(k) (w_k, w_k) u_p(k)^H, s(k) = +1 for even k, p = (13)(24)
-    aaux2 = 0.5 * (kvecs * [-1.0, 1.0, -1.0, 1.0]) @ u[:, [2, 3, 0, 1]].conj().T
-    return LimitPieces(
-        _matching(hops, g, g), -u @ u.conj().T, aaux2, _auxiliary(hops, g, g),
-        dirac.alpha_star, beta_star, kvecs,
-    )
-
-
 def _sector_root(pipeline, q, i: int, a: float, b: float, lam_of):
     """(h, steps): the zero in (a, b) of the i-th eigenvalue of q^T M(lam_of(h)) q.
 
@@ -240,7 +193,6 @@ def characteristic_search(
     beta_star: float,
     c_star: float = 0.9,
     n_points: int = 201,
-    require: bool = False,
 ) -> SearchResult:
     """Locate and count the zeros of M(lam* + delta h, delta) over h in J.
 
@@ -292,11 +244,6 @@ def characteristic_search(
                 values.append(CharacteristicValue(h0, lam_of(h0), float(smin), mult, q @ v[:, null], mm))
                 i, a = i + mult, h0
     values.sort(key=lambda v: v.h)
-    if require and not values:
-        raise NoCharacteristicValue(
-            f"no characteristic value in J (min sigma_min = {sigma.min():.3e}); "
-            "this is the expected outcome for a band-inversion-free interface"
-        )
     return SearchResult(hs, sigma, values, counts, {"grid": len(hs), "newton": newton})
 
 

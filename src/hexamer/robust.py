@@ -24,8 +24,6 @@ _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
 CORE_COLUMNS = 2  # the compact defect couples only the columns |n1| <= 2
 EXCLUSION_RADIUS = 3.0  # farfield_persistence compares modes beyond this cell norm
-NEUMANN_TOL = 1e-10     # neumann_mode_check stops at a series increment below this
-NEUMANN_MAX_TERMS = 60  # ... or after this many terms
 
 
 def _ell2_coord(n1: int, n2: int) -> float:
@@ -237,14 +235,6 @@ def _reflection_image(L: int, t: int, idx):
     return 6 * _site_indices(L, t, n1, -n1 - n2) + lattice.FX_PERM[sub]
 
 
-def reflection_permutation(L: int, t: int) -> sp.csr_matrix:
-    """The reflection P on the width-t L-strip as a permutation matrix."""
-    idx = np.arange(6 * L * (2 * t + 1))
-    return sp.csr_matrix(
-        (np.ones(len(idx)), (idx, _reflection_image(L, t, idx))), shape=(len(idx), len(idx))
-    )
-
-
 def parity_isometry(L: int, t: int, parity: int) -> sp.csr_matrix:
     """Columns form an orthonormal basis of the chosen parity sector.
 
@@ -385,13 +375,6 @@ def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, h, t_max=None) -> St
         vectors=np.column_stack([vec for _, vec, _ in kept]),
         tracked=tracked,
     )
-
-
-def full_strip_ingap(iface, L, t, gap, lam_center):
-    """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
-    w, v, _ = _ingap_eigsh(assemble_strip(iface, L, t), lam_center, gap)
-    n1s = np.repeat(np.arange(-t, t + 1), L)
-    return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))]
 
 
 # ---------------------------------------------------------------------------
@@ -827,84 +810,4 @@ def assemble_band_curve(kpars: np.ndarray, solved: dict, gap: tuple) -> dict:
         "empty_at_pi": (len(samples[0]) == 0 and len(samples[-1]) == 0)
         if abs(abs(kpars[0]) - np.pi) < 1e-9
         else None,
-    }
-
-
-def interface_band_curve(
-    iface: kernels.InterfaceKernel,
-    gap: tuple,
-    lam_star: float,
-    kpars: np.ndarray | None = None,
-    n_blocks: int = 240,
-) -> dict:
-    """Track the in-gap eigenvalue branches of the interface strip in kpar.
-
-    Solves each |kpar| of `band_curve_momenta` once (`band_curve_samples`)
-    and matches the branches (`assemble_band_curve`).
-    """
-    kpars, momenta = band_curve_momenta(kpars)
-    samples = band_curve_samples(iface, gap, lam_star, momenta, n_blocks)
-    return assemble_band_curve(kpars, dict(zip(momenta, samples)), gap)
-
-
-# ---------------------------------------------------------------------------
-# Optional Neumann-series cross-check of the perturbed eigenmode
-
-
-def neumann_mode_check(
-    iface, w: PerturbationW, L: int, parity: int, gap: tuple, lam_ref: float,
-    t: int = 40,
-) -> dict:
-    """Perturbed sector mode via the reduced-resolvent series versus direct solve.
-
-    Dense eigendecomposition of the unperturbed sector operator supplies the
-    exact reduced resolvent; the series is summed until increments fall
-    below ``NEUMANN_TOL``.  The unperturbed level is the in-gap sector eigenvalue
-    nearest ``lam_ref`` (the interface-mode eigenvalue of this parity); the
-    perturbed pair nearest it comes from one shift-invert solve.
-    """
-    q = parity_isometry(L, t, parity)
-    ri, ci, vv = _defect_entries(w, L, t)
-    wfull = sp.csr_matrix((vv, (ri, ci)), shape=(q.shape[0],) * 2)
-    h0 = (q.getH() @ assemble_strip(iface, L, t) @ q).toarray()
-    wmat = (q.getH() @ wfull @ q).toarray()
-    hw = h0 + wmat
-
-    evals, evecs = np.linalg.eigh(h0)
-    ingap = np.flatnonzero((gap[0] < evals) & (evals < gap[1]))
-    if len(ingap) == 0:
-        raise GapCollapse("no unperturbed in-gap sector eigenvalue")
-    i0 = ingap[np.argmin(np.abs(evals[ingap] - lam_ref))]
-    lam0 = evals[i0]
-    u0 = evecs[:, i0]
-
-    wpert, vpert = sp.linalg.eigsh(hw, k=1, sigma=lam0, v0=np.ones(len(hw)))
-    lam_w, u_direct = wpert[0], vpert[:, 0]
-
-    inv = np.zeros_like(evals)
-    mask = np.arange(len(evals)) != i0
-    inv[mask] = 1.0 / (evals[mask] - lam0)
-
-    def qinv(y):
-        c = evecs.conj().T @ y
-        return evecs @ (inv * c)
-
-    dl = lam_w - lam0
-    y = qinv(wmat @ u0)
-    series = -y.copy()
-    term = y
-    n_terms = 1
-    for n_terms in range(2, NEUMANN_MAX_TERMS + 2):
-        term = -qinv(wmat @ term - dl * term)
-        series -= term
-        if np.linalg.norm(term) < NEUMANN_TOL:
-            break
-    u_series = u0 + series
-    u_series /= np.linalg.norm(u_series)
-    u_cmp = u_direct * np.exp(-1j * np.angle(np.vdot(u_series, u_direct)))
-    return {
-        "lambda_unperturbed": float(lam0),
-        "lambda_perturbed": float(lam_w),
-        "series_terms": n_terms,
-        "mode_difference": float(np.linalg.norm(u_series - u_cmp)),
     }

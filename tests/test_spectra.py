@@ -5,6 +5,7 @@ import pytest
 from hexamer import kernels, lattice, spectra
 from hexamer.errors import NoFourFoldDegeneracy
 
+import paper_checks
 from conftest import subspace_distance
 
 
@@ -58,7 +59,7 @@ def test_cone_slopes_match_reduced_model(blended, dirac):
         w = np.linalg.eigvalsh(blended.bloch_rad(*k))
         cone = np.sort(w[np.argsort(np.abs(w - dirac.lambda_star))[:4]])
         slopes = (cone - dirac.lambda_star) / t
-        model = lattice.reduced_model_slopes(dirac.alpha_star, direction)
+        model = paper_checks.reduced_model_slopes(dirac.alpha_star, direction)
         assert np.abs(slopes - model).max() < 1e-3 * abs(model).max()
 
 
@@ -173,7 +174,7 @@ def test_eigenpair_asymptotics(blended, hper, dirac):
     beta = 2.0
     # kappa = 0: eigenvalues lambda* +- beta delta to O(delta^2)
     for delta in (0.05, 0.02):
-        rep = spectra.eigenpair_asymptotics_check(blended, hper, delta, (0.0, 0.0))
+        rep = paper_checks.eigenpair_asymptotics_check(blended, hper, delta, (0.0, 0.0))
         assert rep["plus"]["eigenvalue_residual"] < 2.0 * delta**2
         assert abs(rep["s"] - beta * delta) < 1e-12
     # kappa = 0, H_{+delta}: lower eigenspace is span{u3, u4} up to O(delta)
@@ -187,8 +188,8 @@ def test_eigenpair_asymptotics(blended, hper, dirac):
 
 
 def test_asymptotics_residual_scales_linearly(blended, hper):
-    base = spectra.eigenpair_asymptotics_check(blended, hper, 0.04, (0.016, 0.008))
-    half = spectra.eigenpair_asymptotics_check(blended, hper, 0.02, (0.008, 0.004))
+    base = paper_checks.eigenpair_asymptotics_check(blended, hper, 0.04, (0.016, 0.008))
+    half = paper_checks.eigenpair_asymptotics_check(blended, hper, 0.02, (0.008, 0.004))
     for tag in ("plus", "minus"):
         for key in ("lower_subspace_residual", "upper_subspace_residual"):
             ratio = half[tag][key] / base[tag][key]
@@ -197,7 +198,7 @@ def test_asymptotics_residual_scales_linearly(blended, hper):
 
 @pytest.fixture(scope="module")
 def labeled(blended):
-    return spectra.analytic_label(blended, spectra.default_k1_grid(1201))
+    return paper_checks.analytic_label(blended, paper_checks.default_k1_grid(1201))
 
 
 def test_analytic_label_slope_and_symmetry(labeled, dirac):
@@ -269,7 +270,7 @@ def test_vgauge_eigenvectors(blended, dirac, vgauge):
 
 def test_two_fold_flatness(blended, hper):
     perturbed = blended.plus(hper, 0.3)
-    report = spectra.two_fold_flatness(perturbed)
+    report = paper_checks.two_fold_flatness(perturbed)
     assert len(report) == 2
     irreps = {r["irrep"] for r in report}
     assert irreps == {"rho1", "rho2"}
