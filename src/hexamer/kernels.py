@@ -71,31 +71,36 @@ class HoppingKernel:
         return {"generator": self.name, "range": 1}
 
 
-def _distance_kernel(name: str, weight: Callable[[tuple, float], float]) -> HoppingKernel:
-    blocks = {}
-    for e in RANGE1_OFFSETS:
-        b = np.zeros((6, 6), dtype=complex)
-        for i in range(1, 7):
-            for j in range(1, 7):
-                b[i - 1, j - 1] = weight(e, lattice.site_distance(e, i, j))
-        if np.abs(b).max() > 0:
-            blocks[e] = b
-    return HoppingKernel(name, blocks)
+def _distance_kernel(name: str, weight: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> HoppingKernel:
+    """Kernel whose hopping from site i to site j of the cell e is ``weight(e, r)``, r their distance.
+
+    ``weight`` is evaluated once on all offsets of ``RANGE1_OFFSETS`` at once:
+    e of shape (7, 1, 1, 2) and r of shape (7, 6, 6).  Offsets with no
+    nonzero weight get no block.
+    """
+    offsets = np.array(RANGE1_OFFSETS)[:, None, None, :]
+    sites = np.arange(1, 7)
+    weights = weight(offsets, lattice.site_distance(offsets, sites[:, None], sites))
+    return HoppingKernel(
+        name, {e: b.astype(complex) for e, b in zip(RANGE1_OFFSETS, weights) if np.abs(b).max() > 0}
+    )
 
 
 def build_toy_bulk() -> HoppingKernel:
     """Constant nearest-neighbor hopping on the hexamer structure."""
     return _distance_kernel(
-        "toy", lambda e, r: 1.0 if abs(r - lattice.NN_DISTANCE) < 1e-12 else 0.0
+        "toy", lambda e, r: np.where(np.abs(r - lattice.NN_DISTANCE) < 1e-12, 1.0, 0.0)
     )
 
 
 def build_extended_bulk() -> HoppingKernel:
     """Inverse-distance hopping for site distances in [1/3, 1]."""
-    return _distance_kernel(
-        "extended",
-        lambda e, r: (1.0 / 3.0) / r if 1.0 / 3.0 - 1e-12 <= r <= 1.0 + 1e-12 else 0.0,
-    )
+
+    def w(e, r):
+        near = (1.0 / 3.0 - 1e-12 <= r) & (r <= 1.0 + 1e-12)
+        return np.where(near, (1.0 / 3.0) / np.where(near, r, 1.0), 0.0)
+
+    return _distance_kernel("extended", w)
 
 
 def build_blended_bulk(mix: float = 0.2) -> HoppingKernel:
@@ -117,9 +122,8 @@ def build_hper() -> HoppingKernel:
     """Symmetry-breaking detuning: +1 on intra-cell bonds, -1 on inter-cell."""
 
     def w(e, r):
-        if abs(r - lattice.NN_DISTANCE) > 1e-12:
-            return 0.0
-        return 1.0 if e == (0, 0) else -1.0
+        intra = (e == 0).all(axis=-1)
+        return np.where(np.abs(r - lattice.NN_DISTANCE) > 1e-12, 0.0, np.where(intra, 1.0, -1.0))
 
     return _distance_kernel("detuning", w)
 

@@ -102,15 +102,20 @@ class DualMomentum:
         return 2.0 * np.pi * self.k1, 2.0 * np.pi * self.k2
 
 
-def site_distance(cell_offset: tuple[int, int], i: int, j: int) -> float:
-    """Distance between site (0, i) and site (cell_offset, j)."""
+def site_distance(cell_offset, i, j):
+    """Distance between site (0, i) and site (cell_offset, j).
+
+    Arrays broadcast: ``cell_offset`` holds (e1, e2) on its last axis, and
+    the site numbers i, j (1..6) broadcast against its other axes.
+    """
+    e = np.asarray(cell_offset)
     d = (
-        cell_offset[0] * ELL1
-        + cell_offset[1] * ELL2
-        + SITE_OFFSETS[j - 1]
-        - SITE_OFFSETS[i - 1]
+        e[..., :1] * ELL1
+        + e[..., 1:] * ELL2
+        + SITE_OFFSETS[np.asarray(j) - 1]
+        - SITE_OFFSETS[np.asarray(i) - 1]
     )
-    return float(np.hypot(d[0], d[1]))
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def _cell_matrix(ext: np.ndarray) -> np.ndarray:

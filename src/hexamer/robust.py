@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
-from .errors import BranchLost, GapCollapse, ModelValidationError
-from .matching import _edge_filtered, _inertia_factor, _ingap_eigsh, direct_oracle
+from .errors import BranchLost, GapCollapse, ModelValidationError, NumericError
+from .matching import _edge_filtered, _ingap_eigsh, direct_oracle
 
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
@@ -425,52 +425,173 @@ def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
     ).tocsr()
 
 
+def _real_part(mat, frac: tuple):
+    """The real part of ``mat``, a strip or blocks at k = 2 pi frac[0] / frac[1] in the basis of `_sector_isometry`.
+
+    Raises ``ModelValidationError`` when the imaginary part is more than rounding.
+    """
+    if abs(mat.imag).max() > 1e-12 * abs(mat).max():
+        raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
+    return mat.real
+
+
+def _part(frac: tuple, parity: int) -> int:
+    """The part of the strip at k = 2 pi frac[0] / frac[1] that a parity sector holds: ``parity`` at k = 0 and pi, else 0 (all of it)."""
+    return parity if frac[1] <= 2 else 0
+
+
 @dataclass
 class _MomentumStrip:
-    """One momentum strip in its real basis, its parity part at k = 0 and pi, with its in-gap pairs.
+    """One momentum strip of width t in its real basis, its ``part`` at k = 0 and pi, with its in-gap pairs.
 
-    ``mat`` is the real symmetric S^H H_k S and ``q`` the isometry S of
-    `_sector_isometry` into strip coordinates; ``core`` holds the rows of
-    the columns |n1| <= ``CORE_COLUMNS``, where a compact defect acts.
+    ``edges`` holds (nu, G) at both gap edges (`MomentumStrips.resolvent_cores`):
+    its count of eigenvalues below each edge and the block of its resolvent
+    on ``core``, the rows of the columns |n1| <= ``CORE_COLUMNS`` where a
+    compact defect acts.  The real symmetric ``mat`` = S^H H_k S and the
+    isometry ``q`` = S of `_sector_isometry` into strip coordinates are
+    assembled on first use: ``mat`` only when the strip has in-gap pairs or
+    enters a perturbed sector's K.
     """
 
-    mat: sp.csr_matrix
-    q: sp.csr_matrix
+    iface: kernels.InterfaceKernel
+    t: int
+    frac: tuple
+    part: int
     gap: tuple
     sigma: float
-    core: np.ndarray
+    edges: tuple
 
-    def resolvent_core(self, shift: float):
-        """(nu, G): the eigenvalues of ``mat`` below ``shift`` and the block of (mat - shift)^-1 on ``core``.
+    @property
+    def size(self) -> int:
+        return (3 if self.frac[1] <= 2 else 6) * (2 * self.t + 1)
 
-        Both come from one diagonal-pivot factor (`_inertia_factor`), which
-        is dropped on return.
-        """
-        lu, below = _inertia_factor(self.mat, shift)
-        rhs = np.zeros((self.mat.shape[0], len(self.core)))
-        rhs[self.core, np.arange(len(self.core))] = 1.0
-        return below, lu.solve(rhs)[self.core]
+    @property
+    def core(self) -> np.ndarray:
+        per_cell, reach = self.size // (2 * self.t + 1), min(CORE_COLUMNS, self.t)
+        return np.arange(per_cell * (self.t - reach), per_cell * (self.t + reach + 1))
 
     @cached_property
-    def edges(self):
-        """`resolvent_core` at both gap edges: the strip's in-gap count, and the border of a perturbed sector's."""
-        return [self.resolvent_core(edge) for edge in self.gap]
+    def q(self) -> sp.csr_matrix:
+        return _sector_isometry(self.t, self.frac, self.part)
+
+    @cached_property
+    def mat(self) -> sp.csr_matrix:
+        strip = kernels.BlockedStripOperator(self.iface, 2.0 * np.pi * self.frac[0] / self.frac[1]).csr(self.t)
+        return _real_part((self.q.getH() @ strip @ self.q).tocsr(), self.frac)
 
     @cached_property
     def pairs(self):
         """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
         (below0, _), (below1, _) = self.edges
+        if below1 == below0:
+            return np.empty(0), np.empty((self.size, 0)), 0.0
         return _ingap_eigsh(self.mat, self.sigma, self.gap, count=below1 - below0)
 
 
+@dataclass
+class _Cells:
+    """The cell blocks of one momentum strip in its real basis.
+
+    ``core`` is the block of the columns |n1| <= ``CORE_COLUMNS``.  On side
+    s (0: n1 > 0, 1: n1 < 0) and for a column j = |n1| >= ``CORE_COLUMNS``,
+    ``diag[s, j % 2]`` is its diagonal block and ``out[s, j % 2]`` its
+    coupling to the column j + 1 further out; every such column sees one
+    bulk, and the basis repeats with period 2 in n1 (at k = pi; period 1
+    elsewhere).  A cell of 3 rows (k = 0 and pi) is padded to 6, ``diag``
+    with the identity and ``out`` with zeros, so that a padded block keeps
+    its count and inverse; ``eye`` is the identity on the cell's own rows.
+    """
+
+    core: np.ndarray
+    diag: np.ndarray
+    out: np.ndarray
+    eye: np.ndarray
+
+    @classmethod
+    def of(cls, iface: kernels.InterfaceKernel, frac: tuple, part: int) -> "_Cells":
+        """The blocks S_n^H H_k(n, m) S_m, S_n the cell n's columns of `_sector_isometry`."""
+        t = CORE_COLUMNS + 2
+        q = _sector_isometry(t, frac, part).toarray()
+        per_cell = q.shape[1] // (2 * t + 1)
+        op = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1])
+
+        def block(n, m):
+            s_n = q[6 * (n + t) : 6 * (n + t + 1), per_cell * (n + t) : per_cell * (n + t + 1)]
+            s_m = q[6 * (m + t) : 6 * (m + t + 1), per_cell * (m + t) : per_cell * (m + t + 1)]
+            return s_n.conj().T @ op.block(n, m) @ s_m
+
+        cols = range(-CORE_COLUMNS, CORE_COLUMNS + 1)
+        core = _real_part(np.block([[block(n, m) for m in cols] for n in cols]), frac)
+        ends = (CORE_COLUMNS, CORE_COLUMNS + 1)
+        tail = _real_part(np.array([
+            [[block(sign * (j + 1), sign * (j + 1)), block(sign * j, sign * (j + 1))] for j in ends]
+            for sign in (1, -1)
+        ]), frac)
+        diag, out = np.zeros((2, 2, 6, 6)), np.zeros((2, 2, 6, 6))
+        diag[..., per_cell:, per_cell:] = np.eye(6 - per_cell)
+        for j in ends:
+            diag[:, (j + 1) % 2, :per_cell, :per_cell] = tail[:, j - CORE_COLUMNS, 0]
+            out[:, j % 2, :per_cell, :per_cell] = tail[:, j - CORE_COLUMNS, 1]
+        return cls(core, diag, out, np.diag(np.arange(6) < per_cell).astype(float))
+
+    @property
+    def per_cell(self) -> int:
+        return int(self.eye.sum())
+
+
+def _inverse_count(s: np.ndarray, singular):
+    """(S^-1, nu(S)) of each of the stacked real symmetric S.
+
+    nu counts the negative eigenvalues.  An S whose smallest absolute
+    eigenvalue is at most its size times the machine epsilon times its
+    largest is singular: ``NumericError`` with the message ``singular(i)``
+    for the first such S.  The inverse is LU's: on the near-singular Schur
+    blocks of a shift inside the bulk bands it keeps G about ten times
+    closer to an iteratively refined solve than V diag(1/w) V^T does.
+    """
+    w = np.linalg.eigvalsh(s)
+    size = np.abs(w)
+    bad = size.min(axis=-1) <= s.shape[-1] * np.finfo(float).eps * size.max(axis=-1)
+    if bad.any():
+        raise NumericError(singular(int(np.argmax(bad))))
+    return np.linalg.inv(s), (w < 0).sum(axis=-1)
+
+
+def _schur_steps(diag, out, inverse, below, t: int, first: int, stop: int, singular):
+    """Steps ``first`` .. ``stop`` - 1 of stacked half-strip Schur recursions from their Dirichlet end.
+
+    Step m eliminates the column j = t - m: with S^-1 = ``inverse`` of the
+    column j + 1 eliminated before it (zero at m = 0),
+        S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T,
+    a Schur complement of the half-strip on the columns j..t (``diag``
+    already shifted).  Returns S^-1 of the last column eliminated and
+    ``below`` plus the counts nu(S_j), whose sum is the count of the
+    half-strip by Haynsworth's inertia additivity.  ``singular(i, j)`` words
+    the error of a singular S_j of stack entry i.
+    """
+    for m in range(first, stop):
+        j = t - m
+        b = out[:, j % 2]
+        inverse, nu = _inverse_count(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), lambda i: singular(i, j))
+        below = below + nu
+    return inverse, below
+
+
 class MomentumStrips:
-    """Momentum strips of one interface kernel and gap, cached by (t, k, parity).
+    """Momentum strips of one interface kernel and gap, cached by (t, k, part).
 
     Both parities, every L and the unperturbed and perturbed solves share
     the strips, their in-gap pairs and their resolvent cores at the gap
-    edges: the momenta of L = 8 are among those of L = 16.  Every
-    shift-invert solve shifts at the gap centre, away from the interface
-    eigenvalues.
+    edges: the momenta of L = 8 are among those of L = 16.  The cores come
+    from the strips' cell blocks, not from a factor of the strip
+    (`resolvent_cores`): beyond the columns |n1| <= ``CORE_COLUMNS`` each
+    side is a half-strip of one bulk, eliminated by a block Schur recursion
+    from its Dirichlet end (`_schur_steps`).  Counted from that end, the
+    recursion of a strip of width t is the first t - ``CORE_COLUMNS`` steps
+    of that of every wider one (of the same parity of t at k = pi), so each
+    lane (momentum, part, side, shift) keeps only its last step, and a wider
+    strip extends it.  Every shift-invert solve shifts at the gap centre,
+    away from the interface eigenvalues.
     """
 
     def __init__(self, iface: kernels.InterfaceKernel, gap: tuple):
@@ -478,27 +599,95 @@ class MomentumStrips:
         self.gap = tuple(gap)
         self.sigma = 0.5 * (gap[0] + gap[1])
         self._blocks = {}
+        self._cells = {}
+        self._tails = {}    # lane -> (steps, below, S^-1 of the last column eliminated)
 
-    def block(self, t: int, frac: tuple, parity: int) -> _MomentumStrip:
-        """The strip at k = 2 pi frac[0] / frac[1] in its real basis; its ``parity`` part at k = 0 and pi."""
-        key = (t, frac, parity if frac[1] <= 2 else 0)
-        if key not in self._blocks:
-            q = _sector_isometry(t, frac, parity)
-            strip = kernels.BlockedStripOperator(self.iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
-            mat = (q.getH() @ strip @ q).tocsr()
-            if abs(mat.imag).max() > 1e-12 * abs(mat).max():
-                raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
-            per_cell = mat.shape[0] // (2 * t + 1)
-            reach = min(CORE_COLUMNS, t)
-            core = np.arange(per_cell * (t - reach), per_cell * (t + reach + 1))
-            self._blocks[key] = _MomentumStrip(mat.real, q, self.gap, self.sigma, core)
-        return self._blocks[key]
+    def blocks(self, t: int, fracs: list, parity: int) -> list:
+        """The strips of width t at k = 2 pi f[0] / f[1] for f in ``fracs``, each its ``parity`` part at k = 0 and pi.
+
+        The strips not yet cached get their gap-edge cores in one batch.
+        """
+        keys = [(t, f, _part(f, parity)) for f in fracs]
+        new = [key for key in dict.fromkeys(keys) if key not in self._blocks]
+        if new:
+            lower, upper = self.resolvent_cores(t, [f for _, f, _ in new], parity, self.gap)
+            for key, edges in zip(new, zip(lower, upper)):
+                self._blocks[key] = _MomentumStrip(self.iface, *key, self.gap, self.sigma, edges)
+        return [self._blocks[key] for key in keys]
+
+    def _cell_blocks(self, frac: tuple, part: int) -> _Cells:
+        if (frac, part) not in self._cells:
+            self._cells[frac, part] = _Cells.of(self.iface, frac, part)
+        return self._cells[frac, part]
+
+    def resolvent_cores(self, t: int, fracs: list, parity: int, shifts) -> list:
+        """(nu, G) of the width-t strip at each of ``fracs`` (its ``parity`` part at k = 0 and pi) and each shift s.
+
+        nu counts the eigenvalues of the strip's ``mat`` below s and G is the
+        block of (mat - s)^-1 on its core rows.  Eliminating both half-strips
+        beyond the core (`_schur_steps`) leaves the core block C - s minus
+        the tail term out S^-1 out^T on each of its two outer columns; by
+        Haynsworth nu is nu of that block plus the two tails' counts, and G
+        its inverse.  A singular Schur block or core block raises
+        ``NumericError``.  Returns one list per shift, in the order of
+        ``fracs``.
+        """
+        reach = min(CORE_COLUMNS, t)
+        lanes = [(f, side, s) for s in shifts for f in fracs for side in (0, 1)]
+        below, tail = self._tail_terms(t, parity, lanes)
+        cores = []
+        for n in range(0, len(lanes), 2):
+            f, _, s = lanes[n]
+            cell = self._cell_blocks(f, _part(f, parity))
+            p, drop = cell.per_cell, cell.per_cell * (CORE_COLUMNS - reach)
+            block = cell.core[drop : len(cell.core) - drop, drop : len(cell.core) - drop] - s * np.eye(p * (2 * reach + 1))
+            if t > CORE_COLUMNS:
+                block[:p, :p] -= tail[n + 1, :p, :p]
+                block[-p:, -p:] -= tail[n, :p, :p]
+            g, nu = _inverse_count(
+                block, lambda _: f"strip factor at shift {s!r} failed: the core block at k = 2 pi {f[0]}/{f[1]} is singular"
+            )
+            cores.append((int(nu + below[n] + below[n + 1]), g))
+        return [cores[m * len(fracs) : (m + 1) * len(fracs)] for m in range(len(shifts))]
+
+    def _tail_terms(self, t: int, parity: int, lanes: list):
+        """Per lane (frac, side, shift): the count of the half-strip beyond the core and its term out S^-1 out^T on the core.
+
+        The lanes run as one batch.  They resume from their cached last step
+        when they all share one at or below t - ``CORE_COLUMNS``, and start
+        over otherwise.
+        """
+        stop = max(t - CORE_COLUMNS, 0)
+        cells = [self._cell_blocks(f, _part(f, parity)) for f, _, _ in lanes]
+        keys = [(f, _part(f, parity), side, s, t % 2 if f[1] == 2 else 0) for f, side, s in lanes]
+        saved = [self._tails.get(key, (0, 0, np.zeros((6, 6)))) for key in keys]
+        first = saved[0][0]
+        if first > stop or any(steps != first for steps, _, _ in saved):
+            first, saved = 0, [(0, 0, np.zeros((6, 6)))] * len(lanes)
+        diag = np.stack([c.diag[side] - s * c.eye for c, (_, side, s) in zip(cells, lanes)])
+        out = np.stack([c.out[side] for c, (_, side, _) in zip(cells, lanes)])
+
+        def singular(i, j):
+            f, side, s = lanes[i]
+            return (
+                f"strip factor at shift {s!r} failed: the half-strip Schur block of column "
+                f"n1 = {j if side == 0 else -j} at k = 2 pi {f[0]}/{f[1]} is singular"
+            )
+
+        inverse, below = _schur_steps(
+            diag, out, np.stack([x for _, _, x in saved]), np.array([nu for _, nu, _ in saved]), t, first, stop, singular
+        )
+        self._tails.update(zip(keys, ((stop, int(nu), x) for nu, x in zip(below, inverse))))
+        coupling = out[:, CORE_COLUMNS % 2]
+        return below, coupling @ inverse @ coupling.swapaxes(1, 2)
 
 
 def _bordered_inertia(cores, u, d) -> int:
-    """Eigenvalues of K = A + U D U^T below a shift s, from the `resolvent_core` of each block of A at s.
+    """Eigenvalues of K = A + U D U^T below a shift s, from the resolvent core of each block of A at s.
 
-    ``cores`` holds (nu_j, G_j) of each diagonal block A_j, ``u`` is U on
+    ``cores`` holds (nu_j, G_j) of each diagonal block A_j
+    (`MomentumStrips.resolvent_cores`: its count below s and the core
+    block of (A_j - s)^-1, from its cells, no factor), ``u`` is U on
     the stacked core rows (zero elsewhere) and ``d`` the diagonal of D.
     The bordered matrix M = [[A - s, U], [U^T, -D^-1]] has two Schur
     complements: M/(A - s) = S(s) = -D^-1 - U^T (A - s)^-1 U, and
@@ -510,7 +699,7 @@ def _bordered_inertia(cores, u, d) -> int:
     U^T (A - s)^-1 U = U^T blockdiag(G_j) U, and nu(A - s) = sum nu_j.
     The in-gap count of K is the difference at the two gap edges, where
     nu(-D^-1), the number of positive d, cancels.  A - s must be
-    nonsingular, as its inertia factor requires.
+    nonsingular, as the Schur recursion of its cores requires.
     """
     below = sum(nu for nu, _ in cores)
     schur = -np.diag(1.0 / d) - u.T @ block_diag(*(g for _, g in cores)) @ u
@@ -534,8 +723,8 @@ class _BlochSector:
     def __init__(self, strips: MomentumStrips, L: int, t: int, parity: int):
         self.L, self.t, self.parity = L, t, parity
         fracs = _momenta(L)
-        self.blocks = [strips.block(t, f, parity) for f in fracs]
-        self.bounds = np.cumsum([0] + [blk.mat.shape[0] for blk in self.blocks])
+        self.blocks = strips.blocks(t, fracs, parity)
+        self.bounds = np.cumsum([0] + [blk.size for blk in self.blocks])
         self.core = np.concatenate([lo + blk.core for lo, blk in zip(self.bounds, self.blocks)])
         self.gap, self.sigma = strips.gap, strips.sigma
         cp = 1.0 if parity == 1 else 1j
@@ -583,12 +772,13 @@ class _BlochSector:
         return np.vstack(parts)
 
     def to_full(self, z):
-        """Full-space columns B z of the momentum-coordinate columns ``z``."""
+        """Full-space columns B z of the momentum-coordinate columns ``z``; a zero block of ``z`` needs no isometry."""
         m = z.shape[1]
-        yh = np.empty((2 * self.t + 1, len(self.blocks), 6, m), dtype=complex)
+        yh = np.zeros((2 * self.t + 1, len(self.blocks), 6, m), dtype=complex)
         for pos, blk in enumerate(self.blocks):
             part = z[self.bounds[pos] : self.bounds[pos + 1]]
-            yh[:, pos] = (self.scale[pos] * (blk.q @ part)).reshape(2 * self.t + 1, 6, m)
+            if part.any():
+                yh[:, pos] = (self.scale[pos] * (blk.q @ part)).reshape(2 * self.t + 1, 6, m)
         return self._from_half(yh)
 
     def unperturbed_pairs(self):

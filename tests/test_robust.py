@@ -363,7 +363,7 @@ def test_momentum_split_sector_inertia(setup_r):
             sector = _assembled_sector(iface, L, t, parity)
             dense = np.linalg.eigvalsh(sector.toarray())
             picks = (np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (len(dense) - 1)).astype(int)
-            blocks = [strips.block(t, f, parity) for f in robust._momenta(L)]
+            blocks = strips.blocks(t, robust._momenta(L), parity)
             assert sum(b.mat.shape[0] for b in blocks) == sector.shape[0]
             for i in picks:
                 shift = 0.5 * (dense[i] + dense[i + 1])
@@ -411,8 +411,96 @@ def test_bordered_count_matches_assembled_sector(setup_r, L):
             reach = float(abs(assembled).sum(axis=1).max())
             defect = sector.defect(w)
             for shift in np.concatenate([inside, np.linspace(-0.93, 0.97, 9) * reach]):
-                cores = [blk.resolvent_core(shift) for blk in sector.blocks]
+                cores = strips.resolvent_cores(t, robust._momenta(L), parity, [shift])[0]
                 assert robust._bordered_inertia(cores, *defect) == matching._inertia(assembled, shift)
+
+
+def test_tail_cores_match_superlu(setup_r):
+    """The half-strip Schur recursion gives each momentum strip's count and core block of a SuperLU factor.
+
+    Both the gap-edge cores the strips keep and those `resolvent_cores`
+    gives at further shifts are checked.  t <= CORE_COLUMNS has no tail,
+    t = 3 a one-column tail, and the odd widths run the period-2 blocks at
+    k = pi from both ends; t = 4 right after t = 3 must not resume the odd
+    width's recursion.  Both solves
+    are backward stable, so G may differ by eps times the condition number
+    kappa = ||mat|| / dist(shift, spectrum): at the gap edges the two agree
+    to 1e-12 relative, and across the spectrum, where the shifts lie half a
+    level spacing from an eigenvalue, to the larger of 1e-12 and 64 eps kappa.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    fracs = robust._momenta(8)
+    for t in (1, 2, 3, 4, 12, 81):
+        for parity in (1, -1):
+            for frac, blk in zip(fracs, strips.blocks(t, fracs, parity)):
+                dense = np.linalg.eigvalsh(blk.mat.toarray())
+                picks = (np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (len(dense) - 2)).astype(int)
+                shifts = [*gap, *(0.5 * (dense[picks] + dense[picks + 1]))]
+                cores = strips.resolvent_cores(t, [frac], parity, shifts)
+                rhs = np.zeros((blk.size, len(blk.core)))
+                rhs[blk.core, np.arange(len(blk.core))] = 1.0
+                for shift, [(nu, g)] in [*zip(gap, ([edge] for edge in blk.edges)), *zip(shifts, cores)]:
+                    lu, below = matching._inertia_factor(blk.mat, shift)
+                    ref = lu.solve(rhs)[blk.core]
+                    kappa = np.abs(dense).max() / np.abs(dense - shift).min()
+                    tol = 1e-12 if shift in gap else max(1e-12, 64 * np.finfo(float).eps * kappa)
+                    assert nu == below
+                    assert np.abs(g - ref).max() <= tol * np.abs(ref).max()
+
+
+def test_singular_tail_block_is_numeric(setup_r):
+    """A shift on an eigenvalue of the end-cell block makes the first Schur block singular: NumericError, not LinAlgError."""
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    t = 12
+    for frac, parity in (((1, 8), 1), ((1, 2), -1)):
+        mat = strips.blocks(t, [frac], parity)[0].mat
+        cell = mat.shape[0] // (2 * t + 1)
+        for end in (mat[:cell, :cell], mat[-cell:, -cell:]):
+            shift = float(np.linalg.eigvalsh(end.toarray())[1])
+            with pytest.raises(NumericError, match=r"strip factor at shift .* failed: .* is singular"):
+                strips.resolvent_cores(t, [frac], parity, [shift])
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
+    """sector_pair at L = 8 and then 16 counts every strip without a factor, and extends each tail once.
+
+    No `_inertia_factor` runs; the 36 lanes of L = 16 (9 strips, 2 sides, 2
+    gap edges) end at the certified width, having stepped over each column
+    once between them; and at the uncertified first width t0 only the
+    strip with in-gap pairs (k = 0) is assembled.
+    """
+    iface, gap, lam, d_zig = setup_r
+    inertia, steps, assembled = [], [], []
+    factor, schur, csr = matching._inertia_factor, robust._schur_steps, kernels.BlockedStripOperator.csr
+
+    def counted_steps(diag, out, inverse, below, t, first, stop, singular):
+        steps.append(len(diag) * (stop - first))
+        return schur(diag, out, inverse, below, t, first, stop, singular)
+
+    def spy_csr(self, half):
+        assembled.append((self.kpar, half))
+        return csr(self, half)
+
+    monkeypatch.setattr(matching, "_inertia_factor", lambda *a: inertia.append(a) or factor(*a))
+    monkeypatch.setattr(robust, "_schur_steps", counted_steps)
+    monkeypatch.setattr(kernels.BlockedStripOperator, "csr", spy_csr)
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 2e-5)
+    widths = []
+    for L in (8, 16):
+        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t0=80)
+        widths.append(pert.t_used)
+    t = widths[0]
+    assert widths == [t, t] and t > 80
+    assert inertia == []
+    assert len(strips._tails) == 36
+    assert {lane[0] for lane in strips._tails.values()} == {t - robust.CORE_COLUMNS}
+    assert sum(steps) == 36 * (t - robust.CORE_COLUMNS)
+    assert {k for k, half in assembled if half == 80} == {0.0}
+    assert len({k for k, half in assembled if half == t}) == 9
 
 
 def test_warm_started_pairs_match_cold_solve(setup_r, monkeypatch):
@@ -508,7 +596,7 @@ def test_momentum_blocks_real(setup_r):
             strip = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
             ref = np.linalg.eigvalsh(strip.toarray())
             parts = (1, -1) if frac[1] <= 2 else (1,)
-            mats = [strips.block(t, frac, p).mat for p in parts]
+            mats = [strips.blocks(t, [frac], p)[0].mat for p in parts]
             assert all(m.dtype == np.float64 for m in mats)
             dense = np.sort(np.concatenate([np.linalg.eigvalsh(m.toarray()) for m in mats]))
             assert np.abs(dense - ref).max() < 1e-12
@@ -523,7 +611,7 @@ def test_momentum_blocks_real(setup_r):
     right = iface.right.plus(kernels.HoppingKernel("twist", {(0, 0): onsite}))
     twisted = kernels.InterfaceKernel(right, iface.left, iface.seam, iface.delta)
     with pytest.raises(ModelValidationError, match="not real"):
-        robust.MomentumStrips(twisted, gap).block(t, (1, 8), 1)
+        robust.MomentumStrips(twisted, gap).blocks(t, [(1, 8)], 1)
 
 
 def test_sector_width_doubles_while_no_pair_is_kept(setup_r, monkeypatch):
