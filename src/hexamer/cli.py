@@ -410,11 +410,13 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
     strips = robust.MomentumStrips(iface, gap)
 
     def sectors(parity: int) -> list:
-        per_l = []
+        # each later L starts at the width the previous L certified: narrower widths would be thrown away
+        per_l, start = [], t0
         for L in cfg["robustness"]["L_values"]:
             base, pert = robust.sector_pair(
-                strips, w, int(L), parity, lam_by_parity[parity], d_zig[parity], t0, in_theory,
+                strips, w, int(L), parity, lam_by_parity[parity], d_zig[parity], t0, in_theory, start,
             )
+            start = pert.t_used
             ff = robust.farfield_persistence(pert, base)
             per_l.append(
                 {

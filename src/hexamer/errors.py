@@ -33,10 +33,6 @@ class GridTooCoarse(NumericError):
     """Momentum grid refinement failed to separate bands."""
 
 
-class EnergyInSpectrum(NumericError):
-    """Requested resolvent energy lies in (or too close to) the spectrum."""
-
-
 class EnergyOutsideGap(NumericError):
     """Requested energy lies outside the common spectral gap."""
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import EnergyInSpectrum, GaugeMissing
+from .errors import GaugeMissing
 from .kernels import BlockedStripOperator
 from .spectra import DiracData, VGauge
 
@@ -182,25 +182,6 @@ def _pv_quadrature(strip, lam, offsets, levels, order, subtract):
         integrand = integrand - subtract[None, :, :] / ks[:, None, None]
         out[d] = np.tensordot(ws, integrand, axes=(0, 0)) / (2.0 * np.pi)
     return out
-
-
-def gap_resolvent(
-    strip: BlockedStripOperator,
-    lam: float,
-    offsets,
-    levels: int = 14,
-    order: int = 16,
-) -> GreenKernel:
-    """Resolvent blocks G(d) = ((H - lam)^-1)(n+d, n) at an in-gap energy, |d| <= 8."""
-    offsets = sorted(set(int(d) for d in offsets))
-    if max(abs(d) for d in offsets) > 8:
-        raise ValueError(f"offsets up to |d| = 8 only; got {max(offsets, key=abs)}")
-    if _band_distance(strip, lam) < 1e-10:
-        raise EnergyInSpectrum(f"energy {lam} within 1e-10 of the strip spectrum")
-    blocks = {d: g[0] for d, g in _gl_quadrature(strip, [lam], offsets, levels, order).items()}
-    coarse = _gl_quadrature(strip, [lam], offsets, levels - 2, order)
-    err = max(np.abs(blocks[d] - coarse[d][0]).max() for d in offsets)
-    return GreenKernel(lam, blocks, strip.blockdim, err, levels, order)
 
 
 def _grow_until(start: int, cap: int, attempt):

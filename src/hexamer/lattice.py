@@ -156,10 +156,6 @@ class SymmetryOp:
             raise ModelValidationError(f"{self.name} has no point-group momentum map")
         return self.cell.T
 
-    def gamma_matrix(self) -> np.ndarray:
-        """Action on the Gamma Bloch space (C^6)."""
-        return self.int_
-
     def compose(self, other: "SymmetryOp") -> "SymmetryOp":
         if not (self.is_point_op and other.is_point_op):
             raise ModelValidationError("compose is defined for point ops only")
@@ -285,18 +281,11 @@ def bloch(blocks: dict, kap1, kap2) -> np.ndarray:
     return h
 
 
-def commutator_norm(ham, op: SymmetryOp, samples: int = 9) -> float:
-    """Operator norm of g H g^-1 - H on the relevant finite Bloch spaces.
+def commutator_norm(blocks: dict, op: SymmetryOp, samples: int = 9) -> float:
+    """Operator norm of g H g^-1 - H for the kernel H given by ``blocks`` (offset -> 6x6 block).
 
-    ``ham`` is either a 6x6 Bloch matrix (measured on that single space) or a
-    translation-invariant kernel given as a mapping offset -> 6x6 block (the
-    norm is then the maximum over a grid of Bloch momenta).
+    The norm is the maximum over a ``samples`` x ``samples`` grid of Bloch momenta.
     """
-    blocks = getattr(ham, "blocks", ham)
-    if isinstance(blocks, np.ndarray):
-        g = op.gamma_matrix()
-        diff = g @ blocks @ np.linalg.inv(g) - blocks
-        return float(np.linalg.norm(diff, 2))
     kaps = 2.0 * np.pi * (np.arange(samples) / samples - 0.5)
     ka, kb = np.meshgrid(kaps, kaps, indexing="ij")
     diff = bloch(conjugate_kernel(blocks, op), ka, kb) - bloch(blocks, ka, kb)

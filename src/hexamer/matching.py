@@ -53,10 +53,6 @@ class MatchingMatrix:
     gp: dict   # bulk resolvent blocks G+(d), d = -1, 0, 1, at lam
     gm: dict   # the same for G-
 
-    @property
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
 
 @dataclass
 class CharacteristicValue:
@@ -249,11 +245,10 @@ def characteristic_search(
 
 def mode_from_boundary(
     pipeline: MatchingPipeline,
-    lam: float,
+    mm: MatchingMatrix,
     a: np.ndarray,
     b: np.ndarray,
     window: int = 120,
-    mm: MatchingMatrix | None = None,
 ) -> InterfaceMode:
     """Reconstruct a mode by the layer potential and validate it.
 
@@ -269,11 +264,10 @@ def mode_from_boundary(
     psi(-1) = -G-(0) lz + G-(-1) lm with psi(n-1) = Y psi(n).  The profile
     window is grown from ``window`` until the tail norm drops below
     ``TAIL_RTOL``, or up to 8 * ``window`` (then ``profile_converged`` is
-    False).  ``mm`` is ``pipeline.matrices(lam)`` when the caller already has
-    it; its resolvent blocks serve the recurrence.
+    False).  ``mm`` is ``pipeline.matrices(lam)`` at the mode's energy lam;
+    its resolvent blocks serve the recurrence.
     """
-    if mm is None:
-        mm = pipeline.matrices(lam)
+    lam = mm.lam
     x = np.concatenate([a, b])
     nx = np.linalg.norm(x)
     if nx < BOUNDARY_TOL or np.linalg.norm(mm.aux @ x) < BOUNDARY_TOL * nx:
@@ -375,7 +369,7 @@ def count_interface_modes(
             if defect < FIXED_POINT_TOL:
                 x = basis @ row.conj()
                 a, b = np.split(x / np.linalg.norm(x), 2)
-                modes.append(mode_from_boundary(pipeline, cv.lam, a, b, window, mm=mm))
+                modes.append(mode_from_boundary(pipeline, mm, a, b, window))
                 defects.append(float(defect))
     modes.sort(key=lambda m: -m.parity)
     return ModesResult(search, modes, defects)
@@ -419,8 +413,8 @@ def _factor(mat, shift: float, **options):
         raise NumericError(f"strip factor at shift {shift!r} failed: {exc}") from exc
 
 
-def _inertia_factor(mat, shift: float):
-    """Diagonal-pivot SuperLU factor of ``mat - shift`` and the number of eigenvalues of the Hermitian ``mat`` below ``shift``.
+def _inertia(mat, shift: float) -> int:
+    """Number of eigenvalues of the Hermitian ``mat`` below ``shift``.
 
     With diagonal pivots SuperLU factors P (mat - shift) P^T = L U, and for a
     Hermitian matrix U = D L^H; by Sylvester's law of inertia the negative
@@ -433,12 +427,7 @@ def _inertia_factor(mat, shift: float):
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericError(f"off-diagonal pivot in the inertia factor at shift {shift!r}")
-    return lu, int((lu.U.diagonal().real < 0).sum())
-
-
-def _inertia(mat, shift: float) -> int:
-    """Number of eigenvalues of the Hermitian ``mat`` below ``shift`` (`_inertia_factor`)."""
-    return _inertia_factor(mat, shift)[1]
+    return int((lu.U.diagonal().real < 0).sum())
 
 
 def _ingap_eigsh(mat, sigma: float, gap: tuple, count: int | None = None, v0=None):

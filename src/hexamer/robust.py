@@ -425,11 +425,13 @@ def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
     ).tocsr()
 
 
-def _real_part(mat, frac: tuple):
-    """The real part of ``mat``, a strip or blocks at k = 2 pi frac[0] / frac[1] in the basis of `_sector_isometry`.
+def _real_strip(iface: kernels.InterfaceKernel, t: int, frac: tuple, q: sp.csr_matrix) -> sp.csr_matrix:
+    """S^H H_k S: the width-t strip H_k at k = 2 pi frac[0] / frac[1] in the basis S = ``q`` of `_sector_isometry`.
 
-    Raises ``ModelValidationError`` when the imaginary part is more than rounding.
+    Raises ``ModelValidationError`` when its imaginary part is more than rounding.
     """
+    strip = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
+    mat = (q.getH() @ strip @ q).tocsr()
     if abs(mat.imag).max() > 1e-12 * abs(mat).max():
         raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
     return mat.real
@@ -447,8 +449,8 @@ class _MomentumStrip:
     ``edges`` holds (nu, G) at both gap edges (`MomentumStrips.resolvent_cores`):
     its count of eigenvalues below each edge and the block of its resolvent
     on ``core``, the rows of the columns |n1| <= ``CORE_COLUMNS`` where a
-    compact defect acts.  The real symmetric ``mat`` = S^H H_k S and the
-    isometry ``q`` = S of `_sector_isometry` into strip coordinates are
+    compact defect acts.  The real symmetric ``mat`` = S^H H_k S (`_real_strip`)
+    and the isometry ``q`` = S of `_sector_isometry` into strip coordinates are
     assembled on first use: ``mat`` only when the strip has in-gap pairs or
     enters a perturbed sector's K.
     """
@@ -476,8 +478,7 @@ class _MomentumStrip:
 
     @cached_property
     def mat(self) -> sp.csr_matrix:
-        strip = kernels.BlockedStripOperator(self.iface, 2.0 * np.pi * self.frac[0] / self.frac[1]).csr(self.t)
-        return _real_part((self.q.getH() @ strip @ self.q).tocsr(), self.frac)
+        return _real_strip(self.iface, self.t, self.frac, self.q)
 
     @cached_property
     def pairs(self):
@@ -509,30 +510,25 @@ class _Cells:
 
     @classmethod
     def of(cls, iface: kernels.InterfaceKernel, frac: tuple, part: int) -> "_Cells":
-        """The blocks S_n^H H_k(n, m) S_m, S_n the cell n's columns of `_sector_isometry`."""
+        """The blocks S_n^H H_k(n, m) S_m, cut from the width-(``CORE_COLUMNS`` + 2) `_real_strip`."""
         t = CORE_COLUMNS + 2
-        q = _sector_isometry(t, frac, part).toarray()
-        per_cell = q.shape[1] // (2 * t + 1)
-        op = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1])
+        mat = _real_strip(iface, t, frac, _sector_isometry(t, frac, part)).toarray()
+        per_cell = len(mat) // (2 * t + 1)
+
+        def cols(lo, hi):
+            return slice(per_cell * (lo + t), per_cell * (hi + t + 1))
 
         def block(n, m):
-            s_n = q[6 * (n + t) : 6 * (n + t + 1), per_cell * (n + t) : per_cell * (n + t + 1)]
-            s_m = q[6 * (m + t) : 6 * (m + t + 1), per_cell * (m + t) : per_cell * (m + t + 1)]
-            return s_n.conj().T @ op.block(n, m) @ s_m
+            return mat[cols(n, n), cols(m, m)]
 
-        cols = range(-CORE_COLUMNS, CORE_COLUMNS + 1)
-        core = _real_part(np.block([[block(n, m) for m in cols] for n in cols]), frac)
-        ends = (CORE_COLUMNS, CORE_COLUMNS + 1)
-        tail = _real_part(np.array([
-            [[block(sign * (j + 1), sign * (j + 1)), block(sign * j, sign * (j + 1))] for j in ends]
-            for sign in (1, -1)
-        ]), frac)
         diag, out = np.zeros((2, 2, 6, 6)), np.zeros((2, 2, 6, 6))
         diag[..., per_cell:, per_cell:] = np.eye(6 - per_cell)
-        for j in ends:
-            diag[:, (j + 1) % 2, :per_cell, :per_cell] = tail[:, j - CORE_COLUMNS, 0]
-            out[:, j % 2, :per_cell, :per_cell] = tail[:, j - CORE_COLUMNS, 1]
-        return cls(core, diag, out, np.diag(np.arange(6) < per_cell).astype(float))
+        for side, sign in enumerate((1, -1)):
+            for j in (CORE_COLUMNS, CORE_COLUMNS + 1):
+                diag[side, (j + 1) % 2, :per_cell, :per_cell] = block(sign * (j + 1), sign * (j + 1))
+                out[side, j % 2, :per_cell, :per_cell] = block(sign * j, sign * (j + 1))
+        core = cols(-CORE_COLUMNS, CORE_COLUMNS)
+        return cls(mat[core, core], diag, out, np.diag(np.arange(6) < per_cell).astype(float))
 
     @property
     def per_cell(self) -> int:
@@ -578,11 +574,12 @@ def _schur_steps(diag, out, inverse, below, t: int, first: int, stop: int, singu
 
 
 class MomentumStrips:
-    """Momentum strips of one interface kernel and gap, cached by (t, k, part).
+    """Momentum strips of one interface kernel and gap, cached by (t, k, part) for one width t.
 
     Both parities, every L and the unperturbed and perturbed solves share
     the strips, their in-gap pairs and their resolvent cores at the gap
-    edges: the momenta of L = 8 are among those of L = 16.  The cores come
+    edges: the momenta of L = 8 are among those of L = 16.  Asking for
+    another width drops the strips of the last one.  The cores come
     from the strips' cell blocks, not from a factor of the strip
     (`resolvent_cores`): beyond the columns |n1| <= ``CORE_COLUMNS`` each
     side is a half-strip of one bulk, eliminated by a block Schur recursion
@@ -605,8 +602,11 @@ class MomentumStrips:
     def blocks(self, t: int, fracs: list, parity: int) -> list:
         """The strips of width t at k = 2 pi f[0] / f[1] for f in ``fracs``, each its ``parity`` part at k = 0 and pi.
 
-        The strips not yet cached get their gap-edge cores in one batch.
+        The strips not yet cached get their gap-edge cores in one batch; the
+        strips of any other width are dropped.
         """
+        if any(key[0] != t for key in self._blocks):
+            self._blocks = {}
         keys = [(t, f, _part(f, parity)) for f in fracs]
         new = [key for key in dict.fromkeys(keys) if key not in self._blocks]
         if new:
@@ -886,21 +886,23 @@ def sector_pair(
     d_zig: float,
     t0: int = 80,
     bound_perturbed: bool = True,
+    start: int | None = None,
 ):
     """The unperturbed and the perturbed sector of (L, parity), certified on one window.
 
-    The perturbed solve starts at the unperturbed sector's certified
-    ``t_used``; when its certificate needs a wider strip, the narrower
-    sector is solved again at the wider width until both share one, as
-    `farfield_persistence` requires.  Every solve stops at 8 * ``t0``.
-    The perturbed sector is held to d_zig/2 only if ``bound_perturbed``.
+    The unperturbed solve starts at the width ``start`` (default ``t0``),
+    the perturbed one at the unperturbed sector's certified ``t_used``;
+    when its certificate needs a wider strip, the narrower sector is solved
+    again at the wider width until both share one, as `farfield_persistence`
+    requires.  Every solve stops at 8 * ``t0``.  The perturbed sector is
+    held to d_zig/2 only if ``bound_perturbed``.
     """
 
-    def solve(defect, start):
+    def solve(defect, first):
         bound = d_zig if defect is None or bound_perturbed else None
-        return bloch_sector_eigen(strips, defect, L, parity, lam_ref, bound, t0=start, t_max=8 * t0)
+        return bloch_sector_eigen(strips, defect, L, parity, lam_ref, bound, t0=first, t_max=8 * t0)
 
-    base = solve(None, t0)
+    base = solve(None, t0 if start is None else start)
     pert = solve(w, base.t_used)
     while pert.t_used != base.t_used:
         if base.t_used < pert.t_used:

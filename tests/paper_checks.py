@@ -306,6 +306,17 @@ def flux_site_independence(strip, phi, psi, sites) -> float:
     return max(abs(energy_flux(strip, phi, psi, n) - base) for n in sites)
 
 
+def gap_blocks(strip, lam, offsets, levels: int = 14, order: int = 16):
+    """The resolvent blocks G(d) of a bulk strip at one in-gap energy, and their quadrature error.
+
+    The blocks are `green._gl_quadrature`'s at ``levels``; the error is their
+    largest change from ``levels - 2``.
+    """
+    fine = green._gl_quadrature(strip, [lam], offsets, levels, order)
+    coarse = green._gl_quadrature(strip, [lam], offsets, levels - 2, order)
+    return {d: g[0] for d, g in fine.items()}, max(np.abs(fine[d] - coarse[d]).max() for d in offsets)
+
+
 def green_identity_residual(strip, lam, phi_i, phi_j, k: int, p: int) -> float:
     """Residual of the discrete Gauss-Green summation identity on [k, k+p]."""
     phi_i, phi_j = _as_profile(phi_i), _as_profile(phi_j)

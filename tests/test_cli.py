@@ -406,9 +406,9 @@ def test_unwritable_outputs_exit_two(tmp_path):
     assert "cannot read config" in res.stderr and "Traceback" not in res.stderr
 
 
-def _run_main(tmp_path, out, *command):
+def _run_main(tmp_path, out, *command, cfg=FAST):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(FAST))
+    path.write_text(json.dumps(cfg))
     return cli.main(["--config", str(path), "--out", str(out), *command])
 
 
@@ -429,8 +429,13 @@ def _sector_pair_with(monkeypatch, action):
 
 @pytest.mark.parametrize("command", [["robustness"], ["band-curve"], ["interface", "--oracle"]])
 def test_forked_run_matches_one_cpu(tmp_path, monkeypatch, capsys, command):
-    """A split command writes the same bytes and stdout with its worker process as without."""
+    """A split command writes the same bytes and stdout with its worker process as without.
+
+    robustness runs two L values, so each later L's start at the width the
+    one before certified is compared too.
+    """
     fork, forks = os.fork, []
+    cfg = dict(FAST, robustness=dict(FAST["robustness"], L_values=[8, 16])) if command == ["robustness"] else FAST
 
     def counted():
         forks.append(os.getpid())
@@ -441,7 +446,7 @@ def test_forked_run_matches_one_cpu(tmp_path, monkeypatch, capsys, command):
     for cpus in (2, 1):
         _usable_cpus(monkeypatch, cpus)
         outs.append(tmp_path / str(cpus))
-        assert _run_main(tmp_path, outs[-1], *command) == 0
+        assert _run_main(tmp_path, outs[-1], *command, cfg=cfg) == 0
         captured.append(capsys.readouterr())
     assert forks == [os.getpid()]  # the 2-CPU run forked once, the 1-CPU run never
     assert captured[0] == captured[1] and captured[0].out

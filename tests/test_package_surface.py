@@ -12,10 +12,8 @@ import hexamer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hexamer"
 
-# The public API stays whether or not the package calls it.  gap_resolvent
-# stays while perfbench/tracing.py groups its green.gap_resolvent.* layer
-# under that name (ROADMAP open item 1 renames the layer first).
-EXEMPT = set(hexamer.__all__) | {"gap_resolvent"}
+# The public API stays whether or not the package calls it.
+EXEMPT = set(hexamer.__all__)
 
 
 def _uses(node) -> Counter:

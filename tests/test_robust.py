@@ -441,11 +441,10 @@ def test_tail_cores_match_superlu(setup_r):
                 rhs = np.zeros((blk.size, len(blk.core)))
                 rhs[blk.core, np.arange(len(blk.core))] = 1.0
                 for shift, [(nu, g)] in [*zip(gap, ([edge] for edge in blk.edges)), *zip(shifts, cores)]:
-                    lu, below = matching._inertia_factor(blk.mat, shift)
-                    ref = lu.solve(rhs)[blk.core]
+                    ref = matching._factor(blk.mat, shift).solve(rhs)[blk.core]
                     kappa = np.abs(dense).max() / np.abs(dense - shift).min()
                     tol = 1e-12 if shift in gap else max(1e-12, 64 * np.finfo(float).eps * kappa)
-                    assert nu == below
+                    assert nu == matching._inertia(blk.mat, shift)
                     assert np.abs(g - ref).max() <= tol * np.abs(ref).max()
 
 
@@ -465,16 +464,16 @@ def test_singular_tail_block_is_numeric(setup_r):
 
 @pytest.mark.parametrize("parity", [1, -1])
 def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
-    """sector_pair at L = 8 and then 16 counts every strip without a factor, and extends each tail once.
+    """sector_pair at L = 8 and then 16, from L = 8's width, counts every strip without a factor, and extends each tail once.
 
-    No `_inertia_factor` runs; the 36 lanes of L = 16 (9 strips, 2 sides, 2
-    gap edges) end at the certified width, having stepped over each column
+    No `_inertia` runs; the 36 lanes of L = 16 (9 strips, 2 sides, 2 gap
+    edges) end at the certified width, having stepped over each column
     once between them; and at the uncertified first width t0 only the
     strip with in-gap pairs (k = 0) is assembled.
     """
     iface, gap, lam, d_zig = setup_r
     inertia, steps, assembled = [], [], []
-    factor, schur, csr = matching._inertia_factor, robust._schur_steps, kernels.BlockedStripOperator.csr
+    count, schur, csr = matching._inertia, robust._schur_steps, kernels.BlockedStripOperator.csr
 
     def counted_steps(diag, out, inverse, below, t, first, stop, singular):
         steps.append(len(diag) * (stop - first))
@@ -484,14 +483,15 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
         assembled.append((self.kpar, half))
         return csr(self, half)
 
-    monkeypatch.setattr(matching, "_inertia_factor", lambda *a: inertia.append(a) or factor(*a))
+    monkeypatch.setattr(matching, "_inertia", lambda *a: inertia.append(a) or count(*a))
     monkeypatch.setattr(robust, "_schur_steps", counted_steps)
     monkeypatch.setattr(kernels.BlockedStripOperator, "csr", spy_csr)
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     widths = []
     for L in (8, 16):
-        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t0=80)
+        start = widths[-1] if widths else None
+        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t0=80, start=start)
         widths.append(pert.t_used)
     t = widths[0]
     assert widths == [t, t] and t > 80
@@ -501,6 +501,34 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     assert sum(steps) == 36 * (t - robust.CORE_COLUMNS)
     assert {k for k, half in assembled if half == 80} == {0.0}
     assert len({k for k, half in assembled if half == t}) == 9
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_sector_pair_from_carried_width(setup_r, parity):
+    """L = 16 started at the width L = 8 certified gives, to the bit, the sector pair started at t0 = 80."""
+    iface, gap, lam, d_zig = setup_r
+    w = robust.build_W("compact", 2e-5)
+    args = (w, 16, parity, lam[parity], d_zig[parity])
+    strips = robust.MomentumStrips(iface, gap)
+    start = robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], t0=80)[1].t_used
+    carried = robust.sector_pair(strips, *args, t0=80, start=start)
+    fresh = robust.sector_pair(robust.MomentumStrips(iface, gap), *args, t0=80)
+    for got, ref in zip(carried, fresh):
+        assert got.t_used == ref.t_used == start
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.vectors, ref.vectors)
+
+
+def test_strip_cache_keeps_one_width(setup_r):
+    """Asking for the strips of a new width drops those of the last one."""
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    fracs = robust._momenta(8)
+    for parity in (1, -1):
+        strips.blocks(12, fracs, parity)
+    assert {t for t, _, _ in strips._blocks} == {12} and len(strips._blocks) == 7
+    strips.blocks(16, fracs[:2], 1)
+    assert list(strips._blocks) == [(16, (0, 1), 1), (16, (1, 8), 0)]
 
 
 def test_warm_started_pairs_match_cold_solve(setup_r, monkeypatch):
