@@ -74,6 +74,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _validate(cfg: dict):
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ModelValidationError(f"out must be a non-empty string, got {cfg['out']!r}")
     if cfg["model"] not in ("toy", "extended", "blended"):
         raise ModelValidationError(f"model must be toy|extended|blended, got {cfg['model']!r}")
     _require_number(cfg, "mix")
@@ -414,7 +416,7 @@ def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
         per_l, start = [], t0
         for L in cfg["robustness"]["L_values"]:
             base, pert = robust.sector_pair(
-                strips, w, int(L), parity, lam_by_parity[parity], d_zig[parity], t0, in_theory, start,
+                strips, w, int(L), parity, lam_by_parity[parity], d_zig[parity], start, 8 * t0, in_theory,
             )
             start = pert.t_used
             ff = robust.farfield_persistence(pert, base)
@@ -462,10 +464,9 @@ def cmd_band_curve(cfg: dict) -> int:
         robust.band_curve_samples, ws.interface(), ws.gap(), ws.dirac.lambda_star,
         n_blocks=int(cfg["truncation"]["oracle_blocks"]) // 2,
     )
-    # this process solves the first half of the momenta, the worker the rest
-    half = (len(momenta) + 1) // 2
-    first, rest = fork_join(lambda: solve(momenta[:half]), lambda: solve(momenta[half:]))
-    curve = robust.assemble_band_curve(kpars, dict(zip(momenta, first + rest)), ws.gap())
+    # this process solves every other momentum, the worker the rest: the costly |kpar| nearest 0 are neighbours
+    first, rest = fork_join(lambda: solve(momenta[::2]), lambda: solve(momenta[1::2]))
+    curve = robust.assemble_band_curve(kpars, dict(zip(momenta[::2] + momenta[1::2], first + rest)), ws.gap())
     rows = [[kp, v] for kp, vals in zip(curve["kpar"], curve["samples"]) for v in vals]
     emit.write_csv(
         out / "band_curve.csv",

@@ -9,7 +9,7 @@ reproduce the unperturbed interface modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from math import ceil, gcd
 
 import numpy as np
@@ -110,7 +110,7 @@ class StripSector:
     L: int
     parity: int
     t_used: int
-    t_converged: bool      # False when the certificate still failed at the cap (8 * t0 by default)
+    t_converged: bool      # False when the certificate still failed at the cap
     residual_bound: float  # the kept pairs' certificate at t_used (`_certificate`)
     ingap_count: int       # in-gap eigenvalues by inertia, before edge filtering
     eigenvalues: np.ndarray
@@ -253,33 +253,18 @@ def parity_isometry(L: int, t: int, parity: int) -> sp.csr_matrix:
     )
 
 
-def strip_sector_eigen(
-    iface: kernels.InterfaceKernel,
-    w: PerturbationW | None,
-    L: int,
-    parity: int,
-    gap: tuple,
-    lam_ref: float | None = None,
-    d_zig: float | None = None,
-    t0: int = 80,
-    t_max: int | None = None,
-) -> StripSector:
-    """In-gap eigenpairs of one parity sector of the (perturbed) L-strip.
+def assembled_solve(
+    iface: kernels.InterfaceKernel, w: PerturbationW | None, L: int, parity: int, gap: tuple, t: int
+):
+    """In-gap eigenvalues, full-space vectors and largest residual of one parity sector of the width-t (perturbed) L-strip.
 
-    Each width is assembled, reduced to the sector by `parity_isometry` and
-    solved by `_ingap_eigsh` about the gap centre; ``lam_ref`` only picks
-    the tracked pair.  The loop and the result are `_sector_loop`'s.
+    The strip is assembled, reduced to the sector by `parity_isometry` and
+    solved by `_ingap_eigsh` about the gap centre.
     """
-    sigma = 0.5 * (gap[0] + gap[1])
-
-    def solve(t):
-        mat = assemble_strip(iface, L, t, w)
-        q = parity_isometry(L, t, parity)
-        wr, vr, resid = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), sigma, gap)
-        return wr, q @ vr, resid
-
-    h = _column_coupling(iface, w)
-    return _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, h, t_max)
+    mat = assemble_strip(iface, L, t, w)
+    q = parity_isometry(L, t, parity)
+    wr, vr, resid = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), 0.5 * (gap[0] + gap[1]), gap)
+    return wr, q @ vr, resid
 
 
 def _column_coupling(iface: kernels.InterfaceKernel, w: PerturbationW | None) -> float:
@@ -321,60 +306,53 @@ def _certificate(vectors, resid: float, h: float, L: int, t: int):
     return eps, float(np.exp(slopes.max()))
 
 
-def _sector_loop(solve, L, parity, gap, lam_ref, d_zig, t0, h, t_max=None) -> StripSector:
-    """Grow the strip width until the kept in-gap pairs are certified to ``MOVE_TOL``.
+def certified_sectors(solves, hs, L, parity, gap, lam_ref, d_zigs, start, cap) -> tuple:
+    """The sectors of ``solves``, in order, certified to ``MOVE_TOL`` on one strip width.
 
-    ``solve(t)`` returns all the in-gap eigenvalues of the width-t sector,
-    their full-space vectors and a bound on their residuals.  The width
-    starts at ``t0`` cells per side.  It stops once the `_certificate` eps
-    of the pairs kept by the edge filter is at most ``MOVE_TOL``: each
-    kept eigenvalue then lies within eps of one of the infinite strip.
-    Otherwise the width grows by the step that the fitted decay rate r
-    predicts to reach ``MOVE_TOL``, ln(eps / MOVE_TOL) / -ln r rounded up
-    to a multiple of 8, and it doubles while no pair is kept (or r is not
-    below 1).  It stops at ``t_max`` (default 8 * ``t0``), where
-    ``t_converged`` is False if the certificate still fails.  Raises
-    ``GapCollapse`` when the sector shows no isolated in-gap eigenvalue,
-    and checks the localization bound |lam - lam_ref| < d_zig/2 when the
-    reference data is supplied.
+    ``solves[i](t)`` returns all the in-gap eigenvalues of its width-t
+    sector, their full-space vectors and a bound on their residuals, and
+    ``hs[i]`` is its `_column_coupling`.  The width starts at ``start``
+    cells per side.  At each width the sectors are solved in order, each
+    only once the `_certificate` eps of the pairs the edge filter keeps in
+    the ones before it is at most ``MOVE_TOL``: each kept eigenvalue then
+    lies within eps of one of the infinite strip.  When a sector fails,
+    the width grows by the step that its fitted decay rate r predicts to
+    reach ``MOVE_TOL``, ln(eps / MOVE_TOL) / -ln r rounded up to a
+    multiple of 8, and it doubles while the sector keeps no pair (or r is
+    not below 1).  At ``cap`` every sector is solved, and ``t_converged``
+    is False for one whose certificate still fails.  Once a sector's width
+    is final, and before the next sector is solved, it raises
+    ``GapCollapse`` when it shows no isolated in-gap eigenvalue, or when
+    its tracked pair, the one nearest ``lam_ref``, lies ``d_zigs[i]``/2 or
+    more from it (not checked where ``d_zigs[i]`` is None).
     """
 
     def attempt(t):
-        wr, vectors, resid = solve(t)
-        kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), gap, max(4, t // 8))
-        if not kept:
-            return 2 * t, (kept, len(wr), float("inf"))
-        eps, rate = _certificate(np.column_stack([vec for _, vec, _ in kept]), resid, h, L, t)
-        result = (kept, len(wr), eps)
-        if eps <= MOVE_TOL:
-            return None, result
-        if not rate < 1.0:
-            return 2 * t, result
-        step = ceil(np.log(eps / MOVE_TOL) / -np.log(rate))
-        return t + 8 * ceil(step / 8), result
+        sectors = []
+        for solve, h, d_zig in zip(solves, hs, d_zigs):
+            wr, vectors, resid = solve(t)
+            kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), gap, max(4, t // 8))
+            following, eps = 2 * t, float("inf")
+            if kept:
+                vecs = np.column_stack([vec for _, vec, _ in kept])
+                eps, rate = _certificate(vecs, resid, h, L, t)
+                if eps <= MOVE_TOL:
+                    following = None
+                elif rate < 1.0:
+                    step = ceil(np.log(eps / MOVE_TOL) / -np.log(rate))
+                    following = t + 8 * ceil(step / 8)
+            if following is not None and t < cap:
+                return following, None
+            if not kept:
+                raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
+            vals = np.array([val for val, _, _ in kept])
+            tracked = int(np.argmin(np.abs(vals - lam_ref)))
+            if d_zig is not None and abs(vals[tracked] - lam_ref) >= 0.5 * d_zig:
+                raise GapCollapse(f"tracked eigenvalue {vals[tracked]:.8f} drifted beyond d_zig/2 of {lam_ref:.8f}")
+            sectors.append(StripSector(L, parity, t, following is None, eps, len(wr), vals, vecs, tracked))
+        return None, tuple(sectors)
 
-    (kept, count, eps), t, converged = green._grow_until(t0, 8 * t0 if t_max is None else t_max, attempt)
-    if len(kept) == 0:
-        raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
-    tracked = 0
-    if lam_ref is not None:
-        tracked = int(np.argmin([abs(val - lam_ref) for val, _, _ in kept]))
-        if d_zig is not None and abs(kept[tracked][0] - lam_ref) >= 0.5 * d_zig:
-            raise GapCollapse(
-                f"tracked eigenvalue {kept[tracked][0]:.8f} drifted beyond "
-                f"d_zig/2 of {lam_ref:.8f}"
-            )
-    return StripSector(
-        L=L,
-        parity=parity,
-        t_used=t,
-        t_converged=converged,
-        residual_bound=eps,
-        ingap_count=count,
-        eigenvalues=np.array([v for v, _, _ in kept]),
-        vectors=np.column_stack([vec for _, vec, _ in kept]),
-        tracked=tracked,
-    )
+    return green._grow_until(start, cap, attempt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +409,8 @@ def _real_strip(iface: kernels.InterfaceKernel, t: int, frac: tuple, q: sp.csr_m
     Raises ``ModelValidationError`` when its imaginary part is more than rounding.
     """
     strip = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
-    mat = (q.getH() @ strip @ q).tocsr()
+    mat = (q.getH().tocsr() @ strip @ q).tocsr()
+    mat.sort_indices()
     if abs(mat.imag).max() > 1e-12 * abs(mat).max():
         raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
     return mat.real
@@ -847,34 +826,16 @@ class _BlochSector:
         return vals, self.to_full(z).real, resid
 
 
-def bloch_sector_eigen(
-    strips: MomentumStrips,
-    w: PerturbationW | None,
-    L: int,
-    parity: int,
-    lam_ref: float | None = None,
-    d_zig: float | None = None,
-    t0: int = 80,
-    t_max: int | None = None,
-) -> StripSector:
-    """`strip_sector_eigen` on the momentum strips of ``strips``, same loop and result.
+def momentum_solve(strips: MomentumStrips, w: PerturbationW | None, L: int, parity: int, t: int):
+    """`assembled_solve` on the momentum strips of ``strips``, without a defect or with one of fixed transverse support.
 
     Without a defect the sector pairs are the momentum strips' pairs.  A
-    defect with a fixed transverse support enters as a low-rank correction
-    to the sector matrix in momentum coordinates (`_BlochSector`), solved
-    by `_ingap_eigsh`; no strip or isometry in full space is assembled.  A
-    defect that spans the whole window (the line defect) has no low-rank
-    form, so its sector is assembled and solved by `strip_sector_eigen`.
+    compact defect enters as a low-rank correction to the sector matrix in
+    momentum coordinates (`_BlochSector`), solved by `_ingap_eigsh`; no
+    strip or isometry in full space is assembled.
     """
-    if w is not None and not w.compact:
-        return strip_sector_eigen(strips.iface, w, L, parity, strips.gap, lam_ref, d_zig, t0, t_max)
-
-    def solve(t):
-        sector = _BlochSector(strips, L, t, parity)
-        return sector.unperturbed_pairs() if w is None else sector.perturbed_pairs(w)
-
-    h = _column_coupling(strips.iface, w)
-    return _sector_loop(solve, L, parity, strips.gap, lam_ref, d_zig, t0, h, t_max)
+    sector = _BlochSector(strips, L, t, parity)
+    return sector.unperturbed_pairs() if w is None else sector.perturbed_pairs(w)
 
 
 def sector_pair(
@@ -884,32 +845,26 @@ def sector_pair(
     parity: int,
     lam_ref: float,
     d_zig: float,
-    t0: int = 80,
+    start: int,
+    cap: int,
     bound_perturbed: bool = True,
-    start: int | None = None,
 ):
-    """The unperturbed and the perturbed sector of (L, parity), certified on one window.
+    """The unperturbed and the perturbed sector of (L, parity), certified on one width by `certified_sectors`.
 
-    The unperturbed solve starts at the width ``start`` (default ``t0``),
-    the perturbed one at the unperturbed sector's certified ``t_used``;
-    when its certificate needs a wider strip, the narrower sector is solved
-    again at the wider width until both share one, as `farfield_persistence`
-    requires.  Every solve stops at 8 * ``t0``.  The perturbed sector is
-    held to d_zig/2 only if ``bound_perturbed``.
+    The widths run from ``start`` to ``cap``.  Both sectors are solved on
+    the momentum strips (`momentum_solve`), except the perturbed one of a
+    defect that spans the whole window (the line defect): it has no
+    low-rank form, so its sector is assembled (`assembled_solve`).  The
+    perturbed sector is held to d_zig/2 only if ``bound_perturbed``.
     """
-
-    def solve(defect, first):
-        bound = d_zig if defect is None or bound_perturbed else None
-        return bloch_sector_eigen(strips, defect, L, parity, lam_ref, bound, t0=first, t_max=8 * t0)
-
-    base = solve(None, t0 if start is None else start)
-    pert = solve(w, base.t_used)
-    while pert.t_used != base.t_used:
-        if base.t_used < pert.t_used:
-            base = solve(None, pert.t_used)
-        else:
-            pert = solve(w, base.t_used)
-    return base, pert
+    base = partial(momentum_solve, strips, None, L, parity)
+    if w.compact:
+        pert = partial(momentum_solve, strips, w, L, parity)
+    else:
+        pert = partial(assembled_solve, strips.iface, w, L, parity, strips.gap)
+    hs = (_column_coupling(strips.iface, None), _column_coupling(strips.iface, w))
+    d_zigs = (d_zig, d_zig if bound_perturbed else None)
+    return certified_sectors((base, pert), hs, L, parity, strips.gap, lam_ref, d_zigs, start, cap)
 
 
 # ---------------------------------------------------------------------------

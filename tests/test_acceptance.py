@@ -262,7 +262,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
         base = pert = None
         for L in (8, 16, 32):
             base, pert = robust.sector_pair(
-                strips, w, L, parity, lam[parity], d_zig[parity], t0=80
+                strips, w, L, parity, lam[parity], d_zig[parity], 80, 640
             )
             unique_ok = unique_ok and len(base.eigenvalues) == 1 and len(pert.eigenvalues) == 1
             bound62_ok = bound62_ok and abs(pert.tracked_eigenvalue - lam[parity]) < 0.5 * d_zig[parity]

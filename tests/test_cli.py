@@ -36,6 +36,13 @@ def run_cli(tmp_path, *args, cfg=None, env=None):
     return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
+def _run_main(tmp_path, out, *command, cfg=FAST):
+    """`cli.main` in this process on ``cfg``: its exit code (what it prints goes to capsys)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["--config", str(path), "--out", str(out), *command])
+
+
 def _append_record(path, record):
     """Append one JSON line to ``path``: a spy's record that survives the worker process."""
     with open(path, "a") as fh:
@@ -48,8 +55,7 @@ def _read_records(path):
 
 def test_bands_command(tmp_path):
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "bands", cfg=FAST)
-    assert res.returncode == 0, res.stderr
+    assert _run_main(tmp_path, out, "bands") == 0
     payload = json.loads((out / "gap_report.json").read_text())
     assert abs(payload["width_ratio"] - 1.0) < 0.05
     assert (out / "bands.csv").exists()
@@ -58,12 +64,16 @@ def test_bands_command(tmp_path):
 
 
 def test_malformed_config(tmp_path):
-    res = run_cli(tmp_path, "bands", cfg={"model": "exotic"})
-    assert res.returncode == 2
-    res = run_cli(tmp_path, "bands", cfg={"unknown_key": 1})
-    assert res.returncode == 2
-    res = run_cli(tmp_path, "bands", cfg={"delta": -0.1})
-    assert res.returncode == 2
+    for cfg in ({"model": "exotic"}, {"unknown_key": 1}, {"delta": -0.1}):
+        assert _run_main(tmp_path, tmp_path / "o", "bands", cfg=cfg) == 2
+
+
+@pytest.mark.parametrize("out", [5, None, ""])
+def test_out_must_be_a_nonempty_string(tmp_path, capsys, out):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out": out}))
+    assert cli.main(["--config", str(path), "bands"]) == 2
+    assert capsys.readouterr().err == f"model validation failed: out must be a non-empty string, got {out!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -82,16 +92,15 @@ def test_malformed_config(tmp_path):
         ({"robustness": {"L_values": []}}, ["robustness"]),
     ],
 )
-def test_malformed_values_exit_two(tmp_path, cfg, command):
-    res = run_cli(tmp_path, "--out", str(tmp_path / "o"), *command, cfg=cfg)
-    assert res.returncode == 2, res.stderr
-    assert "Traceback" not in res.stderr
+def test_malformed_values_exit_two(tmp_path, capsys, cfg, command):
+    assert _run_main(tmp_path, tmp_path / "o", *command, cfg=cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model validation failed: ") and err.count("\n") == 1
 
 
 def test_quadrature_levels_below_three(tmp_path):
     # the error estimate reruns the panels at levels - 2
-    res = run_cli(tmp_path, "green-check", cfg={"quadrature": {"levels": 2}})
-    assert res.returncode == 2, res.stderr
+    assert _run_main(tmp_path, tmp_path / "o", "green-check", cfg={"quadrature": {"levels": 2}}) == 2
 
 
 @pytest.mark.parametrize(
@@ -105,16 +114,14 @@ def test_quadrature_levels_below_three(tmp_path):
         ({"truncation": {"oracle_blocks": 0}}, ["interface", "--oracle"]),
     ],
 )
-def test_invalid_sizes_exit_two(tmp_path, cfg, command):
-    res = run_cli(tmp_path, "--out", str(tmp_path / "o"), *command, cfg=cfg)
-    assert res.returncode == 2, res.stderr
-    assert "must be an integer" in res.stderr
+def test_invalid_sizes_exit_two(tmp_path, capsys, cfg, command):
+    assert _run_main(tmp_path, tmp_path / "o", *command, cfg=cfg) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_symmetry_report(tmp_path):
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "symmetry-report", cfg=FAST)
-    assert res.returncode == 0, res.stderr
+    assert _run_main(tmp_path, out, "symmetry-report") == 0
     payload = json.loads((out / "symmetry_report.json").read_text())
     assert payload["point_group_order"] == 12
     assert payload["extended_group_order"] == 36
@@ -123,8 +130,7 @@ def test_symmetry_report(tmp_path):
 
 def test_green_check(tmp_path):
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "green-check", cfg=FAST)
-    assert res.returncode == 0, res.stderr
+    assert _run_main(tmp_path, out, "green-check") == 0
     payload = json.loads((out / "green_check.json").read_text())
     assert payload["right_inverse_residual"] < 1e-6
     assert payload["far_field"]["plus"]["rate"] < 0.9
@@ -132,8 +138,7 @@ def test_green_check(tmp_path):
 
 def test_interface_command(tmp_path):
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "interface", "--oracle", cfg=FAST)
-    assert res.returncode == 0, res.stderr
+    assert _run_main(tmp_path, out, "interface", "--oracle") == 0
     payload = json.loads((out / "interface_summary.json").read_text())
     assert payload["count"] == 2
     assert sorted(payload["parities"]) == [-1, 1]
@@ -149,8 +154,7 @@ def test_interface_mode_window(tmp_path):
     cfg = dict(FAST)
     cfg["truncation"] = dict(FAST["truncation"], mode_window=10)
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "interface", cfg=cfg)
-    assert res.returncode == 0, res.stderr
+    assert _run_main(tmp_path, out, "interface", cfg=cfg) == 0
     for i in (1, 2):
         rows = (out / f"mode_{i}.csv").read_text().splitlines()[1:]
         assert len(rows) <= 161  # half-width capped at 8 * mode_window
@@ -158,23 +162,21 @@ def test_interface_mode_window(tmp_path):
         assert meta["profile_converged"] is False
 
 
-def test_interface_control_exits_four(tmp_path):
+def test_interface_control_exits_four(tmp_path, capsys):
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "interface", "--no-inversion", cfg=FAST)
-    assert res.returncode == 4
-    assert "control" in res.stderr
+    assert _run_main(tmp_path, out, "interface", "--no-inversion") == 4
+    assert "control" in capsys.readouterr().err
     counts = json.loads((out / "search_trace.json").read_text())["sector_counts"]
     assert all(lo == hi for lo, hi in counts.values())
 
 
-def test_robustness_bound_violation(tmp_path):
+def test_robustness_bound_violation(tmp_path, capsys):
     cfg = dict(FAST)
     cfg["delta"] = 0.025
     cfg["perturbation"] = {"kind": "compact", "amplitude": 0.01}
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "robustness", cfg=cfg)
-    assert res.returncode == 5
-    assert "override-bound" in res.stderr
+    assert _run_main(tmp_path, out, "robustness", cfg=cfg) == 5
+    assert "override-bound" in capsys.readouterr().err
 
 
 def test_robustness_command(tmp_path):
@@ -184,8 +186,7 @@ def test_robustness_command(tmp_path):
         cfg["delta"] = 0.025
         cfg["perturbation"] = dict(FAST["perturbation"], kind=kind)
         out = tmp_path / kind
-        res = run_cli(tmp_path, "--out", str(out), "robustness", cfg=cfg)
-        assert res.returncode == 0, res.stderr
+        assert _run_main(tmp_path, out, "robustness", cfg=cfg) == 0
         payload = json.loads((out / "robustness_report.json").read_text())
         assert payload["pi_sector_empty"] is True
         assert payload["perturbation"]["kind"] == kind
@@ -198,30 +199,34 @@ def test_robustness_command(tmp_path):
 
 
 def test_robustness_sectors_share_one_window(tmp_path, monkeypatch):
-    """A perturbed sector certified on a wider strip makes the unperturbed one solve again there."""
-    solve = robust.bloch_sector_eigen
-    record = tmp_path / "starts.jsonl"
+    """A perturbed certificate that fails at the unperturbed width makes the unperturbed sector solve again at the wider one."""
+    solve = robust.momentum_solve
+    record = tmp_path / "solves.jsonl"
+    failed = []   # each process forces one failure: the worker is forked before either solves
 
-    def wider(strips, w, L, parity, *args, t0, t_max):
-        # every perturbed solve starts 16 columns beyond the width it is handed
-        _append_record(record, [parity, w is not None, t0])
-        return solve(strips, w, L, parity, *args, t0=t0 + 16 if w is not None else t0, t_max=t_max)
+    def fail_once(strips, w, L, parity, t):
+        _append_record(record, [parity, w is not None, t])
+        vals, vecs, resid = solve(strips, w, L, parity, t)
+        if w is not None and not failed:   # the perturbed sector keeps no pair, so the width doubles
+            failed.append(t)
+            return vals[:0], vecs[:, :0], resid
+        return vals, vecs, resid
 
-    monkeypatch.setattr(robust, "bloch_sector_eigen", wider)
+    monkeypatch.setattr(robust, "momentum_solve", fail_once)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(FAST, delta=0.025)))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "robustness"]) == 0
     payload = json.loads((tmp_path / "o" / "robustness_report.json").read_text())
-    # the parity -1 solves run in the worker process; each process keeps its own order
-    starts = [(pert, t0) for _, pert, t0 in sorted(_read_records(record), key=lambda r: -r[0])]
-    t0 = FAST["truncation"]["strip_t0"]
-    assert len(starts) == 6
-    for parity, (base, pert, again) in zip(("1", "-1"), zip(*[iter(starts)] * 3)):
+    cap = 8 * FAST["truncation"]["strip_t0"]
+    for parity in ("1", "-1"):
+        solves = [(pert, t) for p, pert, t in _read_records(record) if p == int(parity)]
         entry = payload["sectors"][parity][0]
-        # the perturbed solve starts at the certified unperturbed width
-        assert base == (False, t0) and pert[0] and pert[1] > t0
-        assert again == (False, pert[1] + 16) and entry["t_used"] == pert[1] + 16
-        assert entry["t_converged"] and entry["residual_bound"] <= 1e-9
+        # the unperturbed sector is certified at t, the forced perturbed failure there moves both to min(2 t, cap)
+        t = solves[-4][1]
+        wide = min(2 * t, cap)
+        assert solves[-4:] == [(False, t), (True, t), (False, wide), (True, wide)] and t < wide
+        assert not any(pert for pert, _ in solves[:-3])   # the forced failure is the first perturbed solve
+        assert entry["t_used"] == wide and entry["t_converged"] and entry["residual_bound"] <= 1e-9
         assert entry["farfield_overlap"] >= 0.99
 
 
@@ -246,22 +251,20 @@ def test_robustness_modes_of_one_parity_exit_three(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "o" / "robustness_report.json").exists()
 
 
-def test_robustness_short_period_exits_two(tmp_path):
+def test_robustness_short_period_exits_two(tmp_path, capsys):
     # below L = 8 the periodized line defect is not Hermitian
     cfg = dict(FAST)
     cfg["perturbation"] = {"kind": "line", "amplitude": 2e-6}
     cfg["robustness"] = dict(FAST["robustness"], L_values=[6])
-    res = run_cli(tmp_path, "--out", str(tmp_path / "o"), "robustness", cfg=cfg)
-    assert res.returncode == 2, res.stderr
-    assert "not Hermitian at L = 6" in res.stderr
+    assert _run_main(tmp_path, tmp_path / "o", "robustness", cfg=cfg) == 2
+    assert "not Hermitian at L = 6" in capsys.readouterr().err
 
 
 def test_band_curve_command(tmp_path):
     cfg = dict(FAST)
     cfg["delta"] = 0.025
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "band-curve", cfg=cfg)
-    assert res.returncode == 0, res.stderr
+    assert _run_main(tmp_path, out, "band-curve", cfg=cfg) == 0
     payload = json.loads((out / "band_curve_summary.json").read_text())
     assert payload["empty_at_pi"] is True
 
@@ -298,11 +301,9 @@ def test_unknown_global_flag_exits_two(tmp_path):
 
 def test_debug_csv_exports(tmp_path):
     out = tmp_path / "o"
-    res = run_cli(tmp_path, "--out", str(out), "bands", cfg=FAST)
-    assert res.returncode == 0
+    assert _run_main(tmp_path, out, "bands") == 0
     assert (out / "kernel_blocks.csv").exists()
-    res = run_cli(tmp_path, "--out", str(out), "green-check", cfg=FAST)
-    assert res.returncode == 0
+    assert _run_main(tmp_path, out, "green-check") == 0
     assert (out / "green_pv_blocks.csv").exists()
 
 
@@ -394,22 +395,16 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 
-def test_unwritable_outputs_exit_two(tmp_path):
+def test_unwritable_outputs_exit_two(tmp_path, capsys):
     """An output directory below a regular file, or an unreadable config, exits 2 in one line."""
     blocker = tmp_path / "file"
     blocker.write_text("")
-    res = run_cli(tmp_path, "--out", str(blocker / "o"), "symmetry-report")
-    assert res.returncode == 2
-    assert res.stderr.startswith("cannot write outputs: ") and res.stderr.count("\n") == 1
-    res = run_cli(tmp_path, "--config", str(tmp_path / "missing.json"), "symmetry-report")
-    assert res.returncode == 2
-    assert "cannot read config" in res.stderr and "Traceback" not in res.stderr
-
-
-def _run_main(tmp_path, out, *command, cfg=FAST):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    return cli.main(["--config", str(path), "--out", str(out), *command])
+    assert _run_main(tmp_path, blocker / "o", "symmetry-report") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write outputs: ") and err.count("\n") == 1
+    assert cli.main(["--config", str(tmp_path / "missing.json"), "symmetry-report"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model validation failed: cannot read config") and err.count("\n") == 1
 
 
 def _usable_cpus(monkeypatch, n):

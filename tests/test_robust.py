@@ -1,5 +1,6 @@
 """Periodized strips, parity sectors, class-(A) perturbations, band curve."""
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,23 @@ def setup_r(blended, hper, dirac, beta_star):
     lam = {m.parity: m.lambda_zig for m in modes.modes}
     d_zig = {p: min(v - gap[0], gap[1] - v) for p, v in lam.items()}
     return iface, gap, lam, d_zig
+
+
+def _assembled(iface, gap, defects, L, parity, lam_ref, d_zig, start=40, cap=320):
+    """The assembled sectors of ``defects`` (None: no defect) of (L, parity), certified on one width."""
+    solves = [partial(robust.assembled_solve, iface, w, L, parity, gap) for w in defects]
+    return _certified(iface, gap, solves, defects, L, parity, lam_ref, d_zig, start, cap)
+
+
+def _momentum(strips, defects, L, parity, lam_ref, d_zig, start=40, cap=320):
+    """`_assembled` on the momentum strips of ``strips``."""
+    solves = [partial(robust.momentum_solve, strips, w, L, parity) for w in defects]
+    return _certified(strips.iface, strips.gap, solves, defects, L, parity, lam_ref, d_zig, start, cap)
+
+
+def _certified(iface, gap, solves, defects, L, parity, lam_ref, d_zig, start, cap):
+    hs = [robust._column_coupling(iface, w) for w in defects]
+    return robust.certified_sectors(solves, hs, L, parity, gap, lam_ref, [d_zig] * len(defects), start, cap)
 
 
 def test_build_w_compact():
@@ -143,9 +161,7 @@ def test_parity_isometries(setup_r):
 def test_sector_unique_unperturbed(setup_r):
     iface, gap, lam, d_zig = setup_r
     for parity in (1, -1):
-        sector = robust.strip_sector_eigen(
-            iface, None, 8, parity, gap, lam[parity], d_zig[parity], t0=40
-        )
+        (sector,) = _assembled(iface, gap, [None], 8, parity, lam[parity], d_zig[parity])
         assert len(sector.eigenvalues) == 1
         assert sector.ingap_count >= len(sector.eigenvalues)
         assert abs(sector.tracked_eigenvalue - lam[parity]) < 1e-8
@@ -177,9 +193,7 @@ def test_sector_perturbed_convergence(setup_r):
     for parity in (1, -1):
         vals = []
         for L in (8, 16, 32):
-            sector = robust.strip_sector_eigen(
-                iface, w, L, parity, gap, lam[parity], d_zig[parity], t0=40
-            )
+            (sector,) = _assembled(iface, gap, [w], L, parity, lam[parity], d_zig[parity])
             assert abs(sector.tracked_eigenvalue - lam[parity]) < 0.5 * d_zig[parity]
             vals.append(sector.tracked_eigenvalue)
         seq[parity] = vals
@@ -194,8 +208,7 @@ def test_sector_perturbed_convergence(setup_r):
 def test_farfield_persistence(setup_r):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 2e-5)
-    base = robust.strip_sector_eigen(iface, None, 8, 1, gap, lam[1], d_zig[1], t0=40)
-    pert = robust.strip_sector_eigen(iface, w, 8, 1, gap, lam[1], d_zig[1], t0=40)
+    base, pert = _assembled(iface, gap, [None, w], 8, 1, lam[1], d_zig[1])
     ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99
     # zero perturbation: identical modes
@@ -206,8 +219,7 @@ def test_farfield_persistence(setup_r):
 def test_line_defect_difference_localized(setup_r):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("line", 2e-5)
-    base = robust.strip_sector_eigen(iface, None, 16, 1, gap, lam[1], d_zig[1], t0=40)
-    pert = robust.strip_sector_eigen(iface, w, 16, 1, gap, lam[1], d_zig[1], t0=40)
+    base, pert = _assembled(iface, gap, [None, w], 16, 1, lam[1], d_zig[1])
     ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99
     prof = ff["difference_profile"]
@@ -222,12 +234,12 @@ def test_gap_collapse_detection(setup_r):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 5e-4)
     # an artificially tight isolation distance forces the drift check to trip
-    with pytest.raises(GapCollapse):
-        robust.strip_sector_eigen(iface, w, 8, 1, gap, lam[1], 1e-8, t0=40)
+    with pytest.raises(GapCollapse, match="drifted beyond d_zig/2"):
+        _assembled(iface, gap, [w], 8, 1, lam[1], 1e-8)
     # a spectrum-free sub-window has no isolated eigenvalue at all
     empty = (gap[0], 0.5 * (gap[0] + lam[-1]))
-    with pytest.raises(GapCollapse):
-        robust.strip_sector_eigen(iface, w, 8, 1, empty, None, None, t0=40)
+    with pytest.raises(GapCollapse, match="no isolated in-gap eigenvalue"):
+        _assembled(iface, empty, [w], 8, 1, lam[1], None)
 
 
 def test_protection_beyond_proven_bound(setup_r):
@@ -240,8 +252,7 @@ def test_protection_beyond_proven_bound(setup_r):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 0.05)
     assert w.m_w > 100 * 0.25 * min(d_zig.values())
-    base = robust.strip_sector_eigen(iface, None, 8, 1, gap, lam[1], d_zig[1], t0=40)
-    pert = robust.strip_sector_eigen(iface, w, 8, 1, gap, lam[1], d_zig[1], t0=40)
+    base, pert = _assembled(iface, gap, [None, w], 8, 1, lam[1], d_zig[1])
     ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] > 0.99
 
@@ -252,8 +263,7 @@ def test_scattering_norm_bounded(setup_r):
     w = robust.build_W("compact", 2e-5)
     norms = []
     for L in (8, 16):
-        base = robust.strip_sector_eigen(iface, None, L, 1, gap, lam[1], d_zig[1], t0=40)
-        pert = robust.strip_sector_eigen(iface, w, L, 1, gap, lam[1], d_zig[1], t0=40)
+        base, pert = _assembled(iface, gap, [None, w], L, 1, lam[1], d_zig[1])
         u0 = base.tracked_vector / np.linalg.norm(base.tracked_vector)
         u1 = pert.tracked_vector / np.linalg.norm(pert.tracked_vector)
         u1 = u1 * np.exp(-1j * np.angle(np.vdot(u0, u1)))
@@ -490,8 +500,8 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     w = robust.build_W("compact", 2e-5)
     widths = []
     for L in (8, 16):
-        start = widths[-1] if widths else None
-        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t0=80, start=start)
+        start = widths[-1] if widths else 80
+        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], start, 640)
         widths.append(pert.t_used)
     t = widths[0]
     assert widths == [t, t] and t > 80
@@ -510,13 +520,56 @@ def test_sector_pair_from_carried_width(setup_r, parity):
     w = robust.build_W("compact", 2e-5)
     args = (w, 16, parity, lam[parity], d_zig[parity])
     strips = robust.MomentumStrips(iface, gap)
-    start = robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], t0=80)[1].t_used
-    carried = robust.sector_pair(strips, *args, t0=80, start=start)
-    fresh = robust.sector_pair(robust.MomentumStrips(iface, gap), *args, t0=80)
+    start = robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 80, 640)[1].t_used
+    carried = robust.sector_pair(strips, *args, start, 640)
+    fresh = robust.sector_pair(robust.MomentumStrips(iface, gap), *args, 80, 640)
     for got, ref in zip(carried, fresh):
         assert got.t_used == ref.t_used == start
         assert np.array_equal(got.eigenvalues, ref.eigenvalues)
         assert np.array_equal(got.vectors, ref.vectors)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_sector_pair_solves_perturbed_once_unperturbed_certified(setup_r, monkeypatch, parity):
+    """sector_pair at L = 8 and then 16 solves the perturbed sector only where the unperturbed one is certified, or at the cap.
+
+    Both sectors leave at the width of the last solves; an unperturbed
+    sector that is still uncertified at the cap (from a first width of 4,
+    cap 32) has the perturbed one solved there too.
+    """
+    iface, gap, lam, d_zig = setup_r
+    w = robust.build_W("compact", 2e-5)
+    solves, solve = [], robust.momentum_solve
+
+    def spy(strips, defect, L, parity, t):
+        solves.append((L, defect is not None, t))
+        return solve(strips, defect, L, parity, t)
+
+    def certified(L, t):
+        """Whether the unperturbed sector alone is certified at the width t, solved unspied on fresh strips."""
+        alone = [partial(solve, robust.MomentumStrips(iface, gap), None, L, parity)]
+        try:
+            (sector,) = _certified(iface, gap, alone, [None], L, parity, lam[parity], d_zig[parity], t, t)
+        except GapCollapse:   # no pair kept
+            return False
+        return sector.t_converged
+
+    monkeypatch.setattr(robust, "momentum_solve", spy)
+    strips = robust.MomentumStrips(iface, gap)
+    base = None
+    for L, start, cap in ((8, 80, 640), (16, None, 640), (8, 4, 32)):
+        solves.clear()
+        start = start or base.t_used   # L = 16 starts where L = 8 certified
+        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], start, cap)
+        assert base.t_used == pert.t_used and solves[-1] == (L, True, pert.t_used)
+        for n, (_, perturbed, t) in enumerate(solves):
+            if perturbed:   # right after the unperturbed solve at its width
+                assert solves[n - 1] == (L, False, t)
+            else:
+                following = solves[n + 1] if n + 1 < len(solves) else None
+                assert (following == (L, True, t)) == (t == cap or certified(L, t))
+        assert base.t_converged == (base.t_used < cap or certified(L, cap))
+    assert base.t_used == pert.t_used == 32 and not base.t_converged
 
 
 def test_strip_cache_keeps_one_width(setup_r):
@@ -643,7 +696,7 @@ def test_momentum_blocks_real(setup_r):
 
 
 def test_sector_width_doubles_while_no_pair_is_kept(setup_r, monkeypatch):
-    """Without a kept pair the width doubles up to its cap 8 t0, then the sector collapses."""
+    """Without a kept pair the width doubles up to its cap, then the unperturbed sector collapses unsolved by the perturbed one."""
     iface, gap, lam, d_zig = setup_r
     widths = []
     sector = robust._BlochSector
@@ -652,8 +705,8 @@ def test_sector_width_doubles_while_no_pair_is_kept(setup_r, monkeypatch):
     )
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
-    with pytest.raises(GapCollapse):   # widths 1 to 8 hold no isolated interface mode
-        robust.bloch_sector_eigen(strips, w, 8, 1, lam[1], d_zig[1], t0=1)
+    with pytest.raises(GapCollapse, match="no isolated"):   # widths 1 to 8 hold no isolated interface mode
+        robust.sector_pair(strips, w, 8, 1, lam[1], d_zig[1], 1, 8)
     assert widths == [1, 2, 4, 8]
 
 
@@ -676,12 +729,9 @@ def test_certificate_is_sound(setup_r, L):
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     for parity in (1, -1):
-        for defect in (None, w):
-            sector = robust.bloch_sector_eigen(strips, defect, L, parity, lam[parity], d_zig[parity], t0=80)
-            t = 2 * sector.t_used
-            wide = robust.bloch_sector_eigen(
-                strips, defect, L, parity, lam[parity], d_zig[parity], t0=t, t_max=t
-            )
+        pair = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], 80, 640)
+        t = 2 * pair[0].t_used
+        for sector, wide in zip(pair, robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t, t)):
             assert sector.t_converged and sector.residual_bound <= 1e-9
             assert len(wide.eigenvalues) == len(sector.eigenvalues)
             assert np.abs(wide.eigenvalues - sector.eigenvalues).max() <= sector.residual_bound
@@ -699,7 +749,7 @@ def test_rate_step_reaches_certified_width(setup_r, monkeypatch):
     w = robust.build_W("compact", 2e-5)
     for parity in (1, -1):
         widths.clear()
-        result = robust.bloch_sector_eigen(strips, w, 8, parity, lam[parity], d_zig[parity], t0=40)
+        (result,) = _momentum(strips, [w], 8, parity, lam[parity], d_zig[parity])
         assert widths == [40, result.t_used]     # not 40, 80, 160, 320
         assert result.t_used % 8 == 0 and 40 < result.t_used < 320
         assert result.t_converged and result.residual_bound <= 1e-9
@@ -718,8 +768,7 @@ def test_sector_solves_stay_real(setup_r, monkeypatch):
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     for parity in (1, -1):
-        for defect in (None, w):
-            robust.bloch_sector_eigen(strips, defect, 8, parity, lam[parity], d_zig[parity], t0=20)
+        robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 20, 160)
     assert len(seen) > 0 and all(dtype == np.float64 for dtype in seen)
 
 
@@ -734,10 +783,10 @@ def test_sector_solves_shift_at_gap_centre(setup_r, monkeypatch):
 
     monkeypatch.setattr(robust, "_ingap_eigsh", spy)
     strips = robust.MomentumStrips(iface, gap)
-    # the line defect's perturbed sector is the assembled `strip_sector_eigen`
-    for defect in (None, robust.build_W("compact", 2e-5), robust.build_W("line", 2e-5)):
+    # the line defect's perturbed sector is assembled (`assembled_solve`)
+    for w in (robust.build_W("compact", 2e-5), robust.build_W("line", 2e-5)):
         for parity in (1, -1):
-            robust.bloch_sector_eigen(strips, defect, 8, parity, lam[parity], d_zig[parity], t0=20)
+            robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 20, 160)
     assert len(shifts) > 0 and set(shifts) == {0.5 * (gap[0] + gap[1])}
 
 
@@ -748,10 +797,8 @@ def test_bloch_sector_matches_oracle(setup_r, kind):
     strips = robust.MomentumStrips(iface, gap)
     for L in (8, 16):
         for parity in (1, -1):
-            ref = robust.strip_sector_eigen(
-                iface, w, L, parity, gap, lam[parity], d_zig[parity], t0=40
-            )
-            new = robust.bloch_sector_eigen(strips, w, L, parity, lam[parity], d_zig[parity], t0=40)
+            (ref,) = _assembled(iface, gap, [w], L, parity, lam[parity], d_zig[parity])
+            (new,) = _momentum(strips, [w], L, parity, lam[parity], d_zig[parity])
             assert (new.t_used, new.t_converged, new.ingap_count) == (
                 ref.t_used, ref.t_converged, ref.ingap_count
             )
@@ -766,9 +813,8 @@ def test_bloch_sector_line_defect(setup_r):
     w = robust.build_W("line", 2e-5)
     assert not w.compact and robust.build_W("compact", 2e-5).compact
     strips = robust.MomentumStrips(iface, gap)
-    base = robust.bloch_sector_eigen(strips, None, 16, 1, lam[1], d_zig[1], t0=40)
-    pert = robust.bloch_sector_eigen(strips, w, 16, 1, lam[1], d_zig[1], t0=40)
-    ref = robust.strip_sector_eigen(iface, w, 16, 1, gap, lam[1], d_zig[1], t0=40)
+    base, pert = robust.sector_pair(strips, w, 16, 1, lam[1], d_zig[1], 40, 320)
+    _, ref = _assembled(iface, gap, [None, w], 16, 1, lam[1], d_zig[1])
     assert (pert.t_used, pert.ingap_count) == (ref.t_used, ref.ingap_count)
     assert np.abs(pert.eigenvalues - ref.eigenvalues).max() < 1e-13
     ff = robust.farfield_persistence(pert, base)
