@@ -67,15 +67,15 @@ class GreenKernel:
     order: int
 
 
-def _golden(f, a, b, tol=1e-12):
+def _golden(f, a, b):
     """Golden-section minimisers of f on the brackets [a, b], arrays of lanes.
 
-    ``f`` maps one point per lane to its values; a lane stops once its bracket is at most ``tol``.
+    ``f`` maps one point per lane to its values; a lane stops once its bracket is at most 1e-12.
     """
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(c), f(d)
-    while (live := np.abs(b - a) > tol).any():
+    while (live := np.abs(b - a) > 1e-12).any():
         left = live & (fc < fd)     # keep [a, d], probe a new c
         right = live & ~(fc < fd)   # keep [c, b], probe a new d
         b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
@@ -236,12 +236,12 @@ def far_field_matrix(vgauge: VGauge, alpha_star: float) -> np.ndarray:
     return 1j / (2.0 * abs(alpha_star)) * s
 
 
-def far_field_report(green: GreenKernel, limit: np.ndarray, n_from: int = 2) -> dict:
-    """Exponential-decay fit of the far-field residuals on both sides."""
+def far_field_report(green: GreenKernel, limit: np.ndarray) -> dict:
+    """Exponential-decay fit of the far-field residuals on both sides, from the offsets +-2 outward."""
     out = {}
     for side, sgn in (("plus", 1), ("minus", -1)):
         ns, resid = [], []
-        d = n_from * sgn
+        d = 2 * sgn
         while d in green.blocks:
             r = float(np.abs(green.blocks[d] - sgn * limit).max())
             ns.append(abs(d))
@@ -282,11 +282,11 @@ def energy_flux(strip: BlockedStripOperator, phi, psi, n: int) -> complex:
     return complex(psi(n).conj() @ up - psi(n - 1).conj() @ dn)
 
 
-def flux_matrix(strip: BlockedStripOperator, vectors: np.ndarray, n: int = 0) -> np.ndarray:
-    """Flux form evaluated pairwise on constant block profiles (columns)."""
+def flux_matrix(strip: BlockedStripOperator, vectors: np.ndarray) -> np.ndarray:
+    """Flux form at n = 0 evaluated pairwise on constant block profiles (columns)."""
     m = vectors.shape[1]
     out = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(m):
-            out[i, j] = energy_flux(strip, vectors[:, i], vectors[:, j], n)
+            out[i, j] = energy_flux(strip, vectors[:, i], vectors[:, j], 0)
     return out

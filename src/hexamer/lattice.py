@@ -281,12 +281,12 @@ def bloch(blocks: dict, kap1, kap2) -> np.ndarray:
     return h
 
 
-def commutator_norm(blocks: dict, op: SymmetryOp, samples: int = 9) -> float:
+def commutator_norm(blocks: dict, op: SymmetryOp) -> float:
     """Operator norm of g H g^-1 - H for the kernel H given by ``blocks`` (offset -> 6x6 block).
 
-    The norm is the maximum over a ``samples`` x ``samples`` grid of Bloch momenta.
+    The norm is the maximum over a 9 x 9 grid of Bloch momenta.
     """
-    kaps = 2.0 * np.pi * (np.arange(samples) / samples - 0.5)
+    kaps = 2.0 * np.pi * (np.arange(9) / 9 - 0.5)
     ka, kb = np.meshgrid(kaps, kaps, indexing="ij")
     diff = bloch(conjugate_kernel(blocks, op), ka, kb) - bloch(blocks, ka, kb)
     return float(np.linalg.norm(diff, 2, axis=(-2, -1)).max())

@@ -105,10 +105,10 @@ class MatchingPipeline:
                           for n, m in ((0, -1), (-1, 0)))
         self.hp_01, self.hp_10, self.hm_01, self.hm_10, self.hz_01, self.hz_10 = self.hops
 
-    def guard_in_gap(self, lo: float, hi: float | None = None, margin: float = 1e-9):
-        """Refuse an energy lo, or every energy of [lo, hi], near a bulk strip band."""
+    def guard_in_gap(self, lo: float, hi: float | None = None):
+        """Refuse an energy lo, or every energy of [lo, hi], within 1e-9 of a bulk strip band."""
         for strip in (self.right, self.left):
-            if green._band_distance(strip, lo, hi) < margin:
+            if green._band_distance(strip, lo, hi) < 1e-9:
                 raise EnergyOutsideGap(f"[{lo}, {lo if hi is None else hi}] touches a bulk band")
 
     def _blocks(self, lams, power: int = 1):

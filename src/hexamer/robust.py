@@ -532,26 +532,6 @@ def _inverse_count(s: np.ndarray, singular):
     return np.linalg.inv(s), (w < 0).sum(axis=-1)
 
 
-def _schur_steps(diag, out, inverse, below, t: int, first: int, stop: int, singular):
-    """Steps ``first`` .. ``stop`` - 1 of stacked half-strip Schur recursions from their Dirichlet end.
-
-    Step m eliminates the column j = t - m: with S^-1 = ``inverse`` of the
-    column j + 1 eliminated before it (zero at m = 0),
-        S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T,
-    a Schur complement of the half-strip on the columns j..t (``diag``
-    already shifted).  Returns S^-1 of the last column eliminated and
-    ``below`` plus the counts nu(S_j), whose sum is the count of the
-    half-strip by Haynsworth's inertia additivity.  ``singular(i, j)`` words
-    the error of a singular S_j of stack entry i.
-    """
-    for m in range(first, stop):
-        j = t - m
-        b = out[:, j % 2]
-        inverse, nu = _inverse_count(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), lambda i: singular(i, j))
-        below = below + nu
-    return inverse, below
-
-
 class MomentumStrips:
     """Momentum strips of one interface kernel and gap, cached by (t, k, part) for one width t.
 
@@ -559,15 +539,9 @@ class MomentumStrips:
     the strips, their in-gap pairs and their resolvent cores at the gap
     edges: the momenta of L = 8 are among those of L = 16.  Asking for
     another width drops the strips of the last one.  The cores come
-    from the strips' cell blocks, not from a factor of the strip
-    (`resolvent_cores`): beyond the columns |n1| <= ``CORE_COLUMNS`` each
-    side is a half-strip of one bulk, eliminated by a block Schur recursion
-    from its Dirichlet end (`_schur_steps`).  Counted from that end, the
-    recursion of a strip of width t is the first t - ``CORE_COLUMNS`` steps
-    of that of every wider one (of the same parity of t at k = pi), so each
-    lane (momentum, part, side, shift) keeps only its last step, and a wider
-    strip extends it.  Every shift-invert solve shifts at the gap centre,
-    away from the interface eigenvalues.
+    from the strips' cell blocks, which do not depend on the width, not
+    from a factor of the strip (`resolvent_cores`).  Every shift-invert
+    solve shifts at the gap centre, away from the interface eigenvalues.
     """
 
     def __init__(self, iface: kernels.InterfaceKernel, gap: tuple):
@@ -576,7 +550,6 @@ class MomentumStrips:
         self.sigma = 0.5 * (gap[0] + gap[1])
         self._blocks = {}
         self._cells = {}
-        self._tails = {}    # lane -> (steps, below, S^-1 of the last column eliminated)
 
     def blocks(self, t: int, fracs: list, parity: int) -> list:
         """The strips of width t at k = 2 pi f[0] / f[1] for f in ``fracs``, each its ``parity`` part at k = 0 and pi.
@@ -603,46 +576,21 @@ class MomentumStrips:
         """(nu, G) of the width-t strip at each of ``fracs`` (its ``parity`` part at k = 0 and pi) and each shift s.
 
         nu counts the eigenvalues of the strip's ``mat`` below s and G is the
-        block of (mat - s)^-1 on its core rows.  Eliminating both half-strips
-        beyond the core (`_schur_steps`) leaves the core block C - s minus
-        the tail term out S^-1 out^T on each of its two outer columns; by
-        Haynsworth nu is nu of that block plus the two tails' counts, and G
-        its inverse.  A singular Schur block or core block raises
-        ``NumericError``.  Returns one list per shift, in the order of
-        ``fracs``.
+        block of (mat - s)^-1 on its core rows.  Beyond the columns
+        |n1| <= ``CORE_COLUMNS`` each side is a half-strip of one bulk
+        (`_Cells`), eliminated by a block Schur recursion from its Dirichlet
+        end j = t inward: with S_{t+1}^-1 = 0 and ``diag`` shifted by s,
+            S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T.
+        All the lanes (frac, side, s) step as one batch.  That leaves the
+        core block C - s minus the tail term out S^-1 out^T on each of its
+        two outer columns; by Haynsworth's inertia additivity nu is nu of
+        that block plus the counts nu(S_j) of both tails, and G its inverse.
+        A singular Schur block or core block raises ``NumericError``.
+        Returns one list per shift, in the order of ``fracs``.
         """
         reach = min(CORE_COLUMNS, t)
         lanes = [(f, side, s) for s in shifts for f in fracs for side in (0, 1)]
-        below, tail = self._tail_terms(t, parity, lanes)
-        cores = []
-        for n in range(0, len(lanes), 2):
-            f, _, s = lanes[n]
-            cell = self._cell_blocks(f, _part(f, parity))
-            p, drop = cell.per_cell, cell.per_cell * (CORE_COLUMNS - reach)
-            block = cell.core[drop : len(cell.core) - drop, drop : len(cell.core) - drop] - s * np.eye(p * (2 * reach + 1))
-            if t > CORE_COLUMNS:
-                block[:p, :p] -= tail[n + 1, :p, :p]
-                block[-p:, -p:] -= tail[n, :p, :p]
-            g, nu = _inverse_count(
-                block, lambda _: f"strip factor at shift {s!r} failed: the core block at k = 2 pi {f[0]}/{f[1]} is singular"
-            )
-            cores.append((int(nu + below[n] + below[n + 1]), g))
-        return [cores[m * len(fracs) : (m + 1) * len(fracs)] for m in range(len(shifts))]
-
-    def _tail_terms(self, t: int, parity: int, lanes: list):
-        """Per lane (frac, side, shift): the count of the half-strip beyond the core and its term out S^-1 out^T on the core.
-
-        The lanes run as one batch.  They resume from their cached last step
-        when they all share one at or below t - ``CORE_COLUMNS``, and start
-        over otherwise.
-        """
-        stop = max(t - CORE_COLUMNS, 0)
         cells = [self._cell_blocks(f, _part(f, parity)) for f, _, _ in lanes]
-        keys = [(f, _part(f, parity), side, s, t % 2 if f[1] == 2 else 0) for f, side, s in lanes]
-        saved = [self._tails.get(key, (0, 0, np.zeros((6, 6)))) for key in keys]
-        first = saved[0][0]
-        if first > stop or any(steps != first for steps, _, _ in saved):
-            first, saved = 0, [(0, 0, np.zeros((6, 6)))] * len(lanes)
         diag = np.stack([c.diag[side] - s * c.eye for c, (_, side, s) in zip(cells, lanes)])
         out = np.stack([c.out[side] for c, (_, side, _) in zip(cells, lanes)])
 
@@ -653,12 +601,27 @@ class MomentumStrips:
                 f"n1 = {j if side == 0 else -j} at k = 2 pi {f[0]}/{f[1]} is singular"
             )
 
-        inverse, below = _schur_steps(
-            diag, out, np.stack([x for _, _, x in saved]), np.array([nu for _, nu, _ in saved]), t, first, stop, singular
-        )
-        self._tails.update(zip(keys, ((stop, int(nu), x) for nu, x in zip(below, inverse))))
+        inverse, below = np.zeros_like(diag[:, 0]), np.zeros(len(lanes), dtype=int)
+        for j in range(t, CORE_COLUMNS, -1):
+            b = out[:, j % 2]
+            inverse, nu = _inverse_count(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), lambda i: singular(i, j))
+            below += nu
         coupling = out[:, CORE_COLUMNS % 2]
-        return below, coupling @ inverse @ coupling.swapaxes(1, 2)
+        tail = coupling @ inverse @ coupling.swapaxes(1, 2)
+        cores = []
+        for n in range(0, len(lanes), 2):
+            f, _, s = lanes[n]
+            cell = cells[n]
+            p, drop = cell.per_cell, cell.per_cell * (CORE_COLUMNS - reach)
+            block = cell.core[drop : len(cell.core) - drop, drop : len(cell.core) - drop] - s * np.eye(p * (2 * reach + 1))
+            if t > CORE_COLUMNS:
+                block[:p, :p] -= tail[n + 1, :p, :p]
+                block[-p:, -p:] -= tail[n, :p, :p]
+            g, nu = _inverse_count(
+                block, lambda _: f"strip factor at shift {s!r} failed: the core block at k = 2 pi {f[0]}/{f[1]} is singular"
+            )
+            cores.append((int(nu + below[n] + below[n + 1]), g))
+        return [cores[m * len(fracs) : (m + 1) * len(fracs)] for m in range(len(shifts))]
 
 
 def _bordered_inertia(cores, u, d) -> int:

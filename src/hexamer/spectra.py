@@ -102,13 +102,13 @@ def _align_four_fold(v4: np.ndarray) -> np.ndarray:
     return u
 
 
-def _richardson_slope(kernel: HoppingKernel, u1, u3, step: float = 1e-5) -> float:
+def _richardson_slope(kernel: HoppingKernel, u1, u3) -> float:
     def fd(h):
         hp = kernel.bloch_rad(h, 0.0)
         hm = kernel.bloch_rad(-h, 0.0)
         return (u1.conj() @ ((hp - hm) @ u3)) / (2.0 * h)
 
-    a, b = fd(step), fd(step / 2.0)
+    a, b = fd(1e-5), fd(1e-5 / 2.0)
     return float(np.real((4.0 * b - a) / 3.0))
 
 

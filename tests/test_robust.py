@@ -474,27 +474,29 @@ def test_singular_tail_block_is_numeric(setup_r):
 
 @pytest.mark.parametrize("parity", [1, -1])
 def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
-    """sector_pair at L = 8 and then 16, from L = 8's width, counts every strip without a factor, and extends each tail once.
+    """sector_pair at L = 8 and then 16, from L = 8's width, counts every strip without a factor, each width from the Dirichlet end.
 
-    No `_inertia` runs; the 36 lanes of L = 16 (9 strips, 2 sides, 2 gap
-    edges) end at the certified width, having stepped over each column
-    once between them; and at the uncertified first width t0 only the
+    No `_inertia` runs; the tails step over t - 2 columns at each width:
+    the 20 lanes of L = 8 (5 strips, 2 sides, 2 gap edges) at t0 = 80 and
+    again at the certified width t, where L = 16 adds only the 16 lanes of
+    its 4 new momenta; and at the uncertified first width t0 only the
     strip with in-gap pairs (k = 0) is assembled.
     """
     iface, gap, lam, d_zig = setup_r
-    inertia, steps, assembled = [], [], []
-    count, schur, csr = matching._inertia, robust._schur_steps, kernels.BlockedStripOperator.csr
+    inertia, tails, assembled = [], [], []
+    count, inverse_count, csr = matching._inertia, robust._inverse_count, kernels.BlockedStripOperator.csr
 
-    def counted_steps(diag, out, inverse, below, t, first, stop, singular):
-        steps.append(len(diag) * (stop - first))
-        return schur(diag, out, inverse, below, t, first, stop, singular)
+    def counted_inverse(s, singular):
+        if s.ndim == 3:
+            tails.append(len(s))
+        return inverse_count(s, singular)
 
     def spy_csr(self, half):
         assembled.append((self.kpar, half))
         return csr(self, half)
 
     monkeypatch.setattr(matching, "_inertia", lambda *a: inertia.append(a) or count(*a))
-    monkeypatch.setattr(robust, "_schur_steps", counted_steps)
+    monkeypatch.setattr(robust, "_inverse_count", counted_inverse)
     monkeypatch.setattr(kernels.BlockedStripOperator, "csr", spy_csr)
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
@@ -506,9 +508,7 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     t = widths[0]
     assert widths == [t, t] and t > 80
     assert inertia == []
-    assert len(strips._tails) == 36
-    assert {lane[0] for lane in strips._tails.values()} == {t - robust.CORE_COLUMNS}
-    assert sum(steps) == 36 * (t - robust.CORE_COLUMNS)
+    assert sum(tails) == 20 * (80 - robust.CORE_COLUMNS) + 36 * (t - robust.CORE_COLUMNS)
     assert {k for k, half in assembled if half == 80} == {0.0}
     assert len({k for k, half in assembled if half == t}) == 9
 
