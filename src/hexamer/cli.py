@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import emit, green, kernels, lattice, matching, robust, spectra
-from .errors import HexamerError, ModelValidationError, NumericError
+from .errors import ModelValidationError, NumericError
 
 DEFAULTS = {
     "model": "blended",
@@ -90,6 +90,10 @@ def _validate(cfg: dict):
     _require_int(cfg, "search_points", 2)
     for key in ("mode_window", "strip_t0", "oracle_blocks"):
         _require_int(cfg["truncation"], key, 1, "truncation.")
+    if cfg["perturbation"]["kind"] not in ("compact", "line"):
+        raise ModelValidationError(
+            f"perturbation.kind must be compact|line, got {cfg['perturbation']['kind']!r}"
+        )
     if _require_number(cfg["perturbation"], "amplitude", "perturbation.") < 0:
         raise ModelValidationError("perturbation amplitude must be nonnegative")
     if not 0.0 < _require_number(cfg["robustness"], "c_w", "robustness.") < 0.5:
@@ -225,9 +229,9 @@ def cmd_symmetry_report(cfg: dict) -> int:
 
 
 def _rep_relation_residuals() -> dict:
-    reps = lattice.RepMatrixSet()
     out = {}
-    for name, rep in (("rho1", reps.rho1), ("rho2", reps.rho2), ("rho_tilde", reps.rho_tilde)):
+    for name, rep in (("rho1", lattice.rep_rho1()), ("rho2", lattice.rep_rho2()),
+                      ("rho_tilde", lattice.rep_rho_tilde())):
         r, f = rep["R6"], rep["Fx"]
         res = {
             "R6^6": float(np.abs(np.linalg.matrix_power(r, 6) - np.eye(r.shape[0])).max()),
@@ -283,7 +287,7 @@ def cmd_green_check(cfg: dict) -> int:
     return 0
 
 
-def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -> int:
+def cmd_interface(cfg: dict, no_inversion: bool, oracle: bool) -> int:
     out = Path(cfg["out"])
     ws = Workspace.build(cfg)
     iface = ws.interface(inverted=not no_inversion)
@@ -360,7 +364,7 @@ def cmd_interface(cfg: dict, no_inversion: bool = False, oracle: bool = False) -
     return 0
 
 
-def cmd_robustness(cfg: dict, override_bound: bool = False) -> int:
+def cmd_robustness(cfg: dict, override_bound: bool) -> int:
     out = Path(cfg["out"])
     ws = Workspace.build(cfg)
     iface = ws.interface()
@@ -641,9 +645,6 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except HexamerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header, rows, meta: dict | None = None) -> Path:
+def write_csv(path, header, rows, meta: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -31,8 +31,7 @@ def write_csv(path, header, rows, meta: dict | None = None) -> Path:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-    if meta is not None:
-        write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
     return path
 
 
@@ -62,7 +61,7 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def write_complex_csv(path, key_header, keys, arrays, meta: dict | None = None) -> Path:
+def write_complex_csv(path, key_header, keys, arrays, meta: dict) -> Path:
     """One row per key: its integers, then re and im of each entry of its array, row-major.
 
     Entry columns are named by their index digits: ``re0, im0, ..., im5`` for

@@ -37,10 +37,6 @@ class EnergyOutsideGap(NumericError):
     """Requested energy lies outside the common spectral gap."""
 
 
-class GaugeMissing(NumericError):
-    """Principal-value construction requires the fixed analytic gauge."""
-
-
 class DegenerateBoundaryData(NumericError):
     """Boundary pair is annihilated by the auxiliary matching matrix."""
 

@@ -38,12 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GaugeMissing
 from .kernels import BlockedStripOperator
 from .spectra import DiracData, VGauge
 
 
-def dyadic_panels(levels: int = 14) -> list[tuple[float, float]]:
+def dyadic_panels(levels: int) -> list[tuple[float, float]]:
     """Symmetric dyadic subdivision of [-pi, pi] refined toward 0."""
     edges = [np.pi * 2.0 ** (-j) for j in range(levels)]
     out = []
@@ -59,12 +58,8 @@ def dyadic_panels(levels: int = 14) -> list[tuple[float, float]]:
 class GreenKernel:
     """Translation-covariant resolvent blocks of a bulk strip operator."""
 
-    energy: float
     blocks: dict = field(repr=False)
-    blockdim: int
     quad_error: float
-    levels: int
-    order: int
 
 
 def _golden(f, a, b):
@@ -203,7 +198,7 @@ def _grow_until(start: int, cap: int, attempt):
 def physical_green_pv(
     strip: BlockedStripOperator,
     dirac: DiracData,
-    vgauge: VGauge | None,
+    vgauge: VGauge,
     offsets,
     levels: int = 14,
     order: int = 16,
@@ -214,8 +209,6 @@ def physical_green_pv(
     node; its symmetric principal value is exactly zero over the mirror-
     symmetric panel set, so what remains is the smooth part.
     """
-    if vgauge is None:
-        raise GaugeMissing("physical Green operator requires the fixed v-gauge")
     offsets = sorted(set(int(d) for d in offsets))
     w = vgauge.vectors
     sub = np.zeros((strip.blockdim, strip.blockdim), dtype=complex)
@@ -224,7 +217,7 @@ def physical_green_pv(
     blocks = _pv_quadrature(strip, dirac.lambda_star, offsets, levels, order, sub)
     coarse = _pv_quadrature(strip, dirac.lambda_star, offsets, levels - 2, order, sub)
     err = max(np.abs(blocks[d] - coarse[d]).max() for d in offsets)
-    return GreenKernel(dirac.lambda_star, blocks, strip.blockdim, err, levels, order)
+    return GreenKernel(blocks, err)
 
 
 def far_field_matrix(vgauge: VGauge, alpha_star: float) -> np.ndarray:

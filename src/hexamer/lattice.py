@@ -14,7 +14,7 @@ taken per radian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -328,15 +328,6 @@ def rep_rho_tilde() -> dict[str, np.ndarray]:
         "Fx": f,
         "T": t,
     }
-
-
-@dataclass(frozen=True)
-class RepMatrixSet:
-    """Generator matrices of rho1, rho2 (2x2) and rho~ (4x4)."""
-
-    rho1: dict = field(default_factory=rep_rho1)
-    rho2: dict = field(default_factory=rep_rho2)
-    rho_tilde: dict = field(default_factory=rep_rho_tilde)
 
 
 def _rep_of_word(word, rep: dict) -> np.ndarray:

@@ -49,7 +49,6 @@ class MatchingMatrix:
     matrix: np.ndarray
     aux: np.ndarray
     lam: float
-    delta: float
     gp: dict   # bulk resolvent blocks G+(d), d = -1, 0, 1, at lam
     gm: dict   # the same for G-
 
@@ -103,7 +102,7 @@ class MatchingPipeline:
         # hopping blocks entering the matching formulas
         self.hops = tuple(s.block(n, m) for s in (self.right, self.left, self.op)
                           for n, m in ((0, -1), (-1, 0)))
-        self.hp_01, self.hp_10, self.hm_01, self.hm_10, self.hz_01, self.hz_10 = self.hops
+        _, self.hp_10, self.hm_01, _, self.hz_01, self.hz_10 = self.hops
 
     def guard_in_gap(self, lo: float, hi: float | None = None):
         """Refuse an energy lo, or every energy of [lo, hi], within 1e-9 of a bulk strip band."""
@@ -137,7 +136,7 @@ class MatchingPipeline:
         self.guard_in_gap(lam)
         gp, gm = ({d: g[0] for d, g in blocks.items()} for blocks in self._blocks([lam]))
         m, aux = _matching(self.hops, gp, gm), _auxiliary(self.hops, gp, gm)
-        return MatchingMatrix(m, aux, lam, self.iface.delta, gp, gm)
+        return MatchingMatrix(m, aux, lam, gp, gm)
 
 
 def _matching(hops, gp, gm, hopping: bool = True):

@@ -108,18 +108,13 @@ def build_W(kind: str, amplitude: float) -> PerturbationW:
 @dataclass
 class StripSector:
     L: int
-    parity: int
     t_used: int
     t_converged: bool      # False when the certificate still failed at the cap
     residual_bound: float  # the kept pairs' certificate at t_used (`_certificate`)
     ingap_count: int       # in-gap eigenvalues by inertia, before edge filtering
     eigenvalues: np.ndarray
     vectors: np.ndarray    # full-space columns
-    tracked: int = 0       # index of the interface branch among the kept pairs
-
-    @property
-    def tracked_eigenvalue(self) -> float:
-        return float(self.eigenvalues[self.tracked])
+    tracked: int           # index of the interface branch among the kept pairs
 
     @property
     def tracked_vector(self) -> np.ndarray:
@@ -349,7 +344,7 @@ def certified_sectors(solves, hs, L, parity, gap, lam_ref, d_zigs, start, cap) -
             tracked = int(np.argmin(np.abs(vals - lam_ref)))
             if d_zig is not None and abs(vals[tracked] - lam_ref) >= 0.5 * d_zig:
                 raise GapCollapse(f"tracked eigenvalue {vals[tracked]:.8f} drifted beyond d_zig/2 of {lam_ref:.8f}")
-            sectors.append(StripSector(L, parity, t, following is None, eps, len(wr), vals, vecs, tracked))
+            sectors.append(StripSector(L, t, following is None, eps, len(wr), vals, vecs, tracked))
         return None, tuple(sectors)
 
     return green._grow_until(start, cap, attempt)[0]
@@ -842,11 +837,10 @@ def farfield_persistence(
 
     Returns the normalized far-field overlap after optimal global phase
     alignment and the windowed l2 profile of the difference versus distance
-    from the defect center.
+    from the defect center.  Both sectors come from one `certified_sectors`
+    call, so they share the window (L, t_used).
     """
     L, t = sector_pert.L, sector_pert.t_used
-    if (L, t) != (sector_unpert.L, sector_unpert.t_used):
-        raise ModelValidationError("sectors live on different windows")
     u1 = sector_pert.tracked_vector
     u0 = sector_unpert.tracked_vector
     u0 = u0 / np.linalg.norm(u0)
@@ -891,7 +885,7 @@ def band_curve_momenta(kpars: np.ndarray | None = None) -> tuple:
 
 
 def band_curve_samples(
-    iface: kernels.InterfaceKernel, gap: tuple, lam_star: float, momenta, n_blocks: int = 240
+    iface: kernels.InterfaceKernel, gap: tuple, lam_star: float, momenta, n_blocks: int
 ) -> list:
     """The sorted in-gap eigenvalues of the interface strip at each of ``momenta``, in order."""
     return [

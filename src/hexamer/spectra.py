@@ -7,7 +7,7 @@ machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +171,7 @@ class VGauge:
     """
 
     vectors: np.ndarray
-    sgn_alpha: float
-    parities: tuple = (1, -1, 1, -1)
-    slopes: np.ndarray = field(default=None)
+    slopes: np.ndarray
 
 
 def fix_gauge_v(dirac: DiracData) -> VGauge:
@@ -188,7 +186,7 @@ def fix_gauge_v(dirac: DiracData) -> VGauge:
     )
     v = dirac.ustar @ mix.T
     a = abs(dirac.alpha_star)
-    return VGauge(v, s, slopes=np.array([a, a, -a, -a]))
+    return VGauge(v, np.array([a, a, -a, -a]))
 
 
 # ---------------------------------------------------------------------------

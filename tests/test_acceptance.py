@@ -28,9 +28,8 @@ def test_criterion_1_symmetry_suite(toy, extended, hper):
     for kern in (toy, extended):
         worst = max(worst, max(lattice.commutator_norm(kern.blocks, g) for g in group))
         worst = max(worst, lattice.commutator_norm(kern.blocks, tsym))
-    reps = lattice.RepMatrixSet()
     rep_res = 0.0
-    for rep in (reps.rho1, reps.rho2, reps.rho_tilde):
+    for rep in (lattice.rep_rho1(), lattice.rep_rho2(), lattice.rep_rho_tilde()):
         r, f = rep["R6"], rep["Fx"]
         dim = r.shape[0]
         rep_res = max(
@@ -265,8 +264,8 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
                 strips, w, L, parity, lam[parity], d_zig[parity], 80, 640
             )
             unique_ok = unique_ok and len(base.eigenvalues) == 1 and len(pert.eigenvalues) == 1
-            bound62_ok = bound62_ok and abs(pert.tracked_eigenvalue - lam[parity]) < 0.5 * d_zig[parity]
-            vals.append(pert.tracked_eigenvalue)
+            bound62_ok = bound62_ok and abs(pert.eigenvalues[pert.tracked] - lam[parity]) < 0.5 * d_zig[parity]
+            vals.append(pert.eigenvalues[pert.tracked])
         diffs = np.abs(np.diff(vals))
         cauchy_ok = cauchy_ok and diffs[1] <= diffs[0] + 1e-12
         ff = robust.farfield_persistence(pert, base)

@@ -90,6 +90,8 @@ def test_out_must_be_a_nonempty_string(tmp_path, capsys, out):
         ({"robustness": {"L_values": [0]}}, ["robustness"]),
         ({"robustness": {"L_values": 16}}, ["robustness"]),
         ({"robustness": {"L_values": []}}, ["robustness"]),
+        ({"perturbation": {"kind": "foo"}}, ["bands"]),
+        ({"perturbation": {"kind": 5}}, ["symmetry-report"]),
     ],
 )
 def test_malformed_values_exit_two(tmp_path, capsys, cfg, command):
@@ -314,7 +316,7 @@ def test_write_complex_csv(tmp_path):
     rng = np.random.default_rng(7)
     vecs = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     blocks = rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))
-    emit.write_complex_csv(tmp_path / "v.csv", ["block"], [(-1,), (0,), (1,)], vecs)
+    emit.write_complex_csv(tmp_path / "v.csv", ["block"], [(-1,), (0,), (1,)], vecs, meta={})
     emit.write_complex_csv(
         tmp_path / "b.csv", ["e1", "e2"], [(0, 0), (1, -1)], blocks, meta={"range": 1}
     )

@@ -87,8 +87,7 @@ def test_generator_relations():
 
 
 def test_representation_relations_and_homomorphism():
-    reps = lattice.RepMatrixSet()
-    for rep, dim in ((reps.rho1, 2), (reps.rho2, 2), (reps.rho_tilde, 4)):
+    for rep, dim in ((lattice.rep_rho1(), 2), (lattice.rep_rho2(), 2), (lattice.rep_rho_tilde(), 4)):
         r, f = rep["R6"], rep["Fx"]
         eye = np.eye(dim)
         assert np.abs(np.linalg.matrix_power(r, 6) - eye).max() < 1e-12

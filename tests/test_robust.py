@@ -164,7 +164,7 @@ def test_sector_unique_unperturbed(setup_r):
         (sector,) = _assembled(iface, gap, [None], 8, parity, lam[parity], d_zig[parity])
         assert len(sector.eigenvalues) == 1
         assert sector.ingap_count >= len(sector.eigenvalues)
-        assert abs(sector.tracked_eigenvalue - lam[parity]) < 1e-8
+        assert abs(sector.eigenvalues[sector.tracked] - lam[parity]) < 1e-8
 
 
 def test_sampling_identity_lemma(setup_r, dirac):
@@ -194,8 +194,8 @@ def test_sector_perturbed_convergence(setup_r):
         vals = []
         for L in (8, 16, 32):
             (sector,) = _assembled(iface, gap, [w], L, parity, lam[parity], d_zig[parity])
-            assert abs(sector.tracked_eigenvalue - lam[parity]) < 0.5 * d_zig[parity]
-            vals.append(sector.tracked_eigenvalue)
+            assert abs(sector.eigenvalues[sector.tracked] - lam[parity]) < 0.5 * d_zig[parity]
+            vals.append(sector.eigenvalues[sector.tracked])
         seq[parity] = vals
         # Cauchy: successive differences shrink (allow exact-zero floor)
         d1 = abs(vals[1] - vals[0])

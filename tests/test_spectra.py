@@ -253,7 +253,8 @@ def test_vgauge_combination(dirac, vgauge):
 
 def test_vgauge_parities_and_fy(vgauge):
     fx = lattice.FX_INT
-    for k, parity in enumerate(vgauge.parities):
+    # v1 and v3 are even under the x-reflection, v2 and v4 odd
+    for k, parity in enumerate((1, -1, 1, -1)):
         v = vgauge.vectors[:, k]
         assert np.abs(fx @ v - parity * v).max() < 1e-12
     fy = np.linalg.matrix_power(lattice.R6_INT, 3) @ lattice.FX_INT
