@@ -19,7 +19,7 @@ from .kernels import (
     build_hper,
     build_toy_bulk,
 )
-from .lattice import CellIndex, DualMomentum, SiteIndex, SymmetryOp
+from .lattice import CellIndex, DualMomentum, SymmetryOp
 from .spectra import DiracData, GapReport, locate_double_dirac, gap_report
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "build_toy_bulk",
     "CellIndex",
     "DualMomentum",
-    "SiteIndex",
     "SymmetryOp",
     "DiracData",
     "GapReport",

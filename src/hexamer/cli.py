@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
-import functools
 import json
 import os
 import pickle
@@ -328,10 +327,9 @@ def cmd_interface(cfg: dict, no_inversion: bool, oracle: bool) -> int:
     if not oracle:
         result = search()
     else:
-        # the worker runs the direct oracle during the layer-potential search
-        result, oracle_vals = fork_join(search, lambda: matching.direct_oracle(
-            iface, ws.dirac.lambda_star, ws.gap(), int(cfg["truncation"]["oracle_blocks"])
-        ))
+        # the worker solves both parity parts of the k = 0 strip during the layer-potential search
+        strips, t = robust.MomentumStrips(iface, ws.gap()), int(cfg["truncation"]["oracle_blocks"]) // 2
+        result, (oracle_vals,) = fork_join(search, lambda: robust.strip_modes(strips, t, [(0, 1)], (1, -1)))
     summary = {
         "count": result.count,
         "eigenvalues": result.eigenvalues,
@@ -394,29 +392,12 @@ def cmd_robustness(cfg: dict, override_bound: bool) -> int:
             file=sys.stderr,
         )
         return 5
-    pi_spectrum = matching.direct_oracle(
-        iface, ws.dirac.lambda_star, gap,
-        int(cfg["truncation"]["oracle_blocks"]) // 2, kpar=np.pi,
-    )
-    report = {
-        "pi_sector_ingap": [v for v, _, _ in pi_spectrum],
-        "pi_sector_empty": len(pi_spectrum) == 0,
-        "perturbation": {
-            "kind": w.kind,
-            "amplitude": w.amplitude,
-            "M_W": w.m_w,
-            "fx_commutator": w.fx_defect,
-            "bound": bound,
-            "within_theory": bool(in_theory),
-        },
-        "unperturbed": {str(p): lam for p, lam in lam_by_parity.items()},
-        "d_zig": {str(p): d for p, d in d_zig.items()},
-    }
-    t0 = int(cfg["truncation"]["strip_t0"])
+    t0, t_pi = int(cfg["truncation"]["strip_t0"]), int(cfg["truncation"]["oracle_blocks"]) // 4
     strips = robust.MomentumStrips(iface, gap)
 
-    def sectors(parity: int) -> list:
+    def sectors(parity: int) -> tuple:
         # each later L starts at the width the previous L certified: narrower widths would be thrown away
+        (pi_modes,) = robust.strip_modes(strips, t_pi, [(1, 2)], [parity])
         per_l, start = [], t0
         for L in cfg["robustness"]["L_values"]:
             base, pert = robust.sector_pair(
@@ -440,11 +421,25 @@ def cmd_robustness(cfg: dict, override_bound: bool) -> int:
                     "difference_profile": ff["difference_profile"],
                 }
             )
-        return per_l
+        return [v for v, _, _ in pi_modes], per_l
 
     # the reflection parities are decoupled: the worker solves -1 while this process solves +1
-    even, odd = fork_join(lambda: sectors(1), lambda: sectors(-1))
-    report["sectors"] = {"1": even, "-1": odd}
+    (pi_even, even), (pi_odd, odd) = fork_join(lambda: sectors(1), lambda: sectors(-1))
+    report = {
+        "pi_sector_ingap": sorted(pi_even + pi_odd),
+        "pi_sector_empty": not (pi_even or pi_odd),
+        "perturbation": {
+            "kind": w.kind,
+            "amplitude": w.amplitude,
+            "M_W": w.m_w,
+            "fx_commutator": w.fx_defect,
+            "bound": bound,
+            "within_theory": bool(in_theory),
+        },
+        "unperturbed": {str(p): lam for p, lam in lam_by_parity.items()},
+        "d_zig": {str(p): d for p, d in d_zig.items()},
+        "sectors": {"1": even, "-1": odd},
+    }
     emit.write_json(out / "robustness_report.json", report)
     diff_rows = [
         [parity, entry["L"], i, v] for parity, entries in report["sectors"].items()
@@ -463,20 +458,26 @@ def cmd_robustness(cfg: dict, override_bound: bool) -> int:
 def cmd_band_curve(cfg: dict) -> int:
     out = Path(cfg["out"])
     ws = Workspace.build(cfg)
-    kpars, momenta = robust.band_curve_momenta()
-    solve = functools.partial(
-        robust.band_curve_samples, ws.interface(), ws.gap(), ws.dirac.lambda_star,
-        n_blocks=int(cfg["truncation"]["oracle_blocks"]) // 2,
-    )
+    iface, gap = ws.interface(), ws.gap()
+    # the strips count bulk states as in-gap when the gap touches a bulk band
+    matching.MatchingPipeline(iface).guard_in_gap(*gap)
+    kpars, fracs = robust.band_curve_momenta()
+    momenta = list(fracs)
+    strips, t = robust.MomentumStrips(iface, gap), int(cfg["truncation"]["oracle_blocks"]) // 4
+
+    def solve(ks: list) -> dict:
+        modes = robust.strip_modes(strips, t, [fracs[k] for k in ks], (1, -1))
+        return {k: [v for v, _, _ in found] for k, found in zip(ks, modes)}
+
     # this process solves every other momentum, the worker the rest: the costly |kpar| nearest 0 are neighbours
     first, rest = fork_join(lambda: solve(momenta[::2]), lambda: solve(momenta[1::2]))
-    curve = robust.assemble_band_curve(kpars, dict(zip(momenta[::2] + momenta[1::2], first + rest)), ws.gap())
+    curve = robust.assemble_band_curve(kpars, first | rest, gap)
     rows = [[kp, v] for kp, vals in zip(curve["kpar"], curve["samples"]) for v in vals]
     emit.write_csv(
         out / "band_curve.csv",
         ["kpar", "lambda"],
         rows,
-        meta={"gap": ws.gap(), "empty_at_pi": curve["empty_at_pi"]},
+        meta={"gap": gap, "empty_at_pi": curve["empty_at_pi"]},
     )
     emit.write_json(
         out / "band_curve_summary.json",

@@ -74,18 +74,6 @@ class CellIndex:
 
 
 @dataclass(frozen=True)
-class SiteIndex:
-    """A lattice site: cell plus sublattice label in 1..6."""
-
-    cell: CellIndex
-    sub: int
-
-    def __post_init__(self):
-        if not 1 <= self.sub <= 6:
-            raise ModelValidationError(f"sublattice index {self.sub} not in 1..6")
-
-
-@dataclass(frozen=True)
 class DualMomentum:
     """Coefficients of the dual basis; one Brillouin-zone period equals 1."""
 

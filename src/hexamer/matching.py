@@ -375,25 +375,25 @@ def count_interface_modes(
 
 
 # ---------------------------------------------------------------------------
-# Direct truncated-strip oracle
+# Truncated strips: the edge filter and the certified in-gap solve
 
 
 def _edge_filtered(w, vectors, cols, gap, edge: int) -> list:
     """In-gap eigenpairs of a truncated strip that are not edge states.
 
-    ``cols`` holds the transverse column n1 of each 6-row block of a vector
-    column; the window is |n1| <= t with t = max |cols|.  A pair is dropped
-    when its eigenvalue lies outside the open gap, its weight centre lies
-    beyond t / 2, or more than ``EDGE_WEIGHT_TOL`` of its block weight sits
-    in the columns |n1| >= t - edge.  Returns the kept (eigenvalue, vector,
-    centre) triples in ascending eigenvalue order.
+    ``cols`` holds the transverse column n1 of each block (all of one size)
+    of a vector column; the window is |n1| <= t with t = max |cols|.  A pair
+    is dropped when its eigenvalue lies outside the open gap, its weight
+    centre lies beyond t / 2, or more than ``EDGE_WEIGHT_TOL`` of its block
+    weight sits in the columns |n1| >= t - edge.  Returns the kept
+    (eigenvalue, vector, centre) triples in ascending eigenvalue order.
     """
     t = int(np.abs(cols).max())
     kept = []
     for i in np.argsort(w):
         if not gap[0] < w[i] < gap[1]:
             continue
-        prof = np.linalg.norm(vectors[:, i].reshape(len(cols), 6), axis=1)
+        prof = np.linalg.norm(vectors[:, i].reshape(len(cols), -1), axis=1)
         total = prof.sum()
         center = float((prof * cols).sum() / total)
         edge_weight = (prof[cols <= -t + edge].sum() + prof[cols >= t - edge].sum()) / total
@@ -488,28 +488,3 @@ def _ingap_eigsh(mat, sigma: float, gap: tuple, count: int | None = None, v0=Non
             )
         k = min(2 * k, n - 2)
 
-
-def direct_oracle(
-    iface: kernels.InterfaceKernel,
-    lambda_star: float,
-    gap: tuple,
-    n_blocks: int = 400,
-    kpar: float = 0.0,
-):
-    """In-gap eigenvalues of the Dirichlet-truncated interface strip.
-
-    Artificial truncation can shed edge-localized in-gap states; eigenpairs
-    whose weight concentrates near the window ends are discarded.  Returns
-    the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
-    """
-    half = n_blocks // 2
-    w, v, _ = _ingap_eigsh(kernels.BlockedStripOperator(iface, kpar).csr(half), lambda_star, gap)
-    # the edge band is the outermost max(4, nb // 10) columns on each side
-    edge = max(4, (2 * half + 1) // 10) - 1
-    kept = []
-    for val, vec, center in _edge_filtered(w, v, np.arange(-half, half + 1), gap, edge):
-        blocks = vec.reshape(-1, 6)
-        even = kpar == 0.0 and np.vdot(blocks, blocks @ lattice.FX_INT.T).real > 0
-        parity = 0 if kpar != 0.0 else 1 if even else -1
-        kept.append((val, parity, center))
-    return kept

@@ -18,7 +18,7 @@ from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError, NumericError
-from .matching import _edge_filtered, _ingap_eigsh, direct_oracle
+from .matching import _edge_filtered, _ingap_eigsh
 
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
@@ -354,7 +354,7 @@ def certified_sectors(solves, hs, L, parity, gap, lam_ref, d_zigs, start, cap) -
 # Bloch-reduced sector solves
 #
 # Without the defect the L-periodic strip on |n1| <= t is unitarily the direct
-# sum of the 1-D strips H_k = `BlockedStripOperator(iface, k).csr(t)` at k = 2 pi j / L:
+# sum of the 1-D strips H_k of `BlockedStripOperator(iface, k)` on |n1| <= t at k = 2 pi j / L:
 # a full-space vector x(n1, n2) has the momentum components
 #     x_j(n1) = L^-1/2 sum_n2 exp(-i k n2) x(n1, n2),
 # an FFT along each column.  The reflection P (n1, n2) -> (n1, -n1 - n2) maps
@@ -370,97 +370,31 @@ def _momenta(L: int) -> list:
     return [(j // gcd(j, L), L // gcd(j, L)) for j in range(L // 2 + 1)]
 
 
-def _sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
-    """Orthonormal basis S of the strip at k = 2 pi frac[0] / frac[1] in which S^H H_k S is real.
+def _cell_basis(n1, frac: tuple, part: int) -> np.ndarray:
+    """c(n1): the columns in cell n1 of the basis S of the strip at k = 2 pi frac[0] / frac[1] in which S^H H_k S is real.
 
-    Per cell n1 and Fx pair (a, b) the columns exp(i k n1 / 2) (e_a + e_b) / sqrt(2)
-    and i exp(i k n1 / 2) (e_a - e_b) / sqrt(2) are fixed by x -> M conj(x),
-    M = diag(exp(i k n1)) FX, a symmetry of H_k as the hoppings are real.  At
-    k = 0 and pi the columns are real and span the part where R_k = parity.
+    Per Fx pair (a, b) the columns exp(i k n1 / 2) (e_a + e_b) / sqrt(2) and
+    i exp(i k n1 / 2) (e_a - e_b) / sqrt(2) are fixed by x -> M conj(x),
+    M = diag(exp(i k n1)) FX, a symmetry of H_k as the hoppings are real: an
+    array (len(n1), 6, 6).  At k = 0 and pi it is (len(n1), 6, 3), real, the
+    part where R_k = ``part``.
     """
-    n1 = np.arange(-t, t + 1)
-    rows_a = (6 * (n1 + t)[:, None] + np.array([0, 1, 2])).ravel()
-    rows_b = (6 * (n1 + t)[:, None] + lattice.FX_PERM[:3]).ravel()
+    a, b = np.arange(3), lattice.FX_PERM[:3]
     if frac[1] <= 2:
-        cols = np.arange(3 * len(n1))
-        vals_a = np.ones(len(cols))
-        vals_b = np.repeat(parity * (-1.0) ** (np.abs(n1) * frac[0]), 3)   # parity * exp(-i k n1)
+        c = np.zeros((len(n1), 6, 3))
+        c[:, a, a] = 1.0
+        c[:, b, a] = part * (-1.0) ** (np.abs(n1) * frac[0])[:, None]   # part * exp(-i k n1)
     else:
-        phase = np.repeat(np.exp(1j * np.pi * frac[0] / frac[1] * n1), 3)   # exp(i k n1 / 2)
-        cols = np.concatenate([rows_a, rows_a + 3])
-        rows_a, rows_b = np.tile(rows_a, 2), np.tile(rows_b, 2)
-        vals_a = np.concatenate([phase, 1j * phase])
-        vals_b = np.concatenate([phase, -1j * phase])
-    return sp.coo_matrix(
-        (np.concatenate([vals_a, vals_b]) / np.sqrt(2.0),
-         (np.concatenate([rows_a, rows_b]), np.concatenate([cols, cols]))),
-        shape=(6 * len(n1), len(cols)),
-    ).tocsr()
-
-
-def _real_strip(iface: kernels.InterfaceKernel, t: int, frac: tuple, q: sp.csr_matrix) -> sp.csr_matrix:
-    """S^H H_k S: the width-t strip H_k at k = 2 pi frac[0] / frac[1] in the basis S = ``q`` of `_sector_isometry`.
-
-    Raises ``ModelValidationError`` when its imaginary part is more than rounding.
-    """
-    strip = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
-    mat = (q.getH().tocsr() @ strip @ q).tocsr()
-    mat.sort_indices()
-    if abs(mat.imag).max() > 1e-12 * abs(mat).max():
-        raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
-    return mat.real
+        phase = np.exp(1j * np.pi * frac[0] / frac[1] * n1)[:, None]   # exp(i k n1 / 2)
+        c = np.zeros((len(n1), 6, 6), dtype=complex)
+        c[:, a, a] = c[:, b, a] = phase
+        c[:, a, a + 3], c[:, b, a + 3] = 1j * phase, -1j * phase
+    return c / np.sqrt(2.0)
 
 
 def _part(frac: tuple, parity: int) -> int:
     """The part of the strip at k = 2 pi frac[0] / frac[1] that a parity sector holds: ``parity`` at k = 0 and pi, else 0 (all of it)."""
     return parity if frac[1] <= 2 else 0
-
-
-@dataclass
-class _MomentumStrip:
-    """One momentum strip of width t in its real basis, its ``part`` at k = 0 and pi, with its in-gap pairs.
-
-    ``edges`` holds (nu, G) at both gap edges (`MomentumStrips.resolvent_cores`):
-    its count of eigenvalues below each edge and the block of its resolvent
-    on ``core``, the rows of the columns |n1| <= ``CORE_COLUMNS`` where a
-    compact defect acts.  The real symmetric ``mat`` = S^H H_k S (`_real_strip`)
-    and the isometry ``q`` = S of `_sector_isometry` into strip coordinates are
-    assembled on first use: ``mat`` only when the strip has in-gap pairs or
-    enters a perturbed sector's K.
-    """
-
-    iface: kernels.InterfaceKernel
-    t: int
-    frac: tuple
-    part: int
-    gap: tuple
-    sigma: float
-    edges: tuple
-
-    @property
-    def size(self) -> int:
-        return (3 if self.frac[1] <= 2 else 6) * (2 * self.t + 1)
-
-    @property
-    def core(self) -> np.ndarray:
-        per_cell, reach = self.size // (2 * self.t + 1), min(CORE_COLUMNS, self.t)
-        return np.arange(per_cell * (self.t - reach), per_cell * (self.t + reach + 1))
-
-    @cached_property
-    def q(self) -> sp.csr_matrix:
-        return _sector_isometry(self.t, self.frac, self.part)
-
-    @cached_property
-    def mat(self) -> sp.csr_matrix:
-        return _real_strip(self.iface, self.t, self.frac, self.q)
-
-    @cached_property
-    def pairs(self):
-        """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
-        (below0, _), (below1, _) = self.edges
-        if below1 == below0:
-            return np.empty(0), np.empty((self.size, 0)), 0.0
-        return _ingap_eigsh(self.mat, self.sigma, self.gap, count=below1 - below0)
 
 
 @dataclass
@@ -484,29 +418,105 @@ class _Cells:
 
     @classmethod
     def of(cls, iface: kernels.InterfaceKernel, frac: tuple, part: int) -> "_Cells":
-        """The blocks S_n^H H_k(n, m) S_m, cut from the width-(``CORE_COLUMNS`` + 2) `_real_strip`."""
-        t = CORE_COLUMNS + 2
-        mat = _real_strip(iface, t, frac, _sector_isometry(t, frac, part)).toarray()
-        per_cell = len(mat) // (2 * t + 1)
-
-        def cols(lo, hi):
-            return slice(per_cell * (lo + t), per_cell * (hi + t + 1))
-
-        def block(n, m):
-            return mat[cols(n, n), cols(m, m)]
-
+        """The blocks c(n)^H H_k(n, m) c(m) (`_cell_basis`) on |n|, |m| <= ``CORE_COLUMNS`` + 2; ``ModelValidationError`` if not real."""
+        reach = CORE_COLUMNS + 2
+        n = np.arange(-reach, reach + 1)
+        op = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1])
+        c = _cell_basis(n, frac, part)
+        ch = c.conj().swapaxes(1, 2)
+        # the diagonal block of each column n and its coupling to the column n + 1
+        blocks = np.concatenate([
+            ch @ np.stack([op.block(i, i) for i in n]) @ c,
+            ch[:-1] @ np.stack([op.block(i, i + 1) for i in n[:-1]]) @ c[1:],
+        ])
+        if abs(blocks.imag).max() > 1e-12 * abs(blocks).max():
+            raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
+        dd, uu = np.split(blocks.real, [len(n)])
+        p = c.shape[2]
         diag, out = np.zeros((2, 2, 6, 6)), np.zeros((2, 2, 6, 6))
-        diag[..., per_cell:, per_cell:] = np.eye(6 - per_cell)
-        for side, sign in enumerate((1, -1)):
-            for j in (CORE_COLUMNS, CORE_COLUMNS + 1):
-                diag[side, (j + 1) % 2, :per_cell, :per_cell] = block(sign * (j + 1), sign * (j + 1))
-                out[side, j % 2, :per_cell, :per_cell] = block(sign * j, sign * (j + 1))
-        core = cols(-CORE_COLUMNS, CORE_COLUMNS)
-        return cls(mat[core, core], diag, out, np.diag(np.arange(6) < per_cell).astype(float))
+        diag[..., p:, p:] = np.eye(6 - p)
+        j = np.array([CORE_COLUMNS, CORE_COLUMNS + 1])   # out couples the column j to j + 1 further out
+        diag[:, (j + 1) % 2, :p, :p] = dd[reach + j + 1], dd[reach - j - 1]
+        out[:, j % 2, :p, :p] = uu[reach + j], uu[reach - j - 1].swapaxes(1, 2)
+        core = _tridiagonal(dd[2:-2], uu[2:-2]).toarray()   # the columns |n1| <= CORE_COLUMNS
+        return cls(core, diag, out, np.diag(np.arange(6) < p).astype(float))
 
     @property
     def per_cell(self) -> int:
         return int(self.eye.sum())
+
+    def strip(self, t: int) -> sp.csr_matrix:
+        """The width-t strip S^H H_k S: the core block, then ``diag`` and ``out`` on each side out to column t.
+
+        Each block below the diagonal is the one above transposed, as in `MomentumStrips.resolvent_cores`.
+        """
+        p, reach, m = self.per_cell, min(CORE_COLUMNS, t), 2 * CORE_COLUMNS + 1
+        core = self.core.reshape(m, p, m, p)
+        diag, out = self.diag[..., :p, :p], self.out[..., :p, :p]
+        i = np.arange(CORE_COLUMNS - reach, CORE_COLUMNS + reach + 1)
+        j = np.arange(reach + 1, t + 1)   # the tail columns |n1| of a side
+        # the diagonal block of each column n1 = -t..t and its coupling to the column n1 + 1
+        dd = np.concatenate([diag[1, j[::-1] % 2], core[i, :, i, :], diag[0, j % 2]])
+        uu = np.concatenate([out[1, (j[::-1] - 1) % 2].swapaxes(1, 2), core[i[:-1], :, i[1:], :], out[0, (j - 1) % 2]])
+        return _tridiagonal(dd, uu)
+
+
+def _tridiagonal(diag: np.ndarray, upper: np.ndarray) -> sp.csr_matrix:
+    """The symmetric block-tridiagonal matrix of the stacked (n, p, p) ``diag`` and (n - 1, p, p) ``upper`` blocks."""
+    n, p = diag.shape[:2]
+    b = np.arange(n)
+    rows = np.concatenate([b, b[:-1], b[1:]])[:, None, None] * p + np.arange(p)[:, None]
+    cols = np.concatenate([b, b[1:], b[:-1]])[:, None, None] * p + np.arange(p)
+    vals = np.concatenate([diag, upper, upper.swapaxes(1, 2)])
+    rows, cols = np.broadcast_arrays(rows, cols)
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n * p, n * p))
+
+
+@dataclass
+class _MomentumStrip:
+    """One momentum strip of width t in its real basis, its ``part`` at k = 0 and pi, with its in-gap pairs.
+
+    ``edges`` holds (nu, G) at both gap edges (`MomentumStrips.resolvent_cores`):
+    its count of eigenvalues below each edge and the block of its resolvent
+    on ``core``, the rows of the columns |n1| <= ``CORE_COLUMNS`` where a
+    compact defect acts.  The real symmetric ``mat`` = S^H H_k S (from
+    ``cells``) and the blocks c(n1) of S (``basis``) are built on first use:
+    ``mat`` only when the strip has in-gap pairs or enters a perturbed K.
+    """
+
+    cells: _Cells
+    t: int
+    frac: tuple
+    part: int
+    gap: tuple
+    sigma: float
+    edges: tuple
+
+    @property
+    def size(self) -> int:
+        return self.cells.per_cell * (2 * self.t + 1)
+
+    @property
+    def core(self) -> np.ndarray:
+        per_cell, reach = self.cells.per_cell, min(CORE_COLUMNS, self.t)
+        return np.arange(per_cell * (self.t - reach), per_cell * (self.t + reach + 1))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return _cell_basis(np.arange(-self.t, self.t + 1), self.frac, self.part)
+
+    @cached_property
+    def mat(self) -> sp.csr_matrix:
+        return self.cells.strip(self.t)
+
+    @cached_property
+    def pairs(self):
+        """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
+        (below0, _), (below1, _) = self.edges
+        if below1 == below0:
+            return np.empty(0), np.empty((self.size, 0)), 0.0
+        return _ingap_eigsh(self.mat, self.sigma, self.gap, count=below1 - below0)
 
 
 def _inverse_count(s: np.ndarray, singular):
@@ -559,7 +569,7 @@ class MomentumStrips:
         if new:
             lower, upper = self.resolvent_cores(t, [f for _, f, _ in new], parity, self.gap)
             for key, edges in zip(new, zip(lower, upper)):
-                self._blocks[key] = _MomentumStrip(self.iface, *key, self.gap, self.sigma, edges)
+                self._blocks[key] = _MomentumStrip(self._cell_blocks(*key[1:]), *key, self.gap, self.sigma, edges)
         return [self._blocks[key] for key in keys]
 
     def _cell_blocks(self, frac: tuple, part: int) -> _Cells:
@@ -650,7 +660,8 @@ class _BlochSector:
     The coordinates stack the blocks of j = 0..L//2.  `to_full` is the
     isometry B from them onto the sector in full strip space: a block
     column z at 0 < k < pi is the component c_p S z / sqrt(2) at k and its
-    image p R_k at -k, and one at k = 0 or pi is S z (S = q, the real basis).
+    image p R_k at -k, and one at k = 0 or pi is S z (S the real basis,
+    applied cell by cell as its blocks c(n1), `_cell_basis`).
     c_p = 1 (even) or i (odd) makes the components at k and -k complex
     conjugates, so B is real (`to_full` leaves rounding-level imaginary
     parts), B^T A B = blockdiag(S^H H_k S) for the unperturbed strip A, and
@@ -702,20 +713,19 @@ class _BlochSector:
     def to_momentum(self, x):
         """Momentum coordinates B^H x of the full-space columns ``x``."""
         xh = self._to_half(x)
-        parts = []
-        for pos, blk in enumerate(self.blocks):
-            u = xh[:, pos].reshape(-1, xh.shape[-1])
-            parts.append(blk.q.getH() @ u / self.scale[pos])
-        return np.vstack(parts)
+        return np.vstack([
+            (blk.basis.conj().swapaxes(1, 2) @ xh[:, pos]).reshape(-1, xh.shape[-1]) / self.scale[pos]
+            for pos, blk in enumerate(self.blocks)
+        ])
 
     def to_full(self, z):
-        """Full-space columns B z of the momentum-coordinate columns ``z``; a zero block of ``z`` needs no isometry."""
+        """Full-space columns B z of the momentum-coordinate columns ``z``; a zero block of ``z`` needs no basis."""
         m = z.shape[1]
         yh = np.zeros((2 * self.t + 1, len(self.blocks), 6, m), dtype=complex)
         for pos, blk in enumerate(self.blocks):
             part = z[self.bounds[pos] : self.bounds[pos + 1]]
             if part.any():
-                yh[:, pos] = (self.scale[pos] * (blk.q @ part)).reshape(2 * self.t + 1, 6, m)
+                yh[:, pos] = self.scale[pos] * (blk.basis @ part.reshape(2 * self.t + 1, -1, m))
         return self._from_half(yh)
 
     def unperturbed_pairs(self):
@@ -870,28 +880,34 @@ def farfield_persistence(
 
 
 # ---------------------------------------------------------------------------
-# Interface band curve in the parallel momentum
+# Truncated strips at a parallel momentum: the oracles and the band curve
 
 
-def band_curve_momenta(kpars: np.ndarray | None = None) -> tuple:
-    """The kpar grid (41 points over [-pi, pi] unless given) and its distinct |kpar|.
+def strip_modes(strips: MomentumStrips, t: int, fracs: list, parities) -> list:
+    """The in-gap (eigenvalue, part, centre) triples of the width-t strip at each of ``fracs`` that are not edge states.
+
+    At k = 0 and pi the parts of ``parities`` are solved, elsewhere the whole
+    strip, each (momentum, part) once.  The edge band of `_edge_filtered` is
+    the outermost max(4, (2t + 1) // 10) columns a side.  One list per
+    momentum, ascending.
+    """
+    solved = {(f, blk.part): blk for parity in parities for f, blk in zip(fracs, strips.blocks(t, fracs, parity))}
+    cols, edge = np.arange(-t, t + 1), max(4, (2 * t + 1) // 10) - 1
+    modes = {f: [] for f in fracs}
+    for (f, part), blk in solved.items():
+        modes[f] += [(val, part, centre) for val, _, centre in _edge_filtered(*blk.pairs[:2], cols, strips.gap, edge)]
+    return [sorted(modes[f]) for f in fracs]
+
+
+def band_curve_momenta() -> tuple:
+    """The kpar grid 2 pi j / 40 over [-pi, pi], and its distinct |kpar| mapped to their `_momenta` fractions.
 
     The hoppings are real, so the strip at -kpar is the complex conjugate of
-    the one at kpar, with the same eigenvalues: each |kpar| is solved once
-    for both signs, in the order the grid first reaches it.
+    the one at kpar: each |kpar| is solved once for both signs, in the order
+    the grid first reaches it.
     """
-    kpars = np.linspace(-np.pi, np.pi, 41) if kpars is None else np.asarray(kpars)
-    return kpars, list(dict.fromkeys(abs(float(kp)) for kp in kpars))
-
-
-def band_curve_samples(
-    iface: kernels.InterfaceKernel, gap: tuple, lam_star: float, momenta, n_blocks: int
-) -> list:
-    """The sorted in-gap eigenvalues of the interface strip at each of ``momenta``, in order."""
-    return [
-        sorted(v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=k))
-        for k in momenta
-    ]
+    kpars = np.linspace(-np.pi, np.pi, 41)
+    return kpars, dict(zip(dict.fromkeys(abs(float(kp)) for kp in kpars), _momenta(40)[::-1]))
 
 
 def assemble_band_curve(kpars: np.ndarray, solved: dict, gap: tuple) -> dict:

@@ -69,7 +69,6 @@ class DiracData:
     ustar: np.ndarray
     alpha_star: float
     slope_fit: float
-    kernel_name: str = ""
 
 
 def _align_four_fold(v4: np.ndarray) -> np.ndarray:
@@ -130,7 +129,7 @@ def locate_double_dirac(kernel: HoppingKernel) -> DiracData:
     if abs(alpha) < 1e-8:
         raise VanishingSlope(f"|alpha*| = {abs(alpha):.2e}")
     fit = _richardson_slope(kernel, u[:, 0], u[:, 2])
-    return DiracData(lam, u, float(alpha.real), fit, kernel.name)
+    return DiracData(lam, u, float(alpha.real), fit)
 
 
 def verify_gap_criterion(dd: DiracData, kper: HoppingKernel):

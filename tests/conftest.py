@@ -1,8 +1,9 @@
 """Shared fixtures; heavyweight pipeline objects are built once per session."""
-import numpy as np
 import pytest
 
 from hexamer import kernels, matching, spectra
+
+import paper_checks
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +71,7 @@ def modes(pipeline, dirac, beta_star):
 
 @pytest.fixture(scope="session")
 def oracle(iface, dirac, gap):
-    return matching.direct_oracle(iface, dirac.lambda_star, gap)
+    return paper_checks.direct_oracle(iface, dirac.lambda_star, gap)
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +84,3 @@ def green_pv(bulk_strip, dirac, vgauge):
     from hexamer import green
 
     return green.physical_green_pv(bulk_strip, dirac, vgauge, range(-12, 13))
-
-
-def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    qa, _ = np.linalg.qr(a)
-    qb, _ = np.linalg.qr(b)
-    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))

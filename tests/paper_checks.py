@@ -23,7 +23,7 @@ from hexamer.lattice import (
 from hexamer.matching import _auxiliary, _edge_filtered, _ingap_eigsh, _matching
 from hexamer.robust import (
     PerturbationW, _defect_entries, _reflection_image, assemble_band_curve, assemble_strip,
-    band_curve_momenta, band_curve_samples, parity_isometry,
+    parity_isometry,
 )
 from hexamer.spectra import EigenBundle, fix_gauge_v, locate_double_dirac, verify_gap_criterion
 
@@ -44,6 +44,13 @@ def rho_tilde_projector() -> np.ndarray:
     if len(elems) != 36:
         raise ModelValidationError(f"extended group closure has {len(elems)} elements")
     return _isotypic_projector(elems, rep_rho_tilde())
+
+
+def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral-norm distance between the orthogonal projectors onto the column spans of a and b."""
+    qa, _ = np.linalg.qr(a)
+    qb, _ = np.linalg.qr(b)
+    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
 
 
 def first_order_matrices(blocks: dict, basis: np.ndarray):
@@ -382,7 +389,9 @@ def limit_pieces(
 
 
 # ---------------------------------------------------------------------------
-# Periodized strips: reflection, full-strip spectrum, band curve, Neumann series
+# Truncated and periodized strips: the direct oracle on the complex strip at a
+# momentum, the sparse real momentum strip, reflection, full-strip spectrum,
+# band curve, Neumann series
 
 
 NEUMANN_TOL = 1e-10     # neumann_mode_check stops at a series increment below this
@@ -404,21 +413,99 @@ def full_strip_ingap(iface, L, t, gap, lam_center):
     return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))]
 
 
+def direct_oracle(
+    iface: kernels.InterfaceKernel,
+    lambda_star: float,
+    gap: tuple,
+    n_blocks: int = 400,
+    kpar: float = 0.0,
+):
+    """In-gap eigenvalues of the Dirichlet-truncated interface strip.
+
+    Artificial truncation can shed edge-localized in-gap states; eigenpairs
+    whose weight concentrates near the window ends are discarded.  Returns
+    the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
+    """
+    half = n_blocks // 2
+    w, v, _ = _ingap_eigsh(kernels.BlockedStripOperator(iface, kpar).csr(half), lambda_star, gap)
+    # the edge band is the outermost max(4, nb // 10) columns on each side
+    edge = max(4, (2 * half + 1) // 10) - 1
+    kept = []
+    for val, vec, center in _edge_filtered(w, v, np.arange(-half, half + 1), gap, edge):
+        blocks = vec.reshape(-1, 6)
+        even = kpar == 0.0 and np.vdot(blocks, blocks @ lattice.FX_INT.T).real > 0
+        parity = 0 if kpar != 0.0 else 1 if even else -1
+        kept.append((val, parity, center))
+    return kept
+
+
+def band_curve_samples(
+    iface: kernels.InterfaceKernel, gap: tuple, lam_star: float, momenta, n_blocks: int
+) -> list:
+    """The sorted in-gap eigenvalues of the interface strip at each of ``momenta``, in order."""
+    return [
+        sorted(v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=k))
+        for k in momenta
+    ]
+
+
 def interface_band_curve(
     iface: kernels.InterfaceKernel,
     gap: tuple,
     lam_star: float,
-    kpars: np.ndarray | None = None,
+    kpars: np.ndarray,
     n_blocks: int = 240,
 ) -> dict:
     """Track the in-gap eigenvalue branches of the interface strip in kpar.
 
-    Solves each |kpar| of `band_curve_momenta` once (`band_curve_samples`)
+    Solves each distinct |kpar| once (`band_curve_samples`), for both signs,
     and matches the branches (`assemble_band_curve`).
     """
-    kpars, momenta = band_curve_momenta(kpars)
+    kpars = np.asarray(kpars)
+    momenta = list(dict.fromkeys(abs(float(kp)) for kp in kpars))
     samples = band_curve_samples(iface, gap, lam_star, momenta, n_blocks)
     return assemble_band_curve(kpars, dict(zip(momenta, samples)), gap)
+
+
+def sector_isometry(t: int, frac: tuple, parity: int) -> sp.csr_matrix:
+    """Orthonormal basis S of the strip at k = 2 pi frac[0] / frac[1] in which S^H H_k S is real.
+
+    Per cell n1 and Fx pair (a, b) the columns exp(i k n1 / 2) (e_a + e_b) / sqrt(2)
+    and i exp(i k n1 / 2) (e_a - e_b) / sqrt(2) are fixed by x -> M conj(x),
+    M = diag(exp(i k n1)) FX, a symmetry of H_k as the hoppings are real.  At
+    k = 0 and pi the columns are real and span the part where R_k = parity.
+    """
+    n1 = np.arange(-t, t + 1)
+    rows_a = (6 * (n1 + t)[:, None] + np.array([0, 1, 2])).ravel()
+    rows_b = (6 * (n1 + t)[:, None] + lattice.FX_PERM[:3]).ravel()
+    if frac[1] <= 2:
+        cols = np.arange(3 * len(n1))
+        vals_a = np.ones(len(cols))
+        vals_b = np.repeat(parity * (-1.0) ** (np.abs(n1) * frac[0]), 3)   # parity * exp(-i k n1)
+    else:
+        phase = np.repeat(np.exp(1j * np.pi * frac[0] / frac[1] * n1), 3)   # exp(i k n1 / 2)
+        cols = np.concatenate([rows_a, rows_a + 3])
+        rows_a, rows_b = np.tile(rows_a, 2), np.tile(rows_b, 2)
+        vals_a = np.concatenate([phase, 1j * phase])
+        vals_b = np.concatenate([phase, -1j * phase])
+    return sp.coo_matrix(
+        (np.concatenate([vals_a, vals_b]) / np.sqrt(2.0),
+         (np.concatenate([rows_a, rows_b]), np.concatenate([cols, cols]))),
+        shape=(6 * len(n1), len(cols)),
+    ).tocsr()
+
+
+def real_strip(iface: kernels.InterfaceKernel, t: int, frac: tuple, q: sp.csr_matrix) -> sp.csr_matrix:
+    """S^H H_k S: the width-t strip H_k at k = 2 pi frac[0] / frac[1] in the basis S = ``q`` of `sector_isometry`.
+
+    Raises ``ModelValidationError`` when its imaginary part is more than rounding.
+    """
+    strip = kernels.BlockedStripOperator(iface, 2.0 * np.pi * frac[0] / frac[1]).csr(t)
+    mat = (q.getH().tocsr() @ strip @ q).tocsr()
+    mat.sort_indices()
+    if abs(mat.imag).max() > 1e-12 * abs(mat).max():
+        raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
+    return mat.real
 
 
 def neumann_mode_check(

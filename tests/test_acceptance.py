@@ -226,7 +226,7 @@ def test_criterion_9_no_inversion_control(blended, hper, dirac, beta_star, gap):
     iface = kernels.InterfaceKernel.from_bulks(blended, hper, 0.05, inverted=False)
     pipe = matching.MatchingPipeline(iface)
     search = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, n_points=101)
-    oracle_vals = matching.direct_oracle(iface, dirac.lambda_star, gap)
+    oracle_vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap)
     ok = len(search.values) == 0 and search.sigma_min.min() > 1e-4 and not oracle_vals
     _report(
         9,
@@ -271,7 +271,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
         ff = robust.farfield_persistence(pert, base)
         overlap_min = min(overlap_min, ff["overlap_outside"])
 
-    pi_vals = matching.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)
+    pi_vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)
     elapsed = time.perf_counter() - t0
     ok = (
         bound_ok

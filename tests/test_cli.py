@@ -10,9 +10,13 @@ import time
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg as spla
+
 from hexamer import cli
 from hexamer import robust
 from hexamer.errors import GapCollapse, NumericError
+
+import paper_checks
 
 FAST = {
     "model": "blended",
@@ -150,6 +154,93 @@ def test_interface_command(tmp_path):
     assert trace["sector_counts"] == {"1": [2, 4], "-1": [2, 4]}
     assert trace["evaluations"]["grid"] == len(trace["h"])
     assert len(trace["evaluations"]["newton"]) == 2
+
+
+@pytest.mark.parametrize("delta", [0.025, 0.05])
+def test_strip_oracles_match_complex_strip(tmp_path, capsys, delta):
+    """The oracle list, the pi sector and the band-curve samples match the oracle on the complex strip at each momentum.
+
+    The commands solve the real momentum strips (`robust.strip_modes`) at
+    the widths oracle_blocks // 2 (k = 0) and oracle_blocks // 4 (pi and
+    the band curve); the reference solves the complex strip of the same
+    width.  Counts and parities are equal, eigenvalues agree to 1e-13 and
+    centres to 1e-12.  Without inversion only `interface` runs (the others
+    have no control), so its pi and band-curve strips are compared directly.
+    """
+    cfg = dict(FAST, delta=delta)
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(cfg))
+    ws = cli.Workspace.build(cli.load_config(str(path)))
+    lam, gap, blocks = ws.dirac.lambda_star, ws.gap(), FAST["truncation"]["oracle_blocks"]
+    kpars = np.linspace(-np.pi, np.pi, 41)
+
+    def close(got, ref, tol=1e-13):
+        assert len(got) == len(ref) and np.abs(np.subtract(got, ref)).max(initial=0.0) < tol
+
+    for inverted in (True, False):
+        iface = ws.interface(inverted)
+        out = tmp_path / str(inverted)
+        flags = [] if inverted else ["--no-inversion"]
+        assert _run_main(tmp_path, out / "i", "interface", "--oracle", *flags, cfg=cfg) == (0 if inverted else 4)
+        oracle = json.loads((out / "i" / "interface_summary.json").read_text())["oracle"]
+        ref = paper_checks.direct_oracle(iface, lam, gap, blocks)
+        assert [o["parity"] for o in oracle] == [p for _, p, _ in ref]
+        close([o["lambda"] for o in oracle], [v for v, _, _ in ref])
+        close([o["center"] for o in oracle], [c for _, _, c in ref], 1e-12)
+        ref_pi = paper_checks.direct_oracle(iface, lam, gap, blocks // 2, kpar=np.pi)
+        ref_curve = [paper_checks.direct_oracle(iface, lam, gap, blocks // 2, kpar=float(kp)) for kp in kpars]
+        if inverted:
+            assert _run_main(tmp_path, out / "r", "robustness", cfg=cfg) == 0
+            pi = json.loads((out / "r" / "robustness_report.json").read_text())["pi_sector_ingap"]
+            assert _run_main(tmp_path, out / "b", "band-curve", cfg=cfg) == 0
+            rows = np.loadtxt(out / "b" / "band_curve.csv", delimiter=",", skiprows=1, ndmin=2)
+            curve = [rows[rows[:, 0] == kp, 1].tolist() for kp in kpars]
+        else:
+            strips = robust.MomentumStrips(iface, gap)
+            pi = sorted(v for p in (1, -1) for v, _, _ in robust.strip_modes(strips, blocks // 4, [(1, 2)], [p])[0])
+            _, fracs = robust.band_curve_momenta()
+            found = dict(zip(fracs, robust.strip_modes(strips, blocks // 4, list(fracs.values()), (1, -1))))
+            curve = [[v for v, _, _ in found[abs(float(kp))]] for kp in kpars]
+        close(pi, [v for v, _, _ in ref_pi])
+        for got, ref in zip(curve, ref_curve):
+            close(got, [v for v, _, _ in ref])
+    capsys.readouterr()
+
+
+def test_sparse_solves_get_real_matrices(tmp_path, monkeypatch):
+    """No command hands SuperLU or shift-invert Lanczos a matrix with a nonzero imaginary part."""
+    seen = []
+
+    def spy(solve):
+        def recorded(mat, *args, **kwargs):
+            seen.append((solve.__name__, bool(np.iscomplexobj(mat.data) and mat.data.imag.any())))
+            return solve(mat, *args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(spla, "eigsh", spy(spla.eigsh))
+    monkeypatch.setattr(spla, "splu", spy(spla.splu))
+    _usable_cpus(monkeypatch, 1)   # both halves of a split command run in this process
+    commands = [
+        ["bands"], ["symmetry-report"], ["green-check"], ["interface", "--oracle"],
+        ["interface", "--no-inversion", "--oracle"], ["robustness"], ["band-curve"],
+    ]
+    for n, command in enumerate(commands):
+        assert _run_main(tmp_path, tmp_path / str(n), *command) == (4 if "--no-inversion" in command else 0)
+    assert {name for name, _ in seen} == {"eigsh", "splu"}
+    assert not any(imaginary for _, imaginary in seen)
+
+
+@pytest.mark.parametrize("cfg", [{"model": "extended"}, {"delta": 0.0}])
+@pytest.mark.parametrize("command", ["interface", "band-curve"])
+def test_gap_on_a_bulk_band_exits_three(tmp_path, monkeypatch, capsys, cfg, command):
+    """A gap interval that touches a bulk band exits 3 before any strip is solved or table written."""
+    solved = []
+    monkeypatch.setattr(robust, "strip_modes", lambda *args: solved.append(args))
+    out = tmp_path / "o"
+    assert _run_main(tmp_path, out, command, cfg=dict(FAST, **cfg)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: [") and err.endswith("] touches a bulk band\n")
+    assert solved == [] and sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
 
 
 def test_interface_mode_window(tmp_path):

@@ -362,7 +362,7 @@ def test_control_interface_no_modes(blended, hper, dirac, beta_star, gap):
     )
     assert len(search.values) == 0
     assert search.sigma_min.min() > 1e-4
-    assert matching.direct_oracle(iface, dirac.lambda_star, gap) == []
+    assert paper_checks.direct_oracle(iface, dirac.lambda_star, gap) == []
 
 
 def test_ghost_boundary_data_rejected(pipeline, modes):

@@ -1,12 +1,15 @@
 """Periodized strips, parity sectors, class-(A) perturbations, band curve."""
+import json
 import math
+import os
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hexamer import kernels, lattice, matching, robust
+from hexamer import cli, kernels, lattice, matching, robust
 from hexamer.errors import GapCollapse, ModelValidationError, NumericError
 
 import paper_checks
@@ -175,7 +178,7 @@ def test_sampling_identity_lemma(setup_r, dirac):
     for n in range(-4, 5):
         kp = 2.0 * np.pi * n / 8
         curve.extend(
-            v for v, _, _ in matching.direct_oracle(
+            v for v, _, _ in paper_checks.direct_oracle(
                 iface, dirac.lambda_star, gap, 120, kpar=kp
             )
         )
@@ -291,32 +294,30 @@ def test_band_curve(setup_r, dirac, blended, hper, beta_star):
     assert np.abs(np.array(center) - np.array(sorted(lam.values()))).max() < 1e-6
 
 
-def test_band_curve_solves_each_momentum_pair_once(setup_r, dirac, monkeypatch):
-    """H(-k) = conj H(k): every momentum is solved at |k|, once for +-k."""
+def test_band_curve_solves_each_momentum_pair_once(setup_r, dirac, monkeypatch, tmp_path):
+    """H(-k) = conj H(k): band-curve solves every |k| of its grid once, for +-k, and each sample is the complex strip's at k."""
     iface, gap, _, _ = setup_r
-    # the CLI's grid is symmetric to the bit; -0.3 has no partner on it
-    kpars = np.append(np.linspace(-np.pi, np.pi, 41), -0.3)
-    full = [
-        sorted(v for v, _, _ in matching.direct_oracle(
-            iface, dirac.lambda_star, gap, 160, kpar=float(k)))
-        for k in kpars
-    ]
-    solve = robust.direct_oracle
-    solved = []
+    solved, solve = [], robust.strip_modes
 
-    def counted(*args, kpar):
-        solved.append(kpar)
-        return solve(*args, kpar=kpar)
+    def counted(strips, t, fracs, parities):
+        solved.extend((t, f, tuple(parities)) for f in fracs)
+        return solve(strips, t, fracs, parities)
 
-    monkeypatch.setattr(robust, "direct_oracle", counted)
-    curve = paper_checks.interface_band_curve(
-        iface, gap, dirac.lambda_star, kpars=kpars, n_blocks=160
-    )
-    assert sorted(solved) == sorted([0.3, *(float(k) for k in kpars[20:41])])
-    assert [len(s) for s in curve["samples"]] == [len(f) for f in full]
-    for s, f in zip(curve["samples"], full):
-        assert np.abs(np.subtract(s, f)).max(initial=0.0) < 1e-12
-    assert curve["empty_at_pi"] is True
+    monkeypatch.setattr(robust, "strip_modes", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # both halves in this process
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"delta": DELTA_R, "truncation": {"oracle_blocks": 320}}))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "band-curve"]) == 0
+    assert sorted(solved) == sorted((80, f, (1, -1)) for f in robust._momenta(40))
+    rows = np.loadtxt(tmp_path / "o" / "band_curve.csv", delimiter=",", skiprows=1, ndmin=2)
+    kpars = np.linspace(-np.pi, np.pi, 41)   # the command's grid, symmetric to the bit
+    assert set(rows[:, 0]) <= set(kpars)
+    for kp in kpars:
+        got = rows[rows[:, 0] == kp, 1]
+        ref = [v for v, _, _ in paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=float(kp))]
+        assert len(got) == len(ref)
+        assert np.abs(got - ref).max(initial=0.0) < 1e-12
+    assert json.loads((tmp_path / "o" / "band_curve_summary.json").read_text())["empty_at_pi"] is True
 
 
 def test_band_curve_continuity_refinement(setup_r, dirac):
@@ -336,9 +337,9 @@ def test_band_curve_continuity_refinement(setup_r, dirac):
 
 def test_pi_sector_empty_small_delta(setup_r, dirac):
     iface, gap, _, _ = setup_r
-    vals = matching.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)
+    vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)
     assert vals == []
-    vals = matching.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=-np.pi)
+    vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=-np.pi)
     assert vals == []
 
 
@@ -479,25 +480,27 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     No `_inertia` runs; the tails step over t - 2 columns at each width:
     the 20 lanes of L = 8 (5 strips, 2 sides, 2 gap edges) at t0 = 80 and
     again at the certified width t, where L = 16 adds only the 16 lanes of
-    its 4 new momenta; and at the uncertified first width t0 only the
-    strip with in-gap pairs (k = 0) is assembled.
+    its 4 new momenta.  No strip is built as a sparse complex strip, at any
+    width: each is assembled from its cells, and at the uncertified first
+    width t0 only the strip with in-gap pairs (k = 0) is.
     """
     iface, gap, lam, d_zig = setup_r
-    inertia, tails, assembled = [], [], []
-    count, inverse_count, csr = matching._inertia, robust._inverse_count, kernels.BlockedStripOperator.csr
+    inertia, tails, csr, assembled = [], [], [], []
+    count, inverse_count, strip = matching._inertia, robust._inverse_count, robust._Cells.strip
 
     def counted_inverse(s, singular):
         if s.ndim == 3:
             tails.append(len(s))
         return inverse_count(s, singular)
 
-    def spy_csr(self, half):
-        assembled.append((self.kpar, half))
-        return csr(self, half)
+    def spy_strip(cells, t):
+        assembled.append((cells, t))
+        return strip(cells, t)
 
     monkeypatch.setattr(matching, "_inertia", lambda *a: inertia.append(a) or count(*a))
     monkeypatch.setattr(robust, "_inverse_count", counted_inverse)
-    monkeypatch.setattr(kernels.BlockedStripOperator, "csr", spy_csr)
+    monkeypatch.setattr(kernels.BlockedStripOperator, "csr", lambda self, half: csr.append(half))
+    monkeypatch.setattr(robust._Cells, "strip", spy_strip)
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     widths = []
@@ -507,10 +510,11 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
         widths.append(pert.t_used)
     t = widths[0]
     assert widths == [t, t] and t > 80
-    assert inertia == []
+    assert inertia == [] and csr == []
     assert sum(tails) == 20 * (80 - robust.CORE_COLUMNS) + 36 * (t - robust.CORE_COLUMNS)
-    assert {k for k, half in assembled if half == 80} == {0.0}
-    assert len({k for k, half in assembled if half == t}) == 9
+    momentum = {id(cells): frac for (frac, _), cells in strips._cells.items()}
+    assert {momentum[id(cells)] for cells, width in assembled if width == 80} == {(0, 1)}
+    assert len({momentum[id(cells)] for cells, width in assembled if width == t}) == 9
 
 
 @pytest.mark.parametrize("parity", [1, -1])
@@ -693,6 +697,25 @@ def test_momentum_blocks_real(setup_r):
     twisted = kernels.InterfaceKernel(right, iface.left, iface.seam, iface.delta)
     with pytest.raises(ModelValidationError, match="not real"):
         robust.MomentumStrips(twisted, gap).blocks(t, [(1, 8)], 1)
+
+
+def test_momentum_strip_matches_sparse_reference(setup_r):
+    """Each momentum strip, assembled from its cells, is S^H H_k S of the complex strip in the sparse basis S, and its basis is S cell by cell.
+
+    The momenta of L = 16 and 40, with both parity parts at k = 0 and pi, at
+    the widths 0 and 1 (inside the core columns), 3 (one tail column), 100
+    and 192.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    fracs = list(dict.fromkeys(robust._momenta(16) + robust._momenta(40)))
+    for t in (0, 1, 3, 100, 192):
+        for parity in (1, -1):
+            for frac, blk in zip(fracs, strips.blocks(t, fracs, parity)):
+                q = paper_checks.sector_isometry(t, frac, blk.part)
+                assert (q != sp.block_diag(list(blk.basis), format="csr")).nnz == 0
+                assert blk.mat.dtype == np.float64
+                assert abs(blk.mat - paper_checks.real_strip(iface, t, frac, q)).max() < 1e-14
 
 
 def test_sector_width_doubles_while_no_pair_is_kept(setup_r, monkeypatch):

@@ -6,7 +6,6 @@ from hexamer import kernels, lattice, spectra
 from hexamer.errors import NoFourFoldDegeneracy
 
 import paper_checks
-from conftest import subspace_distance
 
 
 def test_locate_double_dirac_toy(dirac_toy):
@@ -183,7 +182,7 @@ def test_eigenpair_asymptotics(blended, hper, dirac):
     w, v = np.linalg.eigh(plus.bloch_rad(0.0, 0.0))
     lower = [i for i in range(6) if abs(w[i] - (dirac.lambda_star - beta * delta)) < 1e-6]
     assert len(lower) == 2
-    dist = subspace_distance(v[:, lower], dirac.ustar[:, 2:])
+    dist = paper_checks.subspace_distance(v[:, lower], dirac.ustar[:, 2:])
     assert dist < 2.0 * delta
 
 
