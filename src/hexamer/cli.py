@@ -77,7 +77,8 @@ def _validate(cfg: dict):
         raise ModelValidationError(f"out must be a non-empty string, got {cfg['out']!r}")
     if cfg["model"] not in ("toy", "extended", "blended"):
         raise ModelValidationError(f"model must be toy|extended|blended, got {cfg['model']!r}")
-    _require_number(cfg, "mix")
+    if not 0.0 < _require_number(cfg, "mix") < 0.5:
+        raise ModelValidationError("mix must lie in (0, 0.5)")
     if not 0.0 <= _require_number(cfg, "delta") < 0.5:
         raise ModelValidationError("delta must lie in [0, 0.5)")
     if not 0.0 < _require_number(cfg, "c_star") < 1.0:

@@ -104,7 +104,7 @@ def band_edges(strip: BlockedStripOperator):
     return strip.spectral_cache["edges"]
 
 
-def _band_distance(strip: BlockedStripOperator, lo: float, hi: float | None = None) -> float:
+def _band_distance(strip: BlockedStripOperator, lo: float, hi: float | None) -> float:
     """Distance from the energy interval [lo, hi] (default: the point lo) to the strip spectrum."""
     band_lo, band_hi = band_edges(strip)
     hi = lo if hi is None else hi
@@ -143,7 +143,7 @@ def _spectral_nodes(strip, levels, order):
     return strip.spectral_cache[key]
 
 
-def _gl_quadrature(strip, lams, offsets, levels, order, power=1):
+def _gl_quadrature(strip, lams, offsets, levels, order, power):
     """Real blocks {d: (len(lams), 6, 6) array} of G(d) (``power`` 1) or dG(d)/dlam (2).
 
     G(d) = R_d - A_d and G(-d) = R_d + A_d (module docstring).  Per chunk of 32
@@ -200,8 +200,8 @@ def physical_green_pv(
     dirac: DiracData,
     vgauge: VGauge,
     offsets,
-    levels: int = 14,
-    order: int = 16,
+    levels: int,
+    order: int,
 ) -> GreenKernel:
     """Principal-value Green blocks at the degenerate energy lambda*.
 

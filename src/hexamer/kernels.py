@@ -128,7 +128,7 @@ def build_hper() -> HoppingKernel:
     return _distance_kernel("detuning", w)
 
 
-def bulk_model(name: str, mix: float = 0.2) -> HoppingKernel:
+def bulk_model(name: str, mix: float) -> HoppingKernel:
     if name == "toy":
         return build_toy_bulk()
     if name == "extended":

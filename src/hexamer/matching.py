@@ -186,8 +186,8 @@ def characteristic_search(
     pipeline: MatchingPipeline,
     lambda_star: float,
     beta_star: float,
-    c_star: float = 0.9,
-    n_points: int = 201,
+    c_star: float,
+    n_points: int,
 ) -> SearchResult:
     """Locate and count the zeros of M(lam* + delta h, delta) over h in J.
 
@@ -247,7 +247,7 @@ def mode_from_boundary(
     mm: MatchingMatrix,
     a: np.ndarray,
     b: np.ndarray,
-    window: int = 120,
+    window: int,
 ) -> InterfaceMode:
     """Reconstruct a mode by the layer potential and validate it.
 
@@ -347,8 +347,8 @@ def count_interface_modes(
     pipeline: MatchingPipeline,
     lambda_star: float,
     beta_star: float,
-    c_star: float = 0.9,
-    n_points: int = 201,
+    c_star: float,
+    n_points: int,
     window: int = 120,
 ) -> ModesResult:
     """Characteristic values filtered by the auxiliary fixed-point condition.
@@ -429,62 +429,54 @@ def _inertia(mat, shift: float) -> int:
     return int((lu.U.diagonal().real < 0).sum())
 
 
-def _ingap_eigsh(mat, sigma: float, gap: tuple, count: int | None = None, v0=None):
-    """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``.
+def _ingap_eigsh(mat, gap: tuple, count: int, v0=None):
+    """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``, of which there are ``count``.
 
-    The in-gap count comes from the inertia at both gap edges, so nothing in
-    the gap is missed; a caller that has certified it otherwise passes it
-    as ``count``.  Shift-invert Lanczos about ``sigma`` then asks for that
-    many pairs and doubles ``k`` until all of them are found.  It starts
-    from ``v0``, or from the normalised all-ones vector; a start close to
-    the pairs gets a Lanczos basis of 2k + 1 vectors instead of ARPACK's
-    default of at least 20.  Each returned pair (w, v) must have a residual
-    ||(mat - w) v|| of at most ``RESIDUAL_RTOL`` times the largest absolute
-    row sum of ``mat``: a shift on an eigenvalue passes the count and yet
-    returns wrong pairs.  An exactly real matrix is solved in real
-    arithmetic.  Returns the eigenvalues ascending, their vector columns
-    and the largest absolute residual ||(mat - w) v|| (0 without pairs);
-    raises NumericError when the certificate fails (more pairs than
-    counted, ``k`` reaching n - 2, a bad factor, a pair with a large
-    residual) or ARPACK does not converge.
+    The caller certifies ``count``, from the inertia at both gap edges or
+    otherwise, so nothing in the gap is missed.  Every in-gap eigenvalue
+    lies strictly nearer the gap centre than any eigenvalue outside the
+    open gap, so shift-invert Lanczos about the centre asks for exactly
+    ``count`` pairs.  It starts from ``v0``, or from the normalised all-ones
+    vector; a start close to the pairs gets a Lanczos basis of 2 count + 1
+    vectors instead of ARPACK's default of at least 20.  Each returned pair
+    (w, v) must have a residual ||(mat - w) v|| of at most ``RESIDUAL_RTOL``
+    times the largest absolute row sum of ``mat``: a centre on an
+    eigenvalue passes the count and yet returns wrong pairs.  An exactly
+    real matrix is solved in real arithmetic.  Returns the eigenvalues
+    ascending, their vector columns and the largest absolute residual
+    ||(mat - w) v|| (0 without pairs); raises NumericError when the
+    certificate fails (another number of pairs in the gap than ``count``,
+    a bad factor, a pair with a large residual) or ARPACK does not
+    converge.
     """
     if not mat.data.imag.any():
         mat = mat.real
     n = mat.shape[0]
-    if count is None:
-        count = _inertia(mat, gap[1]) - _inertia(mat, gap[0])
     if count == 0:
         return np.empty(0), np.empty((n, 0), dtype=mat.dtype), 0.0
+    sigma = 0.5 * (gap[0] + gap[1])
     opinv = spla.LinearOperator(mat.shape, matvec=_factor(mat, sigma).solve, dtype=mat.dtype)
     warm = v0 is not None
     if not warm:
         v0 = np.ones(n) / np.sqrt(n)
-    k = count
-    while True:
-        try:
-            w, v = spla.eigsh(
-                mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=opinv,
-                ncv=min(n, 2 * k + 1) if warm else None,
-            )
-        except spla.ArpackError as exc:
-            raise NumericError(f"shift-invert Lanczos failed with k = {k} (shift {sigma!r}): {exc}") from exc
-        inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))
-        if len(inside) == count:
-            inside = inside[np.argsort(w[inside])]
-            w, v = w[inside], v[:, inside]
-            resid = np.linalg.norm(mat @ v - v * w, axis=0)
-            # the largest absolute row sum bounds ||mat|| for a Hermitian mat
-            rel = resid / float(abs(mat).sum(axis=1).max())
-            if rel.max() > RESIDUAL_RTOL:
-                raise NumericError(
-                    f"in-gap pair {float(w[np.argmax(rel)]):.12g} has relative residual "
-                    f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e} (shift {sigma!r})"
-                )
-            return w, v, float(resid.max())
-        if len(inside) > count or k >= n - 2:
-            raise NumericError(
-                f"shift-invert found {len(inside)} in-gap eigenvalues with k = {k}, "
-                f"inertia counts {count}"
-            )
-        k = min(2 * k, n - 2)
-
+    try:
+        w, v = spla.eigsh(
+            mat, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv,
+            ncv=min(n, 2 * count + 1) if warm else None,
+        )
+    except spla.ArpackError as exc:
+        raise NumericError(f"shift-invert Lanczos failed with k = {count} (shift {sigma!r}): {exc}") from exc
+    inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))
+    if len(inside) != count:
+        raise NumericError(f"shift-invert found {len(inside)} in-gap eigenvalues, the certificate counts {count}")
+    inside = inside[np.argsort(w[inside])]
+    w, v = w[inside], v[:, inside]
+    resid = np.linalg.norm(mat @ v - v * w, axis=0)
+    # the largest absolute row sum bounds ||mat|| for a Hermitian mat
+    rel = resid / float(abs(mat).sum(axis=1).max())
+    if rel.max() > RESIDUAL_RTOL:
+        raise NumericError(
+            f"in-gap pair {float(w[np.argmax(rel)]):.12g} has relative residual "
+            f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e} (shift {sigma!r})"
+        )
+    return w, v, float(resid.max())

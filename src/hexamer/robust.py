@@ -9,7 +9,7 @@ reproduce the unperturbed interface modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from math import ceil, gcd
 
 import numpy as np
@@ -18,7 +18,7 @@ from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError, NumericError
-from .matching import _edge_filtered, _ingap_eigsh
+from .matching import _edge_filtered, _inertia, _ingap_eigsh
 
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
@@ -146,9 +146,7 @@ def _site_cells(L: int, t: int, idx):
     return n1, _window_start(L, n1) + idx % L
 
 
-def assemble_strip(
-    iface: kernels.InterfaceKernel, L: int, t: int, w: PerturbationW | None = None
-) -> sp.csr_matrix:
+def assemble_strip(iface: kernels.InterfaceKernel, L: int, t: int, w: PerturbationW | None) -> sp.csr_matrix:
     """Sparse L-periodic interface strip on cells |n1| <= t.
 
     The translation-invariant part is assembled offset by offset, each cell
@@ -253,12 +251,13 @@ def assembled_solve(
 ):
     """In-gap eigenvalues, full-space vectors and largest residual of one parity sector of the width-t (perturbed) L-strip.
 
-    The strip is assembled, reduced to the sector by `parity_isometry` and
-    solved by `_ingap_eigsh` about the gap centre.
+    The strip is assembled, reduced to the sector by `parity_isometry`,
+    counted by `_inertia` at both gap edges and solved by `_ingap_eigsh`.
     """
     mat = assemble_strip(iface, L, t, w)
     q = parity_isometry(L, t, parity)
-    wr, vr, resid = _ingap_eigsh((q.getH() @ mat @ q).tocsr(), 0.5 * (gap[0] + gap[1]), gap)
+    sector = (q.getH() @ mat @ q).tocsr()
+    wr, vr, resid = _ingap_eigsh(sector, gap, _inertia(sector, gap[1]) - _inertia(sector, gap[0]))
     return wr, q @ vr, resid
 
 
@@ -299,55 +298,6 @@ def _certificate(vectors, resid: float, h: float, L: int, t: int):
     sides = np.concatenate([cols[t + dist], cols[t - dist]], axis=1)
     slopes = np.polyfit(dist, np.log(np.maximum(sides, np.finfo(float).tiny)), 1)[0]
     return eps, float(np.exp(slopes.max()))
-
-
-def certified_sectors(solves, hs, L, parity, gap, lam_ref, d_zigs, start, cap) -> tuple:
-    """The sectors of ``solves``, in order, certified to ``MOVE_TOL`` on one strip width.
-
-    ``solves[i](t)`` returns all the in-gap eigenvalues of its width-t
-    sector, their full-space vectors and a bound on their residuals, and
-    ``hs[i]`` is its `_column_coupling`.  The width starts at ``start``
-    cells per side.  At each width the sectors are solved in order, each
-    only once the `_certificate` eps of the pairs the edge filter keeps in
-    the ones before it is at most ``MOVE_TOL``: each kept eigenvalue then
-    lies within eps of one of the infinite strip.  When a sector fails,
-    the width grows by the step that its fitted decay rate r predicts to
-    reach ``MOVE_TOL``, ln(eps / MOVE_TOL) / -ln r rounded up to a
-    multiple of 8, and it doubles while the sector keeps no pair (or r is
-    not below 1).  At ``cap`` every sector is solved, and ``t_converged``
-    is False for one whose certificate still fails.  Once a sector's width
-    is final, and before the next sector is solved, it raises
-    ``GapCollapse`` when it shows no isolated in-gap eigenvalue, or when
-    its tracked pair, the one nearest ``lam_ref``, lies ``d_zigs[i]``/2 or
-    more from it (not checked where ``d_zigs[i]`` is None).
-    """
-
-    def attempt(t):
-        sectors = []
-        for solve, h, d_zig in zip(solves, hs, d_zigs):
-            wr, vectors, resid = solve(t)
-            kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), gap, max(4, t // 8))
-            following, eps = 2 * t, float("inf")
-            if kept:
-                vecs = np.column_stack([vec for _, vec, _ in kept])
-                eps, rate = _certificate(vecs, resid, h, L, t)
-                if eps <= MOVE_TOL:
-                    following = None
-                elif rate < 1.0:
-                    step = ceil(np.log(eps / MOVE_TOL) / -np.log(rate))
-                    following = t + 8 * ceil(step / 8)
-            if following is not None and t < cap:
-                return following, None
-            if not kept:
-                raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
-            vals = np.array([val for val, _, _ in kept])
-            tracked = int(np.argmin(np.abs(vals - lam_ref)))
-            if d_zig is not None and abs(vals[tracked] - lam_ref) >= 0.5 * d_zig:
-                raise GapCollapse(f"tracked eigenvalue {vals[tracked]:.8f} drifted beyond d_zig/2 of {lam_ref:.8f}")
-            sectors.append(StripSector(L, t, following is None, eps, len(wr), vals, vecs, tracked))
-        return None, tuple(sectors)
-
-    return green._grow_until(start, cap, attempt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +440,6 @@ class _MomentumStrip:
     frac: tuple
     part: int
     gap: tuple
-    sigma: float
     edges: tuple
 
     @property
@@ -512,11 +461,11 @@ class _MomentumStrip:
 
     @cached_property
     def pairs(self):
-        """In-gap eigenvalues and vectors of ``mat``, shifted at ``sigma``, and their largest residual."""
+        """In-gap eigenvalues and vectors of ``mat``, and their largest residual."""
         (below0, _), (below1, _) = self.edges
         if below1 == below0:
             return np.empty(0), np.empty((self.size, 0)), 0.0
-        return _ingap_eigsh(self.mat, self.sigma, self.gap, count=below1 - below0)
+        return _ingap_eigsh(self.mat, self.gap, below1 - below0)
 
 
 def _inverse_count(s: np.ndarray, singular):
@@ -540,19 +489,21 @@ def _inverse_count(s: np.ndarray, singular):
 class MomentumStrips:
     """Momentum strips of one interface kernel and gap, cached by (t, k, part) for one width t.
 
-    Both parities, every L and the unperturbed and perturbed solves share
-    the strips, their in-gap pairs and their resolvent cores at the gap
-    edges: the momenta of L = 8 are among those of L = 16.  Asking for
-    another width drops the strips of the last one.  The cores come
-    from the strips' cell blocks, which do not depend on the width, not
-    from a factor of the strip (`resolvent_cores`).  Every shift-invert
-    solve shifts at the gap centre, away from the interface eigenvalues.
+    The unperturbed and the perturbed sector of one width share the strips,
+    their in-gap pairs and their resolvent cores at the gap edges, and so
+    does a later L at the same width: the momenta of L = 8 are among those
+    of L = 16.  Asking for another width drops the strips of the last one,
+    so the two parities of `robustness` share none: on two CPUs they run
+    in separate processes, and on one the second parity's pi-sector strips
+    (`strip_modes`) drop the first parity's.  The cores come from the
+    strips' cell blocks, which do not depend on the width, not from a
+    factor of the strip (`resolvent_cores`).  Every shift-invert solve
+    shifts at the gap centre, away from the interface eigenvalues.
     """
 
     def __init__(self, iface: kernels.InterfaceKernel, gap: tuple):
         self.iface = iface
         self.gap = tuple(gap)
-        self.sigma = 0.5 * (gap[0] + gap[1])
         self._blocks = {}
         self._cells = {}
 
@@ -569,7 +520,7 @@ class MomentumStrips:
         if new:
             lower, upper = self.resolvent_cores(t, [f for _, f, _ in new], parity, self.gap)
             for key, edges in zip(new, zip(lower, upper)):
-                self._blocks[key] = _MomentumStrip(self._cell_blocks(*key[1:]), *key, self.gap, self.sigma, edges)
+                self._blocks[key] = _MomentumStrip(self._cell_blocks(*key[1:]), *key, self.gap, edges)
         return [self._blocks[key] for key in keys]
 
     def _cell_blocks(self, frac: tuple, part: int) -> _Cells:
@@ -674,7 +625,7 @@ class _BlochSector:
         self.blocks = strips.blocks(t, fracs, parity)
         self.bounds = np.cumsum([0] + [blk.size for blk in self.blocks])
         self.core = np.concatenate([lo + blk.core for lo, blk in zip(self.bounds, self.blocks)])
-        self.gap, self.sigma = strips.gap, strips.sigma
+        self.gap = strips.gap
         cp = 1.0 if parity == 1 else 1j
         self.scale = [1.0 if f[1] <= 2 else cp / np.sqrt(2.0) for f in fracs]
         j = np.arange(L)
@@ -788,22 +739,9 @@ class _BlochSector:
         start = np.concatenate([blk.pairs[1].sum(axis=1) for blk in self.blocks])
         norm = np.linalg.norm(start)
         vals, z, resid = _ingap_eigsh(
-            self.matrix(defect), self.sigma, self.gap,
-            count=below[1] - below[0], v0=start / norm if norm > 0 else None,
+            self.matrix(defect), self.gap, below[1] - below[0], v0=start / norm if norm > 0 else None
         )
         return vals, self.to_full(z).real, resid
-
-
-def momentum_solve(strips: MomentumStrips, w: PerturbationW | None, L: int, parity: int, t: int):
-    """`assembled_solve` on the momentum strips of ``strips``, without a defect or with one of fixed transverse support.
-
-    Without a defect the sector pairs are the momentum strips' pairs.  A
-    compact defect enters as a low-rank correction to the sector matrix in
-    momentum coordinates (`_BlochSector`), solved by `_ingap_eigsh`; no
-    strip or isometry in full space is assembled.
-    """
-    sector = _BlochSector(strips, L, t, parity)
-    return sector.unperturbed_pairs() if w is None else sector.perturbed_pairs(w)
 
 
 def sector_pair(
@@ -815,24 +753,68 @@ def sector_pair(
     d_zig: float,
     start: int,
     cap: int,
-    bound_perturbed: bool = True,
-):
-    """The unperturbed and the perturbed sector of (L, parity), certified on one width by `certified_sectors`.
+    bound_perturbed: bool,
+) -> tuple:
+    """The unperturbed and the perturbed sector of (L, parity), in order, certified to ``MOVE_TOL`` on one strip width.
 
-    The widths run from ``start`` to ``cap``.  Both sectors are solved on
-    the momentum strips (`momentum_solve`), except the perturbed one of a
-    defect that spans the whole window (the line defect): it has no
-    low-rank form, so its sector is assembled (`assembled_solve`).  The
-    perturbed sector is held to d_zig/2 only if ``bound_perturbed``.
+    This is the one width loop of the sectors.  At each width one
+    `_BlochSector` on the momentum strips of ``strips`` serves both: the
+    unperturbed sector is its `unperturbed_pairs` and the perturbed one its
+    `perturbed_pairs`, except for a defect that spans the whole window (the
+    line defect): it has no low-rank form, so its sector is assembled
+    (`assembled_solve`).  Each solve gives all the in-gap eigenvalues of
+    its width-t sector, their full-space vectors and a bound on their
+    residuals, and each sector has its `_column_coupling` h.
+
+    The width starts at ``start`` cells per side.  At each width the
+    perturbed sector is solved only once the `_certificate` eps of the
+    pairs the edge filter keeps in the unperturbed one is at most
+    ``MOVE_TOL``: each kept eigenvalue then lies within eps of one of the
+    infinite strip.  When a sector fails, the width grows by the step that
+    its fitted decay rate r predicts to reach ``MOVE_TOL``,
+    ln(eps / MOVE_TOL) / -ln r rounded up to a multiple of 8, and it
+    doubles while the sector keeps no pair (or r is not below 1).  At
+    ``cap`` both sectors are solved, and ``t_converged`` is False for one
+    whose certificate still fails.  Once a sector's width is final, and
+    before the next sector is solved, it raises ``GapCollapse`` when it
+    shows no isolated in-gap eigenvalue, or when its tracked pair, the one
+    nearest ``lam_ref``, lies ``d_zig``/2 or more from it; the perturbed
+    sector is held to that only if ``bound_perturbed``.
     """
-    base = partial(momentum_solve, strips, None, L, parity)
-    if w.compact:
-        pert = partial(momentum_solve, strips, w, L, parity)
-    else:
-        pert = partial(assembled_solve, strips.iface, w, L, parity, strips.gap)
     hs = (_column_coupling(strips.iface, None), _column_coupling(strips.iface, w))
     d_zigs = (d_zig, d_zig if bound_perturbed else None)
-    return certified_sectors((base, pert), hs, L, parity, strips.gap, lam_ref, d_zigs, start, cap)
+
+    def attempt(t):
+        sector = _BlochSector(strips, L, t, parity)
+        solves = (
+            sector.unperturbed_pairs,
+            lambda: sector.perturbed_pairs(w) if w.compact else assembled_solve(strips.iface, w, L, parity, strips.gap, t),
+        )
+        sectors = []
+        for solve, h, bound in zip(solves, hs, d_zigs):
+            wr, vectors, resid = solve()
+            kept = _edge_filtered(wr, vectors, np.repeat(np.arange(-t, t + 1), L), strips.gap, max(4, t // 8))
+            following, eps = 2 * t, float("inf")
+            if kept:
+                vecs = np.column_stack([vec for _, vec, _ in kept])
+                eps, rate = _certificate(vecs, resid, h, L, t)
+                if eps <= MOVE_TOL:
+                    following = None
+                elif rate < 1.0:
+                    step = ceil(np.log(eps / MOVE_TOL) / -np.log(rate))
+                    following = t + 8 * ceil(step / 8)
+            if following is not None and t < cap:
+                return following, None
+            if not kept:
+                raise GapCollapse(f"no isolated in-gap eigenvalue in parity {parity} sector")
+            vals = np.array([val for val, _, _ in kept])
+            tracked = int(np.argmin(np.abs(vals - lam_ref)))
+            if bound is not None and abs(vals[tracked] - lam_ref) >= 0.5 * bound:
+                raise GapCollapse(f"tracked eigenvalue {vals[tracked]:.8f} drifted beyond d_zig/2 of {lam_ref:.8f}")
+            sectors.append(StripSector(L, t, following is None, eps, len(wr), vals, vecs, tracked))
+        return None, tuple(sectors)
+
+    return green._grow_until(start, cap, attempt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +829,8 @@ def farfield_persistence(
 
     Returns the normalized far-field overlap after optimal global phase
     alignment and the windowed l2 profile of the difference versus distance
-    from the defect center.  Both sectors come from one `certified_sectors`
-    call, so they share the window (L, t_used).
+    from the defect center.  Both sectors come from one `sector_pair` call,
+    so they share the window (L, t_used).
     """
     L, t = sector_pert.L, sector_pert.t_used
     u1 = sector_pert.tracked_vector

@@ -66,12 +66,12 @@ def pipeline(iface):
 
 @pytest.fixture(scope="session")
 def modes(pipeline, dirac, beta_star):
-    return matching.count_interface_modes(pipeline, dirac.lambda_star, beta_star)
+    return matching.count_interface_modes(pipeline, dirac.lambda_star, beta_star, 0.9, 201)
 
 
 @pytest.fixture(scope="session")
-def oracle(iface, dirac, gap):
-    return paper_checks.direct_oracle(iface, dirac.lambda_star, gap)
+def oracle(iface, gap):
+    return paper_checks.direct_oracle(iface, gap)
 
 
 @pytest.fixture(scope="session")
@@ -83,4 +83,4 @@ def bulk_strip(blended):
 def green_pv(bulk_strip, dirac, vgauge):
     from hexamer import green
 
-    return green.physical_green_pv(bulk_strip, dirac, vgauge, range(-12, 13))
+    return green.physical_green_pv(bulk_strip, dirac, vgauge, range(-12, 13), 14, 16)

@@ -20,7 +20,7 @@ from hexamer.lattice import (
     EXTENDED_GENERATORS, TAU, _closure, _isotypic_projector, momentum_derivative_blocks,
     rep_rho_tilde,
 )
-from hexamer.matching import _auxiliary, _edge_filtered, _ingap_eigsh, _matching
+from hexamer.matching import _auxiliary, _edge_filtered, _inertia, _ingap_eigsh, _matching
 from hexamer.robust import (
     PerturbationW, _defect_entries, _reflection_image, assemble_band_curve, assemble_strip,
     parity_isometry,
@@ -319,8 +319,8 @@ def gap_blocks(strip, lam, offsets, levels: int = 14, order: int = 16):
     The blocks are `green._gl_quadrature`'s at ``levels``; the error is their
     largest change from ``levels - 2``.
     """
-    fine = green._gl_quadrature(strip, [lam], offsets, levels, order)
-    coarse = green._gl_quadrature(strip, [lam], offsets, levels - 2, order)
+    fine = green._gl_quadrature(strip, [lam], offsets, levels, order, 1)
+    coarse = green._gl_quadrature(strip, [lam], offsets, levels - 2, order, 1)
     return {d: g[0] for d, g in fine.items()}, max(np.abs(fine[d] - coarse[d]).max() for d in offsets)
 
 
@@ -406,16 +406,20 @@ def reflection_permutation(L: int, t: int) -> sp.csr_matrix:
     )
 
 
-def full_strip_ingap(iface, L, t, gap, lam_center):
+def ingap_pairs(mat, gap: tuple):
+    """`_ingap_eigsh` of ``mat`` with the in-gap count of its inertia at both gap edges."""
+    return _ingap_eigsh(mat, gap, _inertia(mat, gap[1]) - _inertia(mat, gap[0]))
+
+
+def full_strip_ingap(iface, L, t, gap):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
-    w, v, _ = _ingap_eigsh(assemble_strip(iface, L, t), lam_center, gap)
+    w, v, _ = ingap_pairs(assemble_strip(iface, L, t, None), gap)
     n1s = np.repeat(np.arange(-t, t + 1), L)
     return [val for val, _, _ in _edge_filtered(w, v, n1s, gap, max(4, t // 8))]
 
 
 def direct_oracle(
     iface: kernels.InterfaceKernel,
-    lambda_star: float,
     gap: tuple,
     n_blocks: int = 400,
     kpar: float = 0.0,
@@ -427,7 +431,7 @@ def direct_oracle(
     the kept (eigenvalue, parity, center) triples sorted by eigenvalue.
     """
     half = n_blocks // 2
-    w, v, _ = _ingap_eigsh(kernels.BlockedStripOperator(iface, kpar).csr(half), lambda_star, gap)
+    w, v, _ = ingap_pairs(kernels.BlockedStripOperator(iface, kpar).csr(half), gap)
     # the edge band is the outermost max(4, nb // 10) columns on each side
     edge = max(4, (2 * half + 1) // 10) - 1
     kept = []
@@ -439,12 +443,10 @@ def direct_oracle(
     return kept
 
 
-def band_curve_samples(
-    iface: kernels.InterfaceKernel, gap: tuple, lam_star: float, momenta, n_blocks: int
-) -> list:
+def band_curve_samples(iface: kernels.InterfaceKernel, gap: tuple, momenta, n_blocks: int) -> list:
     """The sorted in-gap eigenvalues of the interface strip at each of ``momenta``, in order."""
     return [
-        sorted(v for v, _, _ in direct_oracle(iface, lam_star, gap, n_blocks, kpar=k))
+        sorted(v for v, _, _ in direct_oracle(iface, gap, n_blocks, kpar=k))
         for k in momenta
     ]
 
@@ -452,7 +454,6 @@ def band_curve_samples(
 def interface_band_curve(
     iface: kernels.InterfaceKernel,
     gap: tuple,
-    lam_star: float,
     kpars: np.ndarray,
     n_blocks: int = 240,
 ) -> dict:
@@ -463,7 +464,7 @@ def interface_band_curve(
     """
     kpars = np.asarray(kpars)
     momenta = list(dict.fromkeys(abs(float(kp)) for kp in kpars))
-    samples = band_curve_samples(iface, gap, lam_star, momenta, n_blocks)
+    samples = band_curve_samples(iface, gap, momenta, n_blocks)
     return assemble_band_curve(kpars, dict(zip(momenta, samples)), gap)
 
 
@@ -523,7 +524,7 @@ def neumann_mode_check(
     q = parity_isometry(L, t, parity)
     ri, ci, vv = _defect_entries(w, L, t)
     wfull = sp.csr_matrix((vv, (ri, ci)), shape=(q.shape[0],) * 2)
-    h0 = (q.getH() @ assemble_strip(iface, L, t) @ q).toarray()
+    h0 = (q.getH() @ assemble_strip(iface, L, t, None) @ q).toarray()
     wmat = (q.getH() @ wfull @ q).toarray()
     hw = h0 + wmat
 

@@ -200,7 +200,7 @@ def test_criterion_8_interface_modes(
     )
     iface_small = kernels.InterfaceKernel.from_bulks(blended, hper, 0.025)
     small = matching.count_interface_modes(
-        matching.MatchingPipeline(iface_small), dirac.lambda_star, beta_star
+        matching.MatchingPipeline(iface_small), dirac.lambda_star, beta_star, 0.9, 201
     )
     h_large = max(abs(m.lambda_zig - dirac.lambda_star) / 0.05 for m in modes.modes)
     h_small = max(abs(m.lambda_zig - dirac.lambda_star) / 0.025 for m in small.modes)
@@ -225,8 +225,8 @@ def test_criterion_8_interface_modes(
 def test_criterion_9_no_inversion_control(blended, hper, dirac, beta_star, gap):
     iface = kernels.InterfaceKernel.from_bulks(blended, hper, 0.05, inverted=False)
     pipe = matching.MatchingPipeline(iface)
-    search = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, n_points=101)
-    oracle_vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap)
+    search = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, 0.9, 101)
+    oracle_vals = paper_checks.direct_oracle(iface, gap)
     ok = len(search.values) == 0 and search.sigma_min.min() > 1e-4 and not oracle_vals
     _report(
         9,
@@ -243,7 +243,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
     r = 0.9 * delta * beta_star
     gap = (dirac.lambda_star - r, dirac.lambda_star + r)
     pipe = matching.MatchingPipeline(iface)
-    modes = matching.count_interface_modes(pipe, dirac.lambda_star, beta_star)
+    modes = matching.count_interface_modes(pipe, dirac.lambda_star, beta_star, 0.9, 201)
     assert modes.count == 2
     lam = {m.parity: m.lambda_zig for m in modes.modes}
     d_zig = {p: min(v - gap[0], gap[1] - v) for p, v in lam.items()}
@@ -261,7 +261,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
         base = pert = None
         for L in (8, 16, 32):
             base, pert = robust.sector_pair(
-                strips, w, L, parity, lam[parity], d_zig[parity], 80, 640
+                strips, w, L, parity, lam[parity], d_zig[parity], 80, 640, True
             )
             unique_ok = unique_ok and len(base.eigenvalues) == 1 and len(pert.eigenvalues) == 1
             bound62_ok = bound62_ok and abs(pert.eigenvalues[pert.tracked] - lam[parity]) < 0.5 * d_zig[parity]
@@ -271,7 +271,7 @@ def test_criterion_10_robustness(blended, hper, dirac, beta_star):
         ff = robust.farfield_persistence(pert, base)
         overlap_min = min(overlap_min, ff["overlap_outside"])
 
-    pi_vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)
+    pi_vals = paper_checks.direct_oracle(iface, gap, 160, kpar=np.pi)
     elapsed = time.perf_counter() - t0
     ok = (
         bound_ok

@@ -96,12 +96,17 @@ def test_out_must_be_a_nonempty_string(tmp_path, capsys, out):
         ({"robustness": {"L_values": []}}, ["robustness"]),
         ({"perturbation": {"kind": "foo"}}, ["bands"]),
         ({"perturbation": {"kind": 5}}, ["symmetry-report"]),
+        ({"model": "toy", "mix": 0.7}, ["bands"]),
+        ({"mix": 0.5}, ["robustness"]),
+        ({"mix": 0.0}, ["symmetry-report"]),
     ],
 )
 def test_malformed_values_exit_two(tmp_path, capsys, cfg, command):
+    """A malformed value exits 2 before any command runs, so nothing is written."""
     assert _run_main(tmp_path, tmp_path / "o", *command, cfg=cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("model validation failed: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_quadrature_levels_below_three(tmp_path):
@@ -171,7 +176,7 @@ def test_strip_oracles_match_complex_strip(tmp_path, capsys, delta):
     path = tmp_path / "reference.json"
     path.write_text(json.dumps(cfg))
     ws = cli.Workspace.build(cli.load_config(str(path)))
-    lam, gap, blocks = ws.dirac.lambda_star, ws.gap(), FAST["truncation"]["oracle_blocks"]
+    gap, blocks = ws.gap(), FAST["truncation"]["oracle_blocks"]
     kpars = np.linspace(-np.pi, np.pi, 41)
 
     def close(got, ref, tol=1e-13):
@@ -183,12 +188,12 @@ def test_strip_oracles_match_complex_strip(tmp_path, capsys, delta):
         flags = [] if inverted else ["--no-inversion"]
         assert _run_main(tmp_path, out / "i", "interface", "--oracle", *flags, cfg=cfg) == (0 if inverted else 4)
         oracle = json.loads((out / "i" / "interface_summary.json").read_text())["oracle"]
-        ref = paper_checks.direct_oracle(iface, lam, gap, blocks)
+        ref = paper_checks.direct_oracle(iface, gap, blocks)
         assert [o["parity"] for o in oracle] == [p for _, p, _ in ref]
         close([o["lambda"] for o in oracle], [v for v, _, _ in ref])
         close([o["center"] for o in oracle], [c for _, _, c in ref], 1e-12)
-        ref_pi = paper_checks.direct_oracle(iface, lam, gap, blocks // 2, kpar=np.pi)
-        ref_curve = [paper_checks.direct_oracle(iface, lam, gap, blocks // 2, kpar=float(kp)) for kp in kpars]
+        ref_pi = paper_checks.direct_oracle(iface, gap, blocks // 2, kpar=np.pi)
+        ref_curve = [paper_checks.direct_oracle(iface, gap, blocks // 2, kpar=float(kp)) for kp in kpars]
         if inverted:
             assert _run_main(tmp_path, out / "r", "robustness", cfg=cfg) == 0
             pi = json.loads((out / "r" / "robustness_report.json").read_text())["pi_sector_ingap"]
@@ -293,19 +298,24 @@ def test_robustness_command(tmp_path):
 
 def test_robustness_sectors_share_one_window(tmp_path, monkeypatch):
     """A perturbed certificate that fails at the unperturbed width makes the unperturbed sector solve again at the wider one."""
-    solve = robust.momentum_solve
+    unperturbed, perturbed = robust._BlochSector.unperturbed_pairs, robust._BlochSector.perturbed_pairs
     record = tmp_path / "solves.jsonl"
     failed = []   # each process forces one failure: the worker is forked before either solves
 
-    def fail_once(strips, w, L, parity, t):
-        _append_record(record, [parity, w is not None, t])
-        vals, vecs, resid = solve(strips, w, L, parity, t)
-        if w is not None and not failed:   # the perturbed sector keeps no pair, so the width doubles
-            failed.append(t)
+    def record_once(sector):
+        _append_record(record, [sector.parity, False, sector.t])
+        return unperturbed(sector)
+
+    def fail_once(sector, w):
+        _append_record(record, [sector.parity, True, sector.t])
+        vals, vecs, resid = perturbed(sector, w)
+        if not failed:   # the perturbed sector keeps no pair, so the width doubles
+            failed.append(sector.t)
             return vals[:0], vecs[:, :0], resid
         return vals, vecs, resid
 
-    monkeypatch.setattr(robust, "momentum_solve", fail_once)
+    monkeypatch.setattr(robust._BlochSector, "unperturbed_pairs", record_once)
+    monkeypatch.setattr(robust._BlochSector, "perturbed_pairs", fail_once)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(FAST, delta=0.025)))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "robustness"]) == 0

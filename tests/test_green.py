@@ -236,7 +236,7 @@ def test_spectral_data_built_once_per_strip(iface, dirac, beta_star):
     strip.bloch_batch = counting
     r = 0.9 * iface.delta * beta_star
     for lam in np.linspace(dirac.lambda_star - r, dirac.lambda_star + r, 50):
-        green._band_distance(strip, lam)
+        green._band_distance(strip, lam, None)
         paper_checks.gap_blocks(strip, lam, (-1, 0, 1))
     # band edges, then the (14, 16) and (12, 16) node sets, folded to kappa > 0
     assert sizes == [512, 224, 192]
@@ -259,16 +259,16 @@ def test_folded_quadrature_refuses_complex_strip(iface, dirac):
     """Off kpar = 0 the blocks are complex and the -kappa nodes cannot be folded."""
     for bulk in (iface.right, iface.left):
         strip = kernels.BlockedStripOperator(bulk, kpar=0.3)
-        assert green._band_distance(strip, dirac.lambda_star) > 0.1  # in the gap
+        assert green._band_distance(strip, dirac.lambda_star, None) > 0.1  # in the gap
         with pytest.raises(ValueError, match="real strip blocks"):
-            green._gl_quadrature(strip, [dirac.lambda_star], (-1, 0, 1), 14, 16)
+            green._gl_quadrature(strip, [dirac.lambda_star], (-1, 0, 1), 14, 16, 1)
 
 
 def test_cached_edges_reject_spectrum_energy(blended, dirac):
     strip = kernels.BlockedStripOperator(blended)
     for _ in range(2):  # the second call reads the cached band edges
         # the unperturbed cone bands sweep through lambda* + 0.05
-        assert green._band_distance(strip, dirac.lambda_star + 0.05) == 0.0
+        assert green._band_distance(strip, dirac.lambda_star + 0.05, None) == 0.0
     assert "edges" in strip.spectral_cache
 
 

@@ -98,7 +98,7 @@ def test_green_operator_convergence_signs(blended, hper, dirac, vgauge, beta_sta
     """Resolvent limit (5.34): the eta-term enters with +/- per bulk sign."""
     w = vgauge.vectors
     gpv = green.physical_green_pv(
-        kernels.BlockedStripOperator(blended), dirac, vgauge, (-1, 0, 1)
+        kernels.BlockedStripOperator(blended), dirac, vgauge, (-1, 0, 1), 14, 16
     )
     h = 0.5 * beta_star
     xi = h / (abs(dirac.alpha_star) * np.sqrt(beta_star**2 - h**2))
@@ -167,7 +167,7 @@ def test_matching_derivative_negative_definite(blended, hper, dirac, beta_star, 
     rel = np.linalg.norm(dm - fd, axis=(1, 2)) / np.linalg.norm(dm, axis=(1, 2))
     assert rel.max() < 1e-6
     assert np.linalg.eigvalsh(dm).max() < 0.0
-    hs = matching.characteristic_search(pipe, dirac.lambda_star, beta_star).h_grid
+    hs = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, 0.9, 201).h_grid
     w = np.linalg.eigvalsh(pipe.matrix_stack(dirac.lambda_star + delta * hs, derivative=True))
     assert (w.max(axis=1) <= 1e-12 * np.abs(w).max(axis=1)).all()
 
@@ -213,7 +213,7 @@ def test_control_sector_counts_flat(blended, hper, dirac, beta_star):
     pipe = matching.MatchingPipeline(
         kernels.InterfaceKernel.from_bulks(blended, hper, 0.05, inverted=False)
     )
-    search = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, n_points=41)
+    search = matching.characteristic_search(pipe, dirac.lambda_star, beta_star, 0.9, 41)
     assert search.values == []
     for lo, hi in search.sector_counts.values():
         assert lo == hi
@@ -226,7 +226,7 @@ def test_falling_sector_count_raises(pipeline, dirac, beta_star, monkeypatch):
         pipeline, "matrix_stack", lambda lams, derivative=False: -stack(lams, derivative)
     )
     with pytest.raises(NumericError, match="falls"):
-        matching.characteristic_search(pipeline, dirac.lambda_star, beta_star, n_points=41)
+        matching.characteristic_search(pipeline, dirac.lambda_star, beta_star, 0.9, 41)
 
 
 def test_unvalidated_root_raises(pipeline, dirac, beta_star, monkeypatch):
@@ -239,7 +239,7 @@ def test_unvalidated_root_raises(pipeline, dirac, beta_star, monkeypatch):
 
     monkeypatch.setattr(pipeline, "matrices", shifted)
     with pytest.raises(NumericError, match="sigma_min"):
-        matching.characteristic_search(pipeline, dirac.lambda_star, beta_star, n_points=41)
+        matching.characteristic_search(pipeline, dirac.lambda_star, beta_star, 0.9, 41)
 
 
 def test_two_modes_opposite_parity(modes, dirac):
@@ -278,7 +278,7 @@ def test_mode_profile_phase_fixed(pipeline, modes):
     for mode, theta in zip(modes.modes, (0.7, 2.5)):
         z = np.exp(1j * theta)
         rot = matching.mode_from_boundary(
-            pipeline, pipeline.matrices(mode.lambda_zig), z * mode.boundary_a, z * mode.boundary_b
+            pipeline, pipeline.matrices(mode.lambda_zig), z * mode.boundary_a, z * mode.boundary_b, 120
         )
         assert np.abs(rot.profile - mode.profile).max() < 1e-12
         # the kpar = 0 operator is real, so the fixed phase makes the mode real
@@ -347,7 +347,7 @@ def test_o_delta_shrinkage(blended, hper, dirac, beta_star, modes):
     """|lambda_zig - lambda*| / delta decreases when delta is halved."""
     iface_small = kernels.InterfaceKernel.from_bulks(blended, hper, 0.025)
     pipe = matching.MatchingPipeline(iface_small)
-    small = matching.count_interface_modes(pipe, dirac.lambda_star, beta_star)
+    small = matching.count_interface_modes(pipe, dirac.lambda_star, beta_star, 0.9, 201)
     assert small.count == 2
     h_large = max(abs(m.lambda_zig - dirac.lambda_star) / 0.05 for m in modes.modes)
     h_small = max(abs(m.lambda_zig - dirac.lambda_star) / 0.025 for m in small.modes)
@@ -358,11 +358,11 @@ def test_control_interface_no_modes(blended, hper, dirac, beta_star, gap):
     iface = kernels.InterfaceKernel.from_bulks(blended, hper, 0.05, inverted=False)
     pipe = matching.MatchingPipeline(iface)
     search = matching.characteristic_search(
-        pipe, dirac.lambda_star, beta_star, n_points=81
+        pipe, dirac.lambda_star, beta_star, 0.9, 81
     )
     assert len(search.values) == 0
     assert search.sigma_min.min() > 1e-4
-    assert paper_checks.direct_oracle(iface, dirac.lambda_star, gap) == []
+    assert paper_checks.direct_oracle(iface, gap) == []
 
 
 def test_ghost_boundary_data_rejected(pipeline, modes):
@@ -378,7 +378,7 @@ def test_ghost_boundary_data_rejected(pipeline, modes):
     scaled = ghost - (mm.aux @ ghost)  # mostly annihilated direction
     with pytest.raises(DegenerateBoundaryData):
         matching.mode_from_boundary(
-            pipeline, mm, np.zeros(6, dtype=complex), np.zeros(6, dtype=complex)
+            pipeline, mm, np.zeros(6, dtype=complex), np.zeros(6, dtype=complex), 120
         )
 
 
@@ -393,7 +393,7 @@ def test_mode_decay_consistent_with_resolvent(modes, pipeline):
 
 def test_inertia_count_matches_dense(iface, gap, dirac):
     """Negative diagonal pivots count the eigenvalues below each shift."""
-    mat = robust.assemble_strip(iface, 4, 6)
+    mat = robust.assemble_strip(iface, 4, 6, None)
     q = robust.parity_isometry(4, 6, 1)
     sector = (q.getH() @ mat @ q).tocsr().real
     strip = kernels.BlockedStripOperator(iface, 0.3).csr(20)
@@ -405,28 +405,14 @@ def test_inertia_count_matches_dense(iface, gap, dirac):
             assert matching._inertia(m, s) == int((dense < s).sum())
 
 
-def test_ingap_eigsh_grows_k_near_gap_edge(iface, gap, monkeypatch):
-    """With the shift by a gap edge the nearest pairs lie in the band."""
-    mat = kernels.BlockedStripOperator(iface).csr(20)
-    dense = np.linalg.eigvalsh(mat.toarray())
-    expect = dense[(gap[0] < dense) & (dense < gap[1])]
-    sigma = gap[1] - 1e-4
-    assert len(expect) > 0
-    assert not gap[0] < dense[np.argmin(np.abs(dense - sigma))] < gap[1]
-    ks = []
-    eigsh = spla.eigsh
-
-    def spy(*args, **kwargs):
-        ks.append(kwargs["k"])
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "eigsh", spy)
-    w, v, resid = matching._ingap_eigsh(mat, sigma, gap)
-    assert ks[0] == len(expect) and ks[-1] > len(expect)
-    assert len(w) == len(expect)
-    assert np.abs(w - expect).max() < 1e-10
-    assert np.abs(mat @ v - v * w).max() < 1e-10
-    assert resid == np.linalg.norm(mat @ v - v * w, axis=0).max()
+def test_ingap_eigsh_count_above_the_gap_raises():
+    """A count above the number of eigenvalues in the gap brings one from outside it: the certificate fails."""
+    mat = sp.diags(np.linspace(-2.0, 3.0, 30)).tocsr()   # steps of 5/29: two in (-0.2, 0.2)
+    gap = (-0.2, 0.2)
+    w, _, _ = matching._ingap_eigsh(mat, gap, 2)
+    assert len(w) == 2 and (np.abs(w) < 0.2).all()
+    with pytest.raises(NumericError, match="found 2 in-gap eigenvalues, the certificate counts 3"):
+        matching._ingap_eigsh(mat, gap, 3)
 
 
 def test_ingap_eigsh_zero_count_skips_solver(monkeypatch):
@@ -435,7 +421,7 @@ def test_ingap_eigsh_zero_count_skips_solver(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", refuse)
     mat = sp.diags([-2.0, -1.0, 1.0, 2.0, 3.0]).tocsr()
-    w, v, resid = matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5))
+    w, v, resid = paper_checks.ingap_pairs(mat, (-0.5, 0.5))
     assert w.shape == (0,) and v.shape == (5, 0) and resid == 0.0
 
 
@@ -451,16 +437,16 @@ def test_ingap_eigsh_arpack_failure_is_numeric(error, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", fail)
     mat = sp.diags([-2.0, -0.1, 0.2, 2.0, 3.0]).tocsr()
     with pytest.raises(NumericError, match="Lanczos"):
-        matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5))
+        matching._ingap_eigsh(mat, (-0.5, 0.5), 2)
     with pytest.raises(NumericError, match="Lanczos"):
-        matching._ingap_eigsh(mat, 0.0, (-0.5, 0.5), count=2, v0=np.ones(5) / np.sqrt(5.0))
+        matching._ingap_eigsh(mat, (-0.5, 0.5), 2, v0=np.ones(5) / np.sqrt(5.0))
 
 
 def test_inertia_certificate_failures_raise():
     mat = sp.diags([-1.0, 0.3, 1.0, 2.0, 3.0]).tocsr()
     # a gap edge on an eigenvalue makes that factor exactly singular
     with pytest.raises(NumericError):
-        matching._ingap_eigsh(mat, 0.8, (0.3, 1.5))
+        matching._inertia(mat, 0.3)
     # a zero diagonal forces an off-diagonal pivot, which voids the count
     swap = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
     with pytest.raises(NumericError):

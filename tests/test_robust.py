@@ -2,7 +2,6 @@
 import json
 import math
 import os
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,28 +23,31 @@ def setup_r(blended, hper, dirac, beta_star):
     r = 0.9 * DELTA_R * beta_star
     gap = (dirac.lambda_star - r, dirac.lambda_star + r)
     pipe = matching.MatchingPipeline(iface)
-    modes = matching.count_interface_modes(pipe, dirac.lambda_star, beta_star)
+    modes = matching.count_interface_modes(pipe, dirac.lambda_star, beta_star, 0.9, 201)
     assert modes.count == 2
     lam = {m.parity: m.lambda_zig for m in modes.modes}
     d_zig = {p: min(v - gap[0], gap[1] - v) for p, v in lam.items()}
     return iface, gap, lam, d_zig
 
 
-def _assembled(iface, gap, defects, L, parity, lam_ref, d_zig, start=40, cap=320):
-    """The assembled sectors of ``defects`` (None: no defect) of (L, parity), certified on one width."""
-    solves = [partial(robust.assembled_solve, iface, w, L, parity, gap) for w in defects]
-    return _certified(iface, gap, solves, defects, L, parity, lam_ref, d_zig, start, cap)
+class _AssembledSector:
+    """`robust._BlochSector` with both sectors assembled in full space (`robust.assembled_solve`): the oracle."""
+
+    def __init__(self, strips, L, t, parity):
+        self.iface, self.gap, self.L, self.t, self.parity = strips.iface, strips.gap, L, t, parity
+
+    def unperturbed_pairs(self):
+        return self.perturbed_pairs(None)
+
+    def perturbed_pairs(self, w):
+        return robust.assembled_solve(self.iface, w, self.L, self.parity, self.gap, self.t)
 
 
-def _momentum(strips, defects, L, parity, lam_ref, d_zig, start=40, cap=320):
-    """`_assembled` on the momentum strips of ``strips``."""
-    solves = [partial(robust.momentum_solve, strips, w, L, parity) for w in defects]
-    return _certified(strips.iface, strips.gap, solves, defects, L, parity, lam_ref, d_zig, start, cap)
-
-
-def _certified(iface, gap, solves, defects, L, parity, lam_ref, d_zig, start, cap):
-    hs = [robust._column_coupling(iface, w) for w in defects]
-    return robust.certified_sectors(solves, hs, L, parity, gap, lam_ref, [d_zig] * len(defects), start, cap)
+def _assembled(monkeypatch, iface, gap, w, L, parity, lam_ref, d_zig, start=40, cap=320):
+    """`robust.sector_pair` of (L, parity) with the defect ``w``, both sectors assembled."""
+    with monkeypatch.context() as patch:
+        patch.setattr(robust, "_BlochSector", _AssembledSector)
+        return robust.sector_pair(robust.MomentumStrips(iface, gap), w, L, parity, lam_ref, d_zig, start, cap, True)
 
 
 def test_build_w_compact():
@@ -143,13 +145,13 @@ def test_strip_hermitian_and_reflection(setup_r):
 def test_one_cell_strip_is_the_kpar_zero_strip(iface):
     """At L = 1 the periodized strip is the kpar = 0 strip: both builders take one seam rule."""
     for t in (1, 5, 40):
-        periodized = robust.assemble_strip(iface, 1, t).toarray()
+        periodized = robust.assemble_strip(iface, 1, t, None).toarray()
         assert np.array_equal(periodized, kernels.BlockedStripOperator(iface).csr(t).toarray())
 
 
 def test_parity_isometries(setup_r):
     iface, _, _, _ = setup_r
-    mat = robust.assemble_strip(iface, 8, 20)
+    mat = robust.assemble_strip(iface, 8, 20, None)
     qe = robust.parity_isometry(8, 20, 1)
     qo = robust.parity_isometry(8, 20, -1)
     n = mat.shape[0]
@@ -161,26 +163,25 @@ def test_parity_isometries(setup_r):
     assert abs(cross).max() < 1e-14
 
 
-def test_sector_unique_unperturbed(setup_r):
+def test_sector_unique_unperturbed(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
+    no_defect = robust.build_W("compact", 0.0)
     for parity in (1, -1):
-        (sector,) = _assembled(iface, gap, [None], 8, parity, lam[parity], d_zig[parity])
+        sector, _ = _assembled(monkeypatch, iface, gap, no_defect, 8, parity, lam[parity], d_zig[parity])
         assert len(sector.eigenvalues) == 1
         assert sector.ingap_count >= len(sector.eigenvalues)
         assert abs(sector.eigenvalues[sector.tracked] - lam[parity]) < 1e-8
 
 
-def test_sampling_identity_lemma(setup_r, dirac):
+def test_sampling_identity_lemma(setup_r):
     """Full-strip in-gap set equals the kpar-curve samples on A_L."""
     iface, gap, lam, _ = setup_r
-    vals = paper_checks.full_strip_ingap(iface, 8, 60, gap, dirac.lambda_star)
+    vals = paper_checks.full_strip_ingap(iface, 8, 60, gap)
     curve = []
     for n in range(-4, 5):
         kp = 2.0 * np.pi * n / 8
         curve.extend(
-            v for v, _, _ in paper_checks.direct_oracle(
-                iface, dirac.lambda_star, gap, 120, kpar=kp
-            )
+            v for v, _, _ in paper_checks.direct_oracle(iface, gap, 120, kpar=kp)
         )
     curve = np.unique(np.round(sorted(curve), 9))
     vals = np.unique(np.round(sorted(vals), 9))
@@ -188,7 +189,7 @@ def test_sampling_identity_lemma(setup_r, dirac):
     assert np.abs(vals - curve).max() < 1e-8
 
 
-def test_sector_perturbed_convergence(setup_r):
+def test_sector_perturbed_convergence(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 2e-5)
     assert w.m_w < 0.25 * min(d_zig.values())
@@ -196,7 +197,7 @@ def test_sector_perturbed_convergence(setup_r):
     for parity in (1, -1):
         vals = []
         for L in (8, 16, 32):
-            (sector,) = _assembled(iface, gap, [w], L, parity, lam[parity], d_zig[parity])
+            _, sector = _assembled(monkeypatch, iface, gap, w, L, parity, lam[parity], d_zig[parity])
             assert abs(sector.eigenvalues[sector.tracked] - lam[parity]) < 0.5 * d_zig[parity]
             vals.append(sector.eigenvalues[sector.tracked])
         seq[parity] = vals
@@ -208,10 +209,10 @@ def test_sector_perturbed_convergence(setup_r):
     assert abs(seq[1][0] - lam[1]) > 1e-9
 
 
-def test_farfield_persistence(setup_r):
+def test_farfield_persistence(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 2e-5)
-    base, pert = _assembled(iface, gap, [None, w], 8, 1, lam[1], d_zig[1])
+    base, pert = _assembled(monkeypatch, iface, gap, w, 8, 1, lam[1], d_zig[1])
     ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99
     # zero perturbation: identical modes
@@ -219,10 +220,10 @@ def test_farfield_persistence(setup_r):
     assert same["difference_norm"] < 1e-12
 
 
-def test_line_defect_difference_localized(setup_r):
+def test_line_defect_difference_localized(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("line", 2e-5)
-    base, pert = _assembled(iface, gap, [None, w], 16, 1, lam[1], d_zig[1])
+    base, pert = _assembled(monkeypatch, iface, gap, w, 16, 1, lam[1], d_zig[1])
     ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] >= 0.99
     prof = ff["difference_profile"]
@@ -232,20 +233,20 @@ def test_line_defect_difference_localized(setup_r):
         assert prof[0] > prof[-1]
 
 
-def test_gap_collapse_detection(setup_r):
+def test_gap_collapse_detection(setup_r, monkeypatch):
     """Both failure signatures raise: eigenvalue drift and an emptied window."""
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 5e-4)
     # an artificially tight isolation distance forces the drift check to trip
     with pytest.raises(GapCollapse, match="drifted beyond d_zig/2"):
-        _assembled(iface, gap, [w], 8, 1, lam[1], 1e-8)
+        _assembled(monkeypatch, iface, gap, w, 8, 1, lam[1], 1e-8)
     # a spectrum-free sub-window has no isolated eigenvalue at all
     empty = (gap[0], 0.5 * (gap[0] + lam[-1]))
     with pytest.raises(GapCollapse, match="no isolated in-gap eigenvalue"):
-        _assembled(iface, empty, [w], 8, 1, lam[1], None)
+        _assembled(monkeypatch, iface, empty, w, 8, 1, lam[1], None)
 
 
-def test_protection_beyond_proven_bound(setup_r):
+def test_protection_beyond_proven_bound(setup_r, monkeypatch):
     """The compact all-ones defect barely couples to the interface mode.
 
     Far beyond the proven localization bound the mode still persists; the
@@ -255,18 +256,18 @@ def test_protection_beyond_proven_bound(setup_r):
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 0.05)
     assert w.m_w > 100 * 0.25 * min(d_zig.values())
-    base, pert = _assembled(iface, gap, [None, w], 8, 1, lam[1], d_zig[1])
+    base, pert = _assembled(monkeypatch, iface, gap, w, 8, 1, lam[1], d_zig[1])
     ff = robust.farfield_persistence(pert, base)
     assert ff["overlap_outside"] > 0.99
 
 
-def test_scattering_norm_bounded(setup_r):
+def test_scattering_norm_bounded(setup_r, monkeypatch):
     """The correction u^(1) stays bounded uniformly in L."""
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 2e-5)
     norms = []
     for L in (8, 16):
-        base, pert = _assembled(iface, gap, [None, w], L, 1, lam[1], d_zig[1])
+        base, pert = _assembled(monkeypatch, iface, gap, w, L, 1, lam[1], d_zig[1])
         u0 = base.tracked_vector / np.linalg.norm(base.tracked_vector)
         u1 = pert.tracked_vector / np.linalg.norm(pert.tracked_vector)
         u1 = u1 * np.exp(-1j * np.angle(np.vdot(u0, u1)))
@@ -282,10 +283,10 @@ def test_neumann_series_crosscheck(setup_r):
     assert rep["series_terms"] < 25
 
 
-def test_band_curve(setup_r, dirac, blended, hper, beta_star):
+def test_band_curve(setup_r, blended, hper, beta_star):
     iface, gap, lam, _ = setup_r
     curve = paper_checks.interface_band_curve(
-        iface, gap, dirac.lambda_star, kpars=np.linspace(-np.pi, np.pi, 17),
+        iface, gap, kpars=np.linspace(-np.pi, np.pi, 17),
         n_blocks=160,
     )
     assert curve["empty_at_pi"] is True
@@ -294,7 +295,7 @@ def test_band_curve(setup_r, dirac, blended, hper, beta_star):
     assert np.abs(np.array(center) - np.array(sorted(lam.values()))).max() < 1e-6
 
 
-def test_band_curve_solves_each_momentum_pair_once(setup_r, dirac, monkeypatch, tmp_path):
+def test_band_curve_solves_each_momentum_pair_once(setup_r, monkeypatch, tmp_path):
     """H(-k) = conj H(k): band-curve solves every |k| of its grid once, for +-k, and each sample is the complex strip's at k."""
     iface, gap, _, _ = setup_r
     solved, solve = [], robust.strip_modes
@@ -314,20 +315,20 @@ def test_band_curve_solves_each_momentum_pair_once(setup_r, dirac, monkeypatch, 
     assert set(rows[:, 0]) <= set(kpars)
     for kp in kpars:
         got = rows[rows[:, 0] == kp, 1]
-        ref = [v for v, _, _ in paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=float(kp))]
+        ref = [v for v, _, _ in paper_checks.direct_oracle(iface, gap, 160, kpar=float(kp))]
         assert len(got) == len(ref)
         assert np.abs(got - ref).max(initial=0.0) < 1e-12
     assert json.loads((tmp_path / "o" / "band_curve_summary.json").read_text())["empty_at_pi"] is True
 
 
-def test_band_curve_continuity_refinement(setup_r, dirac):
+def test_band_curve_continuity_refinement(setup_r):
     """Successive jumps scale linearly with the momentum step."""
     iface, gap, _, _ = setup_r
     jumps = {}
     for npts in (9, 17):
         ks = np.linspace(-0.06, 0.06, npts)
         curve = paper_checks.interface_band_curve(
-            iface, gap, dirac.lambda_star, kpars=ks, n_blocks=160
+            iface, gap, kpars=ks, n_blocks=160
         )
         vals = np.array([sorted(s) for s in curve["samples"]])
         assert vals.shape[1] == 2  # both branches stay in the gap here
@@ -335,11 +336,11 @@ def test_band_curve_continuity_refinement(setup_r, dirac):
     assert jumps[17] < 0.7 * jumps[9]
 
 
-def test_pi_sector_empty_small_delta(setup_r, dirac):
+def test_pi_sector_empty_small_delta(setup_r):
     iface, gap, _, _ = setup_r
-    vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=np.pi)
+    vals = paper_checks.direct_oracle(iface, gap, 160, kpar=np.pi)
     assert vals == []
-    vals = paper_checks.direct_oracle(iface, dirac.lambda_star, gap, 160, kpar=-np.pi)
+    vals = paper_checks.direct_oracle(iface, gap, 160, kpar=-np.pi)
     assert vals == []
 
 
@@ -347,10 +348,13 @@ def test_ingap_eigsh_rejects_pairs_with_large_residual(setup_r):
     """A shift on an eigenvalue passes the inertia count but returns wrong pairs."""
     iface, gap, _, _ = setup_r
     strip = kernels.BlockedStripOperator(iface).csr(160)
-    # 0.0519702019820843 is the odd interface mode's eigenvalue to 5e-16
+    # 0.0519702019820843 is the odd interface mode's eigenvalue to 5e-16; the
+    # centre of this gap is that float exactly
+    centred = (0.0519702019820843 - 2.0**-7, 0.0519702019820843 + 2.0**-7)
+    assert 0.5 * (centred[0] + centred[1]) == 0.0519702019820843 and gap[0] < centred[0] < centred[1] < gap[1]
     with pytest.raises(NumericError, match="residual"):
-        matching._ingap_eigsh(strip, 0.0519702019820843, gap)
-    w, v, _ = matching._ingap_eigsh(strip, 0.5 * (gap[0] + gap[1]), gap)
+        paper_checks.ingap_pairs(strip, centred)
+    w, v, _ = paper_checks.ingap_pairs(strip, gap)
     assert np.abs(strip @ v - v * w).max() < 1e-12
 
 
@@ -506,7 +510,7 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     widths = []
     for L in (8, 16):
         start = widths[-1] if widths else 80
-        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], start, 640)
+        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], start, 640, True)
         widths.append(pert.t_used)
     t = widths[0]
     assert widths == [t, t] and t > 80
@@ -524,9 +528,9 @@ def test_sector_pair_from_carried_width(setup_r, parity):
     w = robust.build_W("compact", 2e-5)
     args = (w, 16, parity, lam[parity], d_zig[parity])
     strips = robust.MomentumStrips(iface, gap)
-    start = robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 80, 640)[1].t_used
-    carried = robust.sector_pair(strips, *args, start, 640)
-    fresh = robust.sector_pair(robust.MomentumStrips(iface, gap), *args, 80, 640)
+    start = robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 80, 640, True)[1].t_used
+    carried = robust.sector_pair(strips, *args, start, 640, True)
+    fresh = robust.sector_pair(robust.MomentumStrips(iface, gap), *args, 80, 640, True)
     for got, ref in zip(carried, fresh):
         assert got.t_used == ref.t_used == start
         assert np.array_equal(got.eigenvalues, ref.eigenvalues)
@@ -543,34 +547,46 @@ def test_sector_pair_solves_perturbed_once_unperturbed_certified(setup_r, monkey
     """
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("compact", 2e-5)
-    solves, solve = [], robust.momentum_solve
+    solves = []
+    unperturbed_pairs, perturbed_pairs = robust._BlochSector.unperturbed_pairs, robust._BlochSector.perturbed_pairs
 
-    def spy(strips, defect, L, parity, t):
-        solves.append((L, defect is not None, t))
-        return solve(strips, defect, L, parity, t)
+    def spy_unperturbed(sector):
+        solves.append((sector.L, False, sector.t))
+        return unperturbed_pairs(sector)
+
+    def spy_perturbed(sector, defect):
+        solves.append((sector.L, True, sector.t))
+        return perturbed_pairs(sector, defect)
 
     def certified(L, t):
-        """Whether the unperturbed sector alone is certified at the width t, solved unspied on fresh strips."""
-        alone = [partial(solve, robust.MomentumStrips(iface, gap), None, L, parity)]
+        """Whether the unperturbed sector alone is certified at the width t, solved on fresh strips.
+
+        The zero defect makes the perturbed sector the unperturbed one.
+        """
+        alone = robust.build_W("compact", 0.0)
         try:
-            (sector,) = _certified(iface, gap, alone, [None], L, parity, lam[parity], d_zig[parity], t, t)
+            pair = robust.sector_pair(
+                robust.MomentumStrips(iface, gap), alone, L, parity, lam[parity], d_zig[parity], t, t, True
+            )
         except GapCollapse:   # no pair kept
             return False
-        return sector.t_converged
+        return pair[0].t_converged
 
-    monkeypatch.setattr(robust, "momentum_solve", spy)
+    monkeypatch.setattr(robust._BlochSector, "unperturbed_pairs", spy_unperturbed)
+    monkeypatch.setattr(robust._BlochSector, "perturbed_pairs", spy_perturbed)
     strips = robust.MomentumStrips(iface, gap)
     base = None
     for L, start, cap in ((8, 80, 640), (16, None, 640), (8, 4, 32)):
         solves.clear()
         start = start or base.t_used   # L = 16 starts where L = 8 certified
-        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], start, cap)
+        base, pert = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], start, cap, True)
         assert base.t_used == pert.t_used and solves[-1] == (L, True, pert.t_used)
-        for n, (_, perturbed, t) in enumerate(solves):
+        seen = list(solves)   # `certified` solves more
+        for n, (_, perturbed, t) in enumerate(seen):
             if perturbed:   # right after the unperturbed solve at its width
-                assert solves[n - 1] == (L, False, t)
+                assert seen[n - 1] == (L, False, t)
             else:
-                following = solves[n + 1] if n + 1 < len(solves) else None
+                following = seen[n + 1] if n + 1 < len(seen) else None
                 assert (following == (L, True, t)) == (t == cap or certified(L, t))
         assert base.t_converged == (base.t_used < cap or certified(L, cap))
     assert base.t_used == pert.t_used == 32 and not base.t_converged
@@ -622,10 +638,10 @@ def test_warm_started_pairs_match_cold_solve(setup_r, monkeypatch):
         solves.clear()
         factors.clear()
         vals, vecs, _ = sector.perturbed_pairs(w)
-        assert factors == [(sector.bounds[-1], sector.sigma)]
+        assert factors == [(sector.bounds[-1], 0.5 * (gap[0] + gap[1]))]
         assert len(solves) == 1 and solves[0] < cold_solves
         k = sector.matrix(sector.defect(w))
-        cold, z, _ = matching._ingap_eigsh(k, sector.sigma, gap)
+        cold, z, _ = paper_checks.ingap_pairs(k, gap)
         assert solves[1] == cold_solves and solves[0] < solves[1]
         assert len(vals) == len(cold) > 0
         assert np.abs(vals - cold).max() <= 1e-13 * np.abs(cold).max()
@@ -729,7 +745,7 @@ def test_sector_width_doubles_while_no_pair_is_kept(setup_r, monkeypatch):
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     with pytest.raises(GapCollapse, match="no isolated"):   # widths 1 to 8 hold no isolated interface mode
-        robust.sector_pair(strips, w, 8, 1, lam[1], d_zig[1], 1, 8)
+        robust.sector_pair(strips, w, 8, 1, lam[1], d_zig[1], 1, 8, True)
     assert widths == [1, 2, 4, 8]
 
 
@@ -752,9 +768,9 @@ def test_certificate_is_sound(setup_r, L):
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     for parity in (1, -1):
-        pair = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], 80, 640)
+        pair = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], 80, 640, True)
         t = 2 * pair[0].t_used
-        for sector, wide in zip(pair, robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t, t)):
+        for sector, wide in zip(pair, robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], t, t, True)):
             assert sector.t_converged and sector.residual_bound <= 1e-9
             assert len(wide.eigenvalues) == len(sector.eigenvalues)
             assert np.abs(wide.eigenvalues - sector.eigenvalues).max() <= sector.residual_bound
@@ -772,7 +788,7 @@ def test_rate_step_reaches_certified_width(setup_r, monkeypatch):
     w = robust.build_W("compact", 2e-5)
     for parity in (1, -1):
         widths.clear()
-        (result,) = _momentum(strips, [w], 8, parity, lam[parity], d_zig[parity])
+        _, result = robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 40, 320, True)
         assert widths == [40, result.t_used]     # not 40, 80, 160, 320
         assert result.t_used % 8 == 0 and 40 < result.t_used < 320
         assert result.t_converged and result.residual_bound <= 1e-9
@@ -783,61 +799,66 @@ def test_sector_solves_stay_real(setup_r, monkeypatch):
     iface, gap, lam, d_zig = setup_r
     seen = []
 
-    def real_only(mat, sigma, gap, **options):
+    def real_only(mat, gap, count, **options):
         seen.append(mat.dtype)
-        return matching._ingap_eigsh(mat, sigma, gap, **options)
+        return matching._ingap_eigsh(mat, gap, count, **options)
 
     monkeypatch.setattr(robust, "_ingap_eigsh", real_only)
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
     for parity in (1, -1):
-        robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 20, 160)
+        robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 20, 160, True)
     assert len(seen) > 0 and all(dtype == np.float64 for dtype in seen)
 
 
 def test_sector_solves_shift_at_gap_centre(setup_r, monkeypatch):
-    """Both sector paths shift every solve at the gap centre; ``lam_ref`` only picks the tracked pair."""
+    """Both sector paths factor every shift-invert solve at the gap centre; ``lam_ref`` only picks the tracked pair.
+
+    The other factors count the line defect's assembled sectors at the gap edges (`_inertia`).
+    """
     iface, gap, lam, d_zig = setup_r
     shifts = []
+    factor = matching._factor
 
-    def spy(mat, sigma, gap, **options):
-        shifts.append(sigma)
-        return matching._ingap_eigsh(mat, sigma, gap, **options)
+    def spy(mat, shift, **options):
+        shifts.append(shift if not options else "inertia")
+        return factor(mat, shift, **options)
 
-    monkeypatch.setattr(robust, "_ingap_eigsh", spy)
+    monkeypatch.setattr(matching, "_factor", spy)
     strips = robust.MomentumStrips(iface, gap)
     # the line defect's perturbed sector is assembled (`assembled_solve`)
     for w in (robust.build_W("compact", 2e-5), robust.build_W("line", 2e-5)):
         for parity in (1, -1):
-            robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 20, 160)
-    assert len(shifts) > 0 and set(shifts) == {0.5 * (gap[0] + gap[1])}
+            robust.sector_pair(strips, w, 8, parity, lam[parity], d_zig[parity], 20, 160, True)
+    assert set(shifts) == {0.5 * (gap[0] + gap[1]), "inertia"}
 
 
 @pytest.mark.parametrize("kind", [None, "compact"])
-def test_bloch_sector_matches_oracle(setup_r, kind):
+def test_bloch_sector_matches_oracle(setup_r, monkeypatch, kind):
+    """Both momentum-coordinate sectors match the assembled ones; without a defect (kind None) the zero defect stands in."""
     iface, gap, lam, d_zig = setup_r
-    w = None if kind is None else robust.build_W(kind, 2e-5)
+    w = robust.build_W("compact", 0.0 if kind is None else 2e-5)
     strips = robust.MomentumStrips(iface, gap)
     for L in (8, 16):
         for parity in (1, -1):
-            (ref,) = _assembled(iface, gap, [w], L, parity, lam[parity], d_zig[parity])
-            (new,) = _momentum(strips, [w], L, parity, lam[parity], d_zig[parity])
-            assert (new.t_used, new.t_converged, new.ingap_count) == (
-                ref.t_used, ref.t_converged, ref.ingap_count
-            )
-            assert np.abs(new.eigenvalues - ref.eigenvalues).max() < 1e-13
-            overlap = abs(np.vdot(ref.tracked_vector, new.tracked_vector))
-            assert overlap >= 1 - 1e-10
+            pair = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], 40, 320, True)
+            for ref, new in zip(_assembled(monkeypatch, iface, gap, w, L, parity, lam[parity], d_zig[parity]), pair):
+                assert (new.t_used, new.t_converged, new.ingap_count) == (
+                    ref.t_used, ref.t_converged, ref.ingap_count
+                )
+                assert np.abs(new.eigenvalues - ref.eigenvalues).max() < 1e-13
+                overlap = abs(np.vdot(ref.tracked_vector, new.tracked_vector))
+                assert overlap >= 1 - 1e-10
 
 
-def test_bloch_sector_line_defect(setup_r):
+def test_bloch_sector_line_defect(setup_r, monkeypatch):
     """The line defect has no low-rank form; its sector is the assembled solve."""
     iface, gap, lam, d_zig = setup_r
     w = robust.build_W("line", 2e-5)
     assert not w.compact and robust.build_W("compact", 2e-5).compact
     strips = robust.MomentumStrips(iface, gap)
-    base, pert = robust.sector_pair(strips, w, 16, 1, lam[1], d_zig[1], 40, 320)
-    _, ref = _assembled(iface, gap, [None, w], 16, 1, lam[1], d_zig[1])
+    base, pert = robust.sector_pair(strips, w, 16, 1, lam[1], d_zig[1], 40, 320, True)
+    _, ref = _assembled(monkeypatch, iface, gap, w, 16, 1, lam[1], d_zig[1])
     assert (pert.t_used, pert.ingap_count) == (ref.t_used, ref.ingap_count)
     assert np.abs(pert.eigenvalues - ref.eigenvalues).max() < 1e-13
     ff = robust.farfield_persistence(pert, base)
