@@ -429,16 +429,14 @@ def _inertia(mat, shift: float) -> int:
     return int((lu.U.diagonal().real < 0).sum())
 
 
-def _ingap_eigsh(mat, gap: tuple, count: int, v0=None):
+def _ingap_eigsh(mat, gap: tuple, count: int):
     """Every eigenpair of the sparse Hermitian ``mat`` inside the open ``gap``, of which there are ``count``.
 
     The caller certifies ``count``, from the inertia at both gap edges or
     otherwise, so nothing in the gap is missed.  Every in-gap eigenvalue
     lies strictly nearer the gap centre than any eigenvalue outside the
     open gap, so shift-invert Lanczos about the centre asks for exactly
-    ``count`` pairs.  It starts from ``v0``, or from the normalised all-ones
-    vector; a start close to the pairs gets a Lanczos basis of 2 count + 1
-    vectors instead of ARPACK's default of at least 20.  Each returned pair
+    ``count`` pairs, from the normalised all-ones vector.  Each returned pair
     (w, v) must have a residual ||(mat - w) v|| of at most ``RESIDUAL_RTOL``
     times the largest absolute row sum of ``mat``: a centre on an
     eigenvalue passes the count and yet returns wrong pairs.  An exactly
@@ -456,14 +454,8 @@ def _ingap_eigsh(mat, gap: tuple, count: int, v0=None):
         return np.empty(0), np.empty((n, 0), dtype=mat.dtype), 0.0
     sigma = 0.5 * (gap[0] + gap[1])
     opinv = spla.LinearOperator(mat.shape, matvec=_factor(mat, sigma).solve, dtype=mat.dtype)
-    warm = v0 is not None
-    if not warm:
-        v0 = np.ones(n) / np.sqrt(n)
     try:
-        w, v = spla.eigsh(
-            mat, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv,
-            ncv=min(n, 2 * count + 1) if warm else None,
-        )
+        w, v = spla.eigsh(mat, k=count, sigma=sigma, which="LM", v0=np.ones(n) / np.sqrt(n), OPinv=opinv)
     except spla.ArpackError as exc:
         raise NumericError(f"shift-invert Lanczos failed with k = {count} (shift {sigma!r}): {exc}") from exc
     inside = np.flatnonzero((gap[0] < w) & (w < gap[1]))

@@ -18,12 +18,15 @@ from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError, NumericError
-from .matching import _edge_filtered, _inertia, _ingap_eigsh
+from .matching import RESIDUAL_RTOL, _edge_filtered, _inertia, _ingap_eigsh
 
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
 CORE_COLUMNS = 2  # the compact defect couples only the columns |n1| <= 2
 EXCLUSION_RADIUS = 3.0  # farfield_persistence compares modes beyond this cell norm
+POLE_OFFSET = 1e-6  # a secular pass shifts no strip nearer than this to one of its own in-gap eigenvalues
+SECULAR_CAP = 16    # Newton passes of the secular equation before NumericError
+SECULAR_ULPS = 4    # the passes stop once no root moves by more than this many ulp
 
 
 def _ell2_coord(n1: int, n2: int) -> float:
@@ -395,10 +398,43 @@ class _Cells:
     def per_cell(self) -> int:
         return int(self.eye.sum())
 
-    def strip(self, t: int) -> sp.csr_matrix:
-        """The width-t strip S^H H_k S: the core block, then ``diag`` and ``out`` on each side out to column t.
+    def core_block(self, t: int, s: float, tails: np.ndarray) -> np.ndarray:
+        """C - s on the core columns |n1| <= min(``CORE_COLUMNS``, t), less ``tails`` (side 0, side 1; `_half_strip_tails`) on its two outer columns."""
+        p, drop = self.per_cell, self.per_cell * (CORE_COLUMNS - min(CORE_COLUMNS, t))
+        block = self.core[drop : len(self.core) - drop, drop : len(self.core) - drop] - s * np.eye(len(self.core) - 2 * drop)
+        block[:p, :p] -= tails[1, :p, :p]
+        block[-p:, -p:] -= tails[0, :p, :p]
+        return block
 
-        Each block below the diagonal is the one above transposed, as in `MomentumStrips.resolvent_cores`.
+    @cached_property
+    def row_bound(self) -> float:
+        """A bound on the absolute row sums, so on the norm, of the strip of any width.
+
+        A core row sees the core block and at most one coupling to a tail
+        column, a tail row its diagonal block and two couplings.
+        """
+        rows = lambda blocks: np.abs(blocks).sum(axis=-1).max()
+        return float(max(rows(self.core), rows(self.diag)) + 2 * max(rows(self.out), rows(self.out.swapaxes(-1, -2))))
+
+    def strip(self, t: int) -> sp.csr_matrix:
+        """The width-t strip S^H H_k S, sparse (`columns`)."""
+        return _tridiagonal(*self.columns(t))
+
+    def times(self, t: int, z: np.ndarray) -> np.ndarray:
+        """The width-t strip S^H H_k S times the columns ``z``, block by block (`columns`)."""
+        dd, uu = self.columns(t)
+        z = z.reshape(len(dd), dd.shape[1], -1)
+        y = dd @ z
+        y[:-1] += uu @ z[1:]
+        y[1:] += uu.swapaxes(1, 2) @ z[:-1]
+        return y.reshape(-1, z.shape[-1])
+
+    def columns(self, t: int):
+        """The width-t strip's diagonal block of each column n1 = -t..t and its coupling to the column n1 + 1.
+
+        The core block, then ``diag`` and ``out`` on each side out to
+        column t; each block below the diagonal is the one above
+        transposed, as in `MomentumStrips.resolvent_cores`.
         """
         p, reach, m = self.per_cell, min(CORE_COLUMNS, t), 2 * CORE_COLUMNS + 1
         core = self.core.reshape(m, p, m, p)
@@ -408,7 +444,7 @@ class _Cells:
         # the diagonal block of each column n1 = -t..t and its coupling to the column n1 + 1
         dd = np.concatenate([diag[1, j[::-1] % 2], core[i, :, i, :], diag[0, j % 2]])
         uu = np.concatenate([out[1, (j[::-1] - 1) % 2].swapaxes(1, 2), core[i[:-1], :, i[1:], :], out[0, (j - 1) % 2]])
-        return _tridiagonal(dd, uu)
+        return dd, uu
 
 
 def _tridiagonal(diag: np.ndarray, upper: np.ndarray) -> sp.csr_matrix:
@@ -432,7 +468,9 @@ class _MomentumStrip:
     on ``core``, the rows of the columns |n1| <= ``CORE_COLUMNS`` where a
     compact defect acts.  The real symmetric ``mat`` = S^H H_k S (from
     ``cells``) and the blocks c(n1) of S (``basis``) are built on first use:
-    ``mat`` only when the strip has in-gap pairs or enters a perturbed K.
+    ``mat`` only when the strip has in-gap pairs, for their shift-invert
+    solve; a perturbed sector multiplies by the strip block by block
+    (`_Cells.times`).
     """
 
     cells: _Cells
@@ -486,6 +524,37 @@ def _inverse_count(s: np.ndarray, singular):
     return np.linalg.inv(s), (w < 0).sum(axis=-1)
 
 
+def _inverse(s: np.ndarray, message: str) -> np.ndarray:
+    """The inverse of each of the stacked ``s``; an exactly singular one raises ``NumericError`` with ``message``."""
+    try:
+        return np.linalg.inv(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(message) from exc
+
+
+def _half_strip_tails(lanes, t: int, invert) -> np.ndarray:
+    """The term out S^-1 out^T that each half-strip tail of the width-t strip of each lane (cells, s) leaves on its core.
+
+    Beyond the columns |n1| <= ``CORE_COLUMNS`` each side of a momentum
+    strip is a half-strip of one bulk (`_Cells`), eliminated by a block
+    Schur recursion from its Dirichlet end j = t inward: with
+    S_{t+1}^-1 = 0 and ``diag`` shifted by s,
+        S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T.
+    Both sides of all the lanes step as one batch; ``invert(S, j)`` returns
+    the inverse of the stack S of the Schur blocks of the column j, side 0
+    (n1 > 0) and side 1 of each lane in turn.  Returns an array
+    (len(lanes), 2, 6, 6), zero for t <= ``CORE_COLUMNS``.
+    """
+    diag = np.stack([c.diag[side] - s * c.eye for c, s in lanes for side in (0, 1)])
+    out = np.stack([c.out[side] for c, _ in lanes for side in (0, 1)])
+    inverse = np.zeros_like(diag[:, 0])
+    for j in range(t, CORE_COLUMNS, -1):
+        b = out[:, j % 2]
+        inverse = invert(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), j)
+    coupling = out[:, CORE_COLUMNS % 2]
+    return (coupling @ inverse @ coupling.swapaxes(1, 2)).reshape(len(lanes), 2, 6, 6)
+
+
 class MomentumStrips:
     """Momentum strips of one interface kernel and gap, cached by (t, k, part) for one width t.
 
@@ -532,51 +601,38 @@ class MomentumStrips:
         """(nu, G) of the width-t strip at each of ``fracs`` (its ``parity`` part at k = 0 and pi) and each shift s.
 
         nu counts the eigenvalues of the strip's ``mat`` below s and G is the
-        block of (mat - s)^-1 on its core rows.  Beyond the columns
-        |n1| <= ``CORE_COLUMNS`` each side is a half-strip of one bulk
-        (`_Cells`), eliminated by a block Schur recursion from its Dirichlet
-        end j = t inward: with S_{t+1}^-1 = 0 and ``diag`` shifted by s,
-            S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T.
-        All the lanes (frac, side, s) step as one batch.  That leaves the
-        core block C - s minus the tail term out S^-1 out^T on each of its
+        block of (mat - s)^-1 on its core rows.  The half-strip tails of all
+        the lanes (frac, s) are eliminated as one batch (`_half_strip_tails`),
+        which leaves the core block C - s minus the tail term on each of its
         two outer columns; by Haynsworth's inertia additivity nu is nu of
         that block plus the counts nu(S_j) of both tails, and G its inverse.
         A singular Schur block or core block raises ``NumericError``.
         Returns one list per shift, in the order of ``fracs``.
         """
-        reach = min(CORE_COLUMNS, t)
-        lanes = [(f, side, s) for s in shifts for f in fracs for side in (0, 1)]
-        cells = [self._cell_blocks(f, _part(f, parity)) for f, _, _ in lanes]
-        diag = np.stack([c.diag[side] - s * c.eye for c, (_, side, s) in zip(cells, lanes)])
-        out = np.stack([c.out[side] for c, (_, side, _) in zip(cells, lanes)])
+        lanes = [(f, s) for s in shifts for f in fracs]
+        cells = [self._cell_blocks(f, _part(f, parity)) for f, _ in lanes]
+        below = np.zeros(2 * len(lanes), dtype=int)   # the tail counts, side by side of each lane
 
-        def singular(i, j):
-            f, side, s = lanes[i]
-            return (
-                f"strip factor at shift {s!r} failed: the half-strip Schur block of column "
-                f"n1 = {j if side == 0 else -j} at k = 2 pi {f[0]}/{f[1]} is singular"
-            )
+        def counted(stack, j):
+            def singular(i):
+                (f, s), side = lanes[i // 2], i % 2
+                return (
+                    f"strip factor at shift {s!r} failed: the half-strip Schur block of column "
+                    f"n1 = {j if side == 0 else -j} at k = 2 pi {f[0]}/{f[1]} is singular"
+                )
 
-        inverse, below = np.zeros_like(diag[:, 0]), np.zeros(len(lanes), dtype=int)
-        for j in range(t, CORE_COLUMNS, -1):
-            b = out[:, j % 2]
-            inverse, nu = _inverse_count(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), lambda i: singular(i, j))
-            below += nu
-        coupling = out[:, CORE_COLUMNS % 2]
-        tail = coupling @ inverse @ coupling.swapaxes(1, 2)
+            inverse, nu = _inverse_count(stack, singular)
+            below[:] += nu
+            return inverse
+
+        tails = _half_strip_tails([(c, s) for c, (_, s) in zip(cells, lanes)], t, counted)
         cores = []
-        for n in range(0, len(lanes), 2):
-            f, _, s = lanes[n]
-            cell = cells[n]
-            p, drop = cell.per_cell, cell.per_cell * (CORE_COLUMNS - reach)
-            block = cell.core[drop : len(cell.core) - drop, drop : len(cell.core) - drop] - s * np.eye(p * (2 * reach + 1))
-            if t > CORE_COLUMNS:
-                block[:p, :p] -= tail[n + 1, :p, :p]
-                block[-p:, -p:] -= tail[n, :p, :p]
+        for n, ((f, s), cell) in enumerate(zip(lanes, cells)):
             g, nu = _inverse_count(
-                block, lambda _: f"strip factor at shift {s!r} failed: the core block at k = 2 pi {f[0]}/{f[1]} is singular"
+                cell.core_block(t, s, tails[n]),
+                lambda _: f"strip factor at shift {s!r} failed: the core block at k = 2 pi {f[0]}/{f[1]} is singular",
             )
-            cores.append((int(nu + below[n] + below[n + 1]), g))
+            cores.append((int(nu + below[2 * n] + below[2 * n + 1]), g))
         return [cores[m * len(fracs) : (m + 1) * len(fracs)] for m in range(len(shifts))]
 
 
@@ -637,10 +693,9 @@ class _BlochSector:
         self.generic = self.half[(self.half > 0) & (2 * self.half < L)]
 
     def _to_half(self, x):
-        """Components j = 0..L//2 of the sector projection of the columns ``x``.
+        """The columns n1 on which ``x`` is nonzero, and their components j = 0..L//2 of the sector projection of ``x``.
 
-        Only the columns n1 on which ``x`` is nonzero are transformed; the
-        components of the others are zero.
+        Only those columns are transformed; the components of the others are zero.
         """
         x = x.reshape(2 * self.t + 1, self.L, 6, -1)
         cols = np.flatnonzero(x.any(axis=(1, 2, 3)))
@@ -648,9 +703,7 @@ class _BlochSector:
         xh *= self.lo_phase[cols, :, None, None]
         mirror = xh[:, (-self.half) % self.L][:, :, lattice.FX_PERM]
         mirror *= self.r_phase[cols][:, self.half, None, None].conj()
-        out = np.zeros((2 * self.t + 1, len(self.half)) + x.shape[2:], dtype=complex)
-        out[cols] = 0.5 * (xh[:, self.half] + self.parity * mirror)
-        return out
+        return cols, 0.5 * (xh[:, self.half] + self.parity * mirror)
 
     def _from_half(self, yh):
         """Full-space columns of the sector vectors with components ``yh``, j = 0..L//2."""
@@ -663,11 +716,13 @@ class _BlochSector:
 
     def to_momentum(self, x):
         """Momentum coordinates B^H x of the full-space columns ``x``."""
-        xh = self._to_half(x)
-        return np.vstack([
-            (blk.basis.conj().swapaxes(1, 2) @ xh[:, pos]).reshape(-1, xh.shape[-1]) / self.scale[pos]
-            for pos, blk in enumerate(self.blocks)
-        ])
+        cols, xh = self._to_half(x)
+        parts = []
+        for pos, blk in enumerate(self.blocks):
+            part = np.zeros((2 * self.t + 1, blk.cells.per_cell, xh.shape[-1]), dtype=complex)
+            part[cols] = blk.basis[cols].conj().swapaxes(1, 2) @ xh[:, pos] / self.scale[pos]
+            parts.append(part.reshape(-1, xh.shape[-1]))
+        return np.vstack(parts)
 
     def to_full(self, z):
         """Full-space columns B z of the momentum-coordinate columns ``z``; a zero block of ``z`` needs no basis."""
@@ -706,42 +761,204 @@ class _BlochSector:
             raise ModelValidationError(f"the defect acts beyond the columns |n1| <= {CORE_COLUMNS}")
         return u[self.core], d[keep]
 
-    def matrix(self, defect):
-        """The sector of the strip plus the `defect` (U, D) in momentum coordinates, a sparse real symmetric K.
-
-        K = blockdiag(S^H H_k S) + U D U^T: the block-diagonal strips plus
-        one dense block on the rows where U is nonzero.
-        """
-        u, d = defect
-        live = np.flatnonzero(u.any(axis=1))
-        rows = self.core[live]
-        core = (u[live] * d) @ u[live].T
-        core = 0.5 * (core + core.T)
-        mi, mj = np.meshgrid(rows, rows, indexing="ij")
-        n = self.bounds[-1]
-        k = sp.block_diag([blk.mat for blk in self.blocks], format="csr")
-        return (k + sp.csr_matrix((core.ravel(), (mi.ravel(), mj.ravel())), shape=(n, n))).tocsr()
-
     def perturbed_pairs(self, w: PerturbationW):
-        """In-gap eigenvalues, full-space vectors and largest residual of the sector plus the defect.
+        """In-gap eigenvalues, full-space vectors and largest residual of the sector plus the defect, from its secular equation.
 
-        K (`matrix`) is factored once, at the gap centre.  Its in-gap count
-        is the strips' own count corrected at each gap edge by the Schur
-        complement of the bordered K, of the defect's rank, from the
-        resolvent cores the strips keep there (`_bordered_inertia`).
-        Shift-invert Lanczos on K starts from the normalised sum of the
-        strips' unperturbed in-gap pairs, which the perturbation only moves.
+        With the defect (U, D) (`defect`), the perturbed sector is
+        K = A + U D U^T, A = blockdiag(S^H H_k S).  Its in-gap count is the
+        strips' own count corrected at each gap edge by the Schur complement
+        of the bordered K, of the defect's rank, from the resolvent cores the
+        strips keep there (`_bordered_inertia`).  K itself is never formed.
+
+        The equation (Weinstein-Aronszajn; Kato, Perturbation Theory for
+        Linear Operators).  Let Lam, Phi be A's m in-gap pairs, the strips'
+        own (`_MomentumStrip.pairs`), Phi_U = U^T Phi, R(lam) = (A - lam)^-1
+        with those m poles removed, analytic across the gap, and
+        Q(lam) = U^T R(lam) U.  Write an eigenvector of K as
+        x = Phi a + x', x' orthogonal to Phi, and c = D U^T x.  Then
+        (K - lam) x = 0 splits into (Lam - lam) a + Phi_U^T c = 0 and
+        x' = -R(lam) U c, so that (D^-1 + Q(lam)) c = Phi_U a, and
+            T(lam) a = lam a,   T(lam) = Lam + Phi_U^T (D^-1 + Q(lam))^-1 Phi_U:
+        lam is an eigenvalue of K with a != 0 exactly when it is one of the
+        m x m T(lam), and x = Phi a - R(lam) U c, c = (D^-1 + Q)^-1 Phi_U a.
+        An eigenvalue whose vector misses every unperturbed pair (a = 0)
+        has no root here, so the m roots must be all of the bordered count,
+        and each must stay in the gap: otherwise ``NumericError``.
+
+        Q' and the passes.  Q'(lam) = U^T R(lam)^2 U, so for the root i with
+        unit a the derivative of the i-th eigenvalue g_i(lam) of T(lam) is
+        -a^T Phi_U^T (D^-1 + Q)^-1 Q' (D^-1 + Q)^-1 Phi_U a = -||x'||^2:
+        each g_i(lam) - lam falls with slope -(1 + ||x'||^2), so root i is
+        its one zero, and Newton's step (g_i - lam) / (1 + ||x'||^2) needs Q'
+        only through x', which each pass builds anyway.  A pass
+        (`_secular_pass`) evaluates T at every moving root's iterate; the
+        passes stop once no root moves by more than tol = ``SECULAR_ULPS``
+        ulp of the row-sum bound on ||K|| (the strips' own eigenvalues, from
+        which the roots are found, carry rounding errors of that size), and
+        ``SECULAR_CAP`` passes without that raise ``NumericError``.  The
+        vectors are those of the last pass.
+
+        A root whose pair barely reaches the defect does not move.  Let
+        r_i = ||Phi_U e_i|| and delta_i the distance from lam_i to the gap
+        edges.  Within delta_i / 2 of lam_i, ||Q|| <= 2 / delta_i (||U|| <= 1),
+        so 4 ||D|| <= delta_i gives ||(D^-1 + Q)^-1|| <= 2 ||D||, and T(lam)
+        differs from T with row and column i set to lam_i e_i by at most
+        2 ||D|| r_i (2 ||Phi_U|| + r_i) in norm.  When that is at most tol,
+        by Weyl's inequality the pair stays (lam_i, phi_i), split off, and
+        the equation is solved on the others, each root moving by at most
+        tol more; its poles stay removed from R.  That holds for the edge
+        states of the Dirichlet ends and, with the all-ones defect, for the
+        odd sector's pairs, which move by rounding only.
+
+        The pairs are returned in ascending order, each held to a residual
+        ||(K - lam) x|| of at most ``RESIDUAL_RTOL`` times the row-sum bound
+        on ||K||, computed from the strips and (U, D) without K
+        (`_residual`), as `_ingap_eigsh` holds its pairs.
         """
         if w.amplitude == 0:
             return self.unperturbed_pairs()   # W^L has no entries
-        defect = self.defect(w)
-        below = [_bordered_inertia([blk.edges[i] for blk in self.blocks], *defect) for i in (0, 1)]
-        start = np.concatenate([blk.pairs[1].sum(axis=1) for blk in self.blocks])
-        norm = np.linalg.norm(start)
-        vals, z, resid = _ingap_eigsh(
-            self.matrix(defect), self.gap, below[1] - below[0], v0=start / norm if norm > 0 else None
+        u, d = self.defect(w)
+        count = _bordered_inertia([blk.edges[1] for blk in self.blocks], u, d) - _bordered_inertia(
+            [blk.edges[0] for blk in self.blocks], u, d
         )
-        return vals, self.to_full(z).real, resid
+        lam = np.concatenate([blk.pairs[0] for blk in self.blocks])
+        if count != len(lam):
+            raise NumericError(
+                f"the bordered count puts {count} eigenvalues of the perturbed sector in the gap; "
+                f"its secular equation has {len(lam)} roots"
+            )
+        if count == 0:
+            return lam, np.zeros((6 * self.L * (2 * self.t + 1), 0)), 0.0
+        order = np.argsort(lam)   # root i of the secular equation is its i-th eigenvalue
+        owner = np.repeat(np.arange(len(self.blocks)), [len(blk.pairs[0]) for blk in self.blocks])[order]
+        lam, phi = lam[order], block_diag(*(blk.pairs[1] for blk in self.blocks))[:, order]
+        phi_u = u.T @ phi[self.core]
+        # the strips' absolute row sums plus those of |U| |D| |U|^T bound ||K||
+        bound = max(blk.cells.row_bound for blk in self.blocks) + float((np.abs(u) @ (np.abs(d) * np.abs(u).sum(axis=0))).max())
+        tol = SECULAR_ULPS * np.spacing(bound)
+        reach, norm_d = np.linalg.norm(phi_u, axis=0), np.abs(d).max()
+        still = (4 * norm_d <= np.minimum(lam - self.gap[0], self.gap[1] - lam)) & (
+            2 * norm_d * reach * (2 * np.linalg.norm(phi_u) + reach) <= tol
+        )
+        live = np.flatnonzero(~still)
+        mu, a, perp = lam.copy(), np.eye(len(lam)), np.zeros((self.bounds[-1], len(lam)))
+        done = len(live) == 0
+        for _ in range(SECULAR_CAP):
+            if done:
+                break
+            lift, a[np.ix_(live, live)], perp[:, live] = self._secular_pass(live, mu[live], (lam, owner, phi, phi_u), u, d)
+            step = lift / (1.0 + (perp[:, live] ** 2).sum(axis=0))
+            done = np.abs(step).max() <= tol
+            mu[live] += step
+            if not ((self.gap[0] < mu) & (mu < self.gap[1])).all():
+                raise NumericError(f"a root of the secular equation left the gap: {mu.tolist()}")
+        if not done:
+            raise NumericError(f"the secular equation did not converge in {SECULAR_CAP} passes")
+        order = np.argsort(mu)
+        z = (phi @ a + perp)[:, order]
+        z /= np.linalg.norm(z, axis=0)
+        return mu[order], self.to_full(z).real, self._residual(z, mu[order], u, d, bound)
+
+    def _secular_pass(self, roots, mu, pairs, u, d):
+        """(g - mu, a, x'): T on the pairs ``roots`` and, for its i-th root at its iterate mu_i, the i-th eigenvalue g and unit vector a of T(mu_i), and x' = -R(mu_i) U c.
+
+        R removes the poles of all the ``pairs``: (Lam, the strip of each,
+        Phi, Phi_U), in ascending order.
+
+        Each lane (strip, root, shift) runs the half-strip recursion
+        (`_half_strip_tails`) inverse only, all of them in one batch, and
+        its core block gives U^T (A_j - s)^-1 U, from which the strip's
+        own in-gap poles are subtracted.  A strip with an in-gap eigenvalue
+        within h = ``POLE_OFFSET`` of mu_i is shifted to mu_i -+ h instead,
+        and the two lanes averaged, so that no strip is factored at or
+        within rounding of its own eigenvalue, and two values within h of
+        each other at different momenta get the same treatment.  The linear
+        term of R cancels in the mean, which differs from R(mu_i) by
+            sum_e psi psi^T h^2 / ((e - mu)((e - mu)^2 - h^2))
+        over the pairs (e, psi) of A outside the gap.  So the mean moves g
+        by at most (h^2 / delta) ||x'||^2 (1 + O(h^2 / delta^2)), delta the
+        distance from mu_i to the gap edges: 2e-22 on the ``robustness-d025``
+        config (delta = 0.04, ||x'||^2 = 7e-12), and 5e-16 even at amplitude
+        0.05 (||x'||^2 = 2e-5).  A root within h of its own unperturbed
+        value keeps both lanes to the end.  The vectors (A_j - s)^-1 U c
+        come from the core block and then column by column outward through
+        the stored Schur inverses: y_j = -S_j^-1 out[(j - 1) % 2]^T y_{j-1}.
+        """
+        lam, owner, phi, phi_u = pairs
+        lanes = []   # (strip, root, shift, weight)
+        for pos, blk in enumerate(self.blocks):
+            for i, m in enumerate(mu):
+                if np.abs(blk.pairs[0] - m).min(initial=np.inf) < POLE_OFFSET:
+                    lanes += [(pos, i, m - POLE_OFFSET, 0.5), (pos, i, m + POLE_OFFSET, 0.5)]
+                else:
+                    lanes.append((pos, i, m, 1.0))
+        cells = [self.blocks[pos].cells for pos, _, _, _ in lanes]
+        kept = []   # S_j^-1 of every lane and side, j = t inward
+
+        def invert(stack, j):
+            kept.append(_inverse(stack, f"secular pass failed: a half-strip Schur block of column |n1| = {j} is singular"))
+            return kept[-1]
+
+        tails = _half_strip_tails([(cell, s) for cell, (_, _, s, _) in zip(cells, lanes)], self.t, invert)
+        greens = [
+            _inverse(cell.core_block(self.t, s, tail), f"secular pass failed: the core block at shift {s!r} is singular")
+            for cell, (_, _, s, _), tail in zip(cells, lanes, tails)
+        ]
+        rows = np.split(u, np.cumsum([len(blk.core) for blk in self.blocks])[:-1])   # U on each strip's core
+        poles = [
+            (phi_u[:, owner == pos], lam[owner == pos], phi[lo:hi, owner == pos])
+            for pos, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:]))
+        ]
+        q = np.zeros((len(mu), len(d), len(d)))
+        for (pos, i, s, weight), g in zip(lanes, greens):
+            pu, vals, _ = poles[pos]
+            q[i] += weight * (rows[pos].T @ g @ rows[pos] - (pu / (vals - s)) @ pu.T)
+
+        b = np.linalg.solve(np.diag(1.0 / d) + q, phi_u[:, roots])   # (D^-1 + Q_i)^-1 Phi_U for each root i
+        # T(mu_i) - mu_i on the pairs of ``roots``, exact near its root
+        tmat = (lam[roots] - mu[:, None])[:, None] * np.eye(len(roots)) + phi_u[:, roots].T @ b
+        evals, evecs = np.linalg.eigh(0.5 * (tmat + tmat.swapaxes(1, 2)))
+        picks = np.arange(len(roots))
+        a = evecs[picks, :, picks].T
+        c = np.einsum("irk,ki->ri", b, a)
+
+        # (A_j - s)^-1 U c: the core, then each side's tail outward
+        core = [g @ (rows[pos] @ c[:, i]) for (pos, i, _, _), g in zip(lanes, greens)]
+        y = np.zeros((2 * len(lanes), 6, 1))
+        for n, (cell, vec) in enumerate(zip(cells, core)):
+            p = cell.per_cell
+            y[2 * n, :p, 0], y[2 * n + 1, :p, 0] = vec[-p:], vec[:p]
+        out = np.stack([cell.out[side] for cell in cells for side in (0, 1)])
+        steps = []
+        for j in range(CORE_COLUMNS + 1, self.t + 1):
+            y = -(kept[self.t - j] @ (out[:, (j - 1) % 2].swapaxes(1, 2) @ y))
+            steps.append(y[..., 0])
+        steps = np.array(steps).reshape(-1, len(lanes), 2, 6)
+        perp = np.zeros((self.bounds[-1], len(mu)))
+        for n, ((pos, i, s, weight), cell, vec) in enumerate(zip(lanes, cells, core)):
+            p, (pu, vals, vecs) = cell.per_cell, poles[pos]
+            strip = np.concatenate([steps[::-1, n, 1, :p].ravel(), vec, steps[:, n, 0, :p].ravel()])
+            perp[self.bounds[pos] : self.bounds[pos + 1], i] -= weight * (strip - vecs @ ((pu.T @ c[:, i]) / (vals - s)))
+        return evals[picks, picks], a, perp
+
+    def _residual(self, z, vals, u, d, bound: float) -> float:
+        """Largest ||(K - w) z|| of the unit momentum-coordinate columns ``z`` with eigenvalues ``vals``, from the strips and (U, D) without K.
+
+        Held to ``RESIDUAL_RTOL`` times ``bound`` >= ||K||; ``NumericError`` beyond it.
+        """
+        kz = -z * vals
+        for blk, lo, hi in zip(self.blocks, self.bounds[:-1], self.bounds[1:]):
+            if z[lo:hi].any():
+                kz[lo:hi] += blk.cells.times(self.t, z[lo:hi])
+        kz[self.core] += u @ (d[:, None] * (u.T @ z[self.core]))
+        resid = np.linalg.norm(kz, axis=0)
+        rel = resid / bound
+        if rel.max() > RESIDUAL_RTOL:
+            raise NumericError(
+                f"in-gap pair {float(vals[np.argmax(rel)]):.12g} of the secular equation has relative residual "
+                f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e}"
+            )
+        return float(resid.max())
 
 
 def sector_pair(

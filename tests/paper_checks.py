@@ -411,6 +411,23 @@ def ingap_pairs(mat, gap: tuple):
     return _ingap_eigsh(mat, gap, _inertia(mat, gap[1]) - _inertia(mat, gap[0]))
 
 
+def sector_matrix(sector, defect) -> sp.csr_matrix:
+    """The perturbed sector K = blockdiag(S^H H_k S) + U D U^T of a `robust._BlochSector`, assembled: the reference K.
+
+    ``defect`` is (U, D) from `_BlochSector.defect`; U D U^T is one dense
+    block on the rows where U is nonzero.
+    """
+    u, d = defect
+    live = np.flatnonzero(u.any(axis=1))
+    rows = sector.core[live]
+    core = (u[live] * d) @ u[live].T
+    core = 0.5 * (core + core.T)
+    mi, mj = np.meshgrid(rows, rows, indexing="ij")
+    n = sector.bounds[-1]
+    k = sp.block_diag([blk.mat for blk in sector.blocks], format="csr")
+    return (k + sp.csr_matrix((core.ravel(), (mi.ravel(), mj.ravel())), shape=(n, n))).tocsr()
+
+
 def full_strip_ingap(iface, L, t, gap):
     """In-gap eigenvalues of the full (unreduced) L-strip, edge-filtered."""
     w, v, _ = ingap_pairs(assemble_strip(iface, L, t, None), gap)

@@ -438,8 +438,6 @@ def test_ingap_eigsh_arpack_failure_is_numeric(error, monkeypatch):
     mat = sp.diags([-2.0, -0.1, 0.2, 2.0, 3.0]).tocsr()
     with pytest.raises(NumericError, match="Lanczos"):
         matching._ingap_eigsh(mat, (-0.5, 0.5), 2)
-    with pytest.raises(NumericError, match="Lanczos"):
-        matching._ingap_eigsh(mat, (-0.5, 0.5), 2, v0=np.ones(5) / np.sqrt(5.0))
 
 
 def test_inertia_certificate_failures_raise():

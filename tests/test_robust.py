@@ -2,11 +2,11 @@
 import json
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hexamer import cli, kernels, lattice, matching, robust
 from hexamer.errors import GapCollapse, ModelValidationError, NumericError
@@ -400,7 +400,7 @@ def test_momentum_sector_matches_assembled_spectrum(setup_r):
         w = robust.build_W("compact", amplitude)
         for parity in (1, -1):
             sector = robust._BlochSector(strips, L, t, parity)
-            k = sector.matrix(sector.defect(w))
+            k = paper_checks.sector_matrix(sector, sector.defect(w))
             assembled = _assembled_sector(iface, L, t, parity, w)
             assert abs(k - k.getH()).max() < 1e-15
             dense = np.linalg.eigvalsh(assembled.toarray())
@@ -409,7 +409,7 @@ def test_momentum_sector_matches_assembled_spectrum(setup_r):
 
 @pytest.mark.parametrize("L", [8, 16])
 def test_bordered_count_matches_assembled_sector(setup_r, L):
-    """The bordered count of K below a shift is the inertia of the assembled perturbed sector.
+    """The bordered count of K below a shift is the inertia of the assembled perturbed sector and of the reference K.
 
     The shifts are both gap edges, points inside the gap and points across
     the whole spectrum; at 0.5 the defect moves eigenvalues all over it.
@@ -425,9 +425,11 @@ def test_bordered_count_matches_assembled_sector(setup_r, L):
             assembled = _assembled_sector(iface, L, t, parity, w)
             reach = float(abs(assembled).sum(axis=1).max())
             defect = sector.defect(w)
+            k = paper_checks.sector_matrix(sector, defect)
             for shift in np.concatenate([inside, np.linspace(-0.93, 0.97, 9) * reach]):
                 cores = strips.resolvent_cores(t, robust._momenta(L), parity, [shift])[0]
-                assert robust._bordered_inertia(cores, *defect) == matching._inertia(assembled, shift)
+                count = robust._bordered_inertia(cores, *defect)
+                assert count == matching._inertia(assembled, shift) == matching._inertia(k, shift)
 
 
 def test_tail_cores_match_superlu(setup_r):
@@ -485,8 +487,9 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     the 20 lanes of L = 8 (5 strips, 2 sides, 2 gap edges) at t0 = 80 and
     again at the certified width t, where L = 16 adds only the 16 lanes of
     its 4 new momenta.  No strip is built as a sparse complex strip, at any
-    width: each is assembled from its cells, and at the uncertified first
-    width t0 only the strip with in-gap pairs (k = 0) is.
+    width: each is assembled from its cells, and at both widths only the
+    strip with in-gap pairs (k = 0) is, for its shift-invert solve; the
+    perturbed sector multiplies by its strips block by block.
     """
     iface, gap, lam, d_zig = setup_r
     inertia, tails, csr, assembled = [], [], [], []
@@ -517,8 +520,7 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     assert inertia == [] and csr == []
     assert sum(tails) == 20 * (80 - robust.CORE_COLUMNS) + 36 * (t - robust.CORE_COLUMNS)
     momentum = {id(cells): frac for (frac, _), cells in strips._cells.items()}
-    assert {momentum[id(cells)] for cells, width in assembled if width == 80} == {(0, 1)}
-    assert len({momentum[id(cells)] for cells, width in assembled if width == t}) == 9
+    assert {(momentum[id(cells)], width) for cells, width in assembled} == {((0, 1), 80), ((0, 1), t)}
 
 
 @pytest.mark.parametrize("parity", [1, -1])
@@ -604,49 +606,121 @@ def test_strip_cache_keeps_one_width(setup_r):
     assert list(strips._blocks) == [(16, (0, 1), 1), (16, (1, 8), 0)]
 
 
-def test_warm_started_pairs_match_cold_solve(setup_r, monkeypatch):
-    """Lanczos started from the unperturbed pairs finds the cold solve's pairs with fewer solves.
+def test_perturbed_pairs_form_no_k(setup_r, monkeypatch):
+    """Once the strips are solved, the perturbed sector makes no SuperLU factor and no Lanczos run, and matches a cold solve of K.
 
-    At L = 16 on the certified widths of delta = 0.025 the cold start takes
-    21 (even) and 55 (odd) shift-invert solves.  Once the strips are
-    solved, the perturbed sector factors K alone, once, at the gap centre.
+    At L = 16 on the certified widths of delta = 0.025 its values agree
+    with `paper_checks.ingap_pairs` on the reference K
+    (`paper_checks.sector_matrix`) to 1e-13 relative, and its vectors
+    overlap that solve's to 1 - 1e-12.
     """
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
     w = robust.build_W("compact", 2e-5)
-    solves, factors = [], []
-    factor = matching._factor
-
-    def counted(mat, shift, **options):
-        factors.append((mat.shape[0], shift))
-        lu = factor(mat, shift, **options)
-        if options:    # an inertia factor
-            return lu
-        solves.append(0)
-        index = len(solves) - 1
-
-        def solve(x):
-            solves[index] += 1
-            return lu.solve(x)
-
-        return SimpleNamespace(solve=solve)
-
-    monkeypatch.setattr(matching, "_factor", counted)
-    for parity, t, cold_solves in ((1, 192, 21), (-1, 184, 55)):
+    calls = []
+    factor, eigsh = matching._factor, spla.eigsh
+    monkeypatch.setattr(matching, "_factor", lambda *a, **k: calls.append("factor") or factor(*a, **k))
+    monkeypatch.setattr(spla, "eigsh", lambda *a, **k: calls.append("eigsh") or eigsh(*a, **k))
+    for parity, t in ((1, 192), (-1, 184)):
         sector = robust._BlochSector(strips, 16, t, parity)
         sector.unperturbed_pairs()
-        solves.clear()
-        factors.clear()
+        calls.clear()
         vals, vecs, _ = sector.perturbed_pairs(w)
-        assert factors == [(sector.bounds[-1], 0.5 * (gap[0] + gap[1]))]
-        assert len(solves) == 1 and solves[0] < cold_solves
-        k = sector.matrix(sector.defect(w))
-        cold, z, _ = paper_checks.ingap_pairs(k, gap)
-        assert solves[1] == cold_solves and solves[0] < solves[1]
+        assert calls == []
+        cold, z, _ = paper_checks.ingap_pairs(paper_checks.sector_matrix(sector, sector.defect(w)), gap)
+        assert calls.count("eigsh") == 1   # the spies see the reference solve
         assert len(vals) == len(cold) > 0
         assert np.abs(vals - cold).max() <= 1e-13 * np.abs(cold).max()
         overlap = np.abs(np.sum(vecs * sector.to_full(z).real, axis=0))
         assert overlap.min() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("amplitude, L, parity, passes", [(0.05, 8, 1, 3), (2e-5, 16, 1, 2), (2e-5, 16, -1, 0)])
+def test_secular_hard_cases_match_oracle(setup_r, monkeypatch, amplitude, L, parity, passes):
+    """The secular solve matches the assembled oracle where it is hardest, and shifts no strip onto its own pole.
+
+    At amplitude 0.05 the even pair moves by 4.5e-5, far beyond
+    ``POLE_OFFSET``, in three Newton passes.  At amplitude 2e-5 and L = 16
+    the even pair moves by 1.5e-8, within ``POLE_OFFSET``, so the strip that
+    carries it is shifted to either side of its own eigenvalue in both
+    passes; the odd pairs move by rounding only and run no pass at all.  No
+    lane of any pass lies nearer than ``POLE_OFFSET`` / 2 to an in-gap
+    eigenvalue of its strip.
+    """
+    iface, gap, lam, d_zig = setup_r
+    w = robust.build_W("compact", amplitude)
+    strips = robust.MomentumStrips(iface, gap)
+    widths, nearest = [], []
+    secular_pass, tails = robust._BlochSector._secular_pass, robust._half_strip_tails
+
+    def spy_pass(sector, *args):
+        widths.append(sector.t)
+        poles = {id(blk.cells): blk.pairs[0] for blk in sector.blocks}
+
+        def spy_tails(lanes, t, invert):
+            nearest.extend(np.abs(poles[id(cells)] - s).min(initial=np.inf) for cells, s in lanes)
+            return tails(lanes, t, invert)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(robust, "_half_strip_tails", spy_tails)
+            return secular_pass(sector, *args)
+
+    monkeypatch.setattr(robust._BlochSector, "_secular_pass", spy_pass)
+    pair = robust.sector_pair(strips, w, L, parity, lam[parity], d_zig[parity], 40, 320, True)
+    ref = _assembled(monkeypatch, iface, gap, w, L, parity, lam[parity], d_zig[parity])
+    for new, old in zip(pair, ref):
+        assert (new.t_used, new.t_converged, new.ingap_count) == (old.t_used, old.t_converged, old.ingap_count)
+        assert np.abs(new.eigenvalues - old.eigenvalues).max() < 1e-13
+        assert abs(np.vdot(old.tracked_vector, new.tracked_vector)) >= 1 - 1e-10
+    base, pert = pair
+    shift = abs(pert.eigenvalues[pert.tracked] - base.eigenvalues[base.tracked])
+    assert widths.count(pert.t_used) == passes
+    if passes == 3:
+        assert shift > 10 * robust.POLE_OFFSET
+    elif passes == 2:
+        assert 1e-9 < shift < robust.POLE_OFFSET   # a lane at the iterate itself would lie within the shift
+    else:
+        assert shift < 1e-14
+    assert min(nearest, default=np.inf) >= 0.5 * robust.POLE_OFFSET
+
+
+def test_secular_roots_from_several_strips(setup_r):
+    """Pairs of several momenta, out of order between them, each become the right root of the secular equation.
+
+    At L = 64 and t = 24 the strips at k = 0 and k = 2 pi 21/64 carry the
+    five in-gap pairs, listed 0.05, 0.07, 0.02, 0.08, 0.09; at amplitude
+    0.05 the values match a cold solve of the reference K to 1e-13
+    relative and the vectors overlap its vectors to 1 - 1e-12.
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 0.05)
+    for parity in (1, -1):
+        sector = robust._BlochSector(strips, 64, 24, parity)
+        listed = np.concatenate([blk.pairs[0] for blk in sector.blocks])
+        assert sum(len(blk.pairs[0]) > 0 for blk in sector.blocks) == 2 and (np.diff(listed) < 0).any()
+        vals, vecs, _ = sector.perturbed_pairs(w)
+        cold, z, _ = paper_checks.ingap_pairs(paper_checks.sector_matrix(sector, sector.defect(w)), gap)
+        assert len(vals) == len(cold) == len(listed)
+        assert np.abs(vals - cold).max() <= 1e-13 * np.abs(cold).max()
+        overlap = np.abs(np.sum(vecs * sector.to_full(z).real, axis=0))
+        assert overlap.min() >= 1.0 - 1e-12
+
+
+def test_secular_count_mismatch_and_cap_raise(setup_r, monkeypatch):
+    """A bordered count other than the number of unperturbed pairs, and a secular solve still moving at its cap, raise NumericError."""
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    w = robust.build_W("compact", 0.05)
+    sector = robust._BlochSector(strips, 8, 40, 1)
+    count = robust._bordered_inertia
+    with monkeypatch.context() as patch:   # one more eigenvalue below the upper gap edge
+        patch.setattr(robust, "_bordered_inertia", lambda cores, u, d: count(cores, u, d) + (cores[0] is sector.blocks[0].edges[1]))
+        with pytest.raises(NumericError, match="bordered count puts 3 .* has 2 roots"):
+            sector.perturbed_pairs(w)
+    monkeypatch.setattr(robust, "SECULAR_CAP", 2)   # amplitude 0.05 takes three passes
+    with pytest.raises(NumericError, match="did not converge in 2 passes"):
+        sector.perturbed_pairs(w)
 
 
 def test_momentum_coordinates_back_map(setup_r):
@@ -686,8 +760,9 @@ def test_momentum_blocks_real(setup_r):
     """Every momentum block is real in its reflection-adapted basis, with the strip's spectrum.
 
     At 0 < k < pi the block is S^H H_k S for the complex Hermitian H_k; at
-    k = 0 and pi the two parity parts together carry H_k.  The sector matrix
-    K with the defect is real in both parities.
+    k = 0 and pi the two parity parts together carry H_k.  The reference
+    sector matrix K with the defect (`paper_checks.sector_matrix`) is real
+    in both parities.
     """
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
@@ -705,7 +780,7 @@ def test_momentum_blocks_real(setup_r):
     w = robust.build_W("compact", 0.05)
     for parity in (1, -1):
         sector = robust._BlochSector(strips, L, t, parity)
-        assert sector.matrix(sector.defect(w)).dtype == np.float64
+        assert paper_checks.sector_matrix(sector, sector.defect(w)).dtype == np.float64
     # an imaginary on-site hopping breaks the symmetry that makes the blocks real
     onsite = np.zeros((6, 6), dtype=complex)
     onsite[0, 1], onsite[1, 0] = 0.01j, -0.01j
