@@ -368,6 +368,10 @@ def cmd_robustness(cfg: dict, override_bound: bool) -> int:
     ws = Workspace.build(cfg)
     iface = ws.interface()
     gap = ws.gap()
+    w = robust.build_W(cfg["perturbation"]["kind"], float(cfg["perturbation"]["amplitude"]))
+    t0, t_pi = int(cfg["truncation"]["strip_t0"]), int(cfg["truncation"]["oracle_blocks"]) // 4
+    for L in cfg["robustness"]["L_values"]:
+        robust._defect_entries(w, int(L), t0)   # a period the defect rule rejects exits 2 before the mode search
     modes = ws.modes(iface)
     if modes.count != 2:
         print("numeric failure: unperturbed interface does not show 2 modes", file=sys.stderr)
@@ -383,7 +387,6 @@ def cmd_robustness(cfg: dict, override_bound: bool) -> int:
     d_zig = {
         p: min(lam - gap[0], gap[1] - lam) for p, lam in lam_by_parity.items()
     }
-    w = robust.build_W(cfg["perturbation"]["kind"], float(cfg["perturbation"]["amplitude"]))
     bound = float(cfg["robustness"]["c_w"]) * min(d_zig.values())
     in_theory = w.m_w < bound
     if not in_theory and not override_bound:
@@ -393,7 +396,6 @@ def cmd_robustness(cfg: dict, override_bound: bool) -> int:
             file=sys.stderr,
         )
         return 5
-    t0, t_pi = int(cfg["truncation"]["strip_t0"]), int(cfg["truncation"]["oracle_blocks"]) // 4
     strips = robust.MomentumStrips(iface, gap)
 
     def sectors(parity: int) -> tuple:

@@ -465,10 +465,19 @@ def _ingap_eigsh(mat, gap: tuple, count: int):
     w, v = w[inside], v[:, inside]
     resid = np.linalg.norm(mat @ v - v * w, axis=0)
     # the largest absolute row sum bounds ||mat|| for a Hermitian mat
-    rel = resid / float(abs(mat).sum(axis=1).max())
+    return w, v, _residual_gate(resid, w, float(abs(mat).sum(axis=1).max()), "", f" (shift {sigma!r})")
+
+
+def _residual_gate(resid: np.ndarray, vals: np.ndarray, bound: float, pair: str, after: str) -> float:
+    """The largest of the residuals ||(mat - w) v|| ``resid`` of the pairs with eigenvalues ``vals``, each held to ``RESIDUAL_RTOL`` times ``bound`` >= ||mat||.
+
+    Beyond it, ``NumericError`` names the worst pair: its eigenvalue, then
+    ``pair``, its relative residual, then ``after``.
+    """
+    rel = resid / bound
     if rel.max() > RESIDUAL_RTOL:
         raise NumericError(
-            f"in-gap pair {float(w[np.argmax(rel)]):.12g} has relative residual "
-            f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e} (shift {sigma!r})"
+            f"in-gap pair {float(vals[np.argmax(rel)]):.12g}{pair} has relative residual "
+            f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e}{after}"
         )
-    return w, v, float(resid.max())
+    return float(resid.max())

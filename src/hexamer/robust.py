@@ -18,7 +18,7 @@ from scipy.linalg import block_diag
 
 from . import green, kernels, lattice
 from .errors import BranchLost, GapCollapse, ModelValidationError, NumericError
-from .matching import RESIDUAL_RTOL, _edge_filtered, _inertia, _ingap_eigsh
+from .matching import _edge_filtered, _inertia, _ingap_eigsh, _residual_gate
 
 _OFF = kernels.RANGE1_OFFSETS
 MOVE_TOL = 1e-9   # the certificate eps that every kept sector pair must reach
@@ -399,7 +399,7 @@ class _Cells:
         return int(self.eye.sum())
 
     def core_block(self, t: int, s: float, tails: np.ndarray) -> np.ndarray:
-        """C - s on the core columns |n1| <= min(``CORE_COLUMNS``, t), less ``tails`` (side 0, side 1; `_half_strip_tails`) on its two outer columns."""
+        """C - s on the core columns |n1| <= min(``CORE_COLUMNS``, t), less ``tails`` (side 0, side 1; `_schur_lanes`) on its two outer columns."""
         p, drop = self.per_cell, self.per_cell * (CORE_COLUMNS - min(CORE_COLUMNS, t))
         block = self.core[drop : len(self.core) - drop, drop : len(self.core) - drop] - s * np.eye(len(self.core) - 2 * drop)
         block[:p, :p] -= tails[1, :p, :p]
@@ -506,53 +506,75 @@ class _MomentumStrip:
         return _ingap_eigsh(self.mat, self.gap, below1 - below0)
 
 
-def _inverse_count(s: np.ndarray, singular):
-    """(S^-1, nu(S)) of each of the stacked real symmetric S.
+def _inverse(s: np.ndarray, count: bool, singular):
+    """(S^-1, nu(S)) of each of the stacked real symmetric S, nu the count of its negative eigenvalues, or (S^-1, None) without ``count``.
 
-    nu counts the negative eigenvalues.  An S whose smallest absolute
-    eigenvalue is at most its size times the machine epsilon times its
-    largest is singular: ``NumericError`` with the message ``singular(i)``
-    for the first such S.  The inverse is LU's: on the near-singular Schur
-    blocks of a shift inside the bulk bands it keeps G about ten times
-    closer to an iteratively refined solve than V diag(1/w) V^T does.
+    An S whose smallest absolute eigenvalue is at most its size times the
+    machine epsilon times its largest is singular: ``NumericError`` with
+    the message ``singular(i)`` for the first such S.  Without ``count``
+    the eigenvalues are computed only when LU finds some S exactly
+    singular.  The inverse is LU's: on the near-singular Schur blocks of a
+    shift inside the bulk bands it keeps G about ten times closer to an
+    iteratively refined solve than V diag(1/w) V^T does.
     """
+    try:
+        inverse = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        inverse = None
+    if inverse is not None and not count:
+        return inverse, None
     w = np.linalg.eigvalsh(s)
     size = np.abs(w)
     bad = size.min(axis=-1) <= s.shape[-1] * np.finfo(float).eps * size.max(axis=-1)
-    if bad.any():
+    if bad.any() or inverse is None:
         raise NumericError(singular(int(np.argmax(bad))))
-    return np.linalg.inv(s), (w < 0).sum(axis=-1)
+    return inverse, (w < 0).sum(axis=-1)
 
 
-def _inverse(s: np.ndarray, message: str) -> np.ndarray:
-    """The inverse of each of the stacked ``s``; an exactly singular one raises ``NumericError`` with ``message``."""
-    try:
-        return np.linalg.inv(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(message) from exc
-
-
-def _half_strip_tails(lanes, t: int, invert) -> np.ndarray:
-    """The term out S^-1 out^T that each half-strip tail of the width-t strip of each lane (cells, s) leaves on its core.
+def _schur_lanes(lanes, t: int, count: bool):
+    """((nu, G) of each lane, kept) for the width-t momentum strip ``mat`` of each lane (cells, s, frac), shifted by s.
 
     Beyond the columns |n1| <= ``CORE_COLUMNS`` each side of a momentum
     strip is a half-strip of one bulk (`_Cells`), eliminated by a block
     Schur recursion from its Dirichlet end j = t inward: with
     S_{t+1}^-1 = 0 and ``diag`` shifted by s,
         S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T.
-    Both sides of all the lanes step as one batch; ``invert(S, j)`` returns
-    the inverse of the stack S of the Schur blocks of the column j, side 0
-    (n1 > 0) and side 1 of each lane in turn.  Returns an array
-    (len(lanes), 2, 6, 6), zero for t <= ``CORE_COLUMNS``.
+    Both sides of all the lanes step as one batch.  That leaves the core
+    block C - s less the tail term out S^-1 out^T on each of its two outer
+    columns (`_Cells.core_block`); G, its inverse, is the block of
+    (mat - s)^-1 on the core rows.  With ``count``, nu counts the
+    eigenvalues of ``mat`` below s: by Haynsworth's inertia additivity, nu
+    of that core block plus the counts nu(S_j) of both tails; without it
+    nu is None.  ``kept`` lists the stacked S_j^-1, j = t inward to
+    ``CORE_COLUMNS`` + 1, side 0 (n1 > 0) and side 1 of each lane in turn.
+    A singular Schur block or core block raises ``NumericError``.
     """
-    diag = np.stack([c.diag[side] - s * c.eye for c, s in lanes for side in (0, 1)])
-    out = np.stack([c.out[side] for c, _ in lanes for side in (0, 1)])
-    inverse = np.zeros_like(diag[:, 0])
+    diag = np.stack([c.diag[side] - s * c.eye for c, s, _ in lanes for side in (0, 1)])
+    out = np.stack([c.out[side] for c, _, _ in lanes for side in (0, 1)])
+
+    def singular(n: int, block: str) -> str:
+        _, s, f = lanes[n]
+        return f"strip factor at shift {s!r} failed: the {block} at k = 2 pi {f[0]}/{f[1]} is singular"
+
+    inverse, kept = np.zeros_like(diag[:, 0]), []
+    below = np.zeros(2 * len(lanes), dtype=int)   # the tail counts, side by side of each lane
     for j in range(t, CORE_COLUMNS, -1):
         b = out[:, j % 2]
-        inverse = invert(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), j)
+        inverse, nu = _inverse(
+            diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2),
+            count,
+            lambda i: singular(i // 2, f"half-strip Schur block of column n1 = {-j if i % 2 else j}"),
+        )
+        kept.append(inverse)
+        if count:
+            below += nu
     coupling = out[:, CORE_COLUMNS % 2]
-    return (coupling @ inverse @ coupling.swapaxes(1, 2)).reshape(len(lanes), 2, 6, 6)
+    tails = (coupling @ inverse @ coupling.swapaxes(1, 2)).reshape(len(lanes), 2, 6, 6)
+    cores = []
+    for n, ((cells, s, _), tail, tail_below) in enumerate(zip(lanes, tails, below.reshape(-1, 2).sum(axis=1))):
+        g, nu = _inverse(cells.core_block(t, s, tail), count, lambda _: singular(n, "core block"))
+        cores.append((int(nu + tail_below) if count else None, g))
+    return cores, kept
 
 
 class MomentumStrips:
@@ -598,41 +620,14 @@ class MomentumStrips:
         return self._cells[frac, part]
 
     def resolvent_cores(self, t: int, fracs: list, parity: int, shifts) -> list:
-        """(nu, G) of the width-t strip at each of ``fracs`` (its ``parity`` part at k = 0 and pi) and each shift s.
+        """(nu, G) of the width-t strip at each of ``fracs`` (its ``parity`` part at k = 0 and pi) and each shift s (`_schur_lanes`).
 
         nu counts the eigenvalues of the strip's ``mat`` below s and G is the
-        block of (mat - s)^-1 on its core rows.  The half-strip tails of all
-        the lanes (frac, s) are eliminated as one batch (`_half_strip_tails`),
-        which leaves the core block C - s minus the tail term on each of its
-        two outer columns; by Haynsworth's inertia additivity nu is nu of
-        that block plus the counts nu(S_j) of both tails, and G its inverse.
-        A singular Schur block or core block raises ``NumericError``.
-        Returns one list per shift, in the order of ``fracs``.
+        block of (mat - s)^-1 on its core rows, from the strip's cells with
+        no factor.  Returns one list per shift, in the order of ``fracs``.
         """
-        lanes = [(f, s) for s in shifts for f in fracs]
-        cells = [self._cell_blocks(f, _part(f, parity)) for f, _ in lanes]
-        below = np.zeros(2 * len(lanes), dtype=int)   # the tail counts, side by side of each lane
-
-        def counted(stack, j):
-            def singular(i):
-                (f, s), side = lanes[i // 2], i % 2
-                return (
-                    f"strip factor at shift {s!r} failed: the half-strip Schur block of column "
-                    f"n1 = {j if side == 0 else -j} at k = 2 pi {f[0]}/{f[1]} is singular"
-                )
-
-            inverse, nu = _inverse_count(stack, singular)
-            below[:] += nu
-            return inverse
-
-        tails = _half_strip_tails([(c, s) for c, (_, s) in zip(cells, lanes)], t, counted)
-        cores = []
-        for n, ((f, s), cell) in enumerate(zip(lanes, cells)):
-            g, nu = _inverse_count(
-                cell.core_block(t, s, tails[n]),
-                lambda _: f"strip factor at shift {s!r} failed: the core block at k = 2 pi {f[0]}/{f[1]} is singular",
-            )
-            cores.append((int(nu + below[2 * n] + below[2 * n + 1]), g))
+        lanes = [(self._cell_blocks(f, _part(f, parity)), s, f) for s in shifts for f in fracs]
+        cores, _ = _schur_lanes(lanes, t, count=True)
         return [cores[m * len(fracs) : (m + 1) * len(fracs)] for m in range(len(shifts))]
 
 
@@ -866,7 +861,7 @@ class _BlochSector:
         Phi, Phi_U), in ascending order.
 
         Each lane (strip, root, shift) runs the half-strip recursion
-        (`_half_strip_tails`) inverse only, all of them in one batch, and
+        (`_schur_lanes`) inverse only, all of them in one batch, and
         its core block gives U^T (A_j - s)^-1 U, from which the strip's
         own in-gap poles are subtracted.  A strip with an in-gap eigenvalue
         within h = ``POLE_OFFSET`` of mu_i is shifted to mu_i -+ h instead,
@@ -893,24 +888,14 @@ class _BlochSector:
                 else:
                     lanes.append((pos, i, m, 1.0))
         cells = [self.blocks[pos].cells for pos, _, _, _ in lanes]
-        kept = []   # S_j^-1 of every lane and side, j = t inward
-
-        def invert(stack, j):
-            kept.append(_inverse(stack, f"secular pass failed: a half-strip Schur block of column |n1| = {j} is singular"))
-            return kept[-1]
-
-        tails = _half_strip_tails([(cell, s) for cell, (_, _, s, _) in zip(cells, lanes)], self.t, invert)
-        greens = [
-            _inverse(cell.core_block(self.t, s, tail), f"secular pass failed: the core block at shift {s!r} is singular")
-            for cell, (_, _, s, _), tail in zip(cells, lanes, tails)
-        ]
+        cores, kept = _schur_lanes([(cell, s, self.blocks[pos].frac) for cell, (pos, _, s, _) in zip(cells, lanes)], self.t, count=False)
         rows = np.split(u, np.cumsum([len(blk.core) for blk in self.blocks])[:-1])   # U on each strip's core
         poles = [
             (phi_u[:, owner == pos], lam[owner == pos], phi[lo:hi, owner == pos])
             for pos, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:]))
         ]
         q = np.zeros((len(mu), len(d), len(d)))
-        for (pos, i, s, weight), g in zip(lanes, greens):
+        for (pos, i, s, weight), (_, g) in zip(lanes, cores):
             pu, vals, _ = poles[pos]
             q[i] += weight * (rows[pos].T @ g @ rows[pos] - (pu / (vals - s)) @ pu.T)
 
@@ -923,7 +908,7 @@ class _BlochSector:
         c = np.einsum("irk,ki->ri", b, a)
 
         # (A_j - s)^-1 U c: the core, then each side's tail outward
-        core = [g @ (rows[pos] @ c[:, i]) for (pos, i, _, _), g in zip(lanes, greens)]
+        core = [g @ (rows[pos] @ c[:, i]) for (pos, i, _, _), (_, g) in zip(lanes, cores)]
         y = np.zeros((2 * len(lanes), 6, 1))
         for n, (cell, vec) in enumerate(zip(cells, core)):
             p = cell.per_cell
@@ -944,21 +929,14 @@ class _BlochSector:
     def _residual(self, z, vals, u, d, bound: float) -> float:
         """Largest ||(K - w) z|| of the unit momentum-coordinate columns ``z`` with eigenvalues ``vals``, from the strips and (U, D) without K.
 
-        Held to ``RESIDUAL_RTOL`` times ``bound`` >= ||K||; ``NumericError`` beyond it.
+        Held to ``RESIDUAL_RTOL`` times ``bound`` >= ||K|| (`_residual_gate`).
         """
         kz = -z * vals
         for blk, lo, hi in zip(self.blocks, self.bounds[:-1], self.bounds[1:]):
             if z[lo:hi].any():
                 kz[lo:hi] += blk.cells.times(self.t, z[lo:hi])
         kz[self.core] += u @ (d[:, None] * (u.T @ z[self.core]))
-        resid = np.linalg.norm(kz, axis=0)
-        rel = resid / bound
-        if rel.max() > RESIDUAL_RTOL:
-            raise NumericError(
-                f"in-gap pair {float(vals[np.argmax(rel)]):.12g} of the secular equation has relative residual "
-                f"{rel.max():.2e} > {RESIDUAL_RTOL:.0e}"
-            )
-        return float(resid.max())
+        return _residual_gate(np.linalg.norm(kz, axis=0), vals, bound, " of the secular equation", "")
 
 
 def sector_pair(

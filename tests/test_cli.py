@@ -363,6 +363,23 @@ def test_robustness_short_period_exits_two(tmp_path, capsys):
     assert "not Hermitian at L = 6" in capsys.readouterr().err
 
 
+def test_robustness_bad_period_exits_before_mode_search(tmp_path, capsys, monkeypatch):
+    """An L that the defect rule rejects exits 2 before the mode search and before any earlier L runs.
+
+    Only the echoed config is written.  A zero amplitude has no entries
+    to reject, so L = 4 stays valid for it.
+    """
+    searched, modes = [], cli.Workspace.modes
+    monkeypatch.setattr(cli.Workspace, "modes", lambda self, iface: searched.append(iface) or modes(self, iface))
+    out = tmp_path / "o"
+    cfg = dict(FAST, delta=0.025, robustness=dict(FAST["robustness"], L_values=[8, 4]))
+    assert _run_main(tmp_path, out, "robustness", cfg=cfg) == 2
+    assert capsys.readouterr().err == "model validation failed: the periodized defect is not Hermitian at L = 4\n"
+    assert searched == []
+    assert [path.name for path in out.iterdir()] == ["effective_config.json"]
+    assert all(len(part) == 0 for part in robust._defect_entries(robust.build_W("compact", 0.0), 4, 30))
+
+
 def test_band_curve_command(tmp_path):
     cfg = dict(FAST)
     cfg["delta"] = 0.025

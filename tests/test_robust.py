@@ -493,19 +493,19 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     """
     iface, gap, lam, d_zig = setup_r
     inertia, tails, csr, assembled = [], [], [], []
-    count, inverse_count, strip = matching._inertia, robust._inverse_count, robust._Cells.strip
+    count, inverse, strip = matching._inertia, robust._inverse, robust._Cells.strip
 
-    def counted_inverse(s, singular):
-        if s.ndim == 3:
+    def counted_inverse(s, counted, singular):
+        if counted and s.ndim == 3:
             tails.append(len(s))
-        return inverse_count(s, singular)
+        return inverse(s, counted, singular)
 
     def spy_strip(cells, t):
         assembled.append((cells, t))
         return strip(cells, t)
 
     monkeypatch.setattr(matching, "_inertia", lambda *a: inertia.append(a) or count(*a))
-    monkeypatch.setattr(robust, "_inverse_count", counted_inverse)
+    monkeypatch.setattr(robust, "_inverse", counted_inverse)
     monkeypatch.setattr(kernels.BlockedStripOperator, "csr", lambda self, half: csr.append(half))
     monkeypatch.setattr(robust._Cells, "strip", spy_strip)
     strips = robust.MomentumStrips(iface, gap)
@@ -651,18 +651,18 @@ def test_secular_hard_cases_match_oracle(setup_r, monkeypatch, amplitude, L, par
     w = robust.build_W("compact", amplitude)
     strips = robust.MomentumStrips(iface, gap)
     widths, nearest = [], []
-    secular_pass, tails = robust._BlochSector._secular_pass, robust._half_strip_tails
+    secular_pass, schur_lanes = robust._BlochSector._secular_pass, robust._schur_lanes
 
     def spy_pass(sector, *args):
         widths.append(sector.t)
         poles = {id(blk.cells): blk.pairs[0] for blk in sector.blocks}
 
-        def spy_tails(lanes, t, invert):
-            nearest.extend(np.abs(poles[id(cells)] - s).min(initial=np.inf) for cells, s in lanes)
-            return tails(lanes, t, invert)
+        def spy_lanes(lanes, t, count):
+            nearest.extend(np.abs(poles[id(cells)] - s).min(initial=np.inf) for cells, s, _ in lanes)
+            return schur_lanes(lanes, t, count)
 
         with monkeypatch.context() as patch:
-            patch.setattr(robust, "_half_strip_tails", spy_tails)
+            patch.setattr(robust, "_schur_lanes", spy_lanes)
             return secular_pass(sector, *args)
 
     monkeypatch.setattr(robust._BlochSector, "_secular_pass", spy_pass)
@@ -682,6 +682,34 @@ def test_secular_hard_cases_match_oracle(setup_r, monkeypatch, amplitude, L, par
     else:
         assert shift < 1e-14
     assert min(nearest, default=np.inf) >= 0.5 * robust.POLE_OFFSET
+
+
+def test_secular_residual_beyond_tolerance_is_numeric(setup_r, monkeypatch):
+    """A secular pair whose residual exceeds a shrunken ``RESIDUAL_RTOL`` raises NumericError (exit 3).
+
+    The strips solve their own pairs first, at the usual tolerance.
+    """
+    iface, gap, _, _ = setup_r
+    sector = robust._BlochSector(robust.MomentumStrips(iface, gap), 8, 24, 1)
+    assert len(sector.unperturbed_pairs()[0]) == 2
+    monkeypatch.setattr(matching, "RESIDUAL_RTOL", 1e-20)
+    with pytest.raises(NumericError, match=r"in-gap pair .* of the secular equation has relative residual .* > 1e-20$"):
+        sector.perturbed_pairs(robust.build_W("compact", 0.05))
+
+
+def test_secular_root_leaving_the_gap_is_numeric(setup_r):
+    """A root that a Newton pass moves out of the gap raises NumericError (exit 3).
+
+    At L = 8 and t = 24 the defect of amplitude 0.05 lifts the even
+    sector's upper in-gap pair by 5e-6; the gap is narrowed to 1e-6 beyond
+    the unperturbed pairs once the strips have counted it.
+    """
+    iface, gap, _, _ = setup_r
+    sector = robust._BlochSector(robust.MomentumStrips(iface, gap), 8, 24, 1)
+    lam = sector.unperturbed_pairs()[0]
+    sector.gap = (lam.min() - 1e-6, lam.max() + 1e-6)
+    with pytest.raises(NumericError, match="a root of the secular equation left the gap"):
+        sector.perturbed_pairs(robust.build_W("compact", 0.05))
 
 
 def test_secular_roots_from_several_strips(setup_r):
