@@ -532,49 +532,111 @@ def _inverse(s: np.ndarray, count: bool, singular):
 
 
 def _schur_lanes(lanes, t: int, count: bool):
-    """((nu, G) of each lane, kept) for the width-t momentum strip ``mat`` of each lane (cells, s, frac), shifted by s.
+    """((nu, G) of each lane, tail) for the width-t momentum strip ``mat`` of each lane (cells, s, frac), shifted by s.
 
     Beyond the columns |n1| <= ``CORE_COLUMNS`` each side of a momentum
-    strip is a half-strip of one bulk (`_Cells`), eliminated by a block
-    Schur recursion from its Dirichlet end j = t inward: with
-    S_{t+1}^-1 = 0 and ``diag`` shifted by s,
-        S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T.
-    Both sides of all the lanes step as one batch.  That leaves the core
-    block C - s less the tail term out S^-1 out^T on each of its two outer
-    columns (`_Cells.core_block`); G, its inverse, is the block of
-    (mat - s)^-1 on the core rows.  With ``count``, nu counts the
-    eigenvalues of ``mat`` below s: by Haynsworth's inertia additivity, nu
-    of that core block plus the counts nu(S_j) of both tails; without it
-    nu is None.  ``kept`` lists the stacked S_j^-1, j = t inward to
-    ``CORE_COLUMNS`` + 1, side 0 (n1 > 0) and side 1 of each lane in turn.
-    A singular Schur block or core block raises ``NumericError``.
+    strip is a half-strip of one bulk (`_Cells`): the columns
+    j = ``CORE_COLUMNS`` + 1..t, each with the block diag[j % 2] - s and
+    the coupling out[j % 2] to j + 1.  Block cyclic reduction (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627) eliminates them
+    in O(log t) steps, each one batch over both sides of all the lanes.
+    The Dirichlet end column t goes first.  The columns left split by the
+    binary digits of their count into segments of 2, 4, 8, ... columns,
+    all starting on one column parity, so that every segment of m columns
+    has the same Schur complement [[P, Q], [Q^T, R]] on its two end
+    columns; two of m columns join into one of 2m through their middle
+    columns, M = [[R, b], [b^T, P]], b the coupling between them.  From
+    the Dirichlet end inward, the largest first, each segment a..c - 1
+    meets the Schur block S_c of the columns already eliminated in
+    K = [[P, Q], [Q^T, R - b S_c^-1 b^T]], and S_a^-1 is the corner of
+    K^-1; the column ``CORE_COLUMNS`` + 1 goes last when the count is
+    odd.  That leaves the core block C - s less the tail term
+    out S^-1 out^T on each of its two outer columns (`_Cells.core_block`);
+    G, its inverse, is the block of (mat - s)^-1 on the core rows.  With
+    ``count``, nu counts the eigenvalues of ``mat`` below s: by
+    Haynsworth's inertia additivity, nu of the core block plus that of
+    every eliminated block, the interior of 2m columns counting
+    2 nu(interior of m columns) + nu(M); without it nu is None.
+    ``tail(y)`` gives the tail columns j = ``CORE_COLUMNS`` + 1..t of
+    (mat - s)^-1 f, f zero there, from its column ``CORE_COLUMNS`` y on
+    each side of each lane (side 0, n1 > 0, then side 1): across each
+    eliminated block by its stored inverse, then the middle columns of
+    each segment by M^-1, largest segments first.  Every block goes
+    through `_inverse`, so a singular one raises ``NumericError``.
     """
     diag = np.stack([c.diag[side] - s * c.eye for c, s, _ in lanes for side in (0, 1)])
     out = np.stack([c.out[side] for c, _, _ in lanes for side in (0, 1)])
+    tr = lambda a: a.swapaxes(-1, -2)
 
     def singular(n: int, block: str) -> str:
         _, s, f = lanes[n]
         return f"strip factor at shift {s!r} failed: the {block} at k = 2 pi {f[0]}/{f[1]} is singular"
 
-    inverse, kept = np.zeros_like(diag[:, 0]), []
-    below = np.zeros(2 * len(lanes), dtype=int)   # the tail counts, side by side of each lane
-    for j in range(t, CORE_COLUMNS, -1):
-        b = out[:, j % 2]
-        inverse, nu = _inverse(
-            diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2),
-            count,
-            lambda i: singular(i // 2, f"half-strip Schur block of column n1 = {-j if i % 2 else j}"),
-        )
-        kept.append(inverse)
-        if count:
-            below += nu
+    def invert(block, what: str, *cols):
+        """(block^-1, nu), nu 0 without ``count``; ``what`` and its columns n1 on a side name a singular block."""
+        name = lambda i: f"{what} n1 = {'..'.join(str(-j if i % 2 else j) for j in cols)}"
+        inverse, nu = _inverse(block, count, lambda i: singular(i // 2, name(i)))
+        return inverse, nu if count else 0
+
+    state, pieces, below = np.zeros_like(diag[:, 0]), [], 0   # S_c^-1 of the innermost column c eliminated yet
+
+    def eliminate(a: int, m: int):
+        """Eliminate the column a (m = 1) or the end columns of the segment a..a + m - 1, against the state."""
+        nonlocal state, below
+        b, inner = out[:, (a + m - 1) % 2], 0
+        if m == 1:
+            k_inv, nu = invert(diag[:, a % 2] - b @ state @ tr(b), "half-strip Schur block of column", a)
+        else:
+            p, q, r, inner = levels[m]
+            k_inv, nu = invert(np.block([[p, q], [tr(q), r - b @ state @ tr(b)]]), "Schur block of the segment", a, a + m - 1)
+        state, below = k_inv[:, :6, :6], below + inner + nu
+        pieces.append((a, m, k_inv))
+
+    if t > CORE_COLUMNS:
+        eliminate(t, 1)
+    rest = max(t - CORE_COLUMNS - 1, 0)   # the columns left once the end column is eliminated
+    first, span, m = CORE_COLUMNS + 1 + rest % 2, rest - rest % 2, 2
+    levels = {2: (diag[:, first % 2], out[:, first % 2], diag[:, (first + 1) % 2], 0)}   # P, Q, R, nu(interior)
+    joins = {}   # (Q of m columns, M^-1) of each joined size 2m
+    while 2 * m <= span:
+        p, q, r, inner = levels[m]
+        b = out[:, (first + m - 1) % 2]
+        join, nu = invert(np.block([[r, b], [tr(b), p]]), "join block of the segment", first, first + 2 * m - 1)
+        joins[2 * m] = q, join
+        levels[2 * m] = p - q @ join[:, :6, :6] @ tr(q), -(q @ join[:, :6, 6:] @ q), r - tr(q) @ join[:, 6:, 6:] @ q, 2 * inner + nu
+        m *= 2
+    for m in sorted(levels, reverse=True):
+        if span & m:
+            eliminate(pieces[-1][0] - m, m)   # the segment just inside the last piece
+    if rest % 2:
+        eliminate(first - 1, 1)
+
+    def tail(y):
+        x = np.zeros((max(t, CORE_COLUMNS) + 1,) + y.shape + (1,))
+        x[CORE_COLUMNS, ..., 0] = y
+        for a, m, k_inv in reversed(pieces):   # the end columns of each piece, outward from the core
+            v = tr(out[:, (a - 1) % 2]) @ x[a - 1]
+            x[a] = -(k_inv[:, :6, :6] @ v)
+            if m > 1:
+                x[a + m - 1] = -(k_inv[:, 6:, :6] @ v)
+        starts = []
+        for size in sorted(joins, reverse=True):   # the middle columns of every segment, largest first
+            starts += [a for a, m, _ in pieces if m == size]
+            lo = np.array(starts, dtype=int)
+            q, join = joins[size]
+            mid = -(join @ np.concatenate([tr(q) @ x[lo], q @ x[lo + size - 1]], axis=-2))
+            x[lo + size // 2 - 1], x[lo + size // 2] = mid[..., :6, :], mid[..., 6:, :]
+            starts += list(lo + size // 2)   # the right halves; the left ones keep their starts
+        return x[CORE_COLUMNS + 1 : t + 1, ..., 0]
+
     coupling = out[:, CORE_COLUMNS % 2]
-    tails = (coupling @ inverse @ coupling.swapaxes(1, 2)).reshape(len(lanes), 2, 6, 6)
+    tails = (coupling @ state @ tr(coupling)).reshape(len(lanes), 2, 6, 6)
+    below = np.broadcast_to(below, len(diag)).reshape(-1, 2).sum(axis=1)
     cores = []
-    for n, ((cells, s, _), tail, tail_below) in enumerate(zip(lanes, tails, below.reshape(-1, 2).sum(axis=1))):
-        g, nu = _inverse(cells.core_block(t, s, tail), count, lambda _: singular(n, "core block"))
+    for n, ((cells, s, _), end, tail_below) in enumerate(zip(lanes, tails, below)):
+        g, nu = _inverse(cells.core_block(t, s, end), count, lambda _: singular(n, "core block"))
         cores.append((int(nu + tail_below) if count else None, g))
-    return cores, kept
+    return cores, tail
 
 
 class MomentumStrips:
@@ -876,8 +938,8 @@ class _BlochSector:
         config (delta = 0.04, ||x'||^2 = 7e-12), and 5e-16 even at amplitude
         0.05 (||x'||^2 = 2e-5).  A root within h of its own unperturbed
         value keeps both lanes to the end.  The vectors (A_j - s)^-1 U c
-        come from the core block and then column by column outward through
-        the stored Schur inverses: y_j = -S_j^-1 out[(j - 1) % 2]^T y_{j-1}.
+        come from the core block and then, on the tail columns, from the
+        lane pass's back-substitution through its stored inverses.
         """
         lam, owner, phi, phi_u = pairs
         lanes = []   # (strip, root, shift, weight)
@@ -888,7 +950,7 @@ class _BlochSector:
                 else:
                     lanes.append((pos, i, m, 1.0))
         cells = [self.blocks[pos].cells for pos, _, _, _ in lanes]
-        cores, kept = _schur_lanes([(cell, s, self.blocks[pos].frac) for cell, (pos, _, s, _) in zip(cells, lanes)], self.t, count=False)
+        cores, tail = _schur_lanes([(cell, s, self.blocks[pos].frac) for cell, (pos, _, s, _) in zip(cells, lanes)], self.t, count=False)
         rows = np.split(u, np.cumsum([len(blk.core) for blk in self.blocks])[:-1])   # U on each strip's core
         poles = [
             (phi_u[:, owner == pos], lam[owner == pos], phi[lo:hi, owner == pos])
@@ -907,18 +969,13 @@ class _BlochSector:
         a = evecs[picks, :, picks].T
         c = np.einsum("irk,ki->ri", b, a)
 
-        # (A_j - s)^-1 U c: the core, then each side's tail outward
+        # (A_j - s)^-1 U c: the core, then each side's tail
         core = [g @ (rows[pos] @ c[:, i]) for (pos, i, _, _), (_, g) in zip(lanes, cores)]
-        y = np.zeros((2 * len(lanes), 6, 1))
+        y = np.zeros((2 * len(lanes), 6))
         for n, (cell, vec) in enumerate(zip(cells, core)):
             p = cell.per_cell
-            y[2 * n, :p, 0], y[2 * n + 1, :p, 0] = vec[-p:], vec[:p]
-        out = np.stack([cell.out[side] for cell in cells for side in (0, 1)])
-        steps = []
-        for j in range(CORE_COLUMNS + 1, self.t + 1):
-            y = -(kept[self.t - j] @ (out[:, (j - 1) % 2].swapaxes(1, 2) @ y))
-            steps.append(y[..., 0])
-        steps = np.array(steps).reshape(-1, len(lanes), 2, 6)
+            y[2 * n, :p], y[2 * n + 1, :p] = vec[-p:], vec[:p]
+        steps = tail(y).reshape(-1, len(lanes), 2, 6)
         perp = np.zeros((self.bounds[-1], len(mu)))
         for n, ((pos, i, s, weight), cell, vec) in enumerate(zip(lanes, cells, core)):
             p, (pu, vals, vecs) = cell.per_cell, poles[pos]

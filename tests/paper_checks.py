@@ -22,8 +22,8 @@ from hexamer.lattice import (
 )
 from hexamer.matching import _auxiliary, _edge_filtered, _inertia, _ingap_eigsh, _matching
 from hexamer.robust import (
-    PerturbationW, _defect_entries, _reflection_image, assemble_band_curve, assemble_strip,
-    parity_isometry,
+    CORE_COLUMNS, PerturbationW, _defect_entries, _inverse, _reflection_image, assemble_band_curve,
+    assemble_strip, parity_isometry,
 )
 from hexamer.spectra import EigenBundle, fix_gauge_v, locate_double_dirac, verify_gap_criterion
 
@@ -524,6 +524,43 @@ def real_strip(iface: kernels.InterfaceKernel, t: int, frac: tuple, q: sp.csr_ma
     if abs(mat.imag).max() > 1e-12 * abs(mat).max():
         raise ModelValidationError(f"the momentum strip at k = 2 pi {frac[0]}/{frac[1]} is not real")
     return mat.real
+
+
+def sequential_schur_lanes(lanes, t: int, count: bool):
+    """`robust._schur_lanes` by the column-by-column half-strip recursion: the reference of its doubling.
+
+    From the Dirichlet end j = t inward, with S_{t+1}^-1 = 0 and ``diag``
+    shifted by s,
+        S_j = diag[j % 2] - out[j % 2] S_{j+1}^-1 out[j % 2]^T,
+    both sides of all the lanes as one batch; nu adds the nu(S_j) of both
+    tails to that of the core block, and ``tail(y)`` steps outward from the
+    core's outer columns y by y_j = -S_j^-1 out[(j - 1) % 2]^T y_{j-1}.
+    """
+    diag = np.stack([c.diag[side] - s * c.eye for c, s, _ in lanes for side in (0, 1)])
+    out = np.stack([c.out[side] for c, _, _ in lanes for side in (0, 1)])
+    inverse, kept = np.zeros_like(diag[:, 0]), []
+    below = np.zeros(2 * len(lanes), dtype=int)
+    for j in range(t, CORE_COLUMNS, -1):
+        b = out[:, j % 2]
+        inverse, nu = _inverse(diag[:, j % 2] - b @ inverse @ b.swapaxes(1, 2), count, lambda i: f"column {j}")
+        kept.append(inverse)
+        if count:
+            below += nu
+    coupling = out[:, CORE_COLUMNS % 2]
+    tails = (coupling @ inverse @ coupling.swapaxes(1, 2)).reshape(len(lanes), 2, 6, 6)
+    cores = []
+    for (cells, s, _), tail, tail_below in zip(lanes, tails, below.reshape(-1, 2).sum(axis=1)):
+        g, nu = _inverse(cells.core_block(t, s, tail), count, lambda _: "core block")
+        cores.append((int(nu + tail_below) if count else None, g))
+
+    def tail(y):
+        y, steps = y[..., None], []
+        for j in range(CORE_COLUMNS + 1, t + 1):
+            y = -(kept[t - j] @ (out[:, (j - 1) % 2].swapaxes(1, 2) @ y))
+            steps.append(y[..., 0])
+        return np.array(steps).reshape(-1, *y.shape[:-1])
+
+    return cores, tail
 
 
 def neumann_mode_check(

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -437,9 +438,12 @@ def test_tail_cores_match_superlu(setup_r):
 
     Both the gap-edge cores the strips keep and those `resolvent_cores`
     gives at further shifts are checked.  t <= CORE_COLUMNS has no tail,
-    t = 3 a one-column tail, and the odd widths run the period-2 blocks at
-    k = pi from both ends; t = 4 right after t = 3 must not resume the odd
-    width's recursion.  Both solves
+    t = 3 the end column alone and t = 4 the single column next to the
+    core as well.  The doubling's segments (`_schur_lanes`) start on column
+    3 at odd t and 4 at even t: t = 5 has one of 2 columns, 6 that and the
+    single column, 7 one of 4 from a join, 34 segments of 16, 8, 4 and 2
+    columns, 35 one of 32 and 66 every size from 32 down to 2.  The odd
+    widths run the period-2 blocks at k = pi from both ends.  Both solves
     are backward stable, so G may differ by eps times the condition number
     kappa = ||mat|| / dist(shift, spectrum): at the gap edges the two agree
     to 1e-12 relative, and across the spectrum, where the shifts lie half a
@@ -448,7 +452,7 @@ def test_tail_cores_match_superlu(setup_r):
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
     fracs = robust._momenta(8)
-    for t in (1, 2, 3, 4, 12, 81):
+    for t in (1, 2, 3, 4, 5, 6, 7, 12, 34, 35, 66, 81):
         for parity in (1, -1):
             for frac, blk in zip(fracs, strips.blocks(t, fracs, parity)):
                 dense = np.linalg.eigvalsh(blk.mat.toarray())
@@ -466,7 +470,14 @@ def test_tail_cores_match_superlu(setup_r):
 
 
 def test_singular_tail_block_is_numeric(setup_r):
-    """A shift on an eigenvalue of the end-cell block makes the first Schur block singular: NumericError, not LinAlgError."""
+    """A shift on an eigenvalue of the end-cell block or of a first-level join block is NumericError, not LinAlgError.
+
+    The end cell's block is the first Schur block.  At t = 12 the
+    doubling's segments start on the column 4 of each side, so the first
+    join block M couples the columns 5 and 6 (or -5 and -6) of the
+    segment 4..7: the message names the shift, that segment and the
+    momentum.
+    """
     iface, gap, _, _ = setup_r
     strips = robust.MomentumStrips(iface, gap)
     t = 12
@@ -477,19 +488,102 @@ def test_singular_tail_block_is_numeric(setup_r):
             shift = float(np.linalg.eigvalsh(end.toarray())[1])
             with pytest.raises(NumericError, match=r"strip factor at shift .* failed: .* is singular"):
                 strips.resolvent_cores(t, [frac], parity, [shift])
+        for sign in (1, -1):
+            lo = cell * (t + (5 if sign > 0 else -6))   # the rows of the columns 5 and 6, or -6 and -5
+            shift = float(np.linalg.eigvalsh(mat[lo : lo + 2 * cell, lo : lo + 2 * cell].toarray())[1])
+            message = f"strip factor at shift {shift!r} failed: the join block of the segment n1 = {4 * sign}..{7 * sign} at k = 2 pi {frac[0]}/{frac[1]} is singular"
+            with pytest.raises(NumericError, match=re.escape(message)):
+                strips.resolvent_cores(t, [frac], parity, [shift])
+
+
+def test_doubling_matches_sequential_schur_recursion(setup_r):
+    """The doubling of `_schur_lanes` gives the counts, G and tail vectors of the column-by-column recursion (`paper_checks.sequential_schur_lanes`).
+
+    t = 1..40 runs every binary shape of the columns left after the end
+    column up to 37, from both column parities; 64, 65 and 66 segments of
+    32, 16, 8 and 4 columns, with one of 2 at 65 and 66 and the single
+    column at 64 and 66; 81 segments of 64, 8, 4 and 2; and 192 and 216
+    are the widths of ``robustness-d025`` and of L = 128.  The lanes are
+    k = 0 and pi, both parts, and k = 3 pi/8, at both gap edges and at a
+    shift inside a band: the midpoint of the two middle ones of the 6
+    eigenvalues of the strip nearest the energy below 30% of the spectrum
+    of its width-40 strip.  The tail vectors are those of the unit source
+    on the first core row, from each pass's own G.  Both eliminations are exact in exact arithmetic, so they agree
+    to 1e-12 relative at the gap edges and to max(1e-12, 64 eps kappa)
+    inside the band, kappa = ||mat|| / dist(shift, spectrum).
+    """
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    cases = [((0, 1), 1), ((0, 1), -1), ((1, 2), 1), ((1, 2), -1), ((3, 16), 1)]
+    cells = [strips._cell_blocks(frac, robust._part(frac, parity)) for frac, parity in cases]
+    targets = [np.quantile(np.linalg.eigvalsh(c.strip(40).toarray()), 0.3) for c in cells]
+    for t in [*range(1, 41), 64, 65, 66, 81, 192, 216]:
+        inside, kappas = [], []
+        for c, target in zip(cells, targets):
+            mat = c.strip(t)
+            near = np.sort(spla.eigsh(mat, k=6, sigma=target, return_eigenvectors=False))
+            norm = abs(spla.eigsh(mat, k=1, which="LM", return_eigenvectors=False)[0])
+            inside.append(0.5 * (near[2] + near[3]))
+            kappas.append(norm / (0.5 * (near[3] - near[2])))
+        for shifts, tols in (([gap[0]] * 5, [1e-12] * 5), ([gap[1]] * 5, [1e-12] * 5),
+                             (inside, [max(1e-12, 64 * np.finfo(float).eps * k) for k in kappas])):
+            lanes = [(c, s, frac) for c, s, (frac, _) in zip(cells, shifts, cases)]
+            passes = [robust._schur_lanes(lanes, t, True), paper_checks.sequential_schur_lanes(lanes, t, True)]
+            vectors = []
+            for cores, tail in passes:
+                y = np.zeros((2 * len(lanes), 6))
+                for n, (c, (_, g)) in enumerate(zip(cells, cores)):
+                    p = c.per_cell
+                    y[2 * n, :p], y[2 * n + 1, :p] = g[-p:, 0], g[:p, 0]
+                vectors.append(tail(y).reshape(-1, len(lanes), 2, 6))
+            for n, tol in enumerate(tols):
+                (nu, g), (nu_ref, g_ref) = passes[0][0][n], passes[1][0][n]
+                assert nu == nu_ref
+                assert np.abs(g - g_ref).max() <= tol * np.abs(g_ref).max()
+                ref = vectors[1][:, n]
+                assert np.abs(vectors[0][:, n] - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0)
+
+
+def test_lane_pass_makes_logarithmic_stacked_inverses(setup_r, monkeypatch):
+    """One counting lane pass at t = 192 over the L = 16 momenta makes at most 20 stacked `_inverse` calls; a column-by-column recursion makes 190."""
+    iface, gap, _, _ = setup_r
+    strips = robust.MomentumStrips(iface, gap)
+    inverse, stacked = robust._inverse, []
+
+    def counted_inverse(s, count, singular):
+        stacked.append(s.ndim == 3)
+        return inverse(s, count, singular)
+
+    monkeypatch.setattr(robust, "_inverse", counted_inverse)
+    strips.resolvent_cores(192, robust._momenta(16), 1, gap)
+    assert 0 < sum(stacked) <= 20
+
+
+def _doubling_stacks(t: int) -> int:
+    """The stacked blocks `robust._schur_lanes` eliminates per lane side at width t > ``CORE_COLUMNS``.
+
+    The end column; one join block for each segment size 4, 8, ... up to
+    the largest that the span of even count left after it needs; one
+    block for each binary digit of that span; and the column
+    ``CORE_COLUMNS`` + 1 when the count left is odd.
+    """
+    rest = t - robust.CORE_COLUMNS - 1
+    span = rest - rest % 2
+    return 1 + max(span.bit_length() - 2, 0) + bin(span).count("1") + rest % 2
 
 
 @pytest.mark.parametrize("parity", [1, -1])
 def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     """sector_pair at L = 8 and then 16, from L = 8's width, counts every strip without a factor, each width from the Dirichlet end.
 
-    No `_inertia` runs; the tails step over t - 2 columns at each width:
-    the 20 lanes of L = 8 (5 strips, 2 sides, 2 gap edges) at t0 = 80 and
-    again at the certified width t, where L = 16 adds only the 16 lanes of
-    its 4 new momenta.  No strip is built as a sparse complex strip, at any
-    width: each is assembled from its cells, and at both widths only the
-    strip with in-gap pairs (k = 0) is, for its shift-invert solve; the
-    perturbed sector multiplies by its strips block by block.
+    No `_inertia` runs; each width's counting lane pass eliminates its
+    stacked blocks (`_doubling_stacks`) for the 20 lanes of L = 8 (5
+    strips, 2 sides, 2 gap edges) at t0 = 80 and again at the certified
+    width t, where L = 16 adds only the 16 lanes of its 4 new momenta.
+    No strip is built as a sparse complex strip, at any width: each is
+    assembled from its cells, and at both widths only the strip with
+    in-gap pairs (k = 0) is, for its shift-invert solve; the perturbed
+    sector multiplies by its strips block by block.
     """
     iface, gap, lam, d_zig = setup_r
     inertia, tails, csr, assembled = [], [], [], []
@@ -518,7 +612,7 @@ def test_sector_pairs_factor_no_gap_edge(setup_r, monkeypatch, parity):
     t = widths[0]
     assert widths == [t, t] and t > 80
     assert inertia == [] and csr == []
-    assert sum(tails) == 20 * (80 - robust.CORE_COLUMNS) + 36 * (t - robust.CORE_COLUMNS)
+    assert sum(tails) == 20 * _doubling_stacks(80) + 36 * _doubling_stacks(t)
     momentum = {id(cells): frac for (frac, _), cells in strips._cells.items()}
     assert {(momentum[id(cells)], width) for cells, width in assembled} == {((0, 1), 80), ((0, 1), t)}
 
